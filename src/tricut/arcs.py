@@ -22,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -37,11 +36,12 @@ from .core import (
     arcset_complement,
     arcset_rotate,
     full_circle,
+    require_distinct_parameters,
+    require_rgb,
 )
 from .errors import (
     BoundaryPoint,
     InternalError,
-    MissingColor,
     NoCutFound,
     PreconditionViolated,
 )
@@ -227,13 +227,10 @@ def moment_halve(a: ArcSet, points: Sequence[CirclePoint], k: int) -> HalveResul
                 raise PreconditionViolated("parameter 0 must lie outside the set")
         except BoundaryPoint:
             raise PreconditionViolated("parameter 0 must lie outside the set")
-    seen = set()
-    for p in points:
-        if p.t == 0:
-            raise PreconditionViolated("point parameter 0 is not allowed here")
-        if p.t in seen:
-            raise PreconditionViolated(f"duplicate parameter {p.t}")
-        seen.add(p.t)
+    require_rgb([p.color for p in points])
+    require_distinct_parameters(points)
+    if any(p.t == 0 for p in points):
+        raise PreconditionViolated("point parameter 0 is not allowed here")
 
     active = {c: [] for c in RGB}
     for p in points:
@@ -313,53 +310,31 @@ def _piece_bounds(profile: CutProfile, sensitive: list[Rat]):
 
 
 def _search_profile(active, sensitive, k: int) -> CutProfile | None:
-    """First admissible profile: fewest cuts, then lexicographic."""
+    """First admissible profile: fewest cuts, then lexicographic.
+
+    Both searches compare parameters only by order, so they run on each
+    parameter's rank in the sorted `sensitive` list: small exact int64s
+    whatever the denominators.
+    """
+    rank = {t: i for i, t in enumerate(sensitive)}
+    ranks = {c: np.array([rank[t] for t in active[c]], dtype=np.int64) for c in RGB}
     if k % 2 == 1:
-        return _search_on_point(active, k)
-    return _search_gap_cuts(active, sensitive, k)
+        return _search_on_point(ranks, sensitive, k)
+    return _search_gap_cuts(ranks, sensitive, k)
 
 
-def _int_scale(values: list[list[Rat]], extra: list[Rat]):
-    """Common integer grid for exact numpy work, or None if it would overflow."""
-    den = 1
-    for vs in values:
-        for v in vs:
-            den = lcm(den, v.denominator)
-    for v in extra:
-        den = lcm(den, v.denominator)
-    if den > 10**9:
-        return None
-    hi = max((abs(v) for vs in values for v in vs), default=Fraction(1))
-    if den * hi.numerator * 4 > 2**62:
-        return None
-    return den
-
-
-def _search_gap_cuts(active, sensitive, k: int) -> CutProfile | None:
-    # candidate cut values: midpoints of consecutive sensitive parameters,
-    # which can never collide with a point or an arc boundary
-    cands = []
-    for a, b in zip(sensitive, sensitive[1:]):
-        if a != b:
-            cands.append((a + b) / 2)
-    cands = sorted(set(cands))
+def _search_gap_cuts(ranks, sensitive, k: int) -> CutProfile | None:
+    # candidate cut i is the midpoint of sensitive[i] and sensitive[i + 1],
+    # which can never collide with a point or an arc boundary; idx[c][i]
+    # counts the active points of color c below it
+    m = len(sensitive) - 1
+    idx = {c: np.searchsorted(ranks[c], np.arange(m), side="right") for c in RGB}
     want = k // 2
 
-    den = _int_scale([active[c] for c in RGB], cands)
-    if den is not None:
-        ts = {c: np.array([int(v * den) for v in active[c]], dtype=np.int64) for c in RGB}
-        cv = np.array([int(v * den) for v in cands], dtype=np.int64)
-        idx = {c: np.searchsorted(ts[c], cv) for c in RGB}
-    else:
-        idx = {
-            c: np.array([bisect_left(active[c], v) for v in cands], dtype=np.int64)
-            for c in RGB
-        }
-    m = len(cands)
+    def cut(i) -> Rat:
+        i = int(i)
+        return (sensitive[i] + sensitive[i + 1]) / 2
 
-    # r = 0: valid only when there is nothing to split
-    if k == 0:
-        return CutProfile((), 1, False)
     # r = 1: points above the cut are side +;  want k - idx == k/2
     ok = None
     for c in RGB:
@@ -367,7 +342,7 @@ def _search_gap_cuts(active, sensitive, k: int) -> CutProfile | None:
         ok = cond if ok is None else (ok & cond)
     hits = np.flatnonzero(ok)
     if hits.size:
-        return CutProfile((cands[int(hits[0])],), 1, False)
+        return CutProfile((cut(hits[0]),), 1, False)
     # r = 2: side + is below the first cut and above the second
     ok = None
     for c in RGB:
@@ -378,8 +353,7 @@ def _search_gap_cuts(active, sensitive, k: int) -> CutProfile | None:
     hits = np.flatnonzero(flat)
     if hits.size:
         h = int(hits[0])
-        i, j = int(iu[0][h]), int(iu[1][h])
-        return CutProfile((cands[i], cands[j]), 1, False)
+        return CutProfile((cut(iu[0][h]), cut(iu[1][h])), 1, False)
     # r = 3: side + is between cut 1 and 2, or above cut 3
     diff = {c: idx[c][None, :] - idx[c][:, None] for c in RGB}  # [a, b] = idx[b]-idx[a]
     for ai in range(m):
@@ -392,39 +366,29 @@ def _search_gap_cuts(active, sensitive, k: int) -> CutProfile | None:
         keep = (bi > ai) & (ci > bi)
         if keep.any():
             pos = int(np.argmax(keep))
-            b, c2 = int(bi[pos]), int(ci[pos])
-            return CutProfile((cands[ai], cands[b], cands[c2]), 1, False)
+            return CutProfile((cut(ai), cut(bi[pos]), cut(ci[pos])), 1, False)
     return None
 
 
-def _search_on_point(active, k: int) -> CutProfile | None:
+def _search_on_point(ranks, sensitive, k: int) -> CutProfile | None:
     """Odd k: one cut on a point of each color; remaining k-1 split evenly."""
     want = (k - 1) // 2
-    tr, tg, tb = (active[c] for c in RGB)
-
-    den = _int_scale([tr, tg, tb], [])
-    if den is None:
-        return _search_on_point_scalar(active, k)
-    arr = {
-        c: np.array([int(v * den) for v in active[c]], dtype=np.int64) for c in RGB
-    }
     # lexicographic combos over (red cut, green cut, blue cut)
-    rr = np.repeat(arr[Color.R], k * k)
-    gg = np.tile(np.repeat(arr[Color.G], k), k)
-    bb = np.tile(arr[Color.B], k * k)
+    rr = np.repeat(ranks[Color.R], k * k)
+    gg = np.tile(np.repeat(ranks[Color.G], k), k)
+    bb = np.tile(ranks[Color.B], k * k)
     cuts = np.sort(np.stack([rr, gg, bb], axis=1), axis=1)
     own = {Color.R: rr, Color.G: gg, Color.B: bb}
     ok = None
     for c in RGB:
-        i1 = np.searchsorted(arr[c], cuts[:, 0])
-        i2 = np.searchsorted(arr[c], cuts[:, 1])
-        i3 = np.searchsorted(arr[c], cuts[:, 2])
+        i1 = np.searchsorted(ranks[c], cuts[:, 0])
+        i2 = np.searchsorted(ranks[c], cuts[:, 1])
+        i3 = np.searchsorted(ranks[c], cuts[:, 2])
         plus = i2 - i1 + k - i3
         # own cut point gets excised; it was tallied in + iff it is the
-        # lowest or highest cut (even number of cuts strictly above it)
+        # lowest or highest cut (even number of cuts strictly above it).
+        # Cuts never collide across colors: parameters are globally distinct
         excised_plus = (cuts[:, 0] == own[c]) | (cuts[:, 2] == own[c])
-        # careful when cuts collide in value across colors: they never do,
-        # parameters are globally distinct
         plus = plus - excised_plus.astype(np.int64)
         cond = plus == want
         ok = cond if ok is None else (ok & cond)
@@ -432,33 +396,7 @@ def _search_on_point(active, k: int) -> CutProfile | None:
     if not hits.size:
         return None
     h = int(hits[0])
-    fr = Fraction(int(rr[h]), den)
-    fg = Fraction(int(gg[h]), den)
-    fb = Fraction(int(bb[h]), den)
-    return CutProfile(tuple(sorted((fr, fg, fb))), 1, True)
-
-
-def _search_on_point_scalar(active, k: int) -> CutProfile | None:
-    want = (k - 1) // 2
-    for fr in active[Color.R]:
-        for fg in active[Color.G]:
-            for fb in active[Color.B]:
-                cuts = sorted((fr, fg, fb))
-                good = True
-                for c in RGB:
-                    own = {Color.R: fr, Color.G: fg, Color.B: fb}[c]
-                    i1 = bisect_left(active[c], cuts[0])
-                    i2 = bisect_left(active[c], cuts[1])
-                    i3 = bisect_left(active[c], cuts[2])
-                    plus = i2 - i1 + k - i3
-                    if cuts[0] == own or cuts[2] == own:
-                        plus -= 1
-                    if plus != want:
-                        good = False
-                        break
-                if good:
-                    return CutProfile(tuple(cuts), 1, True)
-    return None
+    return CutProfile(tuple(sensitive[int(r)] for r in cuts[h]), 1, True)
 
 
 # -- the driver ----------------------------------------------------------------
@@ -505,19 +443,9 @@ def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
     rest runs the op plan, rotating before each halve so the parameter
     origin sits in a safe gap.
     """
-    counts = {c: 0 for c in RGB}
-    seen = set()
-    for p in points:
-        if p.t in seen:
-            raise PreconditionViolated(f"duplicate parameter {p.t}")
-        seen.add(p.t)
-        counts[p.color] = counts.get(p.color, 0) + 1
-    for c in RGB:
-        if counts[c] == 0:
-            raise MissingColor(f"no point of color {c.value}")
-    n = counts[RGB[0]]
-    if any(counts[c] != n for c in RGB):
-        raise PreconditionViolated(f"unbalanced colors {counts}")
+    n = len(points) // 3
+    require_rgb([p.color for p in points], "point", n)
+    require_distinct_parameters(points)
     if not 0 <= k <= n:
         raise PreconditionViolated(f"need 0 <= k <= n, got k={k}")
     if k == 0:

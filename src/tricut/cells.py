@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Color, ColoredLine, Rat, RGB, Segment, intersect, line, sign
+from .core import Color, ColoredLine, Rat, RGB, Segment, intersect, line, require_rgb, sign
 from .errors import (
     InternalError,
-    MissingColor,
     MixedParity,
     NotPseudomanifold,
     NotSimple,
@@ -239,15 +238,6 @@ def is_complete(face: Face) -> bool:
     return cycle_parity(face.boundary_colors) == (1, 1, 1)
 
 
-def _require_rgb(lines: Sequence[ColoredLine]) -> None:
-    present = {l.color for l in lines}
-    if not present <= set(RGB):
-        raise PreconditionViolated("only colors R, G, B are allowed here")
-    missing = [c.value for c in RGB if c not in present]
-    if missing:
-        raise MissingColor(f"no line of color {','.join(missing)}")
-
-
 def find_complete_face(lines: Sequence[ColoredLine]) -> Face:
     """Locate a complete cell by incremental insertion.
 
@@ -257,7 +247,7 @@ def find_complete_face(lines: Sequence[ColoredLine]) -> Face:
     The result is a cell of the full arrangement.
     """
     lines = tuple(lines)
-    _require_rgb(lines)
+    require_rgb([l.color for l in lines], "line")
     validate_simple(lines)
 
     first = {}

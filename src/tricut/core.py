@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     BoundaryPoint,
+    MissingColor,
     OriginOnCurve,
     PreconditionViolated,
     VerticalLine,
@@ -164,18 +165,24 @@ def dual_line_to_point(l: ColoredLine) -> ColoredPoint:
 class GeneralPosition(enum.Enum):
     NO_THREE_COLLINEAR = "no-three-collinear"
     DISTINCT_XY = "distinct-xy"
+    DISTINCT_X = "distinct-x"
 
 
 def check_general_position(points: Sequence[ColoredPoint], mode: GeneralPosition) -> None:
-    """Raise PreconditionViolated naming the offending indices."""
+    """Raise PreconditionViolated naming the offending indices.
+
+    NO_THREE_COLLINEAR also rejects coincident points.  This is the one
+    place that looks for repeated coordinates or collinear triples.
+    """
     n = len(points)
-    if mode is GeneralPosition.DISTINCT_XY:
+    if mode in (GeneralPosition.DISTINCT_XY, GeneralPosition.DISTINCT_X):
+        check_y = mode is GeneralPosition.DISTINCT_XY
         seen_x: dict[Rat, int] = {}
         seen_y: dict[Rat, int] = {}
         for i, p in enumerate(points):
             if p.x in seen_x:
                 raise PreconditionViolated(f"points {seen_x[p.x]} and {i} share x = {p.x}")
-            if p.y in seen_y:
+            if check_y and p.y in seen_y:
                 raise PreconditionViolated(f"points {seen_y[p.y]} and {i} share y = {p.y}")
             seen_x[p.x] = i
             seen_y[p.y] = i
@@ -190,6 +197,29 @@ def check_general_position(points: Sequence[ColoredPoint], mode: GeneralPosition
                         raise PreconditionViolated(f"points {i}, {j}, {k} are collinear")
         return
     raise ValueError(mode)
+
+
+def require_rgb(colors: Iterable[Color], what: str = "point", per_color: int | None = None) -> None:
+    """Every item is R, G or B and every color occurs; with `per_color`,
+    each color occurs exactly that often.
+
+    Pass len(items) // 3 as `per_color` to demand equal counts.  Raises
+    MissingColor for an absent color, PreconditionViolated otherwise.
+    """
+    counts = {c: 0 for c in RGB}
+    for i, c in enumerate(colors):
+        if c not in counts:
+            raise PreconditionViolated(f"{what} {i} has color {c.value}, want R, G or B")
+        counts[c] += 1
+    missing = [c.value for c in RGB if counts[c] == 0]
+    if missing:
+        raise MissingColor(f"no {what} of color {','.join(missing)}")
+    if per_color is not None:
+        for c in RGB:
+            if counts[c] != per_color:
+                raise PreconditionViolated(
+                    f"color {c.value} has {counts[c]} {what}s, want {per_color}"
+                )
 
 
 # -- arcs on the unit-perimeter circle ---------------------------------------
@@ -342,6 +372,14 @@ def circle_point(t, color: Color | str) -> CirclePoint:
     if not (0 <= t < 1):
         raise PreconditionViolated(f"circle parameter {t} outside [0, 1)")
     return CirclePoint(t, Color(color))
+
+
+def require_distinct_parameters(points: Sequence[CirclePoint]) -> None:
+    seen: set[Rat] = set()
+    for p in points:
+        if p.t in seen:
+            raise PreconditionViolated(f"duplicate parameter {p.t}")
+        seen.add(p.t)
 
 
 def arcset_color_counts(a: ArcSet, points: Sequence[CirclePoint]) -> dict[Color, int]:

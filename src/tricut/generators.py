@@ -19,10 +19,11 @@ from .core import (
     ColoredLine,
     ColoredPoint,
     CirclePoint,
+    GeneralPosition,
     RGB,
+    check_general_position,
     circle_point,
     line_slope_intercept,
-    orient,
     pt,
 )
 from .errors import GenerationFailed, NotSimple, PreconditionViolated
@@ -52,18 +53,6 @@ class GenSpec:
 
 _RETRIES = 200
 _RETRIES_RED_HULL = 1000
-
-
-def _no_three_collinear(points) -> bool:
-    m = len(points)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (points[i].x, points[i].y) == (points[j].x, points[j].y):
-                return False
-            for k in range(j + 1, m):
-                if orient(points[i], points[j], points[k]) == 0:
-                    return False
-    return True
 
 
 def _gen_simple_lines(n: int, seed: int) -> tuple[ColoredLine, ...]:
@@ -99,8 +88,11 @@ def _gen_points(n: int, seed: int) -> tuple[ColoredPoint, ...]:
             rng.choice(RGB) for _ in range(n - 3)
         ]
         points = tuple(pt(x, y, c) for (x, y), c in zip(coords, colors))
-        if _no_three_collinear(points):
-            return points
+        try:
+            check_general_position(points, GeneralPosition.NO_THREE_COLLINEAR)
+        except PreconditionViolated:
+            continue
+        return points
     raise GenerationFailed(f"no general-position point set after {_RETRIES} tries")
 
 
@@ -222,8 +214,11 @@ def _gen_three_disks(n: int, seed: int) -> tuple[ColoredPoint, ...]:
             for dx, dy in sorted(offs):
                 points.append(pt(cx + Fraction(dx, d), cy + Fraction(dy, d), c))
         points = tuple(points)
-        if _no_three_collinear(points):
-            return points
+        try:
+            check_general_position(points, GeneralPosition.NO_THREE_COLLINEAR)
+        except PreconditionViolated:
+            continue
+        return points
     raise GenerationFailed(f"no three-disk instance after {_RETRIES} tries")
 
 

@@ -28,16 +28,18 @@ import numpy as np
 from .core import (
     Color,
     ColoredPoint,
+    GeneralPosition,
     LatticePolygon,
     RGB,
     Rat,
     as_rat,
+    check_general_position,
+    require_rgb,
     sign,
     winding_number,
 )
 from .errors import (
     InternalError,
-    MissingColor,
     PreconditionViolated,
 )
 
@@ -95,14 +97,7 @@ class LatticePointSet:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         _check_lattice_general_position(self.points)
-        counts = {c: 0 for c in RGB}
-        for p in self.points:
-            counts[p.color] += 1
-        for c in RGB:
-            if counts[c] == 0:
-                raise MissingColor(f"no point of color {c.value}")
-        if len(set(counts.values())) != 1:
-            raise PreconditionViolated(f"unbalanced colors {counts}")
+        require_rgb([p.color for p in self.points], "point", len(self.points) // 3)
 
     @property
     def n(self) -> int:
@@ -110,18 +105,10 @@ class LatticePointSet:
 
 
 def _check_lattice_general_position(points: Sequence[ColoredPoint]) -> None:
-    xs, ys = set(), set()
     for i, p in enumerate(points):
         if p.x.denominator != 1 or p.y.denominator != 1:
             raise PreconditionViolated(f"point {i} is not on the integer lattice")
-        if p.color not in RGB:
-            raise PreconditionViolated(f"point {i} has color {p.color.value}, want R/G/B")
-        if p.x in xs:
-            raise PreconditionViolated(f"two points share x = {p.x}")
-        if p.y in ys:
-            raise PreconditionViolated(f"two points share y = {p.y}")
-        xs.add(p.x)
-        ys.add(p.y)
+    check_general_position(points, GeneralPosition.DISTINCT_XY)
 
 
 @dataclass(frozen=True)
@@ -189,7 +176,7 @@ def ortho_hull(s) -> list[ColoredPoint]:
     """
     points = _points_of(s)
     if not isinstance(s, LatticePointSet):
-        _allow_any_colors_check(points)
+        _check_lattice_general_position(points)
     hull = []
     for p in points:
         ne = nw = se = sw = True
@@ -207,19 +194,6 @@ def ortho_hull(s) -> list[ColoredPoint]:
         if ne or nw or se or sw:
             hull.append(p)
     return hull
-
-
-def _allow_any_colors_check(points: Sequence[ColoredPoint]) -> None:
-    xs, ys = set(), set()
-    for i, p in enumerate(points):
-        if p.x.denominator != 1 or p.y.denominator != 1:
-            raise PreconditionViolated(f"point {i} is not on the integer lattice")
-        if p.x in xs:
-            raise PreconditionViolated(f"two points share x = {p.x}")
-        if p.y in ys:
-            raise PreconditionViolated(f"two points share y = {p.y}")
-        xs.add(p.x)
-        ys.add(p.y)
 
 
 # -- sided orderings and their curves ------------------------------------------
@@ -266,6 +240,15 @@ def _step_table(hull_color: Color) -> dict[Color, tuple[int, int]]:
     return {hull_color: (-1, -1), others[0]: (2, -1), others[1]: (-1, 2)}
 
 
+def _prefix_deficits(order: Sequence[ColoredPoint], step) -> list[tuple[int, int]]:
+    """q_0..q_m: q_k sums the color steps of the first k points."""
+    q = [(0, 0)]
+    for p in order:
+        dx, dy = step[p.color]
+        q.append((q[-1][0] + dx, q[-1][1] + dy))
+    return q
+
+
 @dataclass(frozen=True)
 class LatticeCurvePrefix:
     """Prefix-deficit vertices q_1..q_{3n-1}; q_k sums the color steps of the
@@ -295,17 +278,9 @@ def lattice_curve(sigma: SidedOrdering, hull_color: Color | None = None) -> Latt
                 f"orthogonal hull is not monochromatic: {sorted(c.value for c in hull_colors)}"
             )
         hull_color = hull_colors.pop()
-    step = _step_table(hull_color)
-    qx = qy = 0
-    verts = []
-    zeros = []
-    for k, p in enumerate(pts[:-1], start=1):
-        dx, dy = step[p.color]
-        qx += dx
-        qy += dy
-        verts.append((qx, qy))
-        if qx == 0 and qy == 0:
-            zeros.append(k)
+    q = _prefix_deficits(pts, _step_table(hull_color))
+    verts = q[1:-1]
+    zeros = [k for k in range(1, len(pts)) if q[k] == (0, 0)]
     if verts[0] != (-1, -1) or verts[-1] != (1, 1) or pts[-1].color is not hull_color:
         raise PreconditionViolated(
             "ordering must start and end with hull-colored points "
@@ -377,7 +352,7 @@ def find_balanced_lline(s: LatticePointSet, validate: bool = False) -> tuple[LLi
     m = 3 * n
 
     # q[0] and q[m] stay (0,0); zeros are tracked for k in 1..m-1
-    q: list[tuple[int, int]] = [(0, 0)] * (m + 1)
+    q: list[tuple[int, int]] = []
     zero_count = 0
     prev_order: tuple[ColoredPoint, ...] | None = None
     prev_winding: int | None = None
@@ -388,13 +363,8 @@ def find_balanced_lline(s: LatticePointSet, validate: bool = False) -> tuple[LLi
         sigma = sided_ordering(anchor, turns, s)
         order = sigma.order
         if prev_order is None:
-            qx = qy = 0
-            for k, p in enumerate(order[:-1], start=1):
-                dx, dy = step[p.color]
-                qx, qy = qx + dx, qy + dy
-                q[k] = (qx, qy)
-                if q[k] == (0, 0):
-                    zero_count += 1
+            q = _prefix_deficits(order, step)
+            zero_count = q[1:m].count((0, 0))
         else:
             move = _block_move(prev_order, order)
             if move is not None:

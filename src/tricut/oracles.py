@@ -25,6 +25,8 @@ from .core import (
     arcset_component_count,
     full_circle,
     empty_arcset,
+    require_distinct_parameters,
+    require_rgb,
     sign,
 )
 from .errors import EndpointOnLine, PreconditionViolated
@@ -101,11 +103,8 @@ def enumerate_2arc_sets(points: Sequence[CirclePoint], k: int) -> list[ArcSet]:
         raise PreconditionViolated(f"oracle is limited to 1..30 points, got {m}")
     if k < 0:
         raise PreconditionViolated(f"negative target {k}")
-    seen = set()
-    for p in pts:
-        if p.t in seen:
-            raise PreconditionViolated(f"duplicate parameter {p.t}")
-        seen.add(p.t)
+    require_rgb([p.color for p in pts])
+    require_distinct_parameters(pts)
 
     order = sorted(range(m), key=lambda i: pts[i].t)
     ts = [pts[i].t for i in order]

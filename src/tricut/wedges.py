@@ -17,6 +17,7 @@ That vertex is the balanced window.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -35,22 +36,24 @@ from .core import (
     Color,
     ColoredLine,
     ColoredPoint,
+    GeneralPosition,
     LatticePolygon,
     Rat,
     RGB,
     Segment,
+    check_general_position,
     dual_line_to_point,
     dual_point_to_line,
     intersect,
     line_through,
     orient,
+    require_rgb,
     sign,
     winding_number,
 )
 from .errors import (
     DegenerateApex,
     InternalError,
-    MissingColor,
     OnBoundary,
     PreconditionViolated,
 )
@@ -119,30 +122,34 @@ class WedgeCurve:
         return winding_number(self.polygon())
 
 
-def wedge_curve(colors: Sequence[Color]) -> WedgeCurve:
+def _require_6n(colors: Sequence[Color], what: str) -> int:
+    """n for 6n items holding 2n of each color."""
     m = len(colors)
     if m % 6 != 0 or m == 0:
-        raise PreconditionViolated("need 6n colors")
-    n = m // 6
-    got = {c: sum(1 for x in colors if x is c) for c in RGB}
-    for c in RGB:
-        if got[c] == 0:
-            raise MissingColor(f"no point of color {c.value}")
-    for c in RGB:
-        if got[c] != 2 * n:
-            raise PreconditionViolated(f"color {c.value} has {got[c]} points, want {2 * n}")
+        raise PreconditionViolated(f"need 6n {what}s, got {m}")
+    require_rgb(colors, what, 2 * (m // 6))
+    return m // 6
+
+
+def _window_deficits(colors: Sequence[Color], n: int) -> list[tuple[int, int]]:
+    """(blue count - n, green count - n) of the 3n-window at each position."""
+    m, h = 6 * n, 3 * n
     b = g = 0
-    for c in colors[: 3 * n]:
+    for c in colors[:h]:
         v = _COLOR_VEC[c]
         b, g = b + v[0], g + v[1]
     verts = []
     for k in range(m):
         verts.append((b - n, g - n))
         out_v = _COLOR_VEC[colors[k]]
-        in_v = _COLOR_VEC[colors[(k + 3 * n) % m]]
-        b += in_v[0] - out_v[0]
-        g += in_v[1] - out_v[1]
-    return WedgeCurve(n, tuple(verts))
+        in_v = _COLOR_VEC[colors[(k + h) % m]]
+        b, g = b + in_v[0] - out_v[0], g + in_v[1] - out_v[1]
+    return verts
+
+
+def wedge_curve(colors: Sequence[Color]) -> WedgeCurve:
+    n = _require_6n(colors, "point")
+    return WedgeCurve(n, tuple(_window_deficits(colors, n)))
 
 
 _STEPS = {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)}
@@ -252,31 +259,6 @@ def wedge_dual_segment(w: DoubleWedge) -> Segment:
 # -- the sweep -----------------------------------------------------------------
 
 
-def _validate_wedge_input(points: Sequence[ColoredPoint]) -> int:
-    m = len(points)
-    if m % 6 != 0 or m == 0:
-        raise PreconditionViolated(f"need 6n points, got {m}")
-    n = m // 6
-    got = {c: sum(1 for p in points if p.color is c) for c in RGB}
-    for c in RGB:
-        if got[c] == 0:
-            raise MissingColor(f"no point of color {c.value}")
-    for c in RGB:
-        if got[c] != 2 * n:
-            raise PreconditionViolated(f"color {c.value} has {got[c]} points, want {2 * n}")
-    xs = {}
-    for i, p in enumerate(points):
-        if p.x in xs:
-            raise PreconditionViolated(f"points {xs[p.x]} and {i} share x = {p.x}")
-        xs[p.x] = i
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                if orient(points[i], points[j], points[k]) == 0:
-                    raise PreconditionViolated(f"points {i}, {j}, {k} are collinear")
-    return n
-
-
 def _event_intercepts(points: Sequence[ColoredPoint], x0: Rat):
     """y-intercepts on the vertical x = x0 of every point-pair line."""
     events = []
@@ -296,7 +278,15 @@ def sweep_balanced_wedge(points: Sequence[ColoredPoint], validate: bool = False)
     a guaranteed sweep invariant fails, which would be a library bug.
     """
     pts = tuple(points)
-    n = _validate_wedge_input(pts)
+    n = _require_6n([p.color for p in pts], "point")
+    check_general_position(pts, GeneralPosition.DISTINCT_X)
+    check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
+    return _sweep(pts, n, validate)
+
+
+def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> DoubleWedge:
+    """Body of sweep_balanced_wedge on input already known to satisfy its
+    preconditions."""
     m = 6 * n
     h = 3 * n
 
@@ -318,16 +308,7 @@ def sweep_balanced_wedge(points: Sequence[ColoredPoint], validate: bool = False)
     order = list(top.points)
     pos = {id(p): r for r, p in enumerate(order)}
 
-    q: list[tuple[int, int]] = []
-    b = g = 0
-    for p in order[:h]:
-        v = _COLOR_VEC[p.color]
-        b, g = b + v[0], g + v[1]
-    for k in range(m):
-        q.append((b - n, g - n))
-        ov = _COLOR_VEC[order[k].color]
-        iv = _COLOR_VEC[order[(k + h) % m].color]
-        b, g = b + iv[0] - ov[0], g + iv[1] - ov[1]
+    q = _window_deficits([p.color for p in order], n)
 
     def found_zero() -> int | None:
         for k in range(m):
@@ -418,16 +399,10 @@ def sweep_balanced_wedge(points: Sequence[ColoredPoint], validate: bool = False)
 def _validate_event(curve: WedgeCurve, n, order, w1, w2, old1, old2) -> None:
     check_curve_invariants(curve)
     m = 6 * n
-    b = g = 0
-    for p in order[: 3 * n]:
-        vec = _COLOR_VEC[p.color]
-        b, g = b + vec[0], g + vec[1]
-    for k in range(m):
-        if curve.vertices[k] != (b - n, g - n):
-            raise InternalError("incremental counts drifted", {"k": k})
-        ov = _COLOR_VEC[order[k].color]
-        iv = _COLOR_VEC[order[(k + 3 * n) % m].color]
-        b, g = b + iv[0] - ov[0], g + iv[1] - ov[1]
+    rebuilt = _window_deficits([p.color for p in order], n)
+    drift = [k for k in range(m) if curve.vertices[k] != rebuilt[k]]
+    if drift:
+        raise InternalError("incremental counts drifted", {"k": drift[0]})
     for w, old in ((w1, old1), (w2, old2)):
         prev = curve.vertices[(w - 1) % m]
         nxt = curve.vertices[(w + 1) % m]
@@ -495,18 +470,12 @@ def brute_oracle_wedges(
         raise PreconditionViolated(f"oracle is limited to 1..18 points, got {m}")
     if len(target) != 3 or any(t < 0 for t in target):
         raise PreconditionViolated(f"bad target {target}")
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (pts[i].x, pts[i].y) == (pts[j].x, pts[j].y):
-                raise PreconditionViolated(f"points {i} and {j} coincide")
-            for k in range(j + 1, m):
-                if orient(pts[i], pts[j], pts[k]) == 0:
-                    raise PreconditionViolated(f"points {i}, {j}, {k} are collinear")
+    require_rgb([p.color for p in pts])
+    check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
 
     color_ix = {Color.R: 0, Color.G: 1, Color.B: 2}
-    onehot = np.zeros((m, 3), dtype=np.int32)
-    for i, p in enumerate(pts):
-        onehot[i, color_ix[p.color]] = 1
+    cix = [color_ix[p.color] for p in pts]
+    onehot = np.eye(3, dtype=np.int32)[cix]
     tgt = np.asarray(target, dtype=np.int32)
 
     # side matrix of every point-pair line, exact signs
@@ -529,17 +498,17 @@ def brute_oracle_wedges(
         rows = np.nonzero(
             np.all(base <= tgt, axis=1) & np.all(base + bound >= tgt, axis=1)
         )[0]
-        for r in rows:
-            inside = np.nonzero(mask[r])[0]
-            need = tgt - base[r]
-            bidx = np.nonzero(prod[r] == 0)[0]
-            for sub in range(1 << len(bidx)):
-                chosen = [bidx[t] for t in range(len(bidx)) if sub >> t & 1]
-                add = np.zeros(3, dtype=np.int32)
+        for r in rows.tolist():
+            inside = np.flatnonzero(mask[r]).tolist()
+            need = tuple((tgt - base[r]).tolist())
+            on_lines = np.flatnonzero(prod[r] == 0).tolist()
+            # a resolution adding exactly `need` picks sum(need) line points
+            for chosen in itertools.combinations(on_lines, sum(need)):
+                add = [0, 0, 0]
                 for c in chosen:
-                    add += onehot[c]
-                if np.array_equal(add, need):
-                    out.add(tuple(sorted(inside.tolist() + [int(c) for c in chosen])))
+                    add[cix[c]] += 1
+                if tuple(add) == need:
+                    out.add(tuple(sorted(inside + list(chosen))))
     return sorted(out, key=lambda t: (len(t), t))
 
 
@@ -581,19 +550,8 @@ def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
     one line per color back to a double wedge.
     """
     pts = tuple(points)
-    present = {p.color for p in pts}
-    for c in RGB:
-        if c not in present:
-            raise MissingColor(f"no point of color {c.value}")
-    if not present <= set(RGB):
-        raise PreconditionViolated("only colors R, G, B are allowed")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if (pts[i].x, pts[i].y) == (pts[j].x, pts[j].y):
-                raise PreconditionViolated(f"points {i} and {j} coincide")
-            for k in range(j + 1, len(pts)):
-                if orient(pts[i], pts[j], pts[k]) == 0:
-                    raise PreconditionViolated(f"points {i}, {j}, {k} are collinear")
+    require_rgb([p.color for p in pts])
+    check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
 
     if len({p.x for p in pts}) == len(pts):
         frames: list[tuple[Rat, Rat] | None] = [None]
@@ -727,34 +685,29 @@ def halving_segment(lines: Sequence[ColoredLine]) -> Segment:
     sweep_balanced_wedge.
     """
     ls = tuple(lines)
-    m = len(ls)
-    if m % 6 != 0 or m == 0:
-        raise PreconditionViolated(f"need 6n lines, got {m}")
-    n = m // 6
-    got = {c: sum(1 for l in ls if l.color is c) for c in RGB}
-    for c in RGB:
-        if got[c] == 0:
-            raise MissingColor(f"no line of color {c.value}")
-    for c in RGB:
-        if got[c] != 2 * n:
-            raise PreconditionViolated(f"color {c.value} has {got[c]} lines, want {2 * n}")
+    n = _require_6n([l.color for l in ls], "line")
     validate_simple(ls)
 
     cs = None
     work = ls
     if any(l.is_vertical for l in ls):
-        den = 2
-        while True:
+        # the angles 2*atan(1/den) are distinct, and each line is vertical
+        # under at most one of them, so m + 1 candidates always suffice
+        for den in range(2, len(ls) + 3):
             cand = _rotation(Fraction(1, den))
             fs = [_rot_functional((l.a, l.b, l.c), cand) for l in ls]
             if all(b != 0 for _, b, _ in fs):
                 cs = cand
                 work = tuple(ColoredLine(a, b, c0, l.color) for (a, b, c0), l in zip(fs, ls))
                 break
-            den += 1
+        else:
+            raise InternalError("no rotation makes every line non-vertical")
 
+    # a simple arrangement has no parallel lines (distinct dual x) and no
+    # three concurrent lines (no three collinear dual points), so the duals
+    # already meet the sweep's preconditions
     dual_pts = tuple(dual_line_to_point(l) for l in work)
-    w = sweep_balanced_wedge(dual_pts)
+    w = _sweep(dual_pts, n)
     s1 = dual_line_to_point(w.line1)
     s2 = dual_line_to_point(w.line2)
     p1, p2 = (s1.x, s1.y), (s2.x, s2.y)

@@ -21,10 +21,12 @@ from tricut import (
     Color,
     GenKind,
     GenSpec,
+    GeneralPosition,
     arcset_color_counts,
     brute_oracle_llines,
     brute_oracle_wedges,
     build_arrangement,
+    check_general_position,
     cycle_parity,
     dual_point_to_line,
     find_111_wedge,
@@ -47,7 +49,6 @@ from tricut import (
 from tricut.arcs import bfs_shortest_lengths, eval_plans_batch, plan_ops_batch
 from tricut.cells import ColoredTriangulation
 from tricut.errors import GenerationFailed, InternalError, PreconditionViolated
-from tricut.generators import _no_three_collinear
 from tricut.oracles import count_segment_crossings
 
 INTERNAL_ERRORS_AT_START = InternalError.count
@@ -149,8 +150,11 @@ def _balanced_points(n, seed):
         colors = [R] * (2 * n) + [G] * (2 * n) + [B] * (2 * n)
         rng.shuffle(colors)
         points = tuple(pt(x, y, c) for x, y, c in zip(xs, ys, colors))
-        if _no_three_collinear(points):
-            return points
+        try:
+            check_general_position(points, GeneralPosition.NO_THREE_COLLINEAR)
+        except PreconditionViolated:
+            continue
+        return points
 
 
 def test_criterion_5_balanced_wedge_sweep():

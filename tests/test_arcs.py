@@ -29,6 +29,8 @@ from tricut.core import (
     full_circle,
 )
 from tricut.errors import MissingColor, PreconditionViolated
+from tricut.generators import GenKind, GenSpec, generate
+from tricut.oracles import arcset_points_key, enumerate_2arc_sets
 
 
 def batch_row_ops(mat, k):
@@ -376,6 +378,39 @@ class TestFindKArcset:
                     assert res.m1.contains(p.t)
                 else:
                     assert res.m2.contains(p.t)
+
+
+def relabel_in_order(points, seed):
+    """Same cyclic order of parameters, denominators between 1e5 and 1e6."""
+    rng = random.Random(seed)
+    dens = rng.sample(range(100_003, 1_000_000), len(points))
+    fresh = sorted(F(rng.randrange(1, d), d) for d in dens)
+    assert len(set(fresh)) == len(points)
+    order = sorted(range(len(points)), key=lambda i: points[i].t)
+    out = [None] * len(points)
+    for r, i in enumerate(order):
+        out[i] = circle_point(fresh[r], points[i].color)
+    return out
+
+
+class TestBigDenominators:
+    """Order-relabelled parameters whose common denominator exceeds 1e9
+    give the combinatorially identical answer."""
+
+    @pytest.mark.parametrize("n", [5, 6, 9, 10, 21, 40])
+    def test_same_points_as_original(self, n):
+        pts = generate(GenSpec(GenKind.CirclePoints3C, n, n))
+        big = relabel_in_order(pts, n)
+        assert math.lcm(*(p.t.denominator for p in big)) > 10**9
+        for k in sorted({1, n // 2 + 1, n - 1}):
+            a = find_k_arcset(pts, k)
+            b = find_k_arcset(big, k)
+            assert b.component_count() <= 2
+            key = arcset_points_key(b, big)
+            assert key == arcset_points_key(a, pts), (n, k)
+            if n <= 10:
+                oracle = {arcset_points_key(o, big) for o in enumerate_2arc_sets(big, k)}
+                assert key in oracle, (n, k)
 
 
 class TestRotateParameters:

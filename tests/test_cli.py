@@ -99,6 +99,15 @@ class TestSolve:
     def test_unknown_flag_exit_2(self):
         assert run_cli("solve", "cell", "--bogus").returncode == 2
 
+    def test_arcs_neutral_point_exit_2(self, tmp_path):
+        # balanced R, G, B plus one K point: a precondition, not a crash
+        inst = tmp_path / "k.json"
+        pts = [{"t": f"{i}/8", "color": c} for i, c in enumerate("RGBRGBK", start=1)]
+        inst.write_text(json.dumps({"points": pts}))
+        r = run_cli("solve", "arcs", "--in", str(inst), "--k", "1")
+        assert r.returncode == 2
+        assert "color K" in r.stderr
+
     def test_solve_svg_output(self, tmp_path):
         out = tmp_path / "pic.svg"
         r = run_cli(
@@ -146,6 +155,17 @@ class TestVerify:
         assert r.returncode == 3
         trace = json.loads(r.stderr)
         assert trace["error"] == "internal"
+
+    def test_neutral_point_in_solution_exit_2(self, tmp_path):
+        sol = self.solution(
+            tmp_path, "solve", "arcs", "--n", "2", "--k", "1", "--seed", "3"
+        )
+        env = json.loads(sol.read_text())
+        env["instance"]["points"].append({"t": "1/999", "color": "K"})
+        sol.write_text(json.dumps(env))
+        r = run_cli("verify", "--in", str(sol))
+        assert r.returncode == 2
+        assert "color K" in r.stderr
 
     def test_verify_needs_solution_shape(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -24,10 +24,13 @@ from tricut.core import (
     line_through,
     orient,
     pt,
+    require_distinct_parameters,
+    require_rgb,
     winding_number,
 )
 from tricut.errors import (
     BoundaryPoint,
+    MissingColor,
     OriginOnCurve,
     PreconditionViolated,
     VerticalLine,
@@ -136,6 +139,42 @@ class TestGeneralPosition:
         pts = [pt(0, 0, "R"), pt(1, 3, "G"), pt(2, 1, "B")]
         check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
         check_general_position(pts, GeneralPosition.DISTINCT_XY)
+        check_general_position(pts, GeneralPosition.DISTINCT_X)
+
+    def test_coincident_points_detected(self):
+        pts = [pt(0, 0, "R"), pt(0, 0, "B"), pt(1, 3, "G")]
+        with pytest.raises(PreconditionViolated, match="coincide"):
+            check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
+
+    def test_distinct_x_ignores_shared_y(self):
+        pts = [pt(0, 1, "R"), pt(2, 3, "G"), pt(4, 1, "B")]
+        check_general_position(pts, GeneralPosition.DISTINCT_X)
+        with pytest.raises(PreconditionViolated, match="share x"):
+            check_general_position(pts + [pt(2, 5, "R")], GeneralPosition.DISTINCT_X)
+
+
+class TestColorChecks:
+    def test_rgb_present(self):
+        require_rgb([Color.R, Color.G, Color.B, Color.R])
+
+    def test_missing_color(self):
+        with pytest.raises(MissingColor, match="B"):
+            require_rgb([Color.R, Color.G, Color.R])
+
+    def test_neutral_color_rejected(self):
+        with pytest.raises(PreconditionViolated, match="color K"):
+            require_rgb([Color.R, Color.G, Color.B, Color.K])
+
+    def test_per_color_count(self):
+        require_rgb([Color.R, Color.G, Color.B] * 2, per_color=2)
+        with pytest.raises(PreconditionViolated, match="want 1"):
+            require_rgb([Color.R, Color.G, Color.B, Color.R], per_color=1)
+
+    def test_distinct_parameters(self):
+        pts = [circle_point(F(1, 4), "R"), circle_point(F(1, 2), "G")]
+        require_distinct_parameters(pts)
+        with pytest.raises(PreconditionViolated, match="duplicate"):
+            require_distinct_parameters(pts + [circle_point(F(2, 8), "B")])
 
 
 class TestArcSet:
