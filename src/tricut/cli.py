@@ -25,7 +25,6 @@ from fractions import Fraction
 from . import serialization as ser
 from .arcs import find_k_arcset
 from .cells import (
-    Face,
     build_arrangement,
     cycle_parity,
     find_complete_face,
@@ -344,15 +343,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _dec_face(d: dict) -> Face:
-    return Face(
-        bounded=bool(d["bounded"]),
-        vertices=tuple(ser.dec_xy(v) for v in d["vertices"]),
-        boundary_lines=tuple(int(i) for i in d["boundary_lines"]),
-        boundary_colors=tuple(Color(c) for c in d["boundary_colors"]),
-    )
-
-
 def _render(env: dict) -> str:
     command = env.get("command", "")
     payload = ser.unwrap_instance(env)
@@ -360,7 +350,7 @@ def _render(env: dict) -> str:
 
     if command.endswith("cell") and "face" in answer:
         lines = ser.dec_lines_payload(payload)
-        return render_arrangement(build_arrangement(lines), _dec_face(answer["face"]))
+        return render_arrangement(build_arrangement(lines), ser.dec_face(answer["face"]))
     if "wedge" in answer:
         points = ser.dec_points_payload(payload)
         return render_wedge(points, ser.dec_wedge(answer["wedge"]))

@@ -8,6 +8,7 @@ nowhere below; rendering code does its own presentation rounding.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -168,35 +169,40 @@ class GeneralPosition(enum.Enum):
     DISTINCT_X = "distinct-x"
 
 
+def _first_repeat(keyed: Iterable[tuple]) -> tuple | None:
+    """(first tag, later tag) of the first key met twice among (key, tag)."""
+    seen: dict = {}
+    for key, tag in keyed:
+        first = seen.setdefault(key, tag)
+        if first != tag:
+            return first, tag
+    return None
+
+
 def check_general_position(points: Sequence[ColoredPoint], mode: GeneralPosition) -> None:
     """Raise PreconditionViolated naming the offending indices.
 
     NO_THREE_COLLINEAR also rejects coincident points.  This is the one
-    place that looks for repeated coordinates or collinear triples.
+    place that looks for repeated coordinates or collinear triples; a line
+    spanned by two point pairs names three collinear points.
     """
-    n = len(points)
-    if mode in (GeneralPosition.DISTINCT_XY, GeneralPosition.DISTINCT_X):
-        check_y = mode is GeneralPosition.DISTINCT_XY
-        seen_x: dict[Rat, int] = {}
-        seen_y: dict[Rat, int] = {}
-        for i, p in enumerate(points):
-            if p.x in seen_x:
-                raise PreconditionViolated(f"points {seen_x[p.x]} and {i} share x = {p.x}")
-            if check_y and p.y in seen_y:
-                raise PreconditionViolated(f"points {seen_y[p.y]} and {i} share y = {p.y}")
-            seen_x[p.x] = i
-            seen_y[p.y] = i
-        return
     if mode is GeneralPosition.NO_THREE_COLLINEAR:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (points[i].x, points[i].y) == (points[j].x, points[j].y):
-                    raise PreconditionViolated(f"points {i} and {j} coincide")
-                for k in range(j + 1, n):
-                    if orient(points[i], points[j], points[k]) == 0:
-                        raise PreconditionViolated(f"points {i}, {j}, {k} are collinear")
+        rep = _first_repeat(((p.x, p.y), i) for i, p in enumerate(points))
+        if rep:
+            raise PreconditionViolated(f"points {rep[0]} and {rep[1]} coincide")
+        pairs = itertools.combinations(range(len(points)), 2)
+        rep = _first_repeat((line_through(points[i], points[j]), (i, j)) for i, j in pairs)
+        if rep:
+            i, j, k = sorted({*rep[0], *rep[1]})[:3]
+            raise PreconditionViolated(f"points {i}, {j}, {k} are collinear")
         return
-    raise ValueError(mode)
+    if mode not in (GeneralPosition.DISTINCT_XY, GeneralPosition.DISTINCT_X):
+        raise ValueError(mode)
+    for axis in "xy" if mode is GeneralPosition.DISTINCT_XY else "x":
+        rep = _first_repeat((getattr(p, axis), i) for i, p in enumerate(points))
+        if rep:
+            value = getattr(points[rep[1]], axis)
+            raise PreconditionViolated(f"points {rep[0]} and {rep[1]} share {axis} = {value}")
 
 
 def require_rgb(colors: Iterable[Color], what: str = "point", per_color: int | None = None) -> None:

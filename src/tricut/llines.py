@@ -235,6 +235,16 @@ def sided_ordering(p: ColoredPoint, quarter_turns: int, s) -> SidedOrdering:
     return SidedOrdering(p, quarter_turns, tuple(above + below))
 
 
+def _hull_color(s) -> Color:
+    """The one color of the orthogonal hull; raises unless it is monochromatic."""
+    hull_colors = {p.color for p in ortho_hull(s)}
+    if len(hull_colors) != 1:
+        raise PreconditionViolated(
+            f"orthogonal hull is not monochromatic: {sorted(c.value for c in hull_colors)}"
+        )
+    return hull_colors.pop()
+
+
 def _step_table(hull_color: Color) -> dict[Color, tuple[int, int]]:
     others = [c for c in RGB if c is not hull_color]
     return {hull_color: (-1, -1), others[0]: (2, -1), others[1]: (-1, 2)}
@@ -271,13 +281,9 @@ def lattice_curve(sigma: SidedOrdering, hull_color: Color | None = None) -> Latt
     q_1 = (-1,-1) and q_{3n-1} = (1,1); anything else is rejected.
     """
     pts = sigma.order
+    require_rgb([p.color for p in pts])
     if hull_color is None:
-        hull_colors = {p.color for p in ortho_hull(pts)}
-        if len(hull_colors) != 1:
-            raise PreconditionViolated(
-                f"orthogonal hull is not monochromatic: {sorted(c.value for c in hull_colors)}"
-            )
-        hull_color = hull_colors.pop()
+        hull_color = _hull_color(pts)
     q = _prefix_deficits(pts, _step_table(hull_color))
     verts = q[1:-1]
     zeros = [k for k in range(1, len(pts)) if q[k] == (0, 0)]
@@ -342,12 +348,7 @@ def find_balanced_lline(s: LatticePointSet, validate: bool = False) -> tuple[LLi
     n = s.n
     if n < 2:
         raise PreconditionViolated("n >= 2 is required for a nontrivial L-line")
-    hull_colors = {p.color for p in ortho_hull(s)}
-    if len(hull_colors) != 1:
-        raise PreconditionViolated(
-            f"orthogonal hull is not monochromatic: {sorted(c.value for c in hull_colors)}"
-        )
-    hull_color = hull_colors.pop()
+    hull_color = _hull_color(s)
     step = _step_table(hull_color)
     m = 3 * n
 
@@ -423,11 +424,13 @@ def find_balanced_lline(s: LatticePointSet, validate: bool = False) -> tuple[LLi
 
 
 def _sep_below(sorted_vals: list[Rat], v: Rat) -> Rat:
-    """Canonical half-integer separator strictly below occupied value v."""
+    """Canonical half-integer separator just below v: the largest occupied
+    value below v plus 1/2, or the minimum minus 1/2 when none lies below.
+    Moving v there crosses no occupied value."""
     lower = [u for u in sorted_vals if u < v]
     if lower:
         return lower[-1] + HALF
-    return v - HALF
+    return sorted_vals[0] - HALF
 
 
 def _snap_corner(s: LatticePointSet, cx: Rat, cy: Rat) -> tuple[Rat, Rat]:
@@ -435,14 +438,7 @@ def _snap_corner(s: LatticePointSet, cx: Rat, cy: Rat) -> tuple[Rat, Rat]:
     or minimum - 1/2) without crossing any occupied coordinate."""
     xs = sorted(p.x for p in s.points)
     ys = sorted(p.y for p in s.points)
-
-    def snap(vals, v):
-        lower = [u for u in vals if u < v]
-        if lower:
-            return lower[-1] + HALF
-        return vals[0] - HALF
-
-    return snap(xs, cx), snap(ys, cy)
+    return _sep_below(xs, cx), _sep_below(ys, cy)
 
 
 def _realize_prefix(s: LatticePointSet, sigma: SidedOrdering, k0: int) -> tuple[LLine, int]:

@@ -148,6 +148,15 @@ def enc_face(f: Face) -> dict:
     }
 
 
+def dec_face(d: dict) -> Face:
+    return Face(
+        bounded=bool(d["bounded"]),
+        vertices=tuple(dec_xy(v) for v in d["vertices"]),
+        boundary_lines=tuple(int(i) for i in d["boundary_lines"]),
+        boundary_colors=tuple(Color(c) for c in d["boundary_colors"]),
+    )
+
+
 def enc_arrangement(a: Arrangement) -> dict:
     return {
         "lines": [enc_line(l) for l in a.lines],

@@ -259,14 +259,19 @@ def wedge_dual_segment(w: DoubleWedge) -> Segment:
 # -- the sweep -----------------------------------------------------------------
 
 
-def _event_intercepts(points: Sequence[ColoredPoint], x0: Rat):
-    """y-intercepts on the vertical x = x0 of every point-pair line."""
+def _pair_events(points: Sequence[ColoredPoint], x0: Rat):
+    """Every point-pair line as (intercept on x = x0, slope, i, j), in the
+    order an apex sliding down x = x0 - eps crosses them for a small eps > 0:
+    intercept descending, then slope ascending, since of two lines meeting on
+    x = x0 the steeper runs lower just left of it (Simulation of Simplicity).
+    """
     events = []
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             pi, pj = points[i], points[j]
-            y = pi.y + (pj.y - pi.y) * (x0 - pi.x) / (pj.x - pi.x)
-            events.append((y, i, j))
+            s = (pj.y - pi.y) / (pj.x - pi.x)
+            events.append((pi.y + s * (x0 - pi.x), s, i, j))
+    events.sort(key=lambda e: (-e[0], e[1]))
     return events
 
 
@@ -290,31 +295,14 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
     m = 6 * n
     h = 3 * n
 
-    # a bad x0 is one where two pair lines share an intercept; there are
-    # finitely many such lines' crossings, so stepping left escapes them
     x0 = min(p.x for p in pts) - 1
-    n_pairs = m * (m - 1) // 2
-    for _attempt in range(n_pairs * (n_pairs - 1) // 2 + 2):
-        events = _event_intercepts(pts, x0)
-        ys = sorted(e[0] for e in events)
-        if all(a != b for a, b in zip(ys, ys[1:])):
-            break
-        x0 -= Fraction(1, 2)
-    else:
-        raise InternalError("no vertical line separates all events")
-    events.sort(key=lambda e: e[0], reverse=True)
+    events = _pair_events(pts, x0)
 
     top = ordering_at((x0, events[0][0] + 1), pts)
     order = list(top.points)
     pos = {id(p): r for r, p in enumerate(order)}
 
     q = _window_deficits([p.color for p in order], n)
-
-    def found_zero() -> int | None:
-        for k in range(m):
-            if q[k] == (0, 0):
-                return k
-        return None
 
     def curve() -> WedgeCurve:
         return WedgeCurve(n, tuple(q))
@@ -324,9 +312,9 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
         w0 = curve().winding() if not curve().zeros() else None
 
     stage = 0
-    zero_at = found_zero()
+    zero_at = q.index((0, 0)) if (0, 0) in q else None
     while zero_at is None and stage < len(events):
-        _, i, j = events[stage]
+        _, _, i, j = events[stage]
         a_pos, b_pos = pos[id(pts[i])], pos[id(pts[j])]
         if a_pos > b_pos:
             a_pos, b_pos = b_pos, a_pos
@@ -368,15 +356,17 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
     if q[(k0 + h) % m] != (0, 0):
         raise InternalError("zero vertex without its antipode", {"k": k0})
 
-    if stage == 0:
-        apex_y = events[0][0] + 1
-    elif stage == len(events):
-        apex_y = events[-1][0] - 1
+    # the apex sits on x = x0 midway between the last line crossed and the
+    # next, or 1 beyond the first or last intercept
+    above = events[stage - 1][0] if stage else events[0][0] + 2
+    below = events[stage][0] if stage < len(events) else events[-1][0] - 2
+    if above != below:
+        apex = (x0, (above + below) / 2)
     else:
-        apex_y = (events[stage - 1][0] + events[stage][0]) / 2
-    apex = (x0, apex_y)
+        apex = _apex_off_tie(events, stage, x0)
+    ax, ay = apex
 
-    slopes = [(p.y - apex_y) / (p.x - x0) for p in order]
+    slopes = [(p.y - ay) / (p.x - ax) for p in order]
     if validate:
         reordered = ordering_at(apex, pts)
         if list(reordered.points) != order:
@@ -386,14 +376,29 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
 
     w = wedge_from_functionals(
         apex,
-        (-m_lo, Fraction(1), m_lo * x0 - apex_y),
-        (-m_hi, Fraction(1), m_hi * x0 - apex_y),
+        (-m_lo, Fraction(1), m_lo * ax - ay),
+        (-m_hi, Fraction(1), m_hi * ax - ay),
         contains_disagree=True,
     )
     counts = wedge_color_counts(w, pts)
     if any(counts[c] != n for c in RGB):
         raise InternalError("balanced window did not verify", {"counts": str(counts)})
     return w
+
+
+def _apex_off_tie(events, stage: int, x0: Rat) -> tuple[Rat, Rat]:
+    """Apex between events stage - 1 and stage when both cross x = x0 at one
+    point (x0, y): step left along their mean slope s by
+    d = min(1, |y - y_e| / |s_e - s|) / 2 over the events e missing the point
+    with s_e != s, which crosses no other pair line."""
+    y = events[stage][0]
+    s = (events[stage - 1][1] + events[stage][1]) / 2
+    d = Fraction(1)
+    for y_e, s_e, _, _ in events:
+        if y_e != y and s_e != s:
+            d = min(d, abs(y - y_e) / abs(s_e - s))
+    d /= 2
+    return (x0 - d, y - s * d)
 
 
 def _validate_event(curve: WedgeCurve, n, order, w1, w2, old1, old2) -> None:
@@ -542,6 +547,24 @@ def _unrot_functional(f: tuple[Rat, Rat, Rat], cs: tuple[Rat, Rat]) -> tuple[Rat
     return _rot_functional(f, (c, -s))
 
 
+def _frames(pts: tuple[ColoredPoint, ...]):
+    """(rotation or None, points) frames with distinct x, one angle at a time.
+
+    Shared x makes dual lines parallel, so the search rotates; several angles
+    are offered because the wedge pulled back from a rotated frame must still
+    avoid the original vertical direction, or no finite segment is dual to it.
+    """
+    if len({p.x for p in pts}) == len(pts):
+        yield None, pts
+        return
+    for den in range(1, 65):
+        for num in (1, -1):
+            cs = _rotation(Fraction(num, den))
+            work = tuple(ColoredPoint(*_rot_point((p.x, p.y), cs), p.color) for p in pts)
+            if len({p.x for p in work}) == len(work):
+                yield cs, work
+
+
 def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
     """Double wedge containing exactly one point of each color.
 
@@ -553,33 +576,10 @@ def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
     require_rgb([p.color for p in pts])
     check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
 
-    if len({p.x for p in pts}) == len(pts):
-        frames: list[tuple[Rat, Rat] | None] = [None]
-    else:
-        # shared x-coordinates make dual lines parallel, so work in a rotated
-        # copy; several angles are kept because the wedge pulled back from a
-        # rotated frame must still avoid the original vertical direction, or
-        # no finite segment is dual to it
-        frames = []
-        for den in range(1, 65):
-            for num in (1, -1):
-                cand = _rotation(Fraction(num, den))
-                rp = [_rot_point((p.x, p.y), cand) for p in pts]
-                if len({x for x, _ in rp}) == len(rp):
-                    frames.append(cand)
-
-    for cs in frames:
-        if cs is None:
-            work = pts
-            sigma = None
-        else:
-            work = tuple(
-                ColoredPoint(*_rot_point((p.x, p.y), cs), p.color) for p in pts
-            )
-            # dual x-coordinate of the original vertical direction in this
-            # frame; a segment touching it pulls back to a wedge with no
-            # finite dual segment
-            sigma = -cs[0] / cs[1]
+    for cs, work in _frames(pts):
+        # dual x-coordinate of the original vertical direction, which a
+        # segment from a rotated frame must avoid
+        sigma = None if cs is None else -cs[0] / cs[1]
         duals = [dual_point_to_line(p) for p in work]
 
         def candidate_faces():
@@ -707,13 +707,9 @@ def halving_segment(lines: Sequence[ColoredLine]) -> Segment:
     # three concurrent lines (no three collinear dual points), so the duals
     # already meet the sweep's preconditions
     dual_pts = tuple(dual_line_to_point(l) for l in work)
-    w = _sweep(dual_pts, n)
-    s1 = dual_line_to_point(w.line1)
-    s2 = dual_line_to_point(w.line2)
-    p1, p2 = (s1.x, s1.y), (s2.x, s2.y)
+    seg = wedge_dual_segment(_sweep(dual_pts, n))
     if cs is not None:
-        p1, p2 = _unrot_point(p1, cs), _unrot_point(p2, cs)
-    seg = Segment(p1, p2)
+        seg = Segment(_unrot_point(seg.p, cs), _unrot_point(seg.q, cs))
 
     counts = {c: 0 for c in RGB}
     for l in ls:

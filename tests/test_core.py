@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricut.core import (
     ArcSet,
@@ -145,6 +147,28 @@ class TestGeneralPosition:
         pts = [pt(0, 0, "R"), pt(0, 0, "B"), pt(1, 3, "G")]
         with pytest.raises(PreconditionViolated, match="coincide"):
             check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8))
+    def test_pairwise_test_matches_triple_loop(self, coords):
+        # a small grid makes collinear triples and repeated points common
+        pts = [pt(x, y, "R") for x, y in coords]
+        degenerate = any(
+            (p.x, p.y) == (q.x, q.y) for p, q in itertools.combinations(pts, 2)
+        ) or any(orient(p, q, r) == 0 for p, q, r in itertools.combinations(pts, 3))
+        if not degenerate:
+            check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
+            return
+        with pytest.raises(PreconditionViolated) as err:
+            check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
+        msg = str(err.value)
+        named = [int(w.strip(",")) for w in msg.split() if w.strip(",").isdigit()]
+        if "coincide" in msg:
+            i, j = named
+            assert i != j and (pts[i].x, pts[i].y) == (pts[j].x, pts[j].y)
+        else:
+            i, j, k = named
+            assert len({i, j, k}) == 3 and orient(pts[i], pts[j], pts[k]) == 0
 
     def test_distinct_x_ignores_shared_y(self):
         pts = [pt(0, 1, "R"), pt(2, 3, "G"), pt(4, 1, "B")]

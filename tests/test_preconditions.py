@@ -22,9 +22,11 @@ from tricut import (
     find_k_arcset,
     full_circle,
     halving_segment,
+    lattice_curve,
     moment_halve,
     ortho_hull,
     pt,
+    sided_ordering,
     sweep_balanced_wedge,
 )
 from tricut.errors import PreconditionViolated
@@ -157,6 +159,15 @@ def _lattice_cases():
 def test_lattice_point_set_rejects(kind):
     with pytest.raises(PreconditionViolated):
         LatticePointSet(_lattice_cases()[kind])
+
+
+def test_lattice_curve_rejects_K_point_in_raw_points():
+    # four red hull points around one G, one B and one K point
+    ring = (pt(0, 1, "R"), pt(1, 9, "R"), pt(9, 8, "R"), pt(8, 0, "R"))
+    points = ring + (pt(4, 4, "G"), pt(5, 3, "B"), pt(3, 5, "K"))
+    assert ortho_hull(points) == list(ring)
+    with pytest.raises(PreconditionViolated):
+        lattice_curve(sided_ordering(ring[1], 2, points))
 
 
 @pytest.mark.parametrize("kind", ["coincident", "shared-x", "shared-y", "off-lattice"])

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from tricut import wedges
 from tricut.core import (
     Color,
     RGB,
@@ -12,6 +13,7 @@ from tricut.core import (
     orient,
     pt,
 )
+from tricut.generators import GenKind, GenSpec, generate
 from tricut.oracles import count_segment_crossings
 from tricut.errors import (
     DegenerateApex,
@@ -218,6 +220,37 @@ class TestSweep:
         w = sweep_balanced_wedge(pts, validate=True)
         assert wedge_color_counts(w, pts) == {R: 1, G: 1, B: 1}
 
+    def test_zero_vertex_inside_tied_pair_lines(self, monkeypatch):
+        # on this convex set the sweep stops between two pair lines that
+        # cross x = min x - 1 at one point, so the apex steps left off that
+        # point; the dual halving segment meets the same tie
+        pts = generate(GenSpec(GenKind.Points3CConvex, 6, 8))
+        steps = []
+        off_tie = wedges._apex_off_tie
+
+        def counting_off_tie(*args):
+            steps.append(args)
+            return off_tie(*args)
+
+        monkeypatch.setattr(wedges, "_apex_off_tie", counting_off_tie)
+        w = sweep_balanced_wedge(pts, validate=True)
+        assert len(steps) == 1
+        assert wedge_color_counts(w, pts) == {R: 6, G: 6, B: 6}
+        assert w.apex[0] < min(p.x for p in pts) - 1
+
+        duals = [dual_point_to_line(p) for p in pts]
+        seg = halving_segment(duals)
+        assert len(steps) == 2
+        counts = {c: 0 for c in RGB}
+        for c, k in count_segment_crossings(seg, duals).items():
+            counts[c] += k
+        assert counts == {R: 6, G: 6, B: 6}
+
+    def test_96_convex_points(self):
+        pts = generate(GenSpec(GenKind.Points3CConvex, 16, 1))
+        w = sweep_balanced_wedge(pts)
+        assert wedge_color_counts(w, pts) == {R: 16, G: 16, B: 16}
+
 
 class TestFind111Wedge:
     @pytest.mark.parametrize("seed", range(10, 18))
@@ -238,10 +271,25 @@ class TestFind111Wedge:
         counts = wedge_color_counts(w, pts)
         assert counts == {R: 1, G: 1, B: 1}
 
-    def test_duplicate_x_handled_by_rotation(self):
+    def test_duplicate_x_handled_by_rotation(self, monkeypatch):
+        # a candidate angle is rotated only when the search reaches it
+        calls = {"angles": 0, "frames": 0}
+        rotation, face = wedges._rotation, wedges.find_complete_face
+
+        def counting_rotation(t):
+            calls["angles"] += 1
+            return rotation(t)
+
+        def counting_face(duals):
+            calls["frames"] += 1
+            return face(duals)
+
+        monkeypatch.setattr(wedges, "_rotation", counting_rotation)
+        monkeypatch.setattr(wedges, "find_complete_face", counting_face)
         pts = [pt(2, 1, R), pt(2, 5, G), pt(0, 3, B), pt(1, -7, R)]
         w = find_111_wedge(pts)
         assert wedge_color_counts(w, pts) == {R: 1, G: 1, B: 1}
+        assert calls["angles"] == calls["frames"] == 1
 
     def test_duplicate_x_wedge_still_dualizes_to_a_segment(self):
         # the rotated frame must not leak into the answer: the wedge has to
