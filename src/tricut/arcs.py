@@ -33,6 +33,7 @@ from .core import (
     Rat,
     RGB,
     arcset,
+    arcset_color_counts,
     arcset_complement,
     arcset_rotate,
     full_circle,
@@ -274,10 +275,7 @@ def moment_halve(a: ArcSet, points: Sequence[CirclePoint], k: int) -> HalveResul
 
     want = k // 2
     for m in (m1, m2):
-        got = {c: 0 for c in RGB}
-        for p in points:
-            if m.contains(p.t):
-                got[p.color] = got.get(p.color, 0) + 1
+        got = arcset_color_counts(m, points)
         if any(got[c] != want for c in RGB):
             raise InternalError("halve sides are unbalanced", {"got": str(got)})
     total = m1.component_count() + m2.component_count()
@@ -411,28 +409,17 @@ def rotate_parameters(
 
 
 def _safe_zero_delta(a: ArcSet, points: Sequence[CirclePoint]) -> Rat:
-    """Rotation sending 0 to the middle of a parameter-free gap outside `a`."""
+    """Rotation sending 0 to the middle of the first parameter-free gap
+    outside `a`."""
     sensitive = sorted({p.t for p in points} | {lo % 1 for lo, _ in a.arcs} | {hi % 1 for _, hi in a.arcs})
-    if a.is_full_circle:
-        allowed = list(sensitive)
-    else:
-        comp = arcset_complement(a)
-        allowed = []
-        for i, s in enumerate(sensitive):
-            nxt = sensitive[(i + 1) % len(sensitive)]
-            gap_mid = (s + (nxt if nxt > s else nxt + 1)) / 2 % 1
-            try:
-                if comp.contains(gap_mid):
-                    allowed.append(s)
-            except BoundaryPoint:
-                continue
-    if not allowed:
-        raise InternalError("no safe gap for the zero parameter")
-    s = allowed[0]
-    i = sensitive.index(s)
-    nxt = sensitive[(i + 1) % len(sensitive)]
-    mid = (s + (nxt if nxt > s else nxt + 1)) / 2 % 1
-    return -mid % 1
+    comp = None if a.is_full_circle else arcset_complement(a)
+    for i, s in enumerate(sensitive):
+        nxt = sensitive[(i + 1) % len(sensitive)]
+        mid = (s + (nxt if nxt > s else nxt + 1)) / 2 % 1
+        # every arc endpoint is in `sensitive`, so no gap middle is one
+        if comp is None or comp.contains(mid):
+            return -mid % 1
+    raise InternalError("no safe gap for the zero parameter")
 
 
 def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
@@ -474,10 +461,7 @@ def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
         if a.component_count() > 2:
             raise InternalError("kept side has too many arcs")
 
-    got = {c: 0 for c in RGB}
-    for p in points:
-        if a.contains(p.t):
-            got[p.color] = got.get(p.color, 0) + 1
+    got = arcset_color_counts(a, points)
     if any(got[c] != k for c in RGB):
         raise InternalError("final arc set is unbalanced", {"got": str(got)})
     if a.component_count() > 2:

@@ -188,21 +188,23 @@ def _report(kind: str, payload: dict, answer: dict, k: int | None) -> Verificati
 
     if kind == "cell":
         lines = ser.dec_lines_payload(payload)
+        with ser.decoding():
+            verts = frozenset(ser.dec_xy(v) for v in answer["face"]["vertices"])
+            colors = [Color(c) for c in answer["face"]["boundary_colors"]]
         arr = build_arrangement(lines)
         complete = scan_all_complete_faces(arr)
         # cells are convex; the vertex set identifies one regardless of the
         # rotation the two construction paths chose
-        verts = frozenset(ser.dec_xy(v) for v in answer["face"]["vertices"])
         oracle = tuple(
             sorted(ser.enc_xy(v) for v in f.vertices) for f in complete
         )
         member = any(frozenset(f.vertices) == verts for f in complete)
-        colors = [Color(c) for c in answer["face"]["boundary_colors"]]
         counts, target = cycle_parity(colors), (1, 1, 1)
 
     elif kind in ("wedge111", "wedge"):
         points = ser.dec_points_payload(payload)
-        w = ser.dec_wedge(answer["wedge"])
+        with ser.decoding():
+            w = ser.dec_wedge(answer["wedge"])
         counts = _counts_tuple(wedge_color_counts(w, points))
         n = 1 if kind == "wedge111" else len(points) // 6
         target = (n, n, n)
@@ -215,7 +217,8 @@ def _report(kind: str, payload: dict, answer: dict, k: int | None) -> Verificati
 
     elif kind == "segment":
         lines = ser.dec_lines_payload(payload)
-        seg = ser.dec_segment(answer["segment"])
+        with ser.decoding():
+            seg = ser.dec_segment(answer["segment"])
         counts = _counts_tuple(count_segment_crossings(seg, lines))
         n = len(lines) // 6
         target = (n, n, n)
@@ -237,7 +240,8 @@ def _report(kind: str, payload: dict, answer: dict, k: int | None) -> Verificati
         points = ser.dec_circle_payload(payload)
         if k is None:
             raise PreconditionViolated("verify arcs requires the k parameter")
-        a = ser.dec_arcset(answer["arcs"])
+        with ser.decoding():
+            a = ser.dec_arcset(answer["arcs"])
         counts = _counts_tuple(arcset_color_counts(a, points))
         target = (k, k, k)
         oracle_sets = enumerate_2arc_sets(points, k)
@@ -247,8 +251,9 @@ def _report(kind: str, payload: dict, answer: dict, k: int | None) -> Verificati
 
     elif kind == "lline":
         s = ser.dec_lattice_payload(payload)
-        l = ser.dec_lline(answer["lline"])
-        kk = int(answer["k"])
+        with ser.decoding():
+            l = ser.dec_lline(answer["lline"])
+            kk = int(answer["k"])
         counts = lline_counts(l, s)[0]
         target = (kk, kk, kk)
         oracle_pairs = brute_oracle_llines(s)

@@ -11,7 +11,7 @@ set.  Each ordering maps to a closed lattice polygon built from its prefix
 color deficits; a vertex of that polygon at the origin certifies a balanced
 prefix, and the prefix of a sided ordering is exactly the point set on one
 side of an L-line.  Consecutive orderings differ by moving a single point,
-so the polygon is maintained incrementally; the two terminal polygons are
+and each polygon is rebuilt per ordering; the two terminal polygons are
 reverses of each other, which forces an origin vertex somewhere along the
 sequence.
 """
@@ -177,23 +177,19 @@ def ortho_hull(s) -> list[ColoredPoint]:
     points = _points_of(s)
     if not isinstance(s, LatticePointSet):
         _check_lattice_general_position(points)
-    hull = []
-    for p in points:
-        ne = nw = se = sw = True
-        for q in points:
-            if q is p:
-                continue
-            if q.x > p.x and q.y > p.y:
-                ne = False
-            if q.x < p.x and q.y > p.y:
-                nw = False
-            if q.x > p.x and q.y < p.y:
-                se = False
-            if q.x < p.x and q.y < p.y:
-                sw = False
-        if ne or nw or se or sw:
-            hull.append(p)
-    return hull
+    if not points:
+        return []
+    by_x = sorted(points, key=lambda p: p.x)
+    on_hull = set()
+    # p is undominated on its left exactly when its y lies outside the y
+    # range of the points left of it; the reversed sweep covers its right
+    for sweep in (by_x, by_x[::-1]):
+        lo = hi = sweep[0].y
+        for p in sweep:
+            if not lo < p.y < hi:
+                on_hull.add(id(p))
+                lo, hi = min(lo, p.y), max(hi, p.y)
+    return [p for p in points if id(p) in on_hull]
 
 
 # -- sided orderings and their curves ------------------------------------------
@@ -309,117 +305,42 @@ def _ordering_sequence(s: LatticePointSet):
     return seq
 
 
-def _block_move(old: tuple, new: tuple):
-    """Detect the single relocated element between two permutations.
-
-    Returns None when identical, else (lo, hi, moved, direction) where the
-    0-based span [lo, hi] is the region that shifted and direction is +1
-    when the element moved to a higher index.
-    """
-    m = len(old)
-    lo = 0
-    while lo < m and old[lo] is new[lo]:
-        lo += 1
-    if lo == m:
-        return None
-    hi = m - 1
-    while hi > lo and old[hi] is new[hi]:
-        hi -= 1
-    if old[lo] is new[hi] and old[lo + 1 : hi + 1] == new[lo:hi]:
-        return lo, hi, old[lo], 1
-    if old[hi] is new[lo] and old[lo:hi] == new[lo + 1 : hi + 1]:
-        return lo, hi, old[hi], -1
-    raise InternalError(
-        "consecutive sided orderings do not differ by a single block move",
-        {"lo": lo, "hi": hi},
-    )
-
-
 def find_balanced_lline(s: LatticePointSet, validate: bool = False) -> tuple[LLine, int]:
     """L-line with k of each color in region 1, 1 <= k <= n-1.
 
     Preconditions: n >= 2 and a monochromatic orthogonal hull.  With
-    validate=True every incremental curve update is cross-checked against a
-    full rebuild, and consecutive origin-free curves are checked to keep
-    equal winding (the swept cells between them cannot contain the origin:
-    an origin-containing cell would need a vertex coordinate that is both
+    validate=True consecutive origin-free curves are checked to keep equal
+    winding (the swept cells between them cannot contain the origin: an
+    origin-containing cell would need a vertex coordinate that is both
     divisible by 3 and in {1, 2}).
     """
     n = s.n
     if n < 2:
         raise PreconditionViolated("n >= 2 is required for a nontrivial L-line")
     hull_color = _hull_color(s)
-    step = _step_table(hull_color)
-    m = 3 * n
-
-    # q[0] and q[m] stay (0,0); zeros are tracked for k in 1..m-1
-    q: list[tuple[int, int]] = []
-    zero_count = 0
-    prev_order: tuple[ColoredPoint, ...] | None = None
-    prev_winding: int | None = None
-    first_curve: LatticeCurvePrefix | None = None
-    last_curve: LatticeCurvePrefix | None = None
+    windings: list[int] = []
 
     for anchor, turns in _ordering_sequence(s):
         sigma = sided_ordering(anchor, turns, s)
-        order = sigma.order
-        if prev_order is None:
-            q = _prefix_deficits(order, step)
-            zero_count = q[1:m].count((0, 0))
-        else:
-            move = _block_move(prev_order, order)
-            if move is not None:
-                lo, hi, moved, direction = move
-                dx, dy = step[moved.color]
-                if direction == 1:
-                    # moved element left its slot: prefixes in the span each
-                    # gain one later element and lose the moved one
-                    for k in range(lo + 1, hi + 1):
-                        zero_count -= q[k] == (0, 0)
-                        nx, ny = q[k + 1]
-                        q[k] = (nx - dx, ny - dy)
-                        zero_count += q[k] == (0, 0)
-                else:
-                    for k in range(hi, lo, -1):
-                        zero_count -= q[k] == (0, 0)
-                        px, py = q[k - 1]
-                        q[k] = (px + dx, py + dy)
-                        zero_count += q[k] == (0, 0)
-
-        if q[1] != (-1, -1) or q[m - 1] != (1, 1):
-            raise InternalError(
-                "prefix curve does not start and end at the forced vertices",
-                {"q1": q[1], "qlast": q[m - 1]},
-            )
-
-        if zero_count > 0:
-            k0 = next(k for k in range(1, m) if q[k] == (0, 0))
-            return _realize_prefix(s, sigma, k0)
-
+        curve = lattice_curve(sigma, hull_color)
+        if curve.zeros:
+            return _realize_prefix(s, sigma, curve.zeros[0])
         if validate:
-            ref = lattice_curve(sigma, hull_color)
-            if list(ref.vertices) != q[1:m]:
-                raise InternalError("incremental curve update drifted from rebuild")
-            w = winding_number(ref.closed())
-            if prev_winding is not None and w != prev_winding:
+            w = winding_number(curve.closed())
+            if windings and w != windings[-1]:
                 raise InternalError(
                     "winding changed between consecutive origin-free curves",
-                    {"prev": prev_winding, "now": w},
+                    {"prev": windings[-1], "now": w},
                 )
-            prev_winding = w
-            if first_curve is None:
-                first_curve = ref
-            last_curve = ref
-
-        prev_order = order
+            windings.append(w)
 
     # no zero vertex anywhere: impossible, because the final ordering is the
     # reverse of the first, so its curve is the first curve traversed
     # backward and their (odd) windings have opposite signs
     trace: dict = {"n": n}
-    if first_curve is not None and last_curve is not None:
-        trace["winding_first"] = winding_number(first_curve.closed())
-        trace["winding_last"] = winding_number(last_curve.closed())
+    if windings:
+        trace["winding_first"] = windings[0]
+        trace["winding_last"] = windings[-1]
     raise InternalError("no balanced prefix in the full ordering sequence", trace)
 
 

@@ -3,13 +3,15 @@
 Rationals travel as strings ("5" or "5/2"), so persisted data never loses
 precision; lattice coordinates are plain JSON integers.  Decoders validate
 through the normal constructors, so a hand-edited file fails the same way a
-bad argument would.
+bad argument would; data of the wrong shape (a missing key, a string where a
+list belongs, an unknown color) raises PreconditionViolated through the
+`decoding` guard.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Sequence
 
 from .cells import Arrangement, Face
 from .core import (
@@ -29,6 +31,18 @@ from .core import (
 from .errors import PreconditionViolated
 from .llines import LatticePointSet, LLine, RayDir
 from .wedges import DoubleWedge
+
+
+@contextmanager
+def decoding():
+    """Guard around decoding: the lookups and conversions of a decoder raise
+    KeyError, IndexError, TypeError or ValueError on data of the wrong
+    shape, and those leave the guard as PreconditionViolated.  Use as
+    `@decoding()` on a decoder or `with decoding():` around JSON access."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise PreconditionViolated(f"malformed input: {type(e).__name__}: {e}") from e
 
 # -- scalars ---------------------------------------------------------------------
 
@@ -55,6 +69,7 @@ def enc_point(p: ColoredPoint) -> dict:
     return {"x": enc_rat(p.x), "y": enc_rat(p.y), "color": p.color.value}
 
 
+@decoding()
 def dec_point(d: dict) -> ColoredPoint:
     return pt(dec_rat(d["x"]), dec_rat(d["y"]), d["color"])
 
@@ -68,6 +83,7 @@ def enc_line(l: ColoredLine) -> dict:
     }
 
 
+@decoding()
 def dec_line(d: dict) -> ColoredLine:
     return line(dec_rat(d["a"]), dec_rat(d["b"]), dec_rat(d["c"]), d["color"])
 
@@ -76,6 +92,7 @@ def enc_xy(p: tuple[Rat, Rat]) -> list:
     return [enc_rat(p[0]), enc_rat(p[1])]
 
 
+@decoding()
 def dec_xy(v) -> tuple[Fraction, Fraction]:
     return (dec_rat(v[0]), dec_rat(v[1]))
 
@@ -84,6 +101,7 @@ def enc_segment(s: Segment) -> dict:
     return {"p": enc_xy(s.p), "q": enc_xy(s.q)}
 
 
+@decoding()
 def dec_segment(d: dict) -> Segment:
     return Segment(dec_xy(d["p"]), dec_xy(d["q"]))
 
@@ -92,6 +110,7 @@ def enc_circle_point(p: CirclePoint) -> dict:
     return {"t": enc_rat(p.t), "color": p.color.value}
 
 
+@decoding()
 def dec_circle_point(d: dict) -> CirclePoint:
     return circle_point(dec_rat(d["t"]), d["color"])
 
@@ -100,6 +119,7 @@ def enc_arcset(a: ArcSet) -> list:
     return [[enc_rat(lo), enc_rat(hi)] for lo, hi in a.arcs]
 
 
+@decoding()
 def dec_arcset(v) -> ArcSet:
     return arcset([(dec_rat(lo), dec_rat(hi)) for lo, hi in v])
 
@@ -112,6 +132,7 @@ def enc_lattice_set(s: LatticePointSet) -> list:
     return [enc_lattice_point(p) for p in s.points]
 
 
+@decoding()
 def dec_lattice_set(v) -> LatticePointSet:
     return LatticePointSet(tuple(dec_point(d) for d in v))
 
@@ -120,6 +141,7 @@ def enc_lline(l: LLine) -> dict:
     return {"corner": enc_xy(l.corner), "rays": [r.value for r in l.rays]}
 
 
+@decoding()
 def dec_lline(d: dict) -> LLine:
     return LLine(dec_xy(d["corner"]), tuple(RayDir(r) for r in d["rays"]))
 
@@ -133,6 +155,7 @@ def enc_wedge(w: DoubleWedge) -> dict:
     }
 
 
+@decoding()
 def dec_wedge(d: dict) -> DoubleWedge:
     return DoubleWedge(
         dec_xy(d["apex"]), dec_line(d["line1"]), dec_line(d["line2"]), d["sector"]
@@ -148,6 +171,7 @@ def enc_face(f: Face) -> dict:
     }
 
 
+@decoding()
 def dec_face(d: dict) -> Face:
     return Face(
         bounded=bool(d["bounded"]),
@@ -187,9 +211,7 @@ def unwrap_instance(d: dict) -> dict:
     return d["instance"] if isinstance(d, dict) and "instance" in d else d
 
 
-
-
-
+@decoding()
 def dec_lines_payload(d: dict) -> tuple[ColoredLine, ...]:
     body = unwrap_instance(d)
     if "lines" not in body:
@@ -197,6 +219,7 @@ def dec_lines_payload(d: dict) -> tuple[ColoredLine, ...]:
     return tuple(dec_line(x) for x in body["lines"])
 
 
+@decoding()
 def dec_points_payload(d: dict) -> tuple[ColoredPoint, ...]:
     body = unwrap_instance(d)
     if "points" not in body or any("x" not in p for p in body["points"]):
@@ -204,6 +227,7 @@ def dec_points_payload(d: dict) -> tuple[ColoredPoint, ...]:
     return tuple(dec_point(x) for x in body["points"])
 
 
+@decoding()
 def dec_circle_payload(d: dict) -> tuple[CirclePoint, ...]:
     body = unwrap_instance(d)
     if "points" not in body or any("t" not in p for p in body["points"]):
@@ -211,6 +235,7 @@ def dec_circle_payload(d: dict) -> tuple[CirclePoint, ...]:
     return tuple(dec_circle_point(x) for x in body["points"])
 
 
+@decoding()
 def dec_lattice_payload(d: dict) -> LatticePointSet:
     body = unwrap_instance(d)
     if "points" not in body:

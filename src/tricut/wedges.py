@@ -46,7 +46,6 @@ from .core import (
     dual_point_to_line,
     intersect,
     line_through,
-    orient,
     require_rgb,
     sign,
     winding_number,
@@ -332,13 +331,12 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
         du = _COLOR_VEC[u.color]
         dv = _COLOR_VEC[v.color]
         delta = (du[0] - dv[0], du[1] - dv[1])
-        old1, old2 = q[w1], q[w2]
-        q[w1] = (old1[0] + delta[0], old1[1] + delta[1])
-        q[w2] = (old2[0] - delta[0], old2[1] - delta[1])
+        q[w1] = (q[w1][0] + delta[0], q[w1][1] + delta[1])
+        q[w2] = (q[w2][0] - delta[0], q[w2][1] - delta[1])
         stage += 1
 
         if validate:
-            _validate_event(curve(), n, order, w1, w2, old1, old2)
+            _validate_event(curve(), n, order)
         if q[w1] == (0, 0):
             zero_at = w1
         elif q[w2] == (0, 0):
@@ -401,51 +399,12 @@ def _apex_off_tie(events, stage: int, x0: Rat) -> tuple[Rat, Rat]:
     return (x0 - d, y - s * d)
 
 
-def _validate_event(curve: WedgeCurve, n, order, w1, w2, old1, old2) -> None:
+def _validate_event(curve: WedgeCurve, n, order) -> None:
     check_curve_invariants(curve)
-    m = 6 * n
     rebuilt = _window_deficits([p.color for p in order], n)
-    drift = [k for k in range(m) if curve.vertices[k] != rebuilt[k]]
+    drift = [k for k in range(6 * n) if curve.vertices[k] != rebuilt[k]]
     if drift:
         raise InternalError("incremental counts drifted", {"k": drift[0]})
-    for w, old in ((w1, old1), (w2, old2)):
-        prev = curve.vertices[(w - 1) % m]
-        nxt = curve.vertices[(w + 1) % m]
-        new = curve.vertices[w]
-        _check_quad_lattice_free(prev, old, nxt, new)
-
-
-def _point_in_closed_triangle(p, a, b, c) -> bool:
-    d1 = orient(a, b, p)
-    d2 = orient(b, c, p)
-    d3 = orient(c, a, p)
-    if orient(a, b, c) == 0:
-        # degenerate: the triangle is a segment; containment means on it
-        if d1 != 0 or d2 != 0 or d3 != 0:
-            return False
-        xs = sorted((a[0], b[0], c[0]))
-        ys = sorted((a[1], b[1], c[1]))
-        return xs[0] <= p[0] <= xs[2] and ys[0] <= p[1] <= ys[2]
-    neg = any(d < 0 for d in (d1, d2, d3))
-    pos = any(d > 0 for d in (d1, d2, d3))
-    return not (neg and pos)
-
-
-def _check_quad_lattice_free(prev, old, nxt, new) -> None:
-    """No lattice point other than the four corners may lie in the region
-    swept when a curve vertex moves from `old` to `new` (Property 3)."""
-    corners = {prev, old, nxt, new}
-    xs = [v[0] for v in corners]
-    ys = [v[1] for v in corners]
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            p = (x, y)
-            if p in corners:
-                continue
-            if _point_in_closed_triangle(p, prev, old, nxt) or _point_in_closed_triangle(
-                p, prev, new, nxt
-            ):
-                raise InternalError("lattice point inside a swept cell", {"point": p})
 
 
 # -- exhaustive oracle ---------------------------------------------------------

@@ -108,6 +108,23 @@ class TestSolve:
         assert r.returncode == 2
         assert "color K" in r.stderr
 
+    @pytest.mark.parametrize(
+        "kind,instance",
+        [
+            ("wedge", {"points": [{"x": "1"}]}),
+            ("cell", {"lines": [{"a": "1"}]}),
+            ("wedge", {"points": [{"x": "1", "y": "2", "color": "Q"}]}),
+            ("cell", {"lines": "abc"}),
+        ],
+        ids=["missing-y", "missing-b", "unknown-color", "lines-not-a-list"],
+    )
+    def test_malformed_instance_exit_2(self, tmp_path, kind, instance):
+        inst = tmp_path / "bad.json"
+        inst.write_text(json.dumps(instance))
+        r = run_cli("solve", kind, "--in", str(inst))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
     def test_solve_svg_output(self, tmp_path):
         out = tmp_path / "pic.svg"
         r = run_cli(
@@ -166,6 +183,19 @@ class TestVerify:
         r = run_cli("verify", "--in", str(sol))
         assert r.returncode == 2
         assert "color K" in r.stderr
+
+    @pytest.mark.parametrize("drop", ["answer.wedge", "wedge.apex"])
+    def test_malformed_answer_exit_2(self, tmp_path, drop):
+        sol = self.solution(tmp_path, "solve", "wedge", "--n", "2", "--seed", "1")
+        env = json.loads(sol.read_text())
+        if drop == "answer.wedge":
+            env["answer"] = {}
+        else:
+            del env["answer"]["wedge"]["apex"]
+        sol.write_text(json.dumps(env))
+        r = run_cli("verify", "--in", str(sol))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
     def test_verify_needs_solution_shape(self, tmp_path):
         bad = tmp_path / "bad.json"

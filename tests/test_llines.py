@@ -2,10 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricut.core import Color, pt
 from tricut.errors import (
-    InternalError,
     MissingColor,
     PreconditionViolated,
 )
@@ -14,7 +14,6 @@ from tricut.llines import (
     LatticePointSet,
     RAY_PAIRS,
     RayDir,
-    _block_move,
     _ordering_sequence,
     brute_oracle_llines,
     find_balanced_lline,
@@ -26,6 +25,51 @@ from tricut.llines import (
 )
 
 STEPS_RED_HULL = {(-1, -1), (2, -1), (-1, 2)}
+
+
+def _block_move(old: tuple, new: tuple):
+    """Reference for the one relocated element between two permutations.
+
+    Returns None when identical, else (lo, hi, moved, direction) where the
+    0-based span [lo, hi] is the region that shifted and direction is +1
+    when the element moved to a higher index.  Raises ValueError when the
+    two differ by more than a single block move.
+    """
+    m = len(old)
+    lo = 0
+    while lo < m and old[lo] is new[lo]:
+        lo += 1
+    if lo == m:
+        return None
+    hi = m - 1
+    while hi > lo and old[hi] is new[hi]:
+        hi -= 1
+    if old[lo] is new[hi] and old[lo + 1 : hi + 1] == new[lo:hi]:
+        return lo, hi, old[lo], 1
+    if old[hi] is new[lo] and old[lo:hi] == new[lo + 1 : hi + 1]:
+        return lo, hi, old[hi], -1
+    raise ValueError(f"not a single block move: span [{lo}, {hi}]")
+
+
+def _ortho_hull_reference(points):
+    # the definition: p is on the hull when some open quadrant at p is empty
+    hull = []
+    for p in points:
+        ne = nw = se = sw = True
+        for q in points:
+            if q is p:
+                continue
+            if q.x > p.x and q.y > p.y:
+                ne = False
+            if q.x < p.x and q.y > p.y:
+                nw = False
+            if q.x > p.x and q.y < p.y:
+                se = False
+            if q.x < p.x and q.y < p.y:
+                sw = False
+        if ne or nw or se or sw:
+            hull.append(p)
+    return hull
 
 
 def ring12() -> LatticePointSet:
@@ -185,6 +229,15 @@ class TestOrthoHull:
         with pytest.raises(PreconditionViolated):
             ortho_hull([pt(0, 0, "R"), pt(0, 1, "G")])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sweeps_match_quadrant_definition(self, data):
+        xs = data.draw(st.lists(st.integers(-20, 20), unique=True, max_size=14))
+        ys = data.draw(st.permutations(range(-len(xs), len(xs), 2)))
+        colors = data.draw(st.lists(st.sampled_from("RGB"), min_size=len(xs), max_size=len(xs)))
+        points = [pt(x, y, c) for x, y, c in zip(xs, ys, colors)]
+        assert ortho_hull(points) == _ortho_hull_reference(points)
+
 
 class TestSidedOrdering:
     def test_half_turn_from_top_is_ascending_y(self):
@@ -288,7 +341,7 @@ class TestBlockMove:
         assert _block_move((1, 2, 3, 4), (1, 4, 2, 3)) == (1, 3, 4, -1)
 
     def test_rejects_non_block_move(self):
-        with pytest.raises(InternalError):
+        with pytest.raises(ValueError):
             _block_move((1, 2, 3), (3, 2, 1))
 
     def test_consecutive_orderings_are_block_moves(self):

@@ -118,6 +118,16 @@ class TestWedgeCurve:
             if not c.zeros():
                 assert c.winding() % 2 == 1
 
+    def test_step_pairs_span_unit_triangles(self):
+        # validate mode relies on this instead of scanning for lattice points:
+        # two consecutive steps with cross product in {-1, 0, 1} span a
+        # lattice triangle of area 0 or 1/2, which by Pick's theorem holds
+        # no lattice point but its corners, so a vertex move that keeps
+        # every step in _STEPS sweeps no lattice point
+        for ux, uy in wedges._STEPS:
+            for vx, vy in wedges._STEPS:
+                assert ux * vy - uy * vx in (-1, 0, 1)
+
 
 class TestDoubleWedge:
     def test_axes_example(self):
