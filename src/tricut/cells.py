@@ -16,7 +16,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Color, ColoredLine, Rat, RGB, Segment, intersect, line, require_rgb, sign
+from .core import (
+    Color,
+    ColoredLine,
+    Rat,
+    RGB,
+    Segment,
+    int_line,
+    intersect,
+    line,
+    primitive,
+    require_rgb,
+    sign,
+)
 from .errors import (
     InternalError,
     MixedParity,
@@ -48,24 +60,35 @@ class Arrangement:
     box: tuple[Rat, Rat, Rat, Rat]  # xmin, ymin, xmax, ymax
 
 
-def validate_simple(lines: Sequence[ColoredLine]) -> dict[tuple[Rat, Rat], tuple[int, int]]:
+def validate_simple(lines: Sequence[ColoredLine]) -> dict[tuple[int, int, int], tuple[int, int]]:
     """Check pairwise non-parallel, distinct, and no three concurrent.
 
-    Returns {intersection point: (i, j)}.  Raises NotSimple with the offending
-    index pair or triple.
+    Returns {crossing: (i, j)} for every pair i < j, where a crossing is keyed
+    by its primitive homogeneous triple (x, y, w): the point (x/w, y/w) with
+    w > 0 and gcd(x, y, w) = 1, computed on the lines' integer coefficients
+    (`core.int_line`).  Raises NotSimple with the offending index pair or
+    triple.
     """
-    seen: dict[tuple[Rat, Rat], tuple[int, int]] = {}
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            p = intersect(lines[i], lines[j])
-            if p is None:
+    coeffs = [int_line(l) for l in lines]
+    seen: dict[tuple[int, int, int], tuple[int, int]] = {}
+    for i, (a1, b1, c1) in enumerate(coeffs):
+        for j in range(i + 1, len(coeffs)):
+            a2, b2, c2 = coeffs[j]
+            w = a1 * b2 - a2 * b1
+            if w == 0:
                 raise NotSimple((i, j), f"lines {i} and {j} are parallel or equal")
+            p = primitive(b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, w, w)
             if p in seen:
                 a, b = seen[p]
                 trio = tuple(sorted(set((a, b, i, j))))
-                raise NotSimple(trio, f"lines {trio} are concurrent at {p}")
+                raise NotSimple(trio, f"lines {trio} are concurrent at {_crossing_point(p)}")
             seen[p] = (i, j)
     return seen
+
+
+def _crossing_point(p: tuple[int, int, int]) -> tuple[Rat, Rat]:
+    x, y, w = p
+    return (Fraction(x, w), Fraction(y, w))
 
 
 def _dir_cmp(d1: tuple[Rat, Rat], d2: tuple[Rat, Rat]) -> int:
@@ -89,9 +112,14 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
     """
     lines = tuple(lines)
     n = len(lines)
-    crossings = validate_simple(lines)
-
-    anchors: list[tuple[Rat, Rat]] = list(crossings.keys())
+    # the crossings become Fraction points here, once, filed under both lines
+    on_line: list[list[tuple[Rat, Rat]]] = [[] for _ in range(n)]
+    anchors: list[tuple[Rat, Rat]] = []
+    for key, (i, j) in validate_simple(lines).items():
+        p = _crossing_point(key)
+        anchors.append(p)
+        on_line[i].append(p)
+        on_line[j].append(p)
     if not anchors:
         for l in lines:
             if l.is_vertical:
@@ -142,7 +170,7 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
     # undirected edges (u, v, line index); -1 marks box sides
     edges: list[tuple[int, int, int]] = []
     for i, l in enumerate(lines):
-        pts = line_endpoints[i] + [p for p, pr in crossings.items() if i in pr]
+        pts = line_endpoints[i] + on_line[i]
         pts.sort(key=lambda p: l.b * p[0] - l.a * p[1])
         for a, b in zip(pts, pts[1:]):
             edges.append((node(a), node(b), i))

@@ -43,7 +43,6 @@ from .errors import (
     InternalError,
     PreconditionViolated,
     TricutError,
-    VerticalLine,
 )
 from .generators import GenKind, GenSpec, generate
 from .llines import brute_oracle_llines, find_balanced_lline, lline_counts
@@ -148,11 +147,11 @@ def _solve(kind: str, payload: dict, k: int | None) -> dict:
     if kind == "wedge111":
         points = ser.dec_points_payload(payload)
         w = find_111_wedge(points)
-        return {"wedge": ser.enc_wedge(w), "dual_segment": _try_dual(w)}
+        return {"wedge": ser.enc_wedge(w), "dual_segment": ser.enc_segment(wedge_dual_segment(w))}
     if kind == "wedge":
         points = ser.dec_points_payload(payload)
         w = sweep_balanced_wedge(points)
-        return {"wedge": ser.enc_wedge(w), "dual_segment": _try_dual(w)}
+        return {"wedge": ser.enc_wedge(w), "dual_segment": ser.enc_segment(wedge_dual_segment(w))}
     if kind == "segment":
         lines = ser.dec_lines_payload(payload)
         seg = halving_segment(lines)
@@ -168,13 +167,6 @@ def _solve(kind: str, payload: dict, k: int | None) -> dict:
         l, kk = find_balanced_lline(s)
         return {"lline": ser.enc_lline(l), "k": kk}
     raise PreconditionViolated(f"unknown solve kind {kind!r}")
-
-
-def _try_dual(w) -> dict | None:
-    try:
-        return ser.enc_segment(wedge_dual_segment(w))
-    except VerticalLine:
-        return None
 
 
 def _counts_tuple(cc: dict) -> tuple[int, int, int]:
@@ -324,13 +316,22 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     env = _load_json(args.infile)
+    if not isinstance(env, dict):
+        raise PreconditionViolated("solution file must hold a JSON object")
     for key in ("command", "instance", "answer"):
         if key not in env:
             raise PreconditionViolated(f"solution file lacks {key!r}")
-    kind = env["command"].split()[-1]
+    command = env["command"]
+    words = command.split() if isinstance(command, str) else []
+    kind = words[-1] if words else None
     if kind not in SOLVE_KINDS:
-        raise PreconditionViolated(f"unknown command {env['command']!r}")
-    k = (env.get("params") or {}).get("k")
+        raise PreconditionViolated(f"unknown command {command!r}")
+    params = env.get("params") or {}
+    if not isinstance(params, dict):
+        raise PreconditionViolated(f"params must be an object, got {params!r}")
+    k = params.get("k")
+    if k is not None and type(k) is not int:
+        raise PreconditionViolated(f"params.k must be an integer, got {k!r}")
     report = _report(kind, env["instance"], env["answer"], k)
     got = _report_as_dict(report)
     if not got["member"]:

@@ -3,6 +3,14 @@
 Everything here is exact.  Coordinates are `fractions.Fraction` (aliased Rat),
 predicates return integer signs, and nothing ever rounds.  Floats appear
 nowhere below; rendering code does its own presentation rounding.
+
+The predicates that run over all pairs (simplicity of an arrangement,
+collinearity, the wedge sweep's pair events, the wedge oracle's side matrix)
+run on Python ints scaled once here: `int_line` scales a line to primitive
+integer coefficients, `int_points` scales each point to a homogeneous
+integer triple, and `primitive` reduces a triple to its canonical form.
+Python ints never overflow, so no bound on the input sizes is needed.
+Fractions come back only where a value leaves the library.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -136,6 +145,55 @@ def intersect(l1: ColoredLine, l2: ColoredLine) -> tuple[Rat, Rat] | None:
     return (x, y)
 
 
+# -- the integer kernel ----------------------------------------------------------
+
+
+def primitive(a: int, b: int, c: int, lead: int) -> tuple[int, int, int]:
+    """(a, b, c) divided by its gcd, with the sign that makes `lead` positive.
+
+    `lead` is one of a, b, c (nonzero): two homogeneous triples name the same
+    point or line exactly when their primitive forms are equal.
+    """
+    g = gcd(a, b, c)
+    if lead < 0:
+        g = -g
+    return (a // g, b // g, c // g)
+
+
+def int_line(l: ColoredLine) -> tuple[int, int, int]:
+    """Primitive integer coefficients (A, B, C) of l, first nonzero of (A, B)
+    positive: l's coefficients times the lcm of their own denominators."""
+    m = lcm(l.a.denominator, l.b.denominator, l.c.denominator)
+    return (l.a.numerator * (m // l.a.denominator),
+            l.b.numerator * (m // l.b.denominator),
+            l.c.numerator * (m // l.c.denominator))
+
+
+def int_points(points: Sequence[ColoredPoint]) -> list[tuple[int, int, int]]:
+    """Each point as a homogeneous integer triple (X, Y, W): x = X/W, y = Y/W,
+    W > 0 the lcm of the point's own two denominators.
+
+    The triple is primitive, so equal points give equal triples.  Each point
+    keeps its own scale: a common denominator for the whole set would grow
+    with the number of unrelated denominators in it.
+    """
+    out = []
+    for p in points:
+        w = lcm(p.x.denominator, p.y.denominator)
+        out.append((p.x.numerator * (w // p.x.denominator),
+                    p.y.numerator * (w // p.y.denominator), w))
+    return out
+
+
+def int_line_through(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Primitive integer line (A, B, C) through two distinct `int_points`
+    triples, normalized as ColoredLine is (first nonzero of (A, B) positive).
+    A point (X, Y, W) lies on it when A*X + B*Y + C*W = 0."""
+    (x1, y1, w1), (x2, y2, w2) = p, q
+    a, b = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2
+    return primitive(a, b, x1 * y2 - x2 * y1, a or b)
+
+
 def orient(p, q, r) -> int:
     """Sign of the area of triangle pqr: +1 ccw, -1 cw, 0 collinear."""
     px, py = (p.x, p.y) if isinstance(p, ColoredPoint) else p
@@ -184,14 +242,16 @@ def check_general_position(points: Sequence[ColoredPoint], mode: GeneralPosition
 
     NO_THREE_COLLINEAR also rejects coincident points.  This is the one
     place that looks for repeated coordinates or collinear triples; a line
-    spanned by two point pairs names three collinear points.
+    spanned by two point pairs names three collinear points.  Lines are
+    keyed by their primitive integer triples (`int_points`, `int_line_through`).
     """
     if mode is GeneralPosition.NO_THREE_COLLINEAR:
-        rep = _first_repeat(((p.x, p.y), i) for i, p in enumerate(points))
+        ints = int_points(points)
+        rep = _first_repeat((p, i) for i, p in enumerate(ints))
         if rep:
             raise PreconditionViolated(f"points {rep[0]} and {rep[1]} coincide")
-        pairs = itertools.combinations(range(len(points)), 2)
-        rep = _first_repeat((line_through(points[i], points[j]), (i, j)) for i, j in pairs)
+        pairs = itertools.combinations(range(len(ints)), 2)
+        rep = _first_repeat((int_line_through(ints[i], ints[j]), (i, j)) for i, j in pairs)
         if rep:
             i, j, k = sorted({*rep[0], *rep[1]})[:3]
             raise PreconditionViolated(f"points {i}, {j}, {k} are collinear")

@@ -18,6 +18,7 @@ That vertex is the balanced window.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -44,8 +45,9 @@ from .core import (
     check_general_position,
     dual_line_to_point,
     dual_point_to_line,
+    int_line_through,
+    int_points,
     intersect,
-    line_through,
     require_rgb,
     sign,
     winding_number,
@@ -263,14 +265,23 @@ def _pair_events(points: Sequence[ColoredPoint], x0: Rat):
     order an apex sliding down x = x0 - eps crosses them for a small eps > 0:
     intercept descending, then slope ascending, since of two lines meeting on
     x = x0 the steeper runs lower just left of it (Simulation of Simplicity).
+
+    Works on the points' integer triples (`core.int_points`): each key is one
+    Fraction of integer differences.  The sort puts each key's integer floor
+    before it: ordering by (floor(v), v) is exactly ordering by v, and the
+    int comparison settles most pairs without Fraction arithmetic.
     """
+    ints = int_points(points)
+    n0, d0 = x0.numerator, x0.denominator
     events = []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            pi, pj = points[i], points[j]
-            s = (pj.y - pi.y) / (pj.x - pi.x)
-            events.append((pi.y + s * (x0 - pi.x), s, i, j))
-    events.sort(key=lambda e: (-e[0], e[1]))
+    for i, (xi, yi, wi) in enumerate(ints):
+        run = n0 * wi - xi * d0  # (x0 - x_i) * wi * d0
+        for j in range(i + 1, len(ints)):
+            xj, yj, wj = ints[j]
+            dx, dy = xj * wi - xi * wj, yj * wi - yi * wj  # differences times wi * wj
+            y = Fraction(yi * dx * d0 + dy * run, wi * d0 * dx)
+            events.append((y, Fraction(dy, dx), i, j))
+    events.sort(key=lambda e: (math.floor(-e[0]), -e[0], math.floor(e[1]), e[1]))
     return events
 
 
@@ -442,38 +453,46 @@ def brute_oracle_wedges(
     onehot = np.eye(3, dtype=np.int32)[cix]
     tgt = np.asarray(target, dtype=np.int32)
 
-    # side matrix of every point-pair line, exact signs
-    lines = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            lines.append(line_through(pts[i], pts[j]))
-    side = np.array(
-        [[l.side(p) for p in pts] for l in lines], dtype=np.int8
-    )
-    n_lines = len(lines)
+    # side matrix of every point-pair line: signs of A*X + B*Y + C*W, W > 0
+    ints = int_points(pts)
+    side_rows = []
+    for i, j in itertools.combinations(range(m), 2):
+        a, b, c = int_line_through(ints[i], ints[j])
+        side_rows.append([sign(a * x + b * y + c * w) for x, y, w in ints])
+    side = np.array(side_rows, dtype=np.int8)
+    n_lines = len(side_rows)
 
     ii, jj = np.triu_indices(n_lines)  # includes the diagonal
     prod = side[ii].astype(np.int16) * side[jj].astype(np.int16)
+    on_line = prod == 0
+    bound = on_line.astype(np.int32) @ onehot
 
     out: set[tuple[int, ...]] = set()
     for mask in (prod == -1, prod == 1):
         base = mask.astype(np.int32) @ onehot
-        bound = (prod == 0).astype(np.int32) @ onehot
         rows = np.nonzero(
             np.all(base <= tgt, axis=1) & np.all(base + bound >= tgt, axis=1)
         )[0]
-        for r in rows.tolist():
-            inside = np.flatnonzero(mask[r]).tolist()
-            need = tuple((tgt - base[r]).tolist())
-            on_lines = np.flatnonzero(prod[r] == 0).tolist()
+        needs = (tgt - base[rows]).tolist()
+        insides = _row_members(mask[rows])
+        on_lines = _row_members(on_line[rows])
+        for need, inside, online in zip(needs, insides, on_lines):
             # a resolution adding exactly `need` picks sum(need) line points
-            for chosen in itertools.combinations(on_lines, sum(need)):
+            for chosen in itertools.combinations(online, sum(need)):
                 add = [0, 0, 0]
                 for c in chosen:
                     add[cix[c]] += 1
-                if tuple(add) == need:
+                if add == need:
                     out.add(tuple(sorted(inside + list(chosen))))
     return sorted(out, key=lambda t: (len(t), t))
+
+
+def _row_members(table: np.ndarray) -> list[list[int]]:
+    """Column indices of the True entries of each row of a boolean table."""
+    r, cols = np.nonzero(table)
+    bounds = np.searchsorted(r, np.arange(len(table) + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # -- duals: 111 wedges and halving segments ------------------------------------

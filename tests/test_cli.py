@@ -197,6 +197,23 @@ class TestVerify:
         assert r.returncode == 2
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("edit", ["command", "params.k", "params", "envelope"])
+    def test_malformed_envelope_exit_2(self, tmp_path, edit):
+        sol = self.solution(tmp_path, "solve", "arcs", "--n", "3", "--k", "1", "--seed", "1")
+        env = json.loads(sol.read_text())
+        if edit == "command":
+            env["command"] = 5
+        elif edit == "params.k":
+            env["params"] = {"k": "1"}
+        elif edit == "params":
+            env["params"] = [1]
+        else:
+            env = "command instance answer"
+        sol.write_text(json.dumps(env))
+        r = run_cli("verify", "--in", str(sol))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
     def test_verify_needs_solution_shape(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"lines": []}))
