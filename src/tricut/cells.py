@@ -22,6 +22,7 @@ from .core import (
     Rat,
     RGB,
     Segment,
+    clip_line,
     int_line,
     intersect,
     line,
@@ -91,7 +92,7 @@ def _crossing_point(p: tuple[int, int, int]) -> tuple[Rat, Rat]:
     return (Fraction(x, w), Fraction(y, w))
 
 
-def _dir_cmp(d1: tuple[Rat, Rat], d2: tuple[Rat, Rat]) -> int:
+def _dir_cmp(d1: tuple[int, int], d2: tuple[int, int]) -> int:
     # ccw order starting at the positive x axis; directions are never equal here
     h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
     h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
@@ -109,6 +110,11 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
     Unbounded cells are clipped to a box that strictly contains every vertex
     (margin 1), so every cell is a finite polygon; cells touching the box are
     flagged unbounded.  Face count must equal 1 + n + n*(n-1)/2.
+
+    Where each line meets the box comes from `core.clip_line`.  Every edge
+    runs along an input line or a box side, so the half-edges around a vertex
+    are ordered by integer directions alone: (B, -A) from `core.int_line`
+    along a line, (1, 0) or (0, 1) along the box, negated on the twin.
     """
     lines = tuple(lines)
     n = len(lines)
@@ -132,74 +138,54 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
     xmax = max(a[0] for a in anchors) + 1
     ymin = min(a[1] for a in anchors) - 1
     ymax = max(a[1] for a in anchors) + 1
-
+    box = (xmin, ymin, xmax, ymax)
     corners = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
-    sides = [line(0, 1, -ymin), line(1, 0, -xmax), line(0, 1, -ymax), line(1, 0, -xmin)]
-    in_side_range = [
-        lambda p: xmin <= p[0] <= xmax and p[1] == ymin,
-        lambda p: ymin <= p[1] <= ymax and p[0] == xmax,
-        lambda p: xmin <= p[0] <= xmax and p[1] == ymax,
-        lambda p: ymin <= p[1] <= ymax and p[0] == xmin,
-    ]
 
-    node_id: dict[tuple[Rat, Rat], int] = {}
-    coords: list[tuple[Rat, Rat]] = []
+    node_id = {c: k for k, c in enumerate(corners)}
 
     def node(p: tuple[Rat, Rat]) -> int:
-        if p not in node_id:
-            node_id[p] = len(coords)
-            coords.append(p)
-        return node_id[p]
+        return node_id.setdefault(p, len(node_id))
 
-    for c in corners:
-        node(c)
-    border_hits: list[list[tuple[Rat, Rat]]] = [[] for _ in range(4)]
-    line_endpoints: list[list[tuple[Rat, Rat]]] = [[] for _ in range(n)]
+    # undirected edges (u, v, line index, direction of u -> v); -1 marks box
+    # sides.  Points sorted as (x, y) tuples run along +d or -d.
+    edges: list[tuple[int, int, int, tuple[int, int]]] = []
+    hits: list[tuple[Rat, Rat]] = []
     for i, l in enumerate(lines):
-        hits: list[tuple[Rat, Rat]] = []
-        for s in range(4):
-            p = intersect(l, sides[s])
-            if p is not None and in_side_range[s](p):
-                if p not in hits:
-                    hits.append(p)
-                border_hits[s].append(p)
-        if len(hits) != 2:
+        ends = clip_line(l, box)
+        if ends is None:
             raise InternalError("line does not cross the box twice", {"line": i})
-        line_endpoints[i] = hits
-
-    # undirected edges (u, v, line index); -1 marks box sides
-    edges: list[tuple[int, int, int]] = []
-    for i, l in enumerate(lines):
-        pts = line_endpoints[i] + on_line[i]
-        pts.sort(key=lambda p: l.b * p[0] - l.a * p[1])
-        for a, b in zip(pts, pts[1:]):
-            edges.append((node(a), node(b), i))
-    for s in range(4):
-        pts = [corners[s], corners[(s + 1) % 4]] + border_hits[s]
-        pts = sorted(set(pts), key=lambda p: (p[0], p[1]))
-        for a, b in zip(pts, pts[1:]):
-            edges.append((node(a), node(b), -1))
+        hits += ends
+        a, b, _ = int_line(l)
+        d = (b, -a)
+        pts = sorted([*ends, *on_line[i]], reverse=d < (0, 0))
+        for p, q in zip(pts, pts[1:]):
+            edges.append((node(p), node(q), i, d))
+    # side s holds the hits whose coordinate `axis` equals `v`; a corner hit
+    # lies on two sides
+    for s, (axis, v) in enumerate(((1, ymin), (0, xmax), (1, ymax), (0, xmin))):
+        pts = sorted({corners[s], corners[(s + 1) % 4], *(p for p in hits if p[axis] == v)})
+        for p, q in zip(pts, pts[1:]):
+            edges.append((node(p), node(q), -1, (axis, 1 - axis)))
+    coords = list(node_id)
 
     # half-edges 2k (u->v) and 2k+1 (v->u); twin of h is h ^ 1
     out: dict[int, list[int]] = {u: [] for u in range(len(coords))}
     he_from: list[int] = []
     he_to: list[int] = []
     he_line: list[int] = []
-    for (u, v, li) in edges:
+    dirs: list[tuple[int, int]] = []
+    for u, v, li, (dx, dy) in edges:
         he_from += [u, v]
         he_to += [v, u]
         he_line += [li, li]
+        dirs += [(dx, dy), (-dx, -dy)]
         out[u].append(len(he_from) - 2)
         out[v].append(len(he_from) - 1)
-
-    def he_dir(h: int) -> tuple[Rat, Rat]:
-        a, b = coords[he_from[h]], coords[he_to[h]]
-        return (b[0] - a[0], b[1] - a[1])
 
     key = functools.cmp_to_key(_dir_cmp)
     pos_in_out: dict[int, int] = {}
     for u in out:
-        out[u].sort(key=lambda h: key(he_dir(h)))
+        out[u].sort(key=lambda h: key(dirs[h]))
         for idx, h in enumerate(out[u]):
             pos_in_out[h] = idx
 
@@ -241,7 +227,7 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
     expected = 1 + n + n * (n - 1) // 2
     if len(faces) != expected:
         raise InternalError("face count mismatch", {"got": len(faces), "expected": expected})
-    return Arrangement(lines, tuple(coords), tuple(faces), (xmin, ymin, xmax, ymax))
+    return Arrangement(lines, tuple(coords), tuple(faces), box)
 
 
 def cycle_parity(colors: Sequence[Color]) -> tuple[int, int, int]:

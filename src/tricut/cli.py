@@ -98,6 +98,14 @@ def _load_json(path: str) -> dict:
         raise PreconditionViolated(f"{path} is not valid JSON: {e}") from e
 
 
+def _load_envelope(path: str) -> dict:
+    """The file verify or render reads: a JSON object, `command` a string."""
+    env = _load_json(path)
+    if not isinstance(env, dict) or not isinstance(env.get("command", ""), str):
+        raise PreconditionViolated(f"{path} must hold a JSON object whose command is a string")
+    return env
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -315,14 +323,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    env = _load_json(args.infile)
-    if not isinstance(env, dict):
-        raise PreconditionViolated("solution file must hold a JSON object")
+    env = _load_envelope(args.infile)
     for key in ("command", "instance", "answer"):
         if key not in env:
             raise PreconditionViolated(f"solution file lacks {key!r}")
     command = env["command"]
-    words = command.split() if isinstance(command, str) else []
+    words = command.split()
     kind = words[-1] if words else None
     if kind not in SOLVE_KINDS:
         raise PreconditionViolated(f"unknown command {command!r}")
@@ -351,8 +357,10 @@ def _cmd_verify(args) -> int:
 
 def _render(env: dict) -> str:
     command = env.get("command", "")
-    payload = ser.unwrap_instance(env)
-    answer = env.get("answer", {})
+    with ser.decoding():  # the instance and the answer are objects
+        payload = dict(ser.unwrap_instance(env))
+        answer = dict(env.get("answer", {}))
+        circle = "points" in payload and payload["points"] and "t" in payload["points"][0]
 
     if command.endswith("cell") and "face" in answer:
         lines = ser.dec_lines_payload(payload)
@@ -374,7 +382,7 @@ def _render(env: dict) -> str:
     # bare or generated instances, no solution overlay
     if "lines" in payload:
         return render_arrangement(build_arrangement(ser.dec_lines_payload(payload)))
-    if "points" in payload and payload["points"] and "t" in payload["points"][0]:
+    if circle:
         return render_arcset(ser.dec_circle_payload(payload), empty_arcset())
     raise PreconditionViolated("nothing renderable in this file")
 
@@ -382,7 +390,7 @@ def _render(env: dict) -> str:
 def _cmd_render(args) -> int:
     if args.format == "json":
         raise PreconditionViolated("render emits SVG; use --format svg")
-    env = _load_json(args.infile)
+    env = _load_envelope(args.infile)
     _emit(_render(env), args.out)
     return 0
 

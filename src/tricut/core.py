@@ -11,6 +11,9 @@ integer coefficients, `int_points` scales each point to a homogeneous
 integer triple, and `primitive` reduces a triple to its canonical form.
 Python ints never overflow, so no bound on the input sizes is needed.
 Fractions come back only where a value leaves the library.
+
+`clip_line` is the one place a line is cut to a box: the arrangement's
+unbounded cells and the SVG figures both take their box hits from it.
 """
 
 from __future__ import annotations
@@ -143,6 +146,26 @@ def intersect(l1: ColoredLine, l2: ColoredLine) -> tuple[Rat, Rat] | None:
     x = (l1.b * l2.c - l2.b * l1.c) / det
     y = (l1.c * l2.a - l2.c * l1.a) / det
     return (x, y)
+
+
+def clip_line(l: ColoredLine, box) -> tuple[tuple[Rat, Rat], tuple[Rat, Rat]] | None:
+    """Exact intersection of a line with a box; None if it misses."""
+    xmin, ymin, xmax, ymax = box
+    pts = []
+    if l.b != 0:
+        for x in (xmin, xmax):
+            y = Fraction(-l.a * x - l.c, l.b)
+            if ymin <= y <= ymax:
+                pts.append((x, y))
+    if l.a != 0:
+        for y in (ymin, ymax):
+            x = Fraction(-l.b * y - l.c, l.a)
+            if xmin <= x <= xmax:
+                pts.append((x, y))
+    pts = sorted(set(pts))
+    if len(pts) < 2:
+        return None
+    return pts[0], pts[-1]
 
 
 # -- the integer kernel ----------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cells import Arrangement, Face
-from .core import ArcSet, CirclePoint, Color, ColoredLine, ColoredPoint, Rat
+from .core import ArcSet, CirclePoint, Color, ColoredLine, ColoredPoint, clip_line
 from .llines import LatticePointSet, LLine, RayDir
 from .wedges import DoubleWedge
 
@@ -64,30 +64,10 @@ def _document(view: _View, body: list[str]) -> str:
     return "\n".join([head, bg, *body, "</svg>"]) + "\n"
 
 
-def _clip_line(l: ColoredLine, box) -> tuple[tuple[Rat, Rat], tuple[Rat, Rat]] | None:
-    """Exact intersection of a line with a box; None if it misses."""
-    xmin, ymin, xmax, ymax = box
-    pts = []
-    if l.b != 0:
-        for x in (xmin, xmax):
-            y = Fraction(-l.a * x - l.c, l.b)
-            if ymin <= y <= ymax:
-                pts.append((x, y))
-    if l.a != 0:
-        for y in (ymin, ymax):
-            x = Fraction(-l.b * y - l.c, l.a)
-            if xmin <= x <= xmax:
-                pts.append((x, y))
-    pts = sorted(set(pts))
-    if len(pts) < 2:
-        return None
-    return pts[0], pts[-1]
-
-
 def _line_elems(lines: Sequence[ColoredLine], box, view: _View) -> list[str]:
     out = []
     for l in lines:
-        seg = _clip_line(l, box)
+        seg = clip_line(l, box)
         if seg is None:
             continue
         (x1, y1), (x2, y2) = (view.map(seg[0]), view.map(seg[1]))

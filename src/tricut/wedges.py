@@ -54,10 +54,12 @@ from .core import (
 )
 from .errors import (
     DegenerateApex,
+    EndpointOnLine,
     InternalError,
     OnBoundary,
     PreconditionViolated,
 )
+from .oracles import count_segment_crossings
 
 SECTOR_AGREE = "pair-1"     # sectors where the two line functionals share sign
 SECTOR_DISAGREE = "pair-2"  # sectors where they differ
@@ -689,13 +691,10 @@ def halving_segment(lines: Sequence[ColoredLine]) -> Segment:
     if cs is not None:
         seg = Segment(_unrot_point(seg.p, cs), _unrot_point(seg.q, cs))
 
-    counts = {c: 0 for c in RGB}
-    for l in ls:
-        a, b = sign(l.eval_at(seg.p)), sign(l.eval_at(seg.q))
-        if a == 0 or b == 0:
-            raise InternalError("segment endpoint on an input line")
-        if a != b:
-            counts[l.color] += 1
+    try:
+        counts = count_segment_crossings(seg, ls)
+    except EndpointOnLine as e:
+        raise InternalError("segment endpoint on an input line") from e
     if any(counts[c] != n for c in RGB):
         raise InternalError("halving segment did not verify", {"counts": str(counts)})
     return seg

@@ -1,8 +1,11 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tricut import cells
 from tricut.cells import (
     Arrangement,
     ColoredTriangulation,
@@ -18,8 +21,9 @@ from tricut.cells import (
     parity_audit,
     validate_simple,
 )
-from tricut.core import Color, RGB, line, line_slope_intercept, sign
+from tricut.core import Color, RGB, intersect, line, line_slope_intercept, sign
 from tricut.errors import (
+    InternalError,
     MissingColor,
     NotPseudomanifold,
     NotSimple,
@@ -130,6 +134,194 @@ class TestBuildArrangement:
                 l = lines[f.boundary_lines[i]]
                 assert l.eval_at(f.vertices[i]) == 0
                 assert l.eval_at(f.vertices[(i + 1) % m]) == 0
+
+
+# -- build_arrangement against a reference copy ---------------------------------
+
+
+def _ref_dir_cmp(d1, d2):
+    h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
+    h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    cr = d1[0] * d2[1] - d1[1] * d2[0]
+    return -1 if cr > 0 else 1
+
+
+def ref_build_arrangement(lines):
+    """The box-side construction on Fractions: every box hit from `intersect`
+    with four side lines, every vertex ring sorted on coordinate differences.
+    Kept as the reference that `build_arrangement` must reproduce exactly."""
+    lines = tuple(lines)
+    n = len(lines)
+    on_line = [[] for _ in range(n)]
+    anchors = []
+    for (x, y, w), (i, j) in validate_simple(lines).items():
+        p = (F(x, w), F(y, w))
+        anchors.append(p)
+        on_line[i].append(p)
+        on_line[j].append(p)
+    if not anchors:
+        for l in lines:
+            if l.is_vertical:
+                anchors.append((-l.c / l.a, F(0)))
+            else:
+                anchors.append((F(0), l.eval_at((F(0), F(0))) / -l.b))
+    if not anchors:
+        anchors = [(F(0), F(0))]
+    xmin = min(a[0] for a in anchors) - 1
+    xmax = max(a[0] for a in anchors) + 1
+    ymin = min(a[1] for a in anchors) - 1
+    ymax = max(a[1] for a in anchors) + 1
+    corners = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
+    sides = [line(0, 1, -ymin), line(1, 0, -xmax), line(0, 1, -ymax), line(1, 0, -xmin)]
+    in_side_range = [
+        lambda p: xmin <= p[0] <= xmax and p[1] == ymin,
+        lambda p: ymin <= p[1] <= ymax and p[0] == xmax,
+        lambda p: xmin <= p[0] <= xmax and p[1] == ymax,
+        lambda p: ymin <= p[1] <= ymax and p[0] == xmin,
+    ]
+    node_id, coords = {}, []
+
+    def node(p):
+        if p not in node_id:
+            node_id[p] = len(coords)
+            coords.append(p)
+        return node_id[p]
+
+    for c in corners:
+        node(c)
+    border_hits = [[] for _ in range(4)]
+    line_endpoints = []
+    for i, l in enumerate(lines):
+        hits = []
+        for s in range(4):
+            p = intersect(l, sides[s])
+            if p is not None and in_side_range[s](p):
+                if p not in hits:
+                    hits.append(p)
+                border_hits[s].append(p)
+        assert len(hits) == 2
+        line_endpoints.append(hits)
+    edges = []
+    for i, l in enumerate(lines):
+        pts = sorted(line_endpoints[i] + on_line[i], key=lambda p: l.b * p[0] - l.a * p[1])
+        edges += [(node(a), node(b), i) for a, b in zip(pts, pts[1:])]
+    for s in range(4):
+        pts = sorted(set([corners[s], corners[(s + 1) % 4]] + border_hits[s]))
+        edges += [(node(a), node(b), -1) for a, b in zip(pts, pts[1:])]
+    out = {u: [] for u in range(len(coords))}
+    he_from, he_to, he_line = [], [], []
+    for u, v, li in edges:
+        he_from += [u, v]
+        he_to += [v, u]
+        he_line += [li, li]
+        out[u].append(len(he_from) - 2)
+        out[v].append(len(he_from) - 1)
+    key = functools.cmp_to_key(_ref_dir_cmp)
+    pos = {}
+    for u in out:
+        out[u].sort(key=lambda h: key((coords[he_to[h]][0] - coords[he_from[h]][0],
+                                       coords[he_to[h]][1] - coords[he_from[h]][1])))
+        for idx, h in enumerate(out[u]):
+            pos[h] = idx
+    faces, visited = [], [False] * len(he_from)
+    for h0 in range(len(he_from)):
+        cycle, h = [], h0
+        while not visited[h]:
+            visited[h] = True
+            cycle.append(h)
+            ring = out[he_to[h]]
+            h = ring[(pos[h ^ 1] - 1) % len(ring)]
+        if not cycle:
+            continue
+        vs = [coords[he_from[x]] for x in cycle]
+        m = len(vs)
+        if sum(vs[i][0] * vs[(i + 1) % m][1] - vs[(i + 1) % m][0] * vs[i][1]
+               for i in range(m)) < 0:
+            continue
+        lids = tuple(he_line[x] for x in cycle)
+        faces.append(Face(
+            bounded=all(li >= 0 for li in lids),
+            vertices=tuple(vs),
+            boundary_lines=lids,
+            boundary_colors=tuple(lines[li].color if li >= 0 else Color.K for li in lids),
+        ))
+    return tuple(coords), tuple(faces), (xmin, ymin, xmax, ymax)
+
+
+def check_matches_reference(lines):
+    try:
+        want = ref_build_arrangement(lines)
+    except NotSimple as e:
+        with pytest.raises(NotSimple) as err:
+            build_arrangement(lines)
+        assert err.value.witness == e.witness
+        return
+    arr = build_arrangement(lines)
+    assert (arr.vertices, arr.faces, arr.box) == want
+
+
+grid = st.integers(-3, 3).map(F)
+big = st.builds(F, st.integers(-10**6, 10**6), st.integers(10**5, 10**6))
+
+
+@st.composite
+def grid_lines(draw, c=grid):
+    a, b = draw(c), draw(c)
+    if a == 0 and b == 0:
+        a = F(1)
+    return line(a, b, draw(c), draw(st.sampled_from("RGBK")))
+
+
+@st.composite
+def axis_lines(draw, c=grid):
+    # vertical and horizontal lines among some of any slope
+    axis = [line(1, 0, x) for x in draw(st.lists(c, max_size=3, unique=True))]
+    axis += [line(0, 1, y) for y in draw(st.lists(c, max_size=3, unique=True))]
+    return axis + draw(st.lists(grid_lines(c), max_size=3))
+
+
+arrangements = st.one_of(
+    st.lists(grid_lines(), max_size=7),
+    axis_lines(),
+    axis_lines(big),
+    st.lists(grid_lines(big), max_size=7),
+)
+
+
+class TestBuildArrangementMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(arrangements)
+    def test_same_vertices_faces_and_box(self, lines):
+        check_matches_reference(lines)
+
+    @pytest.mark.parametrize("n,seed", [(3, 1000), (7, 1004), (12, 1009)])
+    def test_random_simple_lines(self, n, seed):
+        check_matches_reference(rand_simple_lines(n, seed))
+
+    def test_shielded_counterexample(self):
+        check_matches_reference(gen_shielded_counterexample())
+
+    def test_line_through_a_box_corner(self):
+        # crossings (0, 0), (5, 5), (5, -5): the box is [-1, 6] x [-6, 6],
+        # and x + y = 0 leaves it through the corner (6, -6)
+        lines = [line(1, -1, 0, Color.R), line(1, 1, 0, Color.G), line(1, 0, -5, Color.B)]
+        check_matches_reference(lines)
+        arr = build_arrangement(lines)
+        assert arr.box == (-1, -6, 6, 6)
+        assert arr.vertices[1] == (6, -6)
+        assert len(arr.faces) == 7
+        corner_faces = [f for f in arr.faces if (6, -6) in f.vertices]
+        assert len(corner_faces) == 2 and not any(f.bounded for f in corner_faces)
+
+    def test_no_intersect_call(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("build_arrangement called intersect")
+
+        monkeypatch.setattr(cells, "intersect", forbidden)
+        arr = build_arrangement(rand_simple_lines(6, 2) + [line(1, 0, -1), line(0, 1, 2)])
+        assert len(arr.faces) == 1 + 8 + 8 * 7 // 2
 
 
 class TestCycleParity:

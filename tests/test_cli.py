@@ -255,3 +255,16 @@ class TestRender:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"what": 1}))
         assert run_cli("render", "--in", str(bad)).returncode == 2
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"command": 5, "instance": {"lines": []}, "answer": {}},
+        {"command": "solve cell", "instance": 5, "answer": {}},
+        {"points": [5]},
+    ], ids=["list", "command", "instance", "points"])
+    def test_malformed_file_exit_2(self, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        r = run_cli("render", "--in", str(bad))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
