@@ -15,6 +15,16 @@ An f/g word driving the per-color count from n to k always exists with
 length O(log n); `plan_ops` builds one greedily by expanding the target
 interval backward, `moment_halve` performs one halving step exactly, and
 `find_k_arcset` runs the whole pipeline.
+
+A halving step works on ranks in the sorted list of its m sensitive
+parameters (points, arc ends, 0 and 1).  Per color, the number of active
+points below candidate cut i never decreases in i, so the count vectors,
+written in base k+1, form one sorted int64 key array in which a wanted
+vector is a binary search away.  The gap-cut search (even k) costs
+O(m^2 log m) time and O(m) memory; the on-point search (odd k) solves the
+blue cut in closed form for each red and green cut, O(k^2) candidates.
+Membership counts come from the same sorted list: a color per rank, prefix
+counts per color, and each arc end bisected into it.
 """
 
 from __future__ import annotations
@@ -233,17 +243,6 @@ def moment_halve(a: ArcSet, points: Sequence[CirclePoint], k: int) -> HalveResul
     if any(p.t == 0 for p in points):
         raise PreconditionViolated("point parameter 0 is not allowed here")
 
-    active = {c: [] for c in RGB}
-    for p in points:
-        if a.contains(p.t):  # BoundaryPoint propagates: point on an arc boundary
-            active[p.color].append(p.t)
-    for c in RGB:
-        if len(active[c]) != k:
-            raise PreconditionViolated(
-                f"set holds {len(active[c])} {c.value} points, want {k}"
-            )
-        active[c].sort()
-
     # linear interval view; arcs never wrap here since 0 is outside
     if a.is_full_circle:
         intervals = [(Fraction(0), Fraction(1))]
@@ -256,7 +255,30 @@ def moment_halve(a: ArcSet, points: Sequence[CirclePoint], k: int) -> HalveResul
         | {hi for _, hi in intervals}
         | {Fraction(0), Fraction(1)}
     )
-    profile = _search_profile(active, sensitive, k)
+    # color code of each rank in `sensitive` (-1: not a point, else the
+    # color's index in RGB) and prefix counts: pre[i][r] points of color
+    # RGB[i] below rank r
+    rank = {t: i for i, t in enumerate(sensitive)}
+    code = np.full(len(sensitive), -1, dtype=np.int64)
+    code[[rank[p.t] for p in points]] = [RGB.index(p.color) for p in points]
+    pre = np.zeros((len(RGB), len(sensitive) + 1), dtype=np.int64)
+    for i in range(len(RGB)):
+        np.cumsum(code == i, out=pre[i, 1:])
+
+    inside = np.zeros(len(sensitive), dtype=bool)
+    for lo, hi in intervals:
+        for t in (lo, hi):
+            if code[rank[t]] >= 0:
+                raise BoundaryPoint(f"parameter {t} is an arc endpoint")
+        inside[rank[lo] + 1 : rank[hi]] = True
+    ranks = {c: np.flatnonzero(inside & (code == i)) for i, c in enumerate(RGB)}
+    for c in RGB:
+        if len(ranks[c]) != k:
+            raise PreconditionViolated(
+                f"set holds {len(ranks[c])} {c.value} points, want {k}"
+            )
+
+    profile = _search_profile(ranks, sensitive, k)
     if profile is None:
         raise NoCutFound(f"no admissible cut profile for k={k}")
 
@@ -275,9 +297,11 @@ def moment_halve(a: ArcSet, points: Sequence[CirclePoint], k: int) -> HalveResul
 
     want = k // 2
     for m in (m1, m2):
-        got = arcset_color_counts(m, points)
-        if any(got[c] != want for c in RGB):
-            raise InternalError("halve sides are unbalanced", {"got": str(got)})
+        got = _rank_counts(m, sensitive, code, pre)
+        if any(g != want for g in got):
+            raise InternalError(
+                "halve sides are unbalanced", {"got": str(dict(zip(RGB, got)))}
+            )
     total = m1.component_count() + m2.component_count()
     if total > 5 or min(m1.component_count(), m2.component_count()) > 2:
         raise InternalError("halve produced too many arcs", {"total": total})
@@ -307,27 +331,80 @@ def _piece_bounds(profile: CutProfile, sensitive: list[Rat]):
     return sorted(bounds), dropped
 
 
-def _search_profile(active, sensitive, k: int) -> CutProfile | None:
+def _rank_counts(m: ArcSet, sensitive: list[Rat], code, pre) -> list[int]:
+    """Points of each color inside `m`, counted from the sorted parameters.
+
+    Each arc end is bisected into `sensitive`; the prefix counts `pre` then
+    give the points strictly between the ends.  An end on a point parameter
+    raises BoundaryPoint, as `ArcSet.contains` does.
+    """
+
+    def below(x) -> int:  # rank of the first parameter >= x
+        r = bisect_left(sensitive, x)
+        if r < len(sensitive) and sensitive[r] == x and code[r] >= 0:
+            raise BoundaryPoint(f"parameter {x} is an arc endpoint")
+        return r
+
+    if m.is_full_circle:
+        return pre[:, -1].tolist()
+    got = np.zeros(len(RGB), dtype=np.int64)
+    for lo, hi in m.arcs:
+        if hi > 1:  # wraps through 0: [lo, 1) and [0, hi - 1)
+            got += pre[:, -1] - pre[:, below(lo)] + pre[:, below(hi - 1)]
+        else:
+            got += pre[:, below(hi)] - pre[:, below(lo)]
+    return got.tolist()
+
+
+def _search_profile(ranks, sensitive, k: int) -> CutProfile | None:
     """First admissible profile: fewest cuts, then lexicographic.
 
     Both searches compare parameters only by order, so they run on each
-    parameter's rank in the sorted `sensitive` list: small exact int64s
-    whatever the denominators.
+    active point's rank in the sorted `sensitive` list (`ranks[c]`, sorted):
+    small exact int64s whatever the denominators.  Neither builds a table
+    over pairs or triples of cuts.  Gap cuts look count vectors up in one
+    sorted key array: O(m^2 log m) time and O(m) memory over the m
+    candidate cuts.  On-point cuts solve the blue cut in closed form for
+    each red and green cut: O(k^2) candidates, O(k) memory.
     """
-    rank = {t: i for i, t in enumerate(sensitive)}
-    ranks = {c: np.array([rank[t] for t in active[c]], dtype=np.int64) for c in RGB}
+    if (k + 1) ** 3 > np.iinfo(np.int64).max:
+        raise PreconditionViolated(f"k={k} is too large for int64 count keys")
     if k % 2 == 1:
         return _search_on_point(ranks, sensitive, k)
     return _search_gap_cuts(ranks, sensitive, k)
 
 
+def _count_key(idx, k: int):
+    """Count vectors (R, G, B) with entries in 0..k as base-(k+1) int64s.
+
+    The map is linear and one-to-one on 0..k, so the key of a sum of
+    in-range vectors is the sum of their keys.
+    """
+    return (idx[Color.R] * (k + 1) + idx[Color.G]) * (k + 1) + idx[Color.B]
+
+
+def _first_key_at(key, target, start):
+    """Per entry, the first position p >= start with key[p] == target, or
+    len(key) if there is none.  `key` is sorted, so the positions holding
+    one key form a single run, which one binary search finds."""
+    m = len(key)
+    pos = np.maximum(np.searchsorted(key, target), start)
+    found = pos < m
+    found[found] = key[pos[found]] == target[found]
+    return np.where(found, pos, m)
+
+
 def _search_gap_cuts(ranks, sensitive, k: int) -> CutProfile | None:
     # candidate cut i is the midpoint of sensitive[i] and sensitive[i + 1],
     # which can never collide with a point or an arc boundary; idx[c][i]
-    # counts the active points of color c below it
+    # counts the active points of color c below it.  Each idx[c] is
+    # non-decreasing in i, so key[i] is sorted, and two cuts share a key
+    # exactly when they share a count vector.
     m = len(sensitive) - 1
     idx = {c: np.searchsorted(ranks[c], np.arange(m), side="right") for c in RGB}
     want = k // 2
+    key = _count_key(idx, k)
+    unit = _count_key({c: 1 for c in RGB}, k)  # key of (1, 1, 1)
 
     def cut(i) -> Rat:
         i = int(i)
@@ -341,60 +418,77 @@ def _search_gap_cuts(ranks, sensitive, k: int) -> CutProfile | None:
     hits = np.flatnonzero(ok)
     if hits.size:
         return CutProfile((cut(hits[0]),), 1, False)
-    # r = 2: side + is below the first cut and above the second
-    ok = None
-    for c in RGB:
-        cond = (idx[c][None, :] - idx[c][:, None]) == want  # [i, j] = idx[j]-idx[i]
-        ok = cond if ok is None else (ok & cond)
-    iu = np.triu_indices(m, 1)
-    flat = ok[iu]
-    hits = np.flatnonzero(flat)
+    # r = 2: side + is below the first cut a and above the second, so
+    # idx[j] = idx[a] + want; only cuts a with idx[a] + want <= k can match
+    top = min(int(np.searchsorted(idx[c], k - want, side="right")) for c in RGB)
+    second = _first_key_at(key, key[:top] + want * unit, np.arange(1, top + 1))
+    hits = np.flatnonzero(second < m)
     if hits.size:
         h = int(hits[0])
-        return CutProfile((cut(iu[0][h]), cut(iu[1][h])), 1, False)
-    # r = 3: side + is between cut 1 and 2, or above cut 3
-    diff = {c: idx[c][None, :] - idx[c][:, None] for c in RGB}  # [a, b] = idx[b]-idx[a]
-    for ai in range(m):
-        ok = None
-        for c in RGB:
-            # count+ = (idx[b] - idx[ai]) + (k - idx[c2])
-            cond = (diff[c][ai][:, None] + k - idx[c][None, :]) == want
-            ok = cond if ok is None else (ok & cond)
-        bi, ci = np.nonzero(ok)
-        keep = (bi > ai) & (ci > bi)
-        if keep.any():
-            pos = int(np.argmax(keep))
-            return CutProfile((cut(ai), cut(bi[pos]), cut(ci[pos])), 1, False)
+        return CutProfile((cut(h), cut(second[h])), 1, False)
+    # r = 3: side + is between cut 1 and 2, or above cut 3, so
+    # idx[c3] = idx[b] - idx[a] + k - want, in range for the b (a prefix
+    # past a) where no color gains more than want points over a
+    for a in range(m):
+        top = min(
+            int(np.searchsorted(idx[c], idx[c][a] + want, side="right")) for c in RGB
+        )
+        second = np.arange(a + 1, top)
+        third = _first_key_at(
+            key, key[a + 1 : top] - key[a] + (k - want) * unit, second + 1
+        )
+        hits = np.flatnonzero(third < m)
+        if hits.size:
+            h = int(hits[0])
+            return CutProfile((cut(a), cut(second[h]), cut(third[h])), 1, False)
     return None
 
 
 def _search_on_point(ranks, sensitive, k: int) -> CutProfile | None:
-    """Odd k: one cut on a point of each color; remaining k-1 split evenly."""
+    """Odd k: one cut on a point of each color; remaining k-1 split evenly.
+
+    With the red and green cuts fixed, blue's own side count is strictly
+    monotone in the blue cut's index within each order region (below both
+    other cuts, between them, above both), so each region admits at most
+    one blue cut, solved in closed form.  The count formula then checks
+    every color on those candidates, red cut by red cut.
+    """
     want = (k - 1) // 2
-    # lexicographic combos over (red cut, green cut, blue cut)
-    rr = np.repeat(ranks[Color.R], k * k)
-    gg = np.tile(np.repeat(ranks[Color.G], k), k)
-    bb = np.tile(ranks[Color.B], k * k)
-    cuts = np.sort(np.stack([rr, gg, bb], axis=1), axis=1)
-    own = {Color.R: rr, Color.G: gg, Color.B: bb}
-    ok = None
-    for c in RGB:
-        i1 = np.searchsorted(ranks[c], cuts[:, 0])
-        i2 = np.searchsorted(ranks[c], cuts[:, 1])
-        i3 = np.searchsorted(ranks[c], cuts[:, 2])
-        plus = i2 - i1 + k - i3
-        # own cut point gets excised; it was tallied in + iff it is the
-        # lowest or highest cut (even number of cuts strictly above it).
-        # Cuts never collide across colors: parameters are globally distinct
-        excised_plus = (cuts[:, 0] == own[c]) | (cuts[:, 2] == own[c])
-        plus = plus - excised_plus.astype(np.int64)
-        cond = plus == want
-        ok = cond if ok is None else (ok & cond)
-    hits = np.flatnonzero(ok)
-    if not hits.size:
-        return None
-    h = int(hits[0])
-    return CutProfile(tuple(sensitive[int(r)] for r in cuts[h]), 1, True)
+    red, green, blue = ranks[Color.R], ranks[Color.G], ranks[Color.B]
+    for x in red:
+        # rows: green cuts; columns: blue cut index ib below both, between
+        # and above both, where blue's own side count is bl - ib + k - bh - 1,
+        # ib - bl + k - bh and bh - bl + k - ib - 1; each is want at one ib
+        lo, hi = np.minimum(x, green), np.maximum(x, green)
+        bl, bh = np.searchsorted(blue, lo), np.searchsorted(blue, hi)
+        ib = np.stack(
+            [bl + k - bh - 1 - want, want + bl + bh - k, bh - bl + k - 1 - want], axis=1
+        )
+        edges = np.stack([np.zeros_like(bl), bl, bh, np.full_like(bl, k)], axis=1)
+        ok = (edges[:, :3] <= ib) & (ib < edges[:, 1:])
+        triple = np.stack(
+            [np.full(ib.shape, x), np.broadcast_to(green[:, None], ib.shape),
+             blue[np.where(ok, ib, 0)]],
+            axis=2,
+        ).reshape(-1, 3)
+        ok = ok.ravel()
+        cuts = np.sort(triple, axis=1)
+        for i, c in enumerate(RGB):
+            i1 = np.searchsorted(ranks[c], cuts[:, 0])
+            i2 = np.searchsorted(ranks[c], cuts[:, 1])
+            i3 = np.searchsorted(ranks[c], cuts[:, 2])
+            plus = i2 - i1 + k - i3
+            # own cut point gets excised; it was tallied in + iff it is the
+            # lowest or highest cut (even number of cuts strictly above it).
+            # Cuts never collide across colors: parameters are globally distinct
+            mine = triple[:, i]
+            plus = plus - ((cuts[:, 0] == mine) | (cuts[:, 2] == mine))
+            ok &= plus == want
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            h = int(hits[0])
+            return CutProfile(tuple(sensitive[int(r)] for r in cuts[h]), 1, True)
+    return None
 
 
 # -- the driver ----------------------------------------------------------------

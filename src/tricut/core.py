@@ -320,6 +320,9 @@ def require_rgb(colors: Iterable[Color], what: str = "point", per_color: int | N
 # boundary hits.  The full circle is canonically ((0, 1),).
 
 
+_FULL_CIRCLE_ARCS = ((Fraction(0), Fraction(1)),)
+
+
 @dataclass(frozen=True)
 class ArcSet:
     arcs: tuple[tuple[Rat, Rat], ...]
@@ -340,7 +343,7 @@ class ArcSet:
 
     @property
     def is_full_circle(self) -> bool:
-        return self.arcs == ((Fraction(0), Fraction(1)),)
+        return self.arcs == _FULL_CIRCLE_ARCS
 
     @property
     def is_empty(self) -> bool:
@@ -356,9 +359,11 @@ class ArcSet:
         """Membership of parameter t (taken mod 1). Endpoints raise."""
         if self.is_full_circle:
             return True
-        t = t % 1
+        if not 0 <= t < 1:
+            t = t % 1
         for lo, hi in self.arcs:
-            if t == lo % 1 or t == hi % 1:
+            # lo is in [0, 1) and hi in (lo, lo + 1], so neither needs a mod
+            if t == lo or t == (hi - 1 if hi >= 1 else hi):
                 raise BoundaryPoint(f"parameter {t} is an arc endpoint")
             if lo < t < hi or (hi > 1 and t < hi - 1):
                 return True

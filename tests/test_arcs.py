@@ -2,15 +2,21 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tricut.arcs import (
     OP_COMPLEMENT,
     OP_HALVE,
+    CutProfile,
     OpPlan,
+    _search_gap_cuts,
+    _search_on_point,
+    _search_profile,
     bfs_shortest,
     bfs_shortest_lengths,
     eval_plans_batch,
@@ -426,3 +432,124 @@ class TestRotateParameters:
         pts = [circle_point(F(3, 4), "R")]
         moved, _ = rotate_parameters(pts, full_circle(), F(1, 2))
         assert moved[0].t == F(1, 4)
+
+
+# -- the cut searches against the full-table searches they replace -------------
+
+
+def reference_gap_cuts(ranks, sensitive, k):
+    """Every cut pair in one m x m table, an m x m table per first cut of three."""
+    m = len(sensitive) - 1
+    idx = {c: np.searchsorted(ranks[c], np.arange(m), side="right") for c in RGB}
+    want = k // 2
+
+    def cut(i):
+        i = int(i)
+        return (sensitive[i] + sensitive[i + 1]) / 2
+
+    ok = None
+    for c in RGB:
+        cond = (k - idx[c]) == want
+        ok = cond if ok is None else (ok & cond)
+    hits = np.flatnonzero(ok)
+    if hits.size:
+        return CutProfile((cut(hits[0]),), 1, False)
+    ok = None
+    for c in RGB:
+        cond = (idx[c][None, :] - idx[c][:, None]) == want
+        ok = cond if ok is None else (ok & cond)
+    iu = np.triu_indices(m, 1)
+    hits = np.flatnonzero(ok[iu])
+    if hits.size:
+        h = int(hits[0])
+        return CutProfile((cut(iu[0][h]), cut(iu[1][h])), 1, False)
+    diff = {c: idx[c][None, :] - idx[c][:, None] for c in RGB}
+    for ai in range(m):
+        ok = None
+        for c in RGB:
+            cond = (diff[c][ai][:, None] + k - idx[c][None, :]) == want
+            ok = cond if ok is None else (ok & cond)
+        bi, ci = np.nonzero(ok)
+        keep = (bi > ai) & (ci > bi)
+        if keep.any():
+            pos = int(np.argmax(keep))
+            return CutProfile((cut(ai), cut(bi[pos]), cut(ci[pos])), 1, False)
+    return None
+
+
+def reference_on_point(ranks, sensitive, k):
+    """Every (red, green, blue) cut triple in one k^3 table."""
+    want = (k - 1) // 2
+    rr = np.repeat(ranks[Color.R], k * k)
+    gg = np.tile(np.repeat(ranks[Color.G], k), k)
+    bb = np.tile(ranks[Color.B], k * k)
+    cuts = np.sort(np.stack([rr, gg, bb], axis=1), axis=1)
+    own = {Color.R: rr, Color.G: gg, Color.B: bb}
+    ok = None
+    for c in RGB:
+        i1 = np.searchsorted(ranks[c], cuts[:, 0])
+        i2 = np.searchsorted(ranks[c], cuts[:, 1])
+        i3 = np.searchsorted(ranks[c], cuts[:, 2])
+        plus = i2 - i1 + k - i3
+        plus = plus - ((cuts[:, 0] == own[c]) | (cuts[:, 2] == own[c]))
+        cond = plus == want
+        ok = cond if ok is None else (ok & cond)
+    hits = np.flatnonzero(ok)
+    if not hits.size:
+        return None
+    h = int(hits[0])
+    return CutProfile(tuple(sensitive[int(r)] for r in cuts[h]), 1, True)
+
+
+@st.composite
+def search_inputs(draw):
+    """k points per color on distinct ranks among at most 40 sensitive
+    parameters.  Odd k in the gap search and even k in the on-point search
+    are outside their use and often have no hit."""
+    k = draw(st.integers(1, 12))
+    size = draw(st.integers(max(3 * k, 2), 40))
+    pos = draw(st.permutations(range(size)))
+    return k, size, [sorted(pos[i * k : (i + 1) * k]) for i in range(3)]
+
+
+def search_args(k, size, per_color):
+    ranks = {c: np.array(r, dtype=np.int64) for c, r in zip(RGB, per_color)}
+    return ranks, [F(i, size) for i in range(size)], k
+
+
+class TestSearchesMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @example((1, 3, [[0], [2], [1]]))  # gap search, no hit
+    @example((2, 6, [[0, 1], [3, 4], [2, 5]]))  # on-point search, no hit
+    @given(search_inputs())
+    def test_same_profile(self, case):
+        args = search_args(*case)
+        assert _search_gap_cuts(*args) == reference_gap_cuts(*args)
+        assert _search_on_point(*args) == reference_on_point(*args)
+
+    def test_no_hit_examples(self):
+        assert reference_gap_cuts(*search_args(1, 3, [[0], [2], [1]])) is None
+        assert reference_on_point(*search_args(2, 6, [[0, 1], [3, 4], [2, 5]])) is None
+
+    def test_k_beyond_int64_keys(self):
+        ranks = {c: np.zeros(0, dtype=np.int64) for c in RGB}
+        with pytest.raises(PreconditionViolated, match="int64"):
+            _search_profile(ranks, [F(0), F(1)], 2**21)
+
+
+class TestMemory:
+    """The searches hold O(m) (gap) and O(k) (on-point) numbers at a time;
+    a k^3 table of cut triples would take about 790 MB at n=200, k=101."""
+
+    @pytest.mark.parametrize("k", [100, 101, 199])
+    def test_peak_under_50mb(self, k):
+        pts = generate(GenSpec(GenKind.CirclePoints3C, 200, 1))
+        tracemalloc.start()
+        try:
+            a = find_k_arcset(pts, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert a.component_count() <= 2
+        assert set(side_counts(a, pts).values()) == {k}
+        assert peak < 50 * 2**20
