@@ -10,10 +10,15 @@ The search walks a fixed sequence of 6n + 1 "sided orderings" of the point
 set.  Each ordering maps to a closed lattice polygon built from its prefix
 color deficits; a vertex of that polygon at the origin certifies a balanced
 prefix, and the prefix of a sided ordering is exactly the point set on one
-side of an L-line.  Consecutive orderings differ by moving a single point,
-and each polygon is rebuilt per ordering; the two terminal polygons are
-reverses of each other, which forces an origin vertex somewhere along the
-sequence.
+side of an L-line.  Consecutive orderings differ by moving a single point;
+the two terminal polygons are reverses of each other, which forces an origin
+vertex somewhere along the sequence.
+
+The points are sorted once by x and once by y (the rank frame).  A quarter
+turn only reverses or swaps those two orders, so each ordering is two slices
+of the one frame, an index array, and its polygon is the cumulative sum of
+an integer step array taken in that order.  The L-line's corner is read off
+the same sorted coordinates.
 """
 
 from __future__ import annotations
@@ -164,7 +169,77 @@ def lline_counts(l: LLine, s) -> tuple[tuple[int, int, int], tuple[int, int, int
     )
 
 
+# -- the rank frame ------------------------------------------------------------
+
+# the rotated x and y after each number of clockwise quarter turns, as
+# (axis, sign) with axis 0 = x and 1 = y: one turn maps (x, y) to (y, -x)
+_TURN_AXES = {
+    0: ((0, 1), (1, 1)),
+    1: ((1, 1), (0, -1)),
+    2: ((0, -1), (1, -1)),
+    3: ((1, -1), (0, 1)),
+}
+
+
+class _RankFrame:
+    """The points sorted once by x and once by y, as index arrays and ranks.
+
+    A quarter turn only reverses or swaps the two sort orders, so every
+    rotated order is one of four arrays built here, and a rotated coordinate
+    compares like its rank.  Needs integer points with distinct x and
+    distinct y.
+    """
+
+    def __init__(self, points: Sequence[ColoredPoint]):
+        self.points = points
+        m = self.m = len(points)
+        # sorted coordinate values per axis, for the corners of realized L-lines
+        self.coords: list[list[int]] = []
+        self._oriented: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        for axis in (0, 1):
+            vals = [int(p.y if axis else p.x) for p in points]
+            by = np.array(sorted(range(m), key=vals.__getitem__), dtype=np.intp)
+            rank = np.empty(m, dtype=np.intp)
+            rank[by] = np.arange(m)
+            self.coords.append([vals[i] for i in by])
+            self._oriented[axis, 1] = (by, rank)
+            self._oriented[axis, -1] = (by[::-1], m - 1 - rank)
+
+    def rotated(self, turns: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """((order, rank) of the rotated x, (order, rank) of the rotated y)
+        after `turns` clockwise quarter turns; orders are ascending."""
+        return tuple(self._oriented[a] for a in _TURN_AXES[turns])
+
+    def ordering(self, anchor: int, turns: int) -> np.ndarray:
+        """Indices of the sided ordering at point `anchor`: the points at or
+        above it top to bottom, then the rest left to right."""
+        (x_order, _), (y_order, y_rank) = self.rotated(turns)
+        r = y_rank[anchor]
+        return np.concatenate((y_order[r:][::-1], x_order[y_rank[x_order] < r]))
+
+
+def _lattice_frame(s) -> _RankFrame:
+    """Rank frame of a LatticePointSet, or of raw points after checking them."""
+    points = _points_of(s)
+    if not isinstance(s, LatticePointSet):
+        _check_lattice_general_position(points)
+    return _RankFrame(points)
+
+
 # -- orthogonal convex hull ----------------------------------------------------
+
+
+def _hull_indices(frame: _RankFrame) -> np.ndarray:
+    # p is undominated on its left exactly when its y is a new maximum or
+    # minimum of the y ranks met so far in x order; the reversed sweep
+    # covers its right
+    (by_x, _), (_, y_rank) = frame.rotated(0)
+    yr = y_rank[by_x]
+
+    def extreme(v):
+        return (v == np.maximum.accumulate(v)) | (v == np.minimum.accumulate(v))
+
+    return np.sort(by_x[extreme(yr) | extreme(yr[::-1])[::-1]])
 
 
 def ortho_hull(s) -> list[ColoredPoint]:
@@ -174,37 +249,21 @@ def ortho_hull(s) -> list[ColoredPoint]:
     of the orthogonal convex hull.  Accepts a LatticePointSet or any
     sequence of integer-coordinate points with distinct x and distinct y.
     """
-    points = _points_of(s)
-    if not isinstance(s, LatticePointSet):
-        _check_lattice_general_position(points)
-    if not points:
-        return []
-    by_x = sorted(points, key=lambda p: p.x)
-    on_hull = set()
-    # p is undominated on its left exactly when its y lies outside the y
-    # range of the points left of it; the reversed sweep covers its right
-    for sweep in (by_x, by_x[::-1]):
-        lo = hi = sweep[0].y
-        for p in sweep:
-            if not lo < p.y < hi:
-                on_hull.add(id(p))
-                lo, hi = min(lo, p.y), max(hi, p.y)
-    return [p for p in points if id(p) in on_hull]
+    frame = _lattice_frame(s)
+    return [frame.points[i] for i in _hull_indices(frame)]
+
+
+def _hull_color(frame: _RankFrame) -> Color:
+    """The one color of the orthogonal hull; raises unless it is monochromatic."""
+    hull_colors = {frame.points[i].color for i in _hull_indices(frame)}
+    if len(hull_colors) != 1:
+        raise PreconditionViolated(
+            f"orthogonal hull is not monochromatic: {sorted(c.value for c in hull_colors)}"
+        )
+    return hull_colors.pop()
 
 
 # -- sided orderings and their curves ------------------------------------------
-
-
-def _rot_cw(x: Rat, y: Rat, turns: int) -> tuple[Rat, Rat]:
-    for _ in range(turns % 4):
-        x, y = y, -x
-    return x, y
-
-
-def _rot_ccw(x: Rat, y: Rat, turns: int) -> tuple[Rat, Rat]:
-    for _ in range(turns % 4):
-        x, y = -y, x
-    return x, y
 
 
 @dataclass(frozen=True)
@@ -221,38 +280,36 @@ class SidedOrdering:
 def sided_ordering(p: ColoredPoint, quarter_turns: int, s) -> SidedOrdering:
     if quarter_turns not in (0, 1, 2, 3):
         raise PreconditionViolated("quarter_turns must be 0, 1, 2 or 3")
-    points = _points_of(s)
+    frame = _lattice_frame(s)
+    points = frame.points
     if p not in points:
         raise PreconditionViolated("anchor must belong to the point set")
-    rot = {q: _rot_cw(q.x, q.y, quarter_turns) for q in points}
-    py = rot[p][1]
-    above = sorted((q for q in points if rot[q][1] >= py), key=lambda q: -rot[q][1])
-    below = sorted((q for q in points if rot[q][1] < py), key=lambda q: rot[q][0])
-    return SidedOrdering(p, quarter_turns, tuple(above + below))
+    order = frame.ordering(points.index(p), quarter_turns)
+    return SidedOrdering(p, quarter_turns, tuple(points[i] for i in order))
 
 
-def _hull_color(s) -> Color:
-    """The one color of the orthogonal hull; raises unless it is monochromatic."""
-    hull_colors = {p.color for p in ortho_hull(s)}
-    if len(hull_colors) != 1:
-        raise PreconditionViolated(
-            f"orthogonal hull is not monochromatic: {sorted(c.value for c in hull_colors)}"
-        )
-    return hull_colors.pop()
-
-
-def _step_table(hull_color: Color) -> dict[Color, tuple[int, int]]:
+def _color_steps(points: Sequence[ColoredPoint], hull_color: Color) -> np.ndarray:
+    """One row per point: (-1,-1) for the hull color, (2,-1) and (-1,2) for
+    the other two colors in R, G, B order."""
     others = [c for c in RGB if c is not hull_color]
-    return {hull_color: (-1, -1), others[0]: (2, -1), others[1]: (-1, 2)}
+    step = {hull_color: (-1, -1), others[0]: (2, -1), others[1]: (-1, 2)}
+    return np.array([step[p.color] for p in points], dtype=np.int64).reshape(-1, 2)
 
 
-def _prefix_deficits(order: Sequence[ColoredPoint], step) -> list[tuple[int, int]]:
-    """q_0..q_m: q_k sums the color steps of the first k points."""
-    q = [(0, 0)]
-    for p in order:
-        dx, dy = step[p.color]
-        q.append((q[-1][0] + dx, q[-1][1] + dy))
-    return q
+def _prefix_deficits(steps: np.ndarray) -> np.ndarray:
+    """Rows q_1..q_m: q_k sums the color steps of the first k points."""
+    return steps.cumsum(axis=0)
+
+
+def _balanced_prefixes(q: np.ndarray, ends_on_hull: bool) -> np.ndarray:
+    """Lengths k in 1..m-1 with q_k at the origin, once the curve is checked
+    to run from (-1,-1) to (1,1) and to end on a hull-colored point."""
+    if q[0].tolist() != [-1, -1] or q[-2].tolist() != [1, 1] or not ends_on_hull:
+        raise PreconditionViolated(
+            "ordering must start and end with hull-colored points "
+            "(is the orthogonal hull monochromatic?)"
+        )
+    return np.flatnonzero(~q[:-1].any(axis=1)) + 1
 
 
 @dataclass(frozen=True)
@@ -268,6 +325,10 @@ class LatticeCurvePrefix:
         return LatticePolygon(self.vertices + anti)
 
 
+def _curve_prefix(q: np.ndarray, zeros: np.ndarray) -> LatticeCurvePrefix:
+    return LatticeCurvePrefix(tuple(map(tuple, q[:-1].tolist())), tuple(zeros.tolist()))
+
+
 def lattice_curve(sigma: SidedOrdering, hull_color: Color | None = None) -> LatticeCurvePrefix:
     """Build the prefix curve of a sided ordering.
 
@@ -279,29 +340,21 @@ def lattice_curve(sigma: SidedOrdering, hull_color: Color | None = None) -> Latt
     pts = sigma.order
     require_rgb([p.color for p in pts])
     if hull_color is None:
-        hull_color = _hull_color(pts)
-    q = _prefix_deficits(pts, _step_table(hull_color))
-    verts = q[1:-1]
-    zeros = [k for k in range(1, len(pts)) if q[k] == (0, 0)]
-    if verts[0] != (-1, -1) or verts[-1] != (1, 1) or pts[-1].color is not hull_color:
-        raise PreconditionViolated(
-            "ordering must start and end with hull-colored points "
-            "(is the orthogonal hull monochromatic?)"
-        )
-    return LatticeCurvePrefix(tuple(verts), tuple(zeros))
+        hull_color = _hull_color(_lattice_frame(pts))
+    q = _prefix_deficits(_color_steps(pts, hull_color))
+    return _curve_prefix(q, _balanced_prefixes(q, pts[-1].color is hull_color))
 
 
 # -- the zero-vertex sweep -----------------------------------------------------
 
 
-def _ordering_sequence(s: LatticePointSet):
-    """Anchor/rotation schedule: down the y order at half a turn, up the x
-    order at three quarters, then the y-minimal anchor unrotated."""
-    by_y = sorted(s.points, key=lambda p: p.y)
-    by_x = sorted(s.points, key=lambda p: p.x)
-    seq = [(p, 2) for p in reversed(by_y)]
-    seq += [(p, 3) for p in by_x]
-    seq.append((by_y[0], 0))
+def _ordering_sequence(frame: _RankFrame) -> list[tuple[int, int]]:
+    """Anchor index/rotation schedule: down the y order at half a turn, up
+    the x order at three quarters, then the y-minimal anchor unrotated."""
+    (by_x, _), (by_y, _) = frame.rotated(0)
+    seq = [(int(i), 2) for i in by_y[::-1]]
+    seq += [(int(i), 3) for i in by_x]
+    seq.append((int(by_y[0]), 0))
     return seq
 
 
@@ -317,16 +370,20 @@ def find_balanced_lline(s: LatticePointSet, validate: bool = False) -> tuple[LLi
     n = s.n
     if n < 2:
         raise PreconditionViolated("n >= 2 is required for a nontrivial L-line")
-    hull_color = _hull_color(s)
+    frame = _RankFrame(s.points)
+    hull_color = _hull_color(frame)
+    steps = _color_steps(s.points, hull_color)
+    on_hull_color = [p.color is hull_color for p in s.points]
     windings: list[int] = []
 
-    for anchor, turns in _ordering_sequence(s):
-        sigma = sided_ordering(anchor, turns, s)
-        curve = lattice_curve(sigma, hull_color)
-        if curve.zeros:
-            return _realize_prefix(s, sigma, curve.zeros[0])
+    for anchor, turns in _ordering_sequence(frame):
+        order = frame.ordering(anchor, turns)
+        q = _prefix_deficits(steps[order])
+        zeros = _balanced_prefixes(q, on_hull_color[order[-1]])
+        if zeros.size:
+            return _realize_prefix(s, frame, anchor, turns, order, int(zeros[0]))
         if validate:
-            w = winding_number(curve.closed())
+            w = winding_number(_curve_prefix(q, zeros).closed())
             if windings and w != windings[-1]:
                 raise InternalError(
                     "winding changed between consecutive origin-free curves",
@@ -344,55 +401,41 @@ def find_balanced_lline(s: LatticePointSet, validate: bool = False) -> tuple[LLi
     raise InternalError("no balanced prefix in the full ordering sequence", trace)
 
 
-def _sep_below(sorted_vals: list[Rat], v: Rat) -> Rat:
-    """Canonical half-integer separator just below v: the largest occupied
-    value below v plus 1/2, or the minimum minus 1/2 when none lies below.
-    Moving v there crosses no occupied value."""
-    lower = [u for u in sorted_vals if u < v]
-    if lower:
-        return lower[-1] + HALF
-    return sorted_vals[0] - HALF
+def _realize_prefix(
+    s: LatticePointSet, frame: _RankFrame, anchor: int, turns: int, order: np.ndarray, k0: int
+) -> tuple[LLine, int]:
+    """L-line whose one side is exactly the first k0 points of the ordering.
 
-
-def _snap_corner(s: LatticePointSet, cx: Rat, cy: Rat) -> tuple[Rat, Rat]:
-    """Move the corner onto the canonical grid (occupied coordinate + 1/2,
-    or minimum - 1/2) without crossing any occupied coordinate."""
-    xs = sorted(p.x for p in s.points)
-    ys = sorted(p.y for p in s.points)
-    return _sep_below(xs, cx), _sep_below(ys, cy)
-
-
-def _realize_prefix(s: LatticePointSet, sigma: SidedOrdering, k0: int) -> tuple[LLine, int]:
-    """L-line whose one side is exactly the first k0 points of the ordering."""
-    turns = sigma.quarter_turns
-    order = sigma.order
-    rot = {p: _rot_cw(p.x, p.y, turns) for p in s.points}
-    anchor_rx, anchor_ry = rot[sigma.anchor]
-    a_size = sum(1 for p in s.points if rot[p][1] >= anchor_ry)
+    The corner is placed by gaps in the rotated frame (gap g lies above g
+    rotated coordinates), mapped back to gaps of the x and y orders and
+    then onto the canonical grid: occupied coordinate + 1/2, or
+    minimum - 1/2 below every point.
+    """
+    m = frame.m
+    (_, x_rank), (_, y_rank) = frame.rotated(turns)
+    a_size = m - int(y_rank[anchor])
 
     if k0 <= a_size:
         # prefix = the k0 highest points in the rotated frame
-        ry_k = rot[order[k0 - 1]][1]
-        sorted_ry = sorted(rot[p][1] for p in s.points)
-        cy = _sep_below(sorted_ry, ry_k)
-        cx = anchor_rx + HALF
+        gaps = (int(x_rank[anchor]) + 1, m - k0)
         rays_rot = (RayDir.LEFT, RayDir.RIGHT)
     else:
         # prefix = everything at-or-above the anchor, plus the leftmost
         # k0 - a_size of the rest: the complement of an open quadrant
-        rx_j = rot[order[k0 - 1]][0]
-        cx = rx_j + HALF
-        cy = anchor_ry - HALF
+        gaps = (int(x_rank[order[k0 - 1]]) + 1, m - a_size)
         rays_rot = (RayDir.DOWN, RayDir.RIGHT)
 
-    ox, oy = _rot_ccw(cx, cy, turns)
+    corner: list[Rat] = [HALF, HALF]
+    for (axis, sign), g in zip(_TURN_AXES[turns], gaps):
+        g = g if sign > 0 else m - g
+        vals = frame.coords[axis]
+        corner[axis] = vals[g - 1] + HALF if g else vals[0] - HALF
     rays = []
     for r in rays_rot:
-        for _ in range(turns % 4):
+        for _ in range(turns):
             r = _CCW_RAY[r]
         rays.append(r)
-    corner = _snap_corner(s, ox, oy)
-    l = LLine(corner, tuple(rays))
+    l = LLine(tuple(corner), tuple(rays))
 
     c1, c2 = lline_counts(l, s)
     n = s.n

@@ -1,10 +1,14 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricut.core import Color, pt
+from tricut import llines
+from tricut.core import Color, LatticePolygon, pt, winding_number
+from tricut.generators import GenKind, GenSpec, generate
 from tricut.errors import (
     MissingColor,
     PreconditionViolated,
@@ -14,6 +18,7 @@ from tricut.llines import (
     LatticePointSet,
     RAY_PAIRS,
     RayDir,
+    _RankFrame,
     _ordering_sequence,
     brute_oracle_llines,
     find_balanced_lline,
@@ -51,6 +56,10 @@ def _block_move(old: tuple, new: tuple):
     raise ValueError(f"not a single block move: span [{lo}, {hi}]")
 
 
+def _anchor_sequence(s: LatticePointSet):
+    return [(s.points[i], turns) for i, turns in _ordering_sequence(_RankFrame(s.points))]
+
+
 def _ortho_hull_reference(points):
     # the definition: p is on the hull when some open quadrant at p is empty
     hull = []
@@ -70,6 +79,102 @@ def _ortho_hull_reference(points):
         if ne or nw or se or sw:
             hull.append(p)
     return hull
+
+
+# -- reference copies of the Fraction rotate-and-sort search ------------------
+
+
+def _rot_cw_reference(x, y, turns):
+    for _ in range(turns % 4):
+        x, y = y, -x
+    return x, y
+
+
+def _rot_ccw_reference(x, y, turns):
+    for _ in range(turns % 4):
+        x, y = -y, x
+    return x, y
+
+
+def _sided_ordering_reference(p, turns, points):
+    rot = {q: _rot_cw_reference(q.x, q.y, turns) for q in points}
+    py = rot[p][1]
+    above = sorted((q for q in points if rot[q][1] >= py), key=lambda q: -rot[q][1])
+    below = sorted((q for q in points if rot[q][1] < py), key=lambda q: rot[q][0])
+    return tuple(above + below)
+
+
+def _sep_below_reference(sorted_vals, v):
+    lower = [u for u in sorted_vals if u < v]
+    return lower[-1] + F(1, 2) if lower else sorted_vals[0] - F(1, 2)
+
+
+_CCW_REFERENCE = {
+    RayDir.UP: RayDir.LEFT,
+    RayDir.LEFT: RayDir.DOWN,
+    RayDir.DOWN: RayDir.RIGHT,
+    RayDir.RIGHT: RayDir.UP,
+}
+
+
+def _realize_reference(s, anchor, turns, order, k0):
+    # rotate every point, place the corner in the rotated frame, rotate it
+    # back and snap it onto the canonical grid
+    rot = {p: _rot_cw_reference(p.x, p.y, turns) for p in s.points}
+    anchor_rx, anchor_ry = rot[anchor]
+    a_size = sum(1 for p in s.points if rot[p][1] >= anchor_ry)
+    if k0 <= a_size:
+        sorted_ry = sorted(r[1] for r in rot.values())
+        cx = anchor_rx + F(1, 2)
+        cy = _sep_below_reference(sorted_ry, rot[order[k0 - 1]][1])
+        rays = (RayDir.LEFT, RayDir.RIGHT)
+    else:
+        cx = rot[order[k0 - 1]][0] + F(1, 2)
+        cy = anchor_ry - F(1, 2)
+        rays = (RayDir.DOWN, RayDir.RIGHT)
+    ox, oy = _rot_ccw_reference(cx, cy, turns)
+    for _ in range(turns):
+        rays = tuple(_CCW_REFERENCE[r] for r in rays)
+    corner = (
+        _sep_below_reference(sorted(p.x for p in s.points), ox),
+        _sep_below_reference(sorted(p.y for p in s.points), oy),
+    )
+    l = LLine(corner, rays)
+    return l, lline_counts(l, s)[0][0]
+
+
+def _find_balanced_lline_reference(s, validate):
+    points = s.points
+    (hull_color,) = {p.color for p in _ortho_hull_reference(points)}
+    others = [c for c in (Color.R, Color.G, Color.B) if c is not hull_color]
+    step = {hull_color: (-1, -1), others[0]: (2, -1), others[1]: (-1, 2)}
+    by_y = sorted(points, key=lambda p: p.y)
+    by_x = sorted(points, key=lambda p: p.x)
+    seq = [(p, 2) for p in reversed(by_y)] + [(p, 3) for p in by_x] + [(by_y[0], 0)]
+    windings = set()
+    for anchor, turns in seq:
+        order = _sided_ordering_reference(anchor, turns, points)
+        q = [(0, 0)]
+        for p in order:
+            q.append((q[-1][0] + step[p.color][0], q[-1][1] + step[p.color][1]))
+        zeros = [k for k in range(1, len(order)) if q[k] == (0, 0)]
+        if zeros:
+            return _realize_reference(s, anchor, turns, order, zeros[0])
+        if validate:
+            verts = tuple(q[1:-1])
+            anti = tuple((-x, -y) for x, y in verts)
+            windings.add(winding_number(LatticePolygon(verts + anti)))
+            assert len(windings) == 1
+    raise AssertionError("no balanced prefix in the full ordering sequence")
+
+
+def _relabel(s: LatticePointSet, xs, ys) -> LatticePointSet:
+    # replace the i-th smallest x by xs[i] and the i-th smallest y by ys[i]
+    rx = {v: i for i, v in enumerate(sorted(p.x for p in s.points))}
+    ry = {v: i for i, v in enumerate(sorted(p.y for p in s.points))}
+    return LatticePointSet(
+        tuple(pt(xs[rx[p.x]], ys[ry[p.y]], p.color) for p in s.points)
+    )
 
 
 def ring12() -> LatticePointSet:
@@ -273,6 +378,19 @@ class TestSidedOrdering:
         with pytest.raises(PreconditionViolated):
             sided_ordering(triple().points[0], 4, triple())
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_rotate_and_sort_reference(self, data):
+        big = st.integers(-10**12, 10**12)
+        xs = data.draw(st.lists(big, unique=True, min_size=1, max_size=12))
+        ys = data.draw(st.lists(big, unique=True, min_size=len(xs), max_size=len(xs)))
+        colors = data.draw(st.lists(st.sampled_from("RGB"), min_size=len(xs), max_size=len(xs)))
+        points = [pt(x, y, c) for x, y, c in zip(xs, ys, colors)]
+        for p in points:
+            for turns in range(4):
+                got = sided_ordering(p, turns, points)
+                assert got.order == _sided_ordering_reference(p, turns, points)
+
 
 class TestLatticeCurve:
     def test_ring12_ascending_y_curve(self):
@@ -295,7 +413,7 @@ class TestLatticeCurve:
 
     def test_steps_and_endpoints_for_every_ordering(self):
         s = ring12()
-        for anchor, turns in _ordering_sequence(s):
+        for anchor, turns in _anchor_sequence(s):
             curve = lattice_curve(sided_ordering(anchor, turns, s), Color.R)
             verts = ((0, 0),) + curve.vertices
             diffs = {
@@ -346,7 +464,7 @@ class TestBlockMove:
 
     def test_consecutive_orderings_are_block_moves(self):
         s = ring12()
-        seq = _ordering_sequence(s)
+        seq = _anchor_sequence(s)
         assert len(seq) == 6 * s.n + 1
         prev = None
         for anchor, turns in seq:
@@ -357,7 +475,7 @@ class TestBlockMove:
 
     def test_sequence_ends_reversed(self):
         s = ring12()
-        seq = _ordering_sequence(s)
+        seq = _anchor_sequence(s)
         first = sided_ordering(seq[0][0], seq[0][1], s)
         last = sided_ordering(seq[-1][0], seq[-1][1], s)
         assert last.order == tuple(reversed(first.order))
@@ -400,6 +518,46 @@ class TestFindBalancedLLine:
             c1, c2 = lline_counts(l, s)
             assert c1 == (k, k, k) and c2 == (n - k,) * 3
             assert (l, k) in brute_oracle_llines(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_reference_search(self, data):
+        n = data.draw(st.integers(4, 12))
+        s = generate(GenSpec(GenKind.LatticeRedHull, n, data.draw(st.integers(0, 10**6))))
+        big = st.lists(st.integers(-10**12, 10**12), unique=True, min_size=3 * n, max_size=3 * n)
+        relabelled = _relabel(s, sorted(data.draw(big)), sorted(data.draw(big)))
+        for inst in (s, relabelled):
+            for validate in (False, True):
+                want = _find_balanced_lline_reference(inst, validate)
+                assert find_balanced_lline(inst, validate=validate) == want
+
+    def test_one_rank_frame_per_search(self, monkeypatch):
+        # the loop builds each ordering from the frame: nothing per ordering
+        # goes back to the point objects
+        s = generate(GenSpec(GenKind.LatticeRedHull, 32, 1))
+        calls = Counter()
+        for name in ("_RankFrame", "_prefix_deficits", "sided_ordering", "lattice_curve", "require_rgb"):
+            real = getattr(llines, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(llines, name, spy)
+        l, k = find_balanced_lline(s, validate=True)
+        assert lline_counts(l, s) == ((k,) * 3, (32 - k,) * 3)
+        assert calls["_prefix_deficits"] > 1
+        assert calls["_RankFrame"] == 1
+        for name in ("sided_ordering", "lattice_curve", "require_rgb"):
+            assert calls[name] <= 1, name
+
+    def test_n128_beyond_oracle_cap(self):
+        # 384 points, past the oracle's 24-point cap: the counts confirm it
+        s = generate(GenSpec(GenKind.LatticeRedHull, 128, 1))
+        t0 = time.process_time()
+        l, k = find_balanced_lline(s, validate=True)
+        assert time.process_time() - t0 < 5.0
+        assert lline_counts(l, s) == ((k,) * 3, (128 - k,) * 3)
 
     def test_corner_is_on_oracle_grid(self):
         s = ring12()

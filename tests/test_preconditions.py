@@ -176,6 +176,21 @@ def test_ortho_hull_rejects_raw_points(kind):
         ortho_hull(_lattice_cases()[kind])
 
 
+@pytest.mark.parametrize("kind", ["coincident", "shared-x", "shared-y", "off-lattice"])
+def test_sided_ordering_rejects_raw_points(kind):
+    bad = _lattice_cases()[kind]
+    with pytest.raises(PreconditionViolated):
+        sided_ordering(bad[0], 0, bad)
+
+
+def test_sided_ordering_rejects_shared_y_at_the_anchor():
+    # the tie at y = 0 used to pick an order silently
+    points = [pt(0, 0, "R"), pt(1, 0, "G"), pt(2, 5, "B"), pt(3, 1, "R")]
+    with pytest.raises(PreconditionViolated):
+        sided_ordering(points[0], 0, points)
+
+
 def test_base_lattice_is_accepted():
     assert LatticePointSet(BASE_LATTICE).n == 2
     assert ortho_hull(BASE_LATTICE)
+    assert sided_ordering(BASE_LATTICE[0], 0, BASE_LATTICE).order
