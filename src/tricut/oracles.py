@@ -2,8 +2,11 @@
 
 Each oracle walks a finite combinatorial index set that provably covers
 every possible answer shape, recomputing counts through its own membership
-code so a solver bug cannot hide behind a shared predicate.  Everything
-here is desk-scale by design and guarded by size preconditions.
+code so a solver bug cannot hide behind a shared predicate: for arcs,
+`arcset_points_key` has its own integer membership test rather than
+`ArcSet.contains`, which the solver's self-check `arcset_color_counts`
+uses.  Everything here is desk-scale by design and guarded by size
+preconditions.
 """
 
 from __future__ import annotations
@@ -21,15 +24,13 @@ from .core import (
     ColoredLine,
     RGB,
     Segment,
-    arcset,
-    arcset_component_count,
     full_circle,
     empty_arcset,
     require_distinct_parameters,
     require_rgb,
     sign,
 )
-from .errors import EndpointOnLine, PreconditionViolated
+from .errors import BoundaryPoint, EndpointOnLine, PreconditionViolated
 
 
 # -- faces ----------------------------------------------------------------------
@@ -84,8 +85,34 @@ def count_segment_crossings(
 
 
 def arcset_points_key(a: ArcSet, points: Sequence[CirclePoint]) -> tuple[int, ...]:
-    """Indices of the points inside the set; the combinatorial class key."""
-    return tuple(i for i, p in enumerate(points) if a.contains(p.t))
+    """Indices of the points inside the set; the combinatorial class key.
+
+    Membership is decided here on integers, not through `ArcSet.contains`:
+    each arc's endpoints are read once as (numerator, denominator) pairs and
+    each parameter, taken mod 1, is compared to them by cross-multiplication.
+    A parameter on an endpoint raises `BoundaryPoint`.
+    """
+    if a.is_full_circle:
+        return tuple(range(len(points)))
+    # per arc: lo, the end hi read mod 1, and whether hi >= 1; such an arc
+    # holds t when t > lo or t < end, any other arc when lo < t < end
+    arcs = []
+    for lo, hi in a.arcs:
+        end = hi - 1 if hi >= 1 else hi
+        arcs.append((lo.numerator, lo.denominator, end.numerator, end.denominator, hi >= 1))
+    out = []
+    for i, p in enumerate(points):
+        num, den = p.t.numerator, p.t.denominator
+        num %= den
+        for lo_n, lo_d, end_n, end_d, wraps in arcs:
+            vs_lo = num * lo_d - lo_n * den
+            vs_end = num * end_d - end_n * den
+            if vs_lo == 0 or vs_end == 0:
+                raise BoundaryPoint(f"parameter {Fraction(num, den)} is an arc endpoint")
+            if (vs_lo > 0 or vs_end < 0) if wraps else (vs_lo > 0 and vs_end < 0):
+                out.append(i)
+                break
+    return tuple(out)
 
 
 def enumerate_2arc_sets(points: Sequence[CirclePoint], k: int) -> list[ArcSet]:
@@ -93,9 +120,20 @@ def enumerate_2arc_sets(points: Sequence[CirclePoint], k: int) -> list[ArcSet]:
 
     Arc endpoints only ever need to sit in the gaps between consecutive
     point parameters, so candidates are indexed by 0, 2 or 4 chosen gaps;
-    counts come from prefix sums over the sorted order, not from arc
-    membership tests.  Returns one canonical representative per class
-    (endpoints at gap midpoints), sorted by (arc count, arc list).
+    gap g lies just before sorted point g, and gap 0 wraps past 1.
+
+    Counts are single-int keys: each point's color is one digit in base
+    m + 1 (R = (m+1)², G = m + 1, B = 1), so the key of a run of sorted
+    points is the difference of two prefix sums, and since no count
+    exceeds m, equal keys mean equal count vectors.  A 2-arc set is
+    [g1, g2) ∪ [g3, g4) with g1 < g2 < g3 < g4, or its complement
+    [g2, g3) ∪ [g4, g1).  One pass over the pairs g1 < g2 looks up the
+    pairs (g3, g4) with g3 > g2 whose key completes either shape, from a
+    table of pairs by key, so the cost is O(m² + answers).
+
+    Returns one canonical representative per class (endpoints at gap
+    midpoints), sorted by (arc count, arc list); the sort runs on the
+    integer ranks of the endpoints, which order them as their values do.
     """
     pts = tuple(points)
     m = len(pts)
@@ -106,66 +144,68 @@ def enumerate_2arc_sets(points: Sequence[CirclePoint], k: int) -> list[ArcSet]:
     require_rgb([p.color for p in pts])
     require_distinct_parameters(pts)
 
-    order = sorted(range(m), key=lambda i: pts[i].t)
-    ts = [pts[i].t for i in order]
-    cix = {Color.R: 0, Color.G: 1, Color.B: 2}
-    pre = [(0, 0, 0)]
-    for i in order:
-        v = list(pre[-1])
-        v[cix[pts[i].color]] += 1
-        pre.append(tuple(v))
+    srt = sorted(pts, key=lambda p: p.t)
+    ts = [p.t for p in srt]
+    digit = {Color.R: (m + 1) ** 2, Color.G: m + 1, Color.B: 1}
+    pre = [0]
+    for p in srt:
+        pre.append(pre[-1] + digit[p.color])
     total = pre[m]
-    target = (k, k, k)
+    target = k * ((m + 1) ** 2 + m + 2)
 
-    def range_counts(i, j):
-        # sorted positions i..j-1, cyclically; i == j means empty
-        if i <= j:
-            return tuple(pre[j][c] - pre[i][c] for c in range(3))
-        return tuple(total[c] - pre[i][c] + pre[j][c] for c in range(3))
+    # gap 0's midpoint sits below ts[0] when t_first + t_last >= 1 (at
+    # exactly 0 when equal) and ranks first, otherwise above ts[-1] and last
+    low0 = ts[0] + ts[-1] >= 1
+    mid = [(ts[-1] + ts[0] + 1) / 2 - (1 if low0 else 0)]
+    mid += [(ts[g - 1] + ts[g]) / 2 for g in range(1, m)]
+    rank = list(range(m)) if low0 else [m - 1] + list(range(m - 1))
 
-    def gap_mid(g):
-        # gap g lies just before sorted point g; gap 0 wraps past 1
-        if g == 0:
-            v = (ts[m - 1] + ts[0] + 1) / 2
-            return v - 1 if v >= 1 else v
-        return (ts[g - 1] + ts[g]) / 2
+    def arc(a, b):
+        # the arc from gap a's midpoint forward to gap b's, with its ranks;
+        # an end not above the start wraps past 1 and ranks after every midpoint
+        if rank[b] > rank[a]:
+            return (rank[a], rank[b]), (mid[a], mid[b])
+        return (rank[a], rank[b] + m), (mid[a], mid[b] + 1)
 
-    def one_arc(a, b):
-        lo, hi = gap_mid(a), gap_mid(b)
-        if hi <= lo:
-            hi += 1
-        return arcset([(lo, hi)])
+    def two(x, y):
+        if x[0] > y[0]:
+            x, y = y, x
+        return x[0] + y[0], ArcSet((x[1], y[1]))
 
     out: list[ArcSet] = []
-    if target == (0, 0, 0):
+    if target == 0:
         out.append(empty_arcset())
     if total == target:
         out.append(full_circle())
+    singles = []
     for i in range(m):
         for j in range(m):
-            if i != j and range_counts(i, j) == target:
-                out.append(one_arc(i, j))
+            if i != j and (pre[j] - pre[i] if i < j else total - pre[i] + pre[j]) == target:
+                ranks, lohi = arc(i, j)
+                singles.append((ranks, ArcSet((lohi,))))
+
+    # pairs (g3, g4) by key, g3 descending, so each lookup stops at g3 <= g2
+    later: dict[int, list[tuple[int, int]]] = {}
+    for g3 in range(m - 1, -1, -1):
+        for g4 in range(g3 + 1, m):
+            later.setdefault(pre[g4] - pre[g3], []).append((g3, g4))
+    doubles = []
     for g1 in range(m):
         for g2 in range(g1 + 1, m):
-            for g3 in range(g2 + 1, m):
-                for g4 in range(g3 + 1, m):
-                    c_a = tuple(
-                        x + y
-                        for x, y in zip(range_counts(g1, g2), range_counts(g3, g4))
-                    )
-                    if c_a == target:
-                        out.append(
-                            arcset(list(one_arc(g1, g2).arcs) + list(one_arc(g3, g4).arcs))
-                        )
-                    c_b = tuple(
-                        x + y
-                        for x, y in zip(range_counts(g2, g3), range_counts(g4, g1))
-                    )
-                    if c_b == target:
-                        out.append(
-                            arcset(list(one_arc(g2, g3).arcs) + list(one_arc(g4, g1).arcs))
-                        )
-    return sorted(out, key=lambda a: (arcset_component_count(a), a.arcs))
+            v = pre[g2] - pre[g1]
+            for g3, g4 in later.get(target - v, ()):
+                if g3 <= g2:
+                    break
+                doubles.append(two(arc(g1, g2), arc(g3, g4)))
+            for g3, g4 in later.get(total - target - v, ()):
+                if g3 <= g2:
+                    break
+                doubles.append(two(arc(g2, g3), arc(g4, g1)))
+
+    for found in (singles, doubles):
+        found.sort(key=lambda e: e[0])
+        out.extend(a for _, a in found)
+    return out
 
 
 # -- reports --------------------------------------------------------------------
