@@ -16,8 +16,14 @@ length O(log n); `plan_ops` builds one greedily by expanding the target
 interval backward, `moment_halve` performs one halving step exactly, and
 `find_k_arcset` runs the whole pipeline.
 
-A halving step works on ranks in the sorted list of its m sensitive
-parameters (points, arc ends, 0 and 1).  Per color, the number of active
+`find_k_arcset` sorts the points by parameter once.  Before each halving
+step it rotates 0 into the first parameter-free gap outside the current
+set; with the arc ends bisected into the sorted order, that gap is gap 0 or
+starts at an arc's upper end.  A rotation keeps the cyclic order, so the
+step's sorted list of its m sensitive parameters (points, arc ends, 0 and
+1) is the one order shifted by an index with the arc ends bisected in, and
+a rotated value is computed only where a cut or an arc end reads it.  The
+step works on ranks in that list.  Per color, the number of active
 points below candidate cut i never decreases in i, so the count vectors,
 written in base k+1, form one sorted int64 key array in which a wanted
 vector is a binary search away.  The gap-cut search (even k) costs
@@ -29,8 +35,9 @@ counts per color, and each arc end bisected into it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Sequence
 
@@ -133,63 +140,6 @@ def bfs_shortest(n: int, k: int) -> int:
     raise InternalError("state space exhausted", {"n": n, "k": k})
 
 
-def bfs_shortest_lengths(n: int) -> np.ndarray:
-    """dist[k] = shortest f/g word length from n to k, for every k in 0..n."""
-    dist = np.full(n + 1, -1, dtype=np.int16)
-    dist[n] = 0
-    frontier = np.array([n], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        d += 1
-        nxt = np.unique(np.concatenate([frontier // 2, n - frontier]))
-        nxt = nxt[dist[nxt] == -1]
-        dist[nxt] = d
-        frontier = nxt
-    return dist
-
-
-def plan_ops_batch(n: int) -> np.ndarray:
-    """Vectorized plan_ops for every k at once.
-
-    Returns an int8 matrix with rows k = 0..n; entry 0 = no op, 1 = f,
-    2 = g.  Row k's plan reads left to right skipping zeros (rows are
-    right-aligned).  Row 0 is all zeros (k = 0 is not a valid target).
-    """
-    h = n // 2
-    lo = np.arange(n + 1, dtype=np.int64)
-    hi = lo.copy()
-    active = np.ones(n + 1, dtype=bool)
-    active[0] = False
-    active[n] = False
-    rev_cols = []
-    while active.any():
-        stop = active & (lo <= h) & (hi >= h)
-        fmask = active & (hi < h)
-        gmask = active & (lo > h)
-        col = np.zeros(n + 1, dtype=np.int8)
-        col[fmask | stop] = 1
-        col[gmask] = 2
-        rev_cols.append(col)
-        lo2 = np.where(fmask, 2 * lo, lo)
-        hi2 = np.where(fmask, 2 * hi + 1, hi)
-        lo = np.where(gmask, n - hi2, lo2)
-        hi = np.where(gmask, n - lo2, hi2)
-        active &= ~stop
-    if not rev_cols:
-        return np.zeros((n + 1, 0), dtype=np.int8)
-    return np.stack(rev_cols[::-1], axis=1)
-
-
-def eval_plans_batch(n: int, ops: np.ndarray) -> np.ndarray:
-    """Apply every row of a plan matrix to the starting count n."""
-    vals = np.full(ops.shape[0], n, dtype=np.int64)
-    for j in range(ops.shape[1]):
-        col = ops[:, j]
-        vals = np.where(col == 1, vals // 2, vals)
-        vals = np.where(col == 2, n - vals, vals)
-    return vals
-
-
 # -- one halving step ----------------------------------------------------------
 
 
@@ -243,34 +193,25 @@ def moment_halve(a: ArcSet, points: Sequence[CirclePoint], k: int) -> HalveResul
     if any(p.t == 0 for p in points):
         raise PreconditionViolated("point parameter 0 is not allowed here")
 
-    # linear interval view; arcs never wrap here since 0 is outside
-    if a.is_full_circle:
-        intervals = [(Fraction(0), Fraction(1))]
-    else:
-        intervals = list(a.arcs)
+    ts, codes = _sorted_order(points)
+    return _halve(a, *_step_inputs(ts, codes, 0, Fraction(0), a), k)
 
-    sensitive = sorted(
-        {p.t for p in points}
-        | {lo for lo, _ in intervals}
-        | {hi for _, hi in intervals}
-        | {Fraction(0), Fraction(1)}
-    )
-    # color code of each rank in `sensitive` (-1: not a point, else the
-    # color's index in RGB) and prefix counts: pre[i][r] points of color
-    # RGB[i] below rank r
-    rank = {t: i for i, t in enumerate(sensitive)}
-    code = np.full(len(sensitive), -1, dtype=np.int64)
-    code[[rank[p.t] for p in points]] = [RGB.index(p.color) for p in points]
+
+def _halve(a: ArcSet, sensitive, code, k: int) -> HalveResult:
+    """`moment_halve` past its preconditions, with the color counts and arc
+    ends still to check.  `sensitive` holds the sorted point parameters, arc
+    ends, 0 and 1 (any sequence `bisect` can search); code[r] is the index in
+    RGB of the color of the point at rank r, or -1 where r is not a point."""
+    # linear interval view; arcs never wrap here since 0 is outside
+    intervals = [(Fraction(0), Fraction(1))] if a.is_full_circle else a.arcs
+    # prefix counts: pre[i][r] points of color RGB[i] below rank r
     pre = np.zeros((len(RGB), len(sensitive) + 1), dtype=np.int64)
     for i in range(len(RGB)):
         np.cumsum(code == i, out=pre[i, 1:])
 
     inside = np.zeros(len(sensitive), dtype=bool)
     for lo, hi in intervals:
-        for t in (lo, hi):
-            if code[rank[t]] >= 0:
-                raise BoundaryPoint(f"parameter {t} is an arc endpoint")
-        inside[rank[lo] + 1 : rank[hi]] = True
+        inside[_end_rank(lo, sensitive, code) + 1 : _end_rank(hi, sensitive, code)] = True
     ranks = {c: np.flatnonzero(inside & (code == i)) for i, c in enumerate(RGB)}
     for c in RGB:
         if len(ranks[c]) != k:
@@ -331,20 +272,21 @@ def _piece_bounds(profile: CutProfile, sensitive: list[Rat]):
     return sorted(bounds), dropped
 
 
+def _end_rank(x: Rat, sensitive, code) -> int:
+    """Rank of the first sensitive parameter >= the arc end x.  An end on a
+    point parameter raises BoundaryPoint, as `ArcSet.contains` does."""
+    r = bisect_left(sensitive, x)
+    if r < len(sensitive) and sensitive[r] == x and code[r] >= 0:
+        raise BoundaryPoint(f"parameter {x} is an arc endpoint")
+    return r
+
+
 def _rank_counts(m: ArcSet, sensitive: list[Rat], code, pre) -> list[int]:
-    """Points of each color inside `m`, counted from the sorted parameters.
-
-    Each arc end is bisected into `sensitive`; the prefix counts `pre` then
-    give the points strictly between the ends.  An end on a point parameter
-    raises BoundaryPoint, as `ArcSet.contains` does.
+    """Points of each color inside `m`, counted from the sorted parameters:
+    each arc end is bisected into `sensitive` (`_end_rank`), and the prefix
+    counts `pre` give the points strictly between the ends.
     """
-
-    def below(x) -> int:  # rank of the first parameter >= x
-        r = bisect_left(sensitive, x)
-        if r < len(sensitive) and sensitive[r] == x and code[r] >= 0:
-            raise BoundaryPoint(f"parameter {x} is an arc endpoint")
-        return r
-
+    below = partial(_end_rank, sensitive=sensitive, code=code)
     if m.is_full_circle:
         return pre[:, -1].tolist()
     got = np.zeros(len(RGB), dtype=np.int64)
@@ -502,17 +444,70 @@ def rotate_parameters(
     return moved, arcset_rotate(a, delta)
 
 
-def _safe_zero_delta(a: ArcSet, points: Sequence[CirclePoint]) -> Rat:
-    """Rotation sending 0 to the middle of the first parameter-free gap
-    outside `a`."""
-    sensitive = sorted({p.t for p in points} | {lo % 1 for lo, _ in a.arcs} | {hi % 1 for _, hi in a.arcs})
+class _CyclicOrder:
+    """The sorted parameters of one halving step, each computed when read.
+
+    The sorted parameters `ts`, read cyclically from index `shift` and
+    rotated by `delta` (mod 1), merged with the values `ends` at the sorted
+    (rank, value) pairs `fixed`; a rotation keeps the cyclic order, so the
+    ranks stay sorted for `bisect`.  An end equal to a parameter is dropped.
+    """
+
+    def __init__(self, ts: list[Rat], shift: int, delta: Rat, ends=()):
+        self.ts, self.shift, self.delta, self.fixed = ts, shift, delta, []
+        for e in sorted(ends):  # each end's rank among the entries so far
+            r = bisect_left(self, e)
+            if r == len(self) or self[r] != e:
+                self.fixed.append((r, e))
+
+    def __len__(self) -> int:
+        return len(self.ts) + len(self.fixed)
+
+    def __getitem__(self, r: int) -> Rat:
+        i = r
+        for fr, value in self.fixed:
+            if fr == r:
+                return value
+            if fr > r:
+                break
+            i -= 1
+        return (self.ts[(i + self.shift) % len(self.ts)] + self.delta) % 1
+
+
+def _sorted_order(points: Sequence[CirclePoint]):
+    """The parameters in ascending order and their colors' indices in RGB."""
+    order = sorted(points, key=lambda p: p.t)
+    return [p.t for p in order], np.array([RGB.index(p.color) for p in order], dtype=np.int64)
+
+
+def _step_inputs(ts: list[Rat], codes, shift: int, delta: Rat, a: ArcSet):
+    """`_halve`'s sensitive parameters and color codes for the set `a` (0
+    outside it), with the points `ts` (colors `codes`) read from index
+    `shift` and rotated by `delta`: the arc ends, 0 and 1 merged into the
+    rotated points, and the codes shifted alike, -1 off the points.  An arc
+    end on a point stays a point rank, where `_halve` raises BoundaryPoint.
+    """
+    ends = {t for arc in a.arcs for t in arc} | {Fraction(0), Fraction(1)}
+    order = _CyclicOrder(ts, shift, delta, ends)
+    code = np.insert(np.roll(codes, -shift), [r - j for j, (r, _) in enumerate(order.fixed)], -1)
+    return order, code
+
+
+def _safe_gap(a: ArcSet, ts: list[Rat]) -> Rat:
+    """Middle of the first parameter-free gap outside `a`.
+
+    Gap i follows entry i of the sorted distinct parameters `ts` merged with
+    the arc ends (mod 1).  Every arc end is an entry, so each gap lies wholly
+    inside or outside `a`, and the first gap outside is gap 0 or starts at an
+    arc's upper end: only those (at most 3) are tested.
+    """
+    entries = _CyclicOrder(ts, 0, Fraction(0), {t % 1 for arc in a.arcs for t in arc})
     comp = None if a.is_full_circle else arcset_complement(a)
-    for i, s in enumerate(sensitive):
-        nxt = sensitive[(i + 1) % len(sensitive)]
+    for i in sorted({0} | {bisect_left(entries, hi % 1) for _, hi in a.arcs}):
+        s, nxt = entries[i], entries[(i + 1) % len(entries)]
         mid = (s + (nxt if nxt > s else nxt + 1)) / 2 % 1
-        # every arc endpoint is in `sensitive`, so no gap middle is one
         if comp is None or comp.contains(mid):
-            return -mid % 1
+            return mid
     raise InternalError("no safe gap for the zero parameter")
 
 
@@ -522,11 +517,14 @@ def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
     Input: n points per color with globally distinct parameters, 0 <= k <= n.
     k = 0 and k = n short-circuit to the empty set and the full circle; the
     rest runs the op plan, rotating before each halve so the parameter
-    origin sits in a safe gap.
+    origin sits in a safe gap.  The points are sorted once; each rotation
+    is a cyclic shift of that order.
     """
     n = len(points) // 3
     require_rgb([p.color for p in points], "point", n)
-    require_distinct_parameters(points)
+    ts, codes = _sorted_order(points)
+    if any(s == t for s, t in zip(ts, ts[1:])):
+        require_distinct_parameters(points)  # raises on the first repeat
     if not 0 <= k <= n:
         raise PreconditionViolated(f"need 0 <= k <= n, got k={k}")
     if k == 0:
@@ -542,11 +540,12 @@ def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
             a = arcset_complement(a)
             cur = n - cur
             continue
-        delta = _safe_zero_delta(a, points)
-        moved, a_rot = rotate_parameters(points, a, delta)
-        res = moment_halve(a_rot, moved, cur)
-        sides = [res.m1, res.m2]
-        sides = [s for s in sides if s.component_count() <= 2]
+        mid = _safe_gap(a, ts)
+        delta = -mid % 1
+        a_rot = arcset_rotate(a, delta)
+        inputs = _step_inputs(ts, codes, bisect_right(ts, mid), delta, a_rot)
+        res = _halve(a_rot, *inputs, cur)
+        sides = [s for s in (res.m1, res.m2) if s.component_count() <= 2]
         if not sides:
             raise InternalError("no side with at most 2 arcs")
         pick = min(sides, key=lambda s: s.arcs)

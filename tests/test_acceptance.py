@@ -46,10 +46,11 @@ from tricut import (
     wedge_dual_segment,
     wedge_point_indices,
 )
-from tricut.arcs import bfs_shortest_lengths, eval_plans_batch, plan_ops_batch
 from tricut.cells import ColoredTriangulation
 from tricut.errors import GenerationFailed, InternalError, PreconditionViolated
 from tricut.oracles import count_segment_crossings
+
+from plan_batch import bfs_shortest_lengths, eval_plans_batch, plan_ops_batch
 
 INTERNAL_ERRORS_AT_START = InternalError.count
 
@@ -199,16 +200,16 @@ def test_criterion_6_op_plans():
 
 def test_criterion_7_two_arc_subsets(monkeypatch):
     halve_calls = []
-    real_halve = tricut.arcs.moment_halve
+    real_halve = tricut.arcs._halve
 
-    def spy(a, points, k):
-        res = real_halve(a, points, k)
+    def spy(*args):
+        res = real_halve(*args)
         assert len(res.profile.cuts) <= 3
         assert res.m1.component_count() + res.m2.component_count() <= 5
         halve_calls.append(len(res.profile.cuts))
         return res
 
-    monkeypatch.setattr(tricut.arcs, "moment_halve", spy)
+    monkeypatch.setattr(tricut.arcs, "_halve", spy)
     for n in range(2, 9):
         for k in range(1, n + 1):
             for trial in range(50):

@@ -9,34 +9,40 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import tricut.arcs
 from tricut.arcs import (
     OP_COMPLEMENT,
     OP_HALVE,
     CutProfile,
     OpPlan,
+    _halve,
+    _safe_gap,
     _search_gap_cuts,
     _search_on_point,
     _search_profile,
     bfs_shortest,
-    bfs_shortest_lengths,
-    eval_plans_batch,
     find_k_arcset,
     moment_halve,
     plan_ops,
-    plan_ops_batch,
     rotate_parameters,
 )
 from tricut.core import (
+    ArcSet,
+    CirclePoint,
     Color,
     RGB,
     arcset,
     arcset_color_counts,
+    arcset_complement,
+    arcset_rotate,
     circle_point,
     full_circle,
 )
-from tricut.errors import MissingColor, PreconditionViolated
+from tricut.errors import InternalError, MissingColor, PreconditionViolated
 from tricut.generators import GenKind, GenSpec, generate
 from tricut.oracles import arcset_points_key, enumerate_2arc_sets
+
+from plan_batch import bfs_shortest_lengths, eval_plans_batch, plan_ops_batch
 
 
 def batch_row_ops(mat, k):
@@ -347,6 +353,17 @@ class TestFindKArcset:
         ]
         with pytest.raises(PreconditionViolated):
             find_k_arcset(pts, 1)
+        # the message names the first repeat in input order, not in sorted order
+        pts = [
+            circle_point(F(2, 5), "R"),
+            circle_point(F(2, 5), "G"),
+            circle_point(F(1, 5), "B"),
+            circle_point(F(1, 5), "R"),
+            circle_point(F(3, 5), "G"),
+            circle_point(F(4, 5), "B"),
+        ]
+        with pytest.raises(PreconditionViolated, match="^duplicate parameter 2/5$"):
+            find_k_arcset(pts, 1)
 
     def test_k_out_of_range(self):
         pts = interleaved_points(2)
@@ -553,3 +570,144 @@ class TestMemory:
         assert a.component_count() <= 2
         assert set(side_counts(a, pts).values()) == {k}
         assert peak < 50 * 2**20
+
+
+# -- find_k_arcset against a reference copy that rotates and re-sorts each step
+
+
+def reference_rotate_parameters(points, a, delta):
+    moved = tuple(CirclePoint((p.t + delta) % 1, p.color) for p in points)
+    return moved, arcset_rotate(a, delta)
+
+
+def reference_safe_zero_delta(a, points):
+    """Every gap of a fresh sort of the parameters and arc ends, in order."""
+    sensitive = sorted(
+        {p.t for p in points} | {lo % 1 for lo, _ in a.arcs} | {hi % 1 for _, hi in a.arcs}
+    )
+    comp = None if a.is_full_circle else arcset_complement(a)
+    for i, s in enumerate(sensitive):
+        nxt = sensitive[(i + 1) % len(sensitive)]
+        mid = (s + (nxt if nxt > s else nxt + 1)) / 2 % 1
+        if comp is None or comp.contains(mid):
+            return -mid % 1
+    raise InternalError("no safe gap for the zero parameter")
+
+
+def reference_halve(a, points, k):
+    """The halving step on a sensitive list sorted from a set of parameters."""
+    sensitive = sorted(
+        {p.t for p in points} | {t for arc in a.arcs for t in arc} | {F(0), F(1)}
+    )
+    rank = {t: i for i, t in enumerate(sensitive)}
+    code = np.full(len(sensitive), -1, dtype=np.int64)
+    code[[rank[p.t] for p in points]] = [RGB.index(p.color) for p in points]
+    return _halve(a, sensitive, code, k)
+
+
+def reference_find_k_arcset(points, k):
+    """Rotates every point and re-sorts before each halving step; each step
+    is also held to `moment_halve` on the same rotated input."""
+    n = len(points) // 3
+    if k == 0:
+        return ArcSet(())
+    if k == n:
+        return full_circle()
+    a = full_circle()
+    cur = n
+    for op in plan_ops(n, k).ops:
+        if op == OP_COMPLEMENT:
+            a = arcset_complement(a)
+            cur = n - cur
+            continue
+        delta = reference_safe_zero_delta(a, points)
+        moved, a_rot = reference_rotate_parameters(points, a, delta)
+        res = reference_halve(a_rot, moved, cur)
+        assert moment_halve(a_rot, moved, cur) == res
+        sides = [s for s in (res.m1, res.m2) if s.component_count() <= 2]
+        a = arcset_rotate(min(sides, key=lambda s: s.arcs), -delta)
+        cur //= 2
+    return a
+
+
+@st.composite
+def circle_instances(draw):
+    """n = 1..8 points per color at distinct multiples of 1/d.  d = 3n fills
+    every slot, so t = 0 and neighbours across 0 occur."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        d, nums = 3 * n, list(range(3 * n))
+    else:
+        d = draw(st.integers(3 * n, 10**12))
+        nums = draw(st.lists(st.integers(0, d - 1), min_size=3 * n, max_size=3 * n, unique=True))
+    colors = draw(st.permutations([c for c in RGB for _ in range(n)]))
+    return [circle_point(F(t, d), c) for t, c in zip(nums, colors)]
+
+
+class TestFindKArcsetMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(circle_instances())
+    def test_every_k(self, points):
+        for k in range(len(points) // 3 + 1):
+            assert find_k_arcset(points, k) == reference_find_k_arcset(points, k), k
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generator_cases(self, seed):
+        for n in range(1, 21):
+            points = generate(GenSpec(GenKind.CirclePoints3C, n, seed))
+            for k in range(n + 1):
+                assert find_k_arcset(points, k) == reference_find_k_arcset(points, k), (n, k)
+
+    def test_no_rotation_or_point_rebuild(self, monkeypatch):
+        points = generate(GenSpec(GenKind.CirclePoints3C, 40, 1))
+        calls = []
+
+        def counted(name, fn):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return spy
+
+        for name in ("rotate_parameters", "require_distinct_parameters"):
+            monkeypatch.setattr(tricut.arcs, name, counted(name, getattr(tricut.arcs, name)))
+        monkeypatch.setattr(CirclePoint, "__init__", counted("CirclePoint", CirclePoint.__init__))
+        a = find_k_arcset(points, 21)
+        assert calls == []
+        assert set(side_counts(a, points).values()) == {21}
+
+
+@st.composite
+def gap_instances(draw):
+    """Up to 2 arcs with ends on a grid of 1/d (one may wrap through 0), the
+    full circle or the empty set, and distinct parameters on the same grid,
+    which may sit at 0 or on an arc end."""
+    d = draw(st.integers(4, 40))
+    shape = draw(st.sampled_from(["empty", "full", "one", "two"]))
+    ends = sorted(draw(st.lists(st.integers(0, d - 1), min_size=4, max_size=4, unique=True)))
+    c = [F(e, d) for e in ends]
+    wrap = draw(st.booleans())
+    if shape == "empty":
+        a = ArcSet(())
+    elif shape == "full":
+        a = full_circle()
+    elif shape == "one":
+        a = arcset([(c[1], c[0] + 1) if wrap else (c[0], c[1])])
+    else:
+        a = arcset([(c[1], c[2]), (c[3], c[0] + 1)] if wrap else [(c[0], c[1]), (c[2], c[3])])
+    nums = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=12, unique=True))
+    return a, sorted(F(t, d) for t in nums)
+
+
+class TestSafeGap:
+    @settings(max_examples=300, deadline=None)
+    @example((arcset([(F(9, 10), F(11, 10))]), [F(0), F(1, 2)]))  # wraps over t = 0
+    @example((full_circle(), [F(0), F(1, 3), F(2, 3)]))
+    @example((arcset([(F(1, 20), F(1, 2))]), [F(1, 40), F(3, 4)]))  # end next to 0
+    @example((arcset([(F(0), F(1, 2)), (F(3, 4), F(7, 8))]), [F(1, 4), F(7, 8)]))
+    @example((arcset([(F(1, 4), F(3, 4))]), [F(1, 3), F(1, 2)]))  # the wrap gap, middle 0
+    @given(gap_instances())
+    def test_same_rotation_as_reference(self, case):
+        a, ts = case
+        points = [CirclePoint(t, RGB[i % 3]) for i, t in enumerate(ts)]
+        assert -_safe_gap(a, ts) % 1 == reference_safe_zero_delta(a, points)
