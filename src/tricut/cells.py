@@ -207,14 +207,18 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
             h = next_he(h)
         if h != h0:
             raise InternalError("face walk did not close", {"start": h0})
-        vs = [coords[he_from[x]] for x in cycle]
-        area2 = sum(vs[i][0] * vs[(i + 1) % len(vs)][1] - vs[(i + 1) % len(vs)][0] * vs[i][1]
-                    for i in range(len(vs)))
-        if area2 < 0:
+        # faces are convex, so every turn off a straight run has the sign of
+        # the walk's orientation; the outer walk runs straight past box hits
+        turn = next((t for t in (
+            dirs[g][0] * dirs[h][1] - dirs[g][1] * dirs[h][0]
+            for g, h in zip(cycle, cycle[1:] + cycle[:1])
+        ) if t), 0)
+        if turn < 0:
             outer_seen += 1
             continue
-        if area2 == 0:
+        if turn == 0:
             raise InternalError("degenerate face", {"start": h0})
+        vs = [coords[he_from[x]] for x in cycle]
         lids = tuple(he_line[x] for x in cycle)
         faces.append(Face(
             bounded=all(li >= 0 for li in lids),

@@ -47,6 +47,7 @@ from .errors import (
 from .generators import GenKind, GenSpec, generate
 from .llines import brute_oracle_llines, find_balanced_lline, lline_counts
 from .oracles import (
+    ORACLE_MAX_POINTS,
     VerificationReport,
     arcset_points_key,
     count_segment_crossings,
@@ -71,9 +72,6 @@ from .wedges import (
 )
 
 SOLVE_KINDS = ("cell", "wedge111", "wedge", "segment", "arcs", "lline")
-
-# oracle enumeration is exponential in places; cap it at desk scale
-_ORACLE_MAX_POINTS = 18
 
 _DEFAULT_N = {
     "cell": 7,
@@ -208,7 +206,7 @@ def _report(kind: str, payload: dict, answer: dict, k: int | None) -> Verificati
         counts = _counts_tuple(wedge_color_counts(w, points))
         n = 1 if kind == "wedge111" else len(points) // 6
         target = (n, n, n)
-        if len(points) <= _ORACLE_MAX_POINTS:
+        if len(points) <= ORACLE_MAX_POINTS["wedge"]:
             oracle_sets = brute_oracle_wedges(points, target)
             member = wedge_point_indices(w, points) in oracle_sets
             oracle = tuple(list(t) for t in oracle_sets)
@@ -223,7 +221,7 @@ def _report(kind: str, payload: dict, answer: dict, k: int | None) -> Verificati
         n = len(lines) // 6
         target = (n, n, n)
         oracle, member = (), counts == target
-        if len(lines) <= _ORACLE_MAX_POINTS and not any(l.is_vertical for l in lines):
+        if len(lines) <= ORACLE_MAX_POINTS["wedge"] and not any(l.is_vertical for l in lines):
             f1 = dual_point_to_line(pt(seg.p[0], seg.p[1], Color.K))
             f2 = dual_point_to_line(pt(seg.q[0], seg.q[1], Color.K))
             apex = intersect(f1, f2)

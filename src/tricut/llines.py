@@ -47,6 +47,7 @@ from .errors import (
     InternalError,
     PreconditionViolated,
 )
+from .oracles import ORACLE_MAX_POINTS
 
 HALF = Fraction(1, 2)
 
@@ -466,8 +467,9 @@ def brute_oracle_llines(s: LatticePointSet) -> list[tuple[LLine, int]]:
     stay exact; the membership code is disjoint from LLine.in_region1.
     """
     points = s.points
-    if len(points) > 24:
-        raise PreconditionViolated("oracle is limited to 24 points")
+    cap = ORACLE_MAX_POINTS["lline"]
+    if len(points) > cap:
+        raise PreconditionViolated(f"oracle is limited to {cap} points")
     n = s.n
     xs = sorted(int(p.x) for p in points)
     ys = sorted(int(p.y) for p in points)

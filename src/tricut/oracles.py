@@ -32,6 +32,11 @@ from .core import (
 )
 from .errors import BoundaryPoint, EndpointOnLine, PreconditionViolated
 
+# largest point count each exhaustive oracle accepts: `wedge` for
+# `wedges.brute_oracle_wedges` (also the dual points of a segment), `lline`
+# for `llines.brute_oracle_llines`, `arcs` for `enumerate_2arc_sets`
+ORACLE_MAX_POINTS = {"wedge": 18, "lline": 24, "arcs": 30}
+
 
 # -- faces ----------------------------------------------------------------------
 
@@ -137,8 +142,9 @@ def enumerate_2arc_sets(points: Sequence[CirclePoint], k: int) -> list[ArcSet]:
     """
     pts = tuple(points)
     m = len(pts)
-    if m == 0 or m > 30:
-        raise PreconditionViolated(f"oracle is limited to 1..30 points, got {m}")
+    cap = ORACLE_MAX_POINTS["arcs"]
+    if m == 0 or m > cap:
+        raise PreconditionViolated(f"oracle is limited to 1..{cap} points, got {m}")
     if k < 0:
         raise PreconditionViolated(f"negative target {k}")
     require_rgb([p.color for p in pts])

@@ -49,7 +49,6 @@ from .core import (
     int_points,
     intersect,
     require_rgb,
-    sign,
     winding_number,
 )
 from .errors import (
@@ -59,7 +58,7 @@ from .errors import (
     OnBoundary,
     PreconditionViolated,
 )
-from .oracles import count_segment_crossings
+from .oracles import ORACLE_MAX_POINTS, count_segment_crossings
 
 SECTOR_AGREE = "pair-1"     # sectors where the two line functionals share sign
 SECTOR_DISAGREE = "pair-2"  # sectors where they differ
@@ -440,61 +439,75 @@ def brute_oracle_wedges(
     near-everything wedges), both sector pairs, and every in/out resolution
     of the up-to-4 points on the chosen lines is exhaustive.  Deterministic,
     sorted by (size, indices).
+
+    Point sets are bitmasks (bit k is point k).  Each point-pair line gets
+    the masks of the points strictly on its positive and its negative side,
+    from the signs of A*X + B*Y + C*W (W > 0) on Python ints; with no three
+    collinear, its two endpoints are the only points on it.  Over every pair
+    of lines (int64 arrays, which hold 62 points; the diagonal included) the
+    disagree sector pair is (P1 & N2) | (N1 & P2), the agree pair
+    (P1 & P2) | (N1 & N2), and the points on either line are the at most 4
+    endpoint bits.  A row survives when, for every color, sector <= target
+    <= sector + on-line; only survivors are expanded over the 16 subsets of
+    their endpoint bits.
     """
     pts = tuple(points)
     m = len(pts)
-    if m == 0 or m > 18:
-        raise PreconditionViolated(f"oracle is limited to 1..18 points, got {m}")
+    cap = ORACLE_MAX_POINTS["wedge"]
+    if m == 0 or m > cap:
+        raise PreconditionViolated(f"oracle is limited to 1..{cap} points, got {m}")
     if len(target) != 3 or any(t < 0 for t in target):
         raise PreconditionViolated(f"bad target {target}")
     require_rgb([p.color for p in pts])
     check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
 
-    color_ix = {Color.R: 0, Color.G: 1, Color.B: 2}
-    cix = [color_ix[p.color] for p in pts]
-    onehot = np.eye(3, dtype=np.int32)[cix]
-    tgt = np.asarray(target, dtype=np.int32)
-
-    # side matrix of every point-pair line: signs of A*X + B*Y + C*W, W > 0
     ints = int_points(pts)
-    side_rows = []
-    for i, j in itertools.combinations(range(m), 2):
+    pairs = list(itertools.combinations(range(m), 2))
+    pos, neg = [], []
+    for i, j in pairs:
         a, b, c = int_line_through(ints[i], ints[j])
-        side_rows.append([sign(a * x + b * y + c * w) for x, y, w in ints])
-    side = np.array(side_rows, dtype=np.int8)
-    n_lines = len(side_rows)
+        plus = minus = 0
+        for k, (x, y, w) in enumerate(ints):
+            v = a * x + b * y + c * w
+            if v > 0:
+                plus |= 1 << k
+            elif v < 0:
+                minus |= 1 << k
+        pos.append(plus)
+        neg.append(minus)
+    pos_a = np.array(pos, dtype=np.int64)
+    neg_a = np.array(neg, dtype=np.int64)
+    end_bits = np.int64(1) << np.array(pairs, dtype=np.int64)
+    ends = end_bits[:, 0] | end_bits[:, 1]
 
-    ii, jj = np.triu_indices(n_lines)  # includes the diagonal
-    prod = side[ii].astype(np.int16) * side[jj].astype(np.int16)
-    on_line = prod == 0
-    bound = on_line.astype(np.int32) @ onehot
+    ii, jj = np.triu_indices(len(pos))  # includes the diagonal
+    p1, n1, p2, n2 = pos_a[ii], neg_a[ii], pos_a[jj], neg_a[jj]
+    on_line = ends[ii] | ends[jj]
+    color_masks = [
+        sum(1 << k for k, p in enumerate(pts) if p.color is c) for c in RGB
+    ]
+    on_counts = [np.bitwise_count(on_line & cm) for cm in color_masks]
 
-    out: set[tuple[int, ...]] = set()
-    for mask in (prod == -1, prod == 1):
-        base = mask.astype(np.int32) @ onehot
-        rows = np.nonzero(
-            np.all(base <= tgt, axis=1) & np.all(base + bound >= tgt, axis=1)
-        )[0]
-        needs = (tgt - base[rows]).tolist()
-        insides = _row_members(mask[rows])
-        on_lines = _row_members(on_line[rows])
-        for need, inside, online in zip(needs, insides, on_lines):
-            # a resolution adding exactly `need` picks sum(need) line points
-            for chosen in itertools.combinations(online, sum(need)):
-                add = [0, 0, 0]
-                for c in chosen:
-                    add[cix[c]] += 1
-                if add == need:
-                    out.add(tuple(sorted(inside + list(chosen))))
+    found = []
+    for sector in ((p1 & n2) | (n1 & p2), (p1 & p2) | (n1 & n2)):
+        keep = np.ones(len(sector), dtype=bool)
+        for cm, on, t in zip(color_masks, on_counts, target):
+            base = np.bitwise_count(sector & cm)
+            keep &= (base <= t) & (t <= base + on)
+        rows = np.flatnonzero(keep)
+        # OR in each subset of the 4 endpoint bits; repeated endpoints collapse
+        cand = sector[rows][:, None]
+        for bit in (*end_bits[ii[rows]].T, *end_bits[jj[rows]].T):
+            cand = np.concatenate([cand, cand | bit[:, None]], axis=1)
+        cand = cand.ravel()
+        hit = np.ones(len(cand), dtype=bool)
+        for cm, t in zip(color_masks, target):
+            hit &= np.bitwise_count(cand & cm) == t
+        found.append(cand[hit])
+    types = np.unique(np.concatenate(found))
+    bits = ((types[:, None] >> np.arange(m)) & 1).tolist()
+    out = [tuple(itertools.compress(range(m), row)) for row in bits]
     return sorted(out, key=lambda t: (len(t), t))
-
-
-def _row_members(table: np.ndarray) -> list[list[int]]:
-    """Column indices of the True entries of each row of a boolean table."""
-    r, cols = np.nonzero(table)
-    bounds = np.searchsorted(r, np.arange(len(table) + 1)).tolist()
-    cols = cols.tolist()
-    return [cols[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # -- duals: 111 wedges and halving segments ------------------------------------

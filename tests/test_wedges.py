@@ -15,6 +15,7 @@ from tricut.core import (
 )
 from tricut.generators import GenKind, GenSpec, generate
 from tricut.oracles import count_segment_crossings
+from wedge_oracle_table import table_oracle_wedges
 from tricut.errors import (
     DegenerateApex,
     MissingColor,
@@ -430,3 +431,29 @@ class TestBruteOracleWedges:
         pts = rand_balanced_points(4, 10)
         with pytest.raises(PreconditionViolated):
             brute_oracle_wedges(pts, (4, 4, 4))
+
+
+class TestBruteOracleMatchesTable:
+    """The bitmask oracle returns the table reference's list, order included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_balanced_points(self, n, seed):
+        pts = rand_balanced_points(n, 400 + seed)
+        for target in ((n, n, n), (0, 0, 0), (1, 0, 0), (2 * n, 2 * n, 2 * n), (n, 0, 2 * n)):
+            assert brute_oracle_wedges(pts, target) == table_oracle_wedges(pts, target)
+
+    @pytest.mark.parametrize("m", range(3, 16))
+    def test_points3c(self, m):
+        for seed in (1, 2, 3):
+            pts = generate(GenSpec(GenKind.Points3C, m, seed))
+            assert brute_oracle_wedges(pts, (1, 1, 1)) == table_oracle_wedges(pts, (1, 1, 1))
+
+    def test_shared_x(self):
+        coords = [(1, -5), (9, -5), (0, 9), (-6, -9), (5, -6), (-7, -2),
+                  (1, 0), (9, -3), (0, -2), (-3, 8), (-2, 7), (-8, 4)]
+        pts = [pt(x, y, "RGB"[i % 3]) for i, (x, y) in enumerate(coords)]
+        assert len({x for x, _ in coords}) < len(coords)
+        for target in ((1, 1, 1), (2, 2, 2), (3, 1, 0)):
+            got = brute_oracle_wedges(pts, target)
+            assert got and got == table_oracle_wedges(pts, target)
