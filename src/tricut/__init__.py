@@ -7,7 +7,6 @@ from .core import (
     ColoredLine,
     ColoredPoint,
     GeneralPosition,
-    LatticePolygon,
     Rat,
     Segment,
     arcset,

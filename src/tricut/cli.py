@@ -92,6 +92,8 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as e:
         raise PreconditionViolated(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise PreconditionViolated(f"{path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise PreconditionViolated(f"{path} is not valid JSON: {e}") from e
 

@@ -25,6 +25,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     BoundaryPoint,
     MissingColor,
@@ -443,10 +445,6 @@ def arcset_complement(a: ArcSet) -> ArcSet:
     return arcset(gaps)
 
 
-def arcset_component_count(a: ArcSet) -> int:
-    return a.component_count()
-
-
 def arcset_rotate(a: ArcSet, delta: Rat) -> ArcSet:
     """Rotate every arc by +delta (mod 1)."""
     if a.is_empty or a.is_full_circle:
@@ -501,47 +499,57 @@ class Segment:
         )
 
 
-# -- lattice polygons and winding --------------------------------------------
+# -- lattice deficit curves ----------------------------------------------------
+#
+# The wedge sweep and the L-line search both map an ordering of colored items
+# to a closed lattice curve whose vertices at the origin are the balanced
+# regions, and both read that curve off one step table.  A curve is an int64
+# (m, 2) array of vertices; edge i joins vertex i to vertex i + 1 mod m.
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
-    """Closed polygon with integer vertices; edge i joins vertex i to i+1 mod m.
+def deficit_steps(colors: Sequence[Color], x_color: Color, y_color: Color) -> np.ndarray:
+    """One int64 row per color: 3e - (1, 1), with e = (1, 0) for `x_color`,
+    (0, 1) for `y_color` and (0, 0) for the third color.
 
-    Zero-length edges (repeated vertices) are allowed; winding skips them.
+    A run of steps sums to the origin exactly when it holds each color
+    equally often.
     """
-
-    vertices: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for v in self.vertices:
-            if not (isinstance(v[0], int) and isinstance(v[1], int)):
-                raise PreconditionViolated("lattice polygon needs integer vertices")
-        if len(self.vertices) < 2:
-            raise PreconditionViolated("polygon needs at least 2 vertices")
+    e = np.array([(c is x_color, c is y_color) for c in colors], dtype=np.int64)
+    return 3 * e.reshape(-1, 2) - 1
 
 
-def winding_number(poly: LatticePolygon) -> int:
-    """Winding number of the closed curve around the origin.
+# below this bound cross products of two vertices fit in an int64
+_WINDING_BOUND = 2**31
 
-    Counts signed crossings of the positive x axis.  Raises OriginOnCurve if
-    a vertex is the origin or the origin is interior to an edge.
+
+def winding_number(vertices) -> int:
+    """Winding number around the origin of the closed curve through
+    `vertices`: an int64 (m, 2) array or a sequence of integer pairs.
+
+    Counts signed crossings of the positive x axis; zero-length edges
+    (repeated vertices) cross nothing.  Raises OriginOnCurve if a vertex is
+    the origin or the origin is interior to an edge, and PreconditionViolated
+    for fewer than 2 vertices, non-integer vertices or a coordinate of
+    absolute value 2**31 or more.
     """
-    verts = [v for v in poly.vertices]
-    m = len(verts)
-    w = 0
-    for i in range(m):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % m]
-        if (ax, ay) == (0, 0):
-            raise OriginOnCurve("vertex at origin")
-        if (ax, ay) == (bx, by):
-            continue
-        cross = ax * by - ay * bx
-        if cross == 0 and ax * bx + ay * by < 0:
-            raise OriginOnCurve("origin interior to an edge")
-        if ay <= 0 < by and cross > 0:
-            w += 1
-        elif by <= 0 < ay and cross < 0:
-            w -= 1
-    return w
+    if len(vertices) < 2:
+        raise PreconditionViolated("lattice curve needs at least 2 vertices")
+    v = vertices if isinstance(vertices, np.ndarray) else np.array(vertices, dtype=object)
+    if v.ndim != 2 or v.shape[1] != 2 or not (
+        v.dtype.kind in "iu" or all(isinstance(c, (int, np.integer)) for c in v.flat)
+    ):
+        raise PreconditionViolated("lattice curve needs integer (x, y) vertices")
+    if max(abs(int(v.max())), abs(int(v.min()))) >= _WINDING_BOUND:
+        raise PreconditionViolated(f"lattice curve coordinates must stay below {_WINDING_BOUND}")
+    a = np.asarray(v, dtype=np.int64)
+    b = np.concatenate((a[1:], a[:1]))
+    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    cross = ax * by - ay * bx
+    at_origin = (ax | ay) == 0
+    bad = at_origin | ((cross == 0) & (ax * bx + ay * by < 0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise OriginOnCurve("vertex at origin" if at_origin[i] else "origin interior to an edge")
+    up = (ay <= 0) & (by > 0) & (cross > 0)
+    down = (by <= 0) & (ay > 0) & (cross < 0)
+    return np.count_nonzero(up) - np.count_nonzero(down)

@@ -17,8 +17,9 @@ vertex somewhere along the sequence.
 The points are sorted once by x and once by y (the rank frame).  A quarter
 turn only reverses or swaps those two orders, so each ordering is two slices
 of the one frame, an index array, and its polygon is the cumulative sum of
-an integer step array taken in that order.  The L-line's corner is read off
-the same sorted coordinates.
+an integer step array taken in that order: the step table of
+`core.deficit_steps`, which the wedge sweep reads too.  The L-line's corner
+is read off the same sorted coordinates.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from .core import (
     Color,
     ColoredPoint,
     GeneralPosition,
-    LatticePolygon,
     RGB,
     Rat,
     as_rat,
     check_general_position,
+    deficit_steps,
     require_rgb,
     sign,
     winding_number,
@@ -290,16 +291,10 @@ def sided_ordering(p: ColoredPoint, quarter_turns: int, s) -> SidedOrdering:
 
 
 def _color_steps(points: Sequence[ColoredPoint], hull_color: Color) -> np.ndarray:
-    """One row per point: (-1,-1) for the hull color, (2,-1) and (-1,2) for
-    the other two colors in R, G, B order."""
-    others = [c for c in RGB if c is not hull_color]
-    step = {hull_color: (-1, -1), others[0]: (2, -1), others[1]: (-1, 2)}
-    return np.array([step[p.color] for p in points], dtype=np.int64).reshape(-1, 2)
-
-
-def _prefix_deficits(steps: np.ndarray) -> np.ndarray:
-    """Rows q_1..q_m: q_k sums the color steps of the first k points."""
-    return steps.cumsum(axis=0)
+    """One row per point from `core.deficit_steps`: (-1,-1) for the hull
+    color, (2,-1) and (-1,2) for the other two colors in R, G, B order."""
+    x_color, y_color = (c for c in RGB if c is not hull_color)
+    return deficit_steps([p.color for p in points], x_color, y_color)
 
 
 def _balanced_prefixes(q: np.ndarray, ends_on_hull: bool) -> np.ndarray:
@@ -313,25 +308,11 @@ def _balanced_prefixes(q: np.ndarray, ends_on_hull: bool) -> np.ndarray:
     return np.flatnonzero(~q[:-1].any(axis=1)) + 1
 
 
-@dataclass(frozen=True)
-class LatticeCurvePrefix:
-    """Prefix-deficit vertices q_1..q_{3n-1}; q_k sums the color steps of the
-    ordering's first k points.  Indices in `zeros` mark balanced prefixes."""
-
-    vertices: tuple[tuple[int, int], ...]
-    zeros: tuple[int, ...]
-
-    def closed(self) -> LatticePolygon:
-        anti = tuple((-x, -y) for x, y in self.vertices)
-        return LatticePolygon(self.vertices + anti)
-
-
-def _curve_prefix(q: np.ndarray, zeros: np.ndarray) -> LatticeCurvePrefix:
-    return LatticeCurvePrefix(tuple(map(tuple, q[:-1].tolist())), tuple(zeros.tolist()))
-
-
-def lattice_curve(sigma: SidedOrdering, hull_color: Color | None = None) -> LatticeCurvePrefix:
-    """Build the prefix curve of a sided ordering.
+def lattice_curve(sigma: SidedOrdering, hull_color: Color | None = None) -> np.ndarray:
+    """Prefix-deficit vertices q_1..q_{3n-1} of a sided ordering, as an int64
+    (3n - 1, 2) array: q_k sums the color steps of the ordering's first k
+    points, and q_k at the origin marks a balanced prefix.  The closed curve
+    is these vertices followed by their negatives.
 
     The hull color contributes step (-1,-1); the remaining two colors in
     R,G,B order contribute (2,-1) and (-1,2).  A valid ordering of a
@@ -342,8 +323,9 @@ def lattice_curve(sigma: SidedOrdering, hull_color: Color | None = None) -> Latt
     require_rgb([p.color for p in pts])
     if hull_color is None:
         hull_color = _hull_color(_lattice_frame(pts))
-    q = _prefix_deficits(_color_steps(pts, hull_color))
-    return _curve_prefix(q, _balanced_prefixes(q, pts[-1].color is hull_color))
+    q = _color_steps(pts, hull_color).cumsum(axis=0)
+    _balanced_prefixes(q, pts[-1].color is hull_color)
+    return q[:-1]
 
 
 # -- the zero-vertex sweep -----------------------------------------------------
@@ -379,12 +361,12 @@ def find_balanced_lline(s: LatticePointSet, validate: bool = False) -> tuple[LLi
 
     for anchor, turns in _ordering_sequence(frame):
         order = frame.ordering(anchor, turns)
-        q = _prefix_deficits(steps[order])
+        q = steps[order].cumsum(axis=0)
         zeros = _balanced_prefixes(q, on_hull_color[order[-1]])
         if zeros.size:
             return _realize_prefix(s, frame, anchor, turns, order, int(zeros[0]))
         if validate:
-            w = winding_number(_curve_prefix(q, zeros).closed())
+            w = winding_number(np.concatenate((q[:-1], -q[:-1])))
             if windings and w != windings[-1]:
                 raise InternalError(
                     "winding changed between consecutive origin-free curves",

@@ -9,10 +9,12 @@ The sweep slides an apex down a vertical line far left of the points and
 watches the slope ordering.  Each window of 3n consecutive points gives a
 deficit vector (blue - n, green - n); all 6n of them form a closed
 centrally symmetric lattice polygon that winds an odd number of times
-around the origin.  Swapping two adjacent points (an event) moves single
-vertices by unit-ish steps, and flipping the ordering end to end reverses
-the winding, so some intermediate ordering puts a vertex on the origin.
-That vertex is the balanced window.
+around the origin.  The polygon is an int64 array read off the step table
+of `core.deficit_steps`, as the L-line search reads its curve.  Swapping
+two adjacent points (an event) moves single vertices by unit-ish steps,
+and flipping the ordering end to end reverses the winding, so some
+intermediate ordering puts a vertex on the origin.  That vertex is the
+balanced window.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ from .core import (
     ColoredLine,
     ColoredPoint,
     GeneralPosition,
-    LatticePolygon,
     Rat,
     RGB,
     Segment,
     check_general_position,
+    deficit_steps,
     dual_line_to_point,
     dual_point_to_line,
     int_line_through,
@@ -99,31 +101,6 @@ def ordering_at(apex: tuple[Rat, Rat], points: Sequence[ColoredPoint]) -> SlopeO
     )
 
 
-_COLOR_VEC = {Color.R: (0, 0), Color.B: (1, 0), Color.G: (0, 1)}
-
-
-@dataclass(frozen=True)
-class WedgeCurve:
-    """Deficit curve of all 3n-windows of a cyclic 6n-coloring.
-
-    vertices[k] = (blue count - n, green count - n) of the window starting at
-    position k.  Closed 6n-gon; vertices[k + 3n] == -vertices[k] because
-    complementary windows have complementary counts.
-    """
-
-    n: int
-    vertices: tuple[tuple[int, int], ...]
-
-    def zeros(self) -> tuple[int, ...]:
-        return tuple(k for k, v in enumerate(self.vertices) if v == (0, 0))
-
-    def polygon(self) -> LatticePolygon:
-        return LatticePolygon(self.vertices)
-
-    def winding(self) -> int:
-        return winding_number(self.polygon())
-
-
 def _require_6n(colors: Sequence[Color], what: str) -> int:
     """n for 6n items holding 2n of each color."""
     m = len(colors)
@@ -133,45 +110,53 @@ def _require_6n(colors: Sequence[Color], what: str) -> int:
     return m // 6
 
 
-def _window_deficits(colors: Sequence[Color], n: int) -> list[tuple[int, int]]:
-    """(blue count - n, green count - n) of the 3n-window at each position."""
-    m, h = 6 * n, 3 * n
-    b = g = 0
-    for c in colors[:h]:
-        v = _COLOR_VEC[c]
-        b, g = b + v[0], g + v[1]
-    verts = []
-    for k in range(m):
-        verts.append((b - n, g - n))
-        out_v = _COLOR_VEC[colors[k]]
-        in_v = _COLOR_VEC[colors[(k + h) % m]]
-        b, g = b + in_v[0] - out_v[0], g + in_v[1] - out_v[1]
-    return verts
+_ORIGIN = np.zeros((1, 2), dtype=np.int64)
 
 
-def wedge_curve(colors: Sequence[Color]) -> WedgeCurve:
-    n = _require_6n(colors, "point")
-    return WedgeCurve(n, tuple(_window_deficits(colors, n)))
+def _window_curve(steps: np.ndarray) -> np.ndarray:
+    """Row k: the sum of the half-length window of `steps` from position k
+    (cyclically), divided by 3.  With the steps of `core.deficit_steps`
+    (x color blue, y color green) that is (blue - n, green - n) of the
+    window: the window holds 3n points, so its sum is 3 (blue - n, green - n).
+    It is the difference of two prefix sums over the doubled sequence."""
+    m = len(steps)
+    prefix = np.concatenate((_ORIGIN, steps, steps)).cumsum(axis=0)
+    return (prefix[m // 2:m // 2 + m] - prefix[:m]) // 3
 
 
+def wedge_curve(colors: Sequence[Color]) -> np.ndarray:
+    """Deficit curve of all 3n-windows of a cyclic 6n-coloring.
+
+    Row k = (blue count - n, green count - n) of the window starting at
+    position k.  Closed 6n-gon; row k + 3n is minus row k because
+    complementary windows have complementary counts.
+    """
+    _require_6n(colors, "point")
+    return _window_curve(deficit_steps(colors, Color.B, Color.G))
+
+
+# the legal steps between consecutive vertices: |dx|, |dy|, |dx + dy| <= 1
 _STEPS = {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)}
 
 
-def check_curve_invariants(curve: WedgeCurve) -> None:
-    """Central symmetry, unit-ish steps, odd winding when the origin is free."""
-    m = len(curve.vertices)
-    h = m // 2
-    for k in range(m):
-        vk = curve.vertices[k]
-        va = curve.vertices[(k + h) % m]
-        if (va[0] + vk[0], va[1] + vk[1]) != (0, 0):
-            raise InternalError("curve is not centrally symmetric", {"k": k})
-        nxt = curve.vertices[(k + 1) % m]
-        if (nxt[0] - vk[0], nxt[1] - vk[1]) not in _STEPS:
-            raise InternalError("illegal curve step", {"k": k})
-    if not curve.zeros():
-        if curve.winding() % 2 != 1:
-            raise InternalError("origin-free curve with even winding")
+def check_curve_invariants(curve: np.ndarray) -> None:
+    """Central symmetry, unit-ish steps, odd winding when the origin is free.
+
+    Runs once per event in validate mode, so each check is a few whole-array
+    operations; only a failure looks for the offending row.
+    """
+    h = len(curve) // 2
+    asym = curve[:h] + curve[h:]
+    if asym.any():
+        k = int(asym.any(axis=1).argmax())
+        raise InternalError("curve is not centrally symmetric", {"k": k})
+    d = np.concatenate((curve[1:], curve[:1])) - curve
+    dsum = d[:, 0] + d[:, 1]
+    if np.abs(d).max() > 1 or np.abs(dsum).max() > 1:
+        illegal = (np.abs(d).max(axis=1) > 1) | (np.abs(dsum) > 1)
+        raise InternalError("illegal curve step", {"k": int(illegal.argmax())})
+    if (curve[:, 0] | curve[:, 1]).all() and winding_number(curve) % 2 != 1:
+        raise InternalError("origin-free curve with even winding")
 
 
 # -- double wedges -------------------------------------------------------------
@@ -309,26 +294,26 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
     x0 = min(p.x for p in pts) - 1
     events = _pair_events(pts, x0)
 
-    top = ordering_at((x0, events[0][0] + 1), pts)
-    order = list(top.points)
-    pos = {id(p): r for r, p in enumerate(order)}
-
-    q = _window_deficits([p.color for p in order], n)
-
-    def curve() -> WedgeCurve:
-        return WedgeCurve(n, tuple(q))
-
+    # an apex on x = x0 above every pair line sees the points by increasing x
+    order = sorted(range(m), key=lambda i: pts[i].x)
+    pos = [0] * m
+    for r, i in enumerate(order):
+        pos[i] = r
+    steps = deficit_steps([p.color for p in pts], Color.B, Color.G)
+    curve = _window_curve(steps[order])
+    # an event moves two vertices: on [x, y] lists of Python ints that costs
+    # less than numpy calls on single rows
+    q = curve.tolist()
+    unit = ((steps + 1) // 3).tolist()  # e of each point's step 3e - (1, 1)
+    zero_at = q.index([0, 0]) if [0, 0] in q else None
     if validate:
-        check_curve_invariants(curve())
-        w0 = curve().winding() if not curve().zeros() else None
+        check_curve_invariants(curve)
+        w0 = winding_number(curve) if zero_at is None else None
 
     stage = 0
-    zero_at = q.index((0, 0)) if (0, 0) in q else None
     while zero_at is None and stage < len(events):
         _, _, i, j = events[stage]
-        a_pos, b_pos = pos[id(pts[i])], pos[id(pts[j])]
-        if a_pos > b_pos:
-            a_pos, b_pos = b_pos, a_pos
+        a_pos, b_pos = sorted((pos[i], pos[j]))
         if b_pos != a_pos + 1:
             raise InternalError(
                 "event pair is not adjacent in the ordering",
@@ -336,34 +321,39 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
             )
         u, v = order[a_pos], order[b_pos]
         order[a_pos], order[b_pos] = v, u
-        pos[id(u)], pos[id(v)] = b_pos, a_pos
+        pos[u], pos[v] = b_pos, a_pos
 
+        # the window from b_pos trades v for u, its complement u for v
         w1 = (a_pos + 1) % m
         w2 = (w1 + h) % m
-        du = _COLOR_VEC[u.color]
-        dv = _COLOR_VEC[v.color]
-        delta = (du[0] - dv[0], du[1] - dv[1])
-        q[w1] = (q[w1][0] + delta[0], q[w1][1] + delta[1])
-        q[w2] = (q[w2][0] - delta[0], q[w2][1] - delta[1])
+        dx, dy = unit[u][0] - unit[v][0], unit[u][1] - unit[v][1]
+        r1, r2 = q[w1], q[w2]
+        r1[0] += dx
+        r1[1] += dy
+        r2[0] -= dx
+        r2[1] -= dy
         stage += 1
 
         if validate:
-            _validate_event(curve(), n, order)
-        if q[w1] == (0, 0):
+            curve = _window_curve(steps[order])
+            rebuilt = curve.tolist()
+            if rebuilt != q:
+                drift = next(k for k in range(m) if rebuilt[k] != q[k])
+                raise InternalError("incremental counts drifted", {"k": drift})
+            check_curve_invariants(curve)
+        if r1 == [0, 0]:
             zero_at = w1
-        elif q[w2] == (0, 0):
+        elif r2 == [0, 0]:
             zero_at = w2
-        else:
-            zero_at = None
 
     if zero_at is None:
-        trace = {"stages": stage, "final": [list(v) for v in q]}
+        trace = {"stages": stage, "final": q}
         if validate and w0 is not None:
             trace["initial_winding"] = w0
         raise InternalError("sweep exhausted all events without a zero vertex", trace)
 
     k0 = zero_at if zero_at <= h else zero_at - h
-    if q[(k0 + h) % m] != (0, 0):
+    if q[(k0 + h) % m] != [0, 0]:
         raise InternalError("zero vertex without its antipode", {"k": k0})
 
     # the apex sits on x = x0 midway between the last line crossed and the
@@ -376,13 +366,15 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
         apex = _apex_off_tie(events, stage, x0)
     ax, ay = apex
 
-    slopes = [(p.y - ay) / (p.x - ax) for p in order]
-    if validate:
-        reordered = ordering_at(apex, pts)
-        if list(reordered.points) != order:
-            raise InternalError("ordering drifted from slope order", {"stage": stage})
-    m_lo = slopes[0] - 1 if k0 == 0 else (slopes[k0 - 1] + slopes[k0]) / 2
-    m_hi = slopes[-1] + 1 if k0 + h == m else (slopes[k0 + h - 1] + slopes[k0 + h]) / 2
+    if validate and list(ordering_at(apex, pts).points) != [pts[i] for i in order]:
+        raise InternalError("ordering drifted from slope order", {"stage": stage})
+
+    def slope(r: int) -> Rat:
+        p = pts[order[r]]
+        return (p.y - ay) / (p.x - ax)
+
+    m_lo = slope(0) - 1 if k0 == 0 else (slope(k0 - 1) + slope(k0)) / 2
+    m_hi = slope(m - 1) + 1 if k0 + h == m else (slope(k0 + h - 1) + slope(k0 + h)) / 2
 
     w = wedge_from_functionals(
         apex,
@@ -409,14 +401,6 @@ def _apex_off_tie(events, stage: int, x0: Rat) -> tuple[Rat, Rat]:
             d = min(d, abs(y - y_e) / abs(s_e - s))
     d /= 2
     return (x0 - d, y - s * d)
-
-
-def _validate_event(curve: WedgeCurve, n, order) -> None:
-    check_curve_invariants(curve)
-    rebuilt = _window_deficits([p.color for p in order], n)
-    drift = [k for k in range(6 * n) if curve.vertices[k] != rebuilt[k]]
-    if drift:
-        raise InternalError("incremental counts drifted", {"k": drift[0]})
 
 
 # -- exhaustive oracle ---------------------------------------------------------

@@ -268,3 +268,17 @@ class TestRender:
         r = run_cli("render", "--in", str(bad))
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "cell", "--in"],
+    ["verify", "--in"],
+    ["render", "--in"],
+], ids=["solve", "verify", "render"])
+def test_non_utf8_file_exit_2(tmp_path, args):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"lines": ["é"]}'.encode("latin-1"))
+    r = run_cli(*args, str(bad))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "UTF-8" in r.stderr
+    assert r.stderr.count("\n") == 1

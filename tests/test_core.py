@@ -2,14 +2,14 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tricut.core import (
     ArcSet,
     Color,
     GeneralPosition,
-    LatticePolygon,
     arcset,
     arcset_color_counts,
     arcset_complement,
@@ -30,6 +30,7 @@ from tricut.core import (
     require_rgb,
     winding_number,
 )
+from winding_reference import reference_winding_number
 from tricut.errors import (
     BoundaryPoint,
     MissingColor,
@@ -281,32 +282,81 @@ class TestArcSet:
 
 class TestWinding:
     def test_square_around_origin(self):
-        sq = LatticePolygon(((1, 1), (-1, 1), (-1, -1), (1, -1)))
+        sq = ((1, 1), (-1, 1), (-1, -1), (1, -1))
         assert winding_number(sq) == 1
-        rev = LatticePolygon(tuple(reversed(sq.vertices)))
-        assert winding_number(rev) == -1
+        assert winding_number(tuple(reversed(sq))) == -1
 
     def test_square_missing_origin(self):
-        sq = LatticePolygon(((3, 1), (2, 1), (2, 2), (3, 2)))
-        assert winding_number(sq) == 0
+        assert winding_number(((3, 1), (2, 1), (2, 2), (3, 2))) == 0
 
     def test_double_loop(self):
         loop = ((2, 0), (0, 2), (-2, 0), (0, -2)) * 2
-        assert winding_number(LatticePolygon(loop)) == 2
+        assert winding_number(loop) == 2
 
     def test_zero_length_edges_skipped(self):
-        sq = LatticePolygon(((1, 1), (1, 1), (-1, 1), (-1, -1), (1, -1)))
+        sq = ((1, 1), (1, 1), (-1, 1), (-1, -1), (1, -1))
         assert winding_number(sq) == 1
 
     def test_origin_vertex_raises(self):
         with pytest.raises(OriginOnCurve):
-            winding_number(LatticePolygon(((0, 0), (1, 0), (0, 1))))
+            winding_number(((0, 0), (1, 0), (0, 1)))
 
     def test_origin_on_edge_interior_raises(self):
         with pytest.raises(OriginOnCurve):
-            winding_number(LatticePolygon(((-2, 0), (3, 0), (0, 5))))
+            winding_number(((-2, 0), (3, 0), (0, 5)))
 
     def test_crossing_at_vertex_counted_once(self):
         # vertex exactly on the positive x axis
         hexagon = ((2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2))
-        assert winding_number(LatticePolygon(hexagon)) == 1
+        assert winding_number(hexagon) == 1
+
+    def test_int64_array_input(self):
+        hexagon = np.array(((2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2)))
+        assert winding_number(hexagon) == 1
+        assert winding_number(hexagon[::-1]) == -1
+
+    @pytest.mark.parametrize("bad", [
+        ((F(1, 2), 1), (-1, 1), (0, -1)),
+        ((1.0, 1), (-1, 1), (0, -1)),
+        np.array(((1.0, 1.0), (-1.0, 1.0))),
+        ((1, 1, 1), (-1, 1, 1)),
+    ])
+    def test_non_integer_vertices_rejected(self, bad):
+        with pytest.raises(PreconditionViolated):
+            winding_number(bad)
+
+    @pytest.mark.parametrize("verts", [(), ((1, 1),), np.zeros((1, 2), dtype=np.int64)])
+    def test_fewer_than_two_vertices_rejected(self, verts):
+        with pytest.raises(PreconditionViolated):
+            winding_number(verts)
+
+    @pytest.mark.parametrize("big", [2**31, -(2**31), 2**63, -(2**80)])
+    def test_coordinates_past_int32_rejected(self, big):
+        with pytest.raises(PreconditionViolated):
+            winding_number(((big, 1), (-1, 1), (0, -1)))
+        if -(2**63) <= big < 2**63:
+            with pytest.raises(PreconditionViolated):
+                winding_number(np.array(((1, big), (-1, 1)), dtype=np.int64))
+        edge = 2**31 - 1 if big > 0 else -(2**31 - 1)
+        assert winding_number(((edge, -edge), (edge, edge), (-edge, 0))) == 1
+
+    @staticmethod
+    def _outcome(f, verts):
+        try:
+            return f(verts)
+        except OriginOnCurve as e:
+            return ("OriginOnCurve", str(e))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=12
+    ))
+    @example([(1, 1), (1, 1), (-1, 0)])  # zero-length edge
+    @example([(1, 1), (2, -1), (0, 0)])  # vertex at the origin
+    @example([(2, 1), (-2, -1), (0, 3)])  # origin inside an edge
+    def test_matches_loop_reference(self, verts):
+        # a small coordinate range makes zero-length edges, vertices at the
+        # origin and edges through it common
+        want = self._outcome(reference_winding_number, verts)
+        assert self._outcome(winding_number, verts) == want
+        assert self._outcome(winding_number, np.array(verts, dtype=np.int64)) == want

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tricut import llines
-from tricut.core import Color, LatticePolygon, pt, winding_number
+import numpy as np
+
+from tricut.core import Color, pt
 from tricut.generators import GenKind, GenSpec, generate
 from tricut.errors import (
     MissingColor,
     PreconditionViolated,
 )
+from winding_reference import reference_winding_number
 from tricut.llines import (
     LLine,
     LatticePointSet,
@@ -163,7 +166,7 @@ def _find_balanced_lline_reference(s, validate):
         if validate:
             verts = tuple(q[1:-1])
             anti = tuple((-x, -y) for x, y in verts)
-            windings.add(winding_number(LatticePolygon(verts + anti)))
+            windings.add(reference_winding_number(verts + anti))
             assert len(windings) == 1
     raise AssertionError("no balanced prefix in the full ordering sequence")
 
@@ -397,38 +400,41 @@ class TestLatticeCurve:
         s = ring12()
         top = max(s.points, key=lambda p: p.y)
         curve = lattice_curve(sided_ordering(top, 2, s))
-        assert curve.vertices == (
-            (-1, -1), (-2, -2), (-3, 0), (-1, -1), (-2, 1), (0, 0),
-            (2, -1), (1, 1), (3, 0), (2, 2), (1, 1),
-        )
-        assert curve.zeros == (6,)
+        assert curve.dtype == np.int64
+        assert curve.tolist() == [
+            [-1, -1], [-2, -2], [-3, 0], [-1, -1], [-2, 1], [0, 0],
+            [2, -1], [1, 1], [3, 0], [2, 2], [1, 1],
+        ]
+        assert (np.flatnonzero(~curve.any(axis=1)) + 1).tolist() == [6]
 
     def test_closed_polygon_is_centrally_symmetric(self):
         s = ring12()
         top = max(s.points, key=lambda p: p.y)
-        poly = lattice_curve(sided_ordering(top, 2, s)).closed()
-        v = poly.vertices
+        curve = lattice_curve(sided_ordering(top, 2, s))
+        v = np.concatenate((curve, -curve))
         half = len(v) // 2
-        assert all(v[i + half] == (-v[i][0], -v[i][1]) for i in range(half))
+        assert all((v[i + half] == -v[i]).all() for i in range(half))
 
     def test_steps_and_endpoints_for_every_ordering(self):
         s = ring12()
         for anchor, turns in _anchor_sequence(s):
             curve = lattice_curve(sided_ordering(anchor, turns, s), Color.R)
-            verts = ((0, 0),) + curve.vertices
+            verts = [(0, 0)] + [tuple(v) for v in curve.tolist()]
             diffs = {
                 (b[0] - a[0], b[1] - a[1]) for a, b in zip(verts, verts[1:])
             }
             assert diffs <= STEPS_RED_HULL
-            assert curve.vertices[0] == (-1, -1)
-            assert curve.vertices[-1] == (1, 1)
+            assert verts[1] == (-1, -1)
+            assert verts[-1] == (1, 1)
 
     def test_zero_marks_balanced_prefix(self):
         s = ring12()
         top = max(s.points, key=lambda p: p.y)
         sigma = sided_ordering(top, 2, s)
         curve = lattice_curve(sigma)
-        for k in curve.zeros:
+        zeros = np.flatnonzero(~curve.any(axis=1)) + 1
+        assert zeros.size
+        for k in zeros.tolist():
             prefix = sigma.order[:k]
             for c in (Color.R, Color.G, Color.B):
                 assert sum(p.color is c for p in prefix) == k // 3
@@ -536,7 +542,8 @@ class TestFindBalancedLLine:
         # goes back to the point objects
         s = generate(GenSpec(GenKind.LatticeRedHull, 32, 1))
         calls = Counter()
-        for name in ("_RankFrame", "_prefix_deficits", "sided_ordering", "lattice_curve", "require_rgb"):
+        spied = ("_RankFrame", "_balanced_prefixes", "sided_ordering", "lattice_curve", "require_rgb")
+        for name in spied:
             real = getattr(llines, name)
 
             def spy(*args, _name=name, _real=real, **kwargs):
@@ -546,7 +553,7 @@ class TestFindBalancedLLine:
             monkeypatch.setattr(llines, name, spy)
         l, k = find_balanced_lline(s, validate=True)
         assert lline_counts(l, s) == ((k,) * 3, (32 - k,) * 3)
-        assert calls["_prefix_deficits"] > 1
+        assert calls["_balanced_prefixes"] > 1
         assert calls["_RankFrame"] == 1
         for name in ("sided_ordering", "lattice_curve", "require_rgb"):
             assert calls[name] <= 1, name

@@ -22,7 +22,6 @@ from tricut.core import (
     Segment,
     arcset,
     arcset_color_counts,
-    arcset_component_count,
     circle_point,
     empty_arcset,
     full_circle,
@@ -133,7 +132,7 @@ def ref_enumerate_2arc_sets(points, k):
         c_b = tuple(x + y for x, y in zip(range_counts(g2, g3), range_counts(g4, g1)))
         if c_b == target:
             out.append(arcset(list(one_arc(g2, g3).arcs) + list(one_arc(g4, g1).arcs)))
-    return sorted(out, key=lambda a: (arcset_component_count(a), a.arcs))
+    return sorted(out, key=lambda a: (a.component_count(), a.arcs))
 
 
 def key_or_boundary(key, a, points):
@@ -271,7 +270,7 @@ class TestEnumerate2ArcSets:
         pts = rand_circle_points(3, 4)
         for a in enumerate_2arc_sets(pts, 2):
             assert arcset_color_counts(a, pts) == {R: 2, G: 2, B: 2}
-            assert arcset_component_count(a) <= 2
+            assert a.component_count() <= 2
 
     def test_blocks_need_two_arcs(self):
         n = 4
@@ -279,7 +278,7 @@ class TestEnumerate2ArcSets:
                for i, c in enumerate([R] * n + [G] * n + [B] * n)]
         out = enumerate_2arc_sets(pts, 1)
         assert out
-        assert all(arcset_component_count(a) == 2 for a in out)
+        assert all(a.component_count() == 2 for a in out)
 
     def test_completeness_against_subset_enumeration(self):
         for n in range(1, 5):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from tricut import wedges
@@ -12,12 +13,14 @@ from tricut.core import (
     line_slope_intercept,
     orient,
     pt,
+    winding_number,
 )
 from tricut.generators import GenKind, GenSpec, generate
 from tricut.oracles import count_segment_crossings
 from wedge_oracle_table import table_oracle_wedges
 from tricut.errors import (
     DegenerateApex,
+    InternalError,
     MissingColor,
     NotSimple,
     OnBoundary,
@@ -42,6 +45,13 @@ from tricut.wedges import (
 )
 
 R, G, B = Color.R, Color.G, Color.B
+
+
+@pytest.fixture
+def expected_internal_errors(monkeypatch):
+    """For tests that provoke InternalError on purpose: the global counter
+    is restored afterwards, so criterion 9 still counts only unexpected ones."""
+    monkeypatch.setattr(InternalError, "count", InternalError.count)
 
 
 def rand_balanced_points(n, seed, spread=None):
@@ -90,15 +100,15 @@ class TestOrderingAt:
 class TestWedgeCurve:
     def test_blocks_hexagon(self):
         c = wedge_curve((R, R, G, G, B, B))
-        assert c.vertices == ((-1, 0), (-1, 1), (0, 1), (1, 0), (1, -1), (0, -1))
-        assert c.zeros() == ()
-        assert c.winding() == -1  # one clockwise loop around the origin
+        assert c.dtype == np.int64
+        assert c.tolist() == [[-1, 0], [-1, 1], [0, 1], [1, 0], [1, -1], [0, -1]]
+        assert c.any(axis=1).all()  # no vertex at the origin
+        assert winding_number(c) == -1  # one clockwise loop around the origin
         check_curve_invariants(c)
 
     def test_interleaved_all_zero(self):
         c = wedge_curve((R, G, B, R, G, B))
-        assert set(c.vertices) == {(0, 0)}
-        assert len(c.zeros()) == 6
+        assert c.shape == (6, 2) and not c.any()
 
     def test_counts_validated(self):
         with pytest.raises(PreconditionViolated):
@@ -116,8 +126,46 @@ class TestWedgeCurve:
             rng.shuffle(word)
             c = wedge_curve(word)
             check_curve_invariants(c)
-            if not c.zeros():
-                assert c.winding() % 2 == 1
+            # row k counts the 3n-window from position k directly
+            for k in range(6 * n):
+                window = [word[(k + i) % (6 * n)] for i in range(3 * n)]
+                assert c[k].tolist() == [window.count(B) - n, window.count(G) - n]
+            if c.any(axis=1).all():
+                assert winding_number(c) % 2 == 1
+
+    @pytest.mark.usefixtures("expected_internal_errors")
+    def test_asymmetric_curve_rejected(self):
+        c = wedge_curve((R, R, G, G, B, B))
+        c[4] += (0, 1)
+        with pytest.raises(InternalError, match="centrally symmetric") as e:
+            check_curve_invariants(c)
+        assert e.value.trace == {"k": 1}
+
+    @pytest.mark.usefixtures("expected_internal_errors")
+    def test_illegal_steps_rejected(self):
+        # move one vertex and its antipode: the array check must flag a step
+        # exactly when a per-step lookup in _STEPS does
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            word = [R] * (2 * n) + [G] * (2 * n) + [B] * (2 * n)
+            rng.shuffle(word)
+            c = wedge_curve(word)
+            k = rng.randrange(6 * n)
+            shift = (rng.randint(-1, 1), rng.randint(-1, 1))
+            c[k] += shift
+            c[(k + 3 * n) % (6 * n)] -= shift
+            verts = [tuple(v) for v in c.tolist()]
+            legal = all(
+                (b[0] - a[0], b[1] - a[1]) in wedges._STEPS
+                for a, b in zip(verts, verts[1:] + verts[:1])
+            )
+            try:
+                check_curve_invariants(c)
+            except InternalError as e:
+                assert str(e).startswith("illegal curve step") != legal, str(e)
+            else:
+                assert legal
 
     def test_step_pairs_span_unit_triangles(self):
         # validate mode relies on this instead of scanning for lattice points:
@@ -256,6 +304,27 @@ class TestSweep:
         for c, k in count_segment_crossings(seg, duals).items():
             counts[c] += k
         assert counts == {R: 6, G: 6, B: 6}
+
+    @pytest.mark.usefixtures("expected_internal_errors")
+    def test_validate_catches_drift(self, monkeypatch):
+        # validate mode rebuilds the curve after every event and compares it
+        # with the incrementally updated one: a rebuild that disagrees (here
+        # negated, which keeps symmetry and legal steps) must be reported
+        pts = next(
+            p for p in (rand_balanced_points(2, seed) for seed in range(40))
+            if wedge_curve([q.color for q in sorted(p, key=lambda q: q.x)]).any(axis=1).all()
+        )
+        real = wedges._window_curve
+        calls = []
+
+        def negated_after_first(steps):
+            calls.append(1)
+            return real(steps) if len(calls) == 1 else -real(steps)
+
+        monkeypatch.setattr(wedges, "_window_curve", negated_after_first)
+        with pytest.raises(InternalError, match="incremental counts drifted"):
+            sweep_balanced_wedge(pts, validate=True)
+        assert len(calls) == 2
 
     def test_96_convex_points(self):
         pts = generate(GenSpec(GenKind.Points3CConvex, 16, 1))
