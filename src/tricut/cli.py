@@ -16,6 +16,7 @@ guarantee broke (the contradiction trace is dumped to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -398,7 +399,9 @@ def _cmd_render(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     top = argparse.ArgumentParser(
         prog="tricut",
         description="Balanced bipartitions of 3-colored geometric data.",

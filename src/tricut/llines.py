@@ -51,6 +51,7 @@ from .errors import (
 from .oracles import ORACLE_MAX_POINTS
 
 HALF = Fraction(1, 2)
+_RGB_INDEX = {c: i for i, c in enumerate(RGB)}
 
 
 class RayDir(enum.Enum):
@@ -420,7 +421,7 @@ def _realize_prefix(
         rays.append(r)
     l = LLine(tuple(corner), tuple(rays))
 
-    c1, c2 = lline_counts(l, s)
+    c1, c2 = _doubled_counts(l, s.points)
     n = s.n
     if len(set(c1)) != 1 or len(set(c2)) != 1 or not 1 <= c1[0] <= n - 1:
         raise InternalError(
@@ -433,6 +434,23 @@ def _realize_prefix(
             {"c1": c1, "k0": k0},
         )
     return l, c1[0]
+
+
+def _doubled_counts(
+    l: LLine, points: Sequence[ColoredPoint]
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """`lline_counts` for the search's self-check, on doubled integer
+    coordinates: lattice points double to even integers and the corner to
+    odd ones, so no point lies on l and no Fraction is needed.  Kept apart
+    from LLine.in_region1 and from the oracle's counting."""
+    cx, cy = (int(2 * c) for c in l.corner)
+    dx, dy = _REGION1_DIR[frozenset(l.rays)]
+    c1, c2 = [0, 0, 0], [0, 0, 0]
+    for p in points:
+        # 2x - cx is odd, never 0: a zero factor leaves that axis free
+        inside = dx * (2 * p.x.numerator - cx) >= 0 and dy * (2 * p.y.numerator - cy) >= 0
+        (c1 if inside else c2)[_RGB_INDEX[p.color]] += 1
+    return tuple(c1), tuple(c2)
 
 
 # -- exhaustive oracle ---------------------------------------------------------

@@ -15,10 +15,17 @@ two adjacent points (an event) moves single vertices by unit-ish steps,
 and flipping the ordering end to end reverses the winding, so some
 intermediate ordering puts a vertex on the origin.  That vertex is the
 balanced window.
+
+Events come from a lazy queue (`_EventQueue`): a heap of the pairs adjacent
+in the current slope order, as in kinetic sorting, so a sweep that stops
+after k events computes O(m + k) pair-line keys instead of sorting all
+m(m - 1)/2 of them.  The balanced wedge is counted once more, on the
+points' integer triples, before it is returned.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,6 +54,7 @@ from .core import (
     deficit_steps,
     dual_line_to_point,
     dual_point_to_line,
+    int_line,
     int_line_through,
     int_points,
     intersect,
@@ -246,29 +254,96 @@ def wedge_dual_segment(w: DoubleWedge) -> Segment:
 # -- the sweep -----------------------------------------------------------------
 
 
-def _pair_events(points: Sequence[ColoredPoint], x0: Rat):
-    """Every point-pair line as (intercept on x = x0, slope, i, j), in the
-    order an apex sliding down x = x0 - eps crosses them for a small eps > 0:
-    intercept descending, then slope ascending, since of two lines meeting on
-    x = x0 the steeper runs lower just left of it (Simulation of Simplicity).
+def _pair_event(p, q, n0: int, d0: int) -> tuple[Fraction, Fraction]:
+    """(intercept on x = n0/d0, slope) of the line through two `int_points`
+    triples with distinct x: one Fraction of integer differences each."""
+    (xi, yi, wi), (xj, yj, wj) = p, q
+    run = n0 * wi - xi * d0  # (x0 - x_i) * wi * d0
+    dx, dy = xj * wi - xi * wj, yj * wi - yi * wj  # differences times wi * wj
+    return Fraction(yi * dx * d0 + dy * run, wi * d0 * dx), Fraction(dy, dx)
 
-    Works on the points' integer triples (`core.int_points`): each key is one
-    Fraction of integer differences.  The sort puts each key's integer floor
-    before it: ordering by (floor(v), v) is exactly ordering by v, and the
-    int comparison settles most pairs without Fraction arithmetic.
-    """
+
+def _pair_events(points: Sequence[ColoredPoint], x0: Rat):
+    """Every point-pair line as (intercept on x = x0, slope, i, j), i < j, in
+    index order."""
     ints = int_points(points)
     n0, d0 = x0.numerator, x0.denominator
-    events = []
-    for i, (xi, yi, wi) in enumerate(ints):
-        run = n0 * wi - xi * d0  # (x0 - x_i) * wi * d0
-        for j in range(i + 1, len(ints)):
-            xj, yj, wj = ints[j]
-            dx, dy = xj * wi - xi * wj, yj * wi - yi * wj  # differences times wi * wj
-            y = Fraction(yi * dx * d0 + dy * run, wi * d0 * dx)
-            events.append((y, Fraction(dy, dx), i, j))
-    events.sort(key=lambda e: (math.floor(-e[0]), -e[0], math.floor(e[1]), e[1]))
-    return events
+    return [
+        (*_pair_event(ints[i], ints[j], n0, d0), i, j)
+        for i, j in itertools.combinations(range(len(ints)), 2)
+    ]
+
+
+class _EventQueue:
+    """The point-pair lines in the order an apex sliding down x = x0 - eps
+    crosses them, for a small eps > 0: intercept on x = x0 descending, then
+    slope ascending, since of two lines meeting on x = x0 the steeper runs
+    lower just left of it (Simulation of Simplicity).
+
+    `order` starts as the points by increasing x, which an apex above every
+    pair line sees, and crossing a pair line swaps its two points.  With no
+    three collinear points the next line crossed always joins two points
+    adjacent in `order` (kinetic sorting), so a heap holds only the adjacent
+    pairs not yet crossed, keyed by (floor(-y), -y, floor(s), s): ordering
+    by (floor(v), v) is exactly ordering by v, and the int comparison
+    settles most pairs without Fraction arithmetic.  A pair is pushed each
+    time it becomes adjacent in its original order; an entry whose pair has
+    since moved apart or swapped is stale and dropped when it surfaces.
+    """
+
+    def __init__(self, ints: list[tuple[int, int, int]], x0: Rat, order: list[int]):
+        self.ints = ints
+        self.n0, self.d0 = x0.numerator, x0.denominator
+        self.order = order
+        self.pos = [0] * len(order)
+        for r, i in enumerate(order):
+            self.pos[i] = r
+        self.rank = self.pos[:]  # position in the starting x order
+        self.last = None  # key of the last line crossed
+        self.heap = []
+        for r in range(len(order) - 1):
+            self._push(r)
+
+    def _push(self, r: int) -> None:
+        """Queue the pair at positions r, r + 1 unless its line is crossed."""
+        a, b = self.order[r], self.order[r + 1]
+        if self.rank[a] < self.rank[b]:
+            y, s = _pair_event(self.ints[a], self.ints[b], self.n0, self.d0)
+            heapq.heappush(self.heap, (math.floor(-y), -y, math.floor(s), s, a, b))
+
+    def peek(self):
+        """Key of the next line to cross, or None once every one is crossed."""
+        heap, pos = self.heap, self.pos
+        while heap and pos[heap[0][4]] + 1 != pos[heap[0][5]]:
+            heapq.heappop(heap)
+        return heap[0][:4] if heap else None
+
+    def cross(self) -> int | None:
+        """Cross the next line: swap its two points and return the position r
+        of the swapped pair (now at r, r + 1), or None if none is left."""
+        key = self.peek()
+        if key is None:
+            return None
+        _, _, _, _, a, b = heapq.heappop(self.heap)
+        if self.last is not None and key <= self.last:
+            raise InternalError(
+                "pair line crossed out of order",
+                {"pair": (a, b), "key": str(key), "last": str(self.last)},
+            )
+        self.last = key
+        order, pos = self.order, self.pos
+        r = pos[a]
+        order[r], order[r + 1] = b, a
+        pos[a], pos[b] = r + 1, r
+        if r:
+            self._push(r - 1)
+        if r + 2 < len(order):
+            self._push(r + 1)
+        return r
+
+
+def _y(key) -> Fraction:
+    return -key[1]
 
 
 def sweep_balanced_wedge(points: Sequence[ColoredPoint], validate: bool = False) -> DoubleWedge:
@@ -292,13 +367,9 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
     h = 3 * n
 
     x0 = min(p.x for p in pts) - 1
-    events = _pair_events(pts, x0)
-
-    # an apex on x = x0 above every pair line sees the points by increasing x
-    order = sorted(range(m), key=lambda i: pts[i].x)
-    pos = [0] * m
-    for r, i in enumerate(order):
-        pos[i] = r
+    ints = int_points(pts)
+    queue = _EventQueue(ints, x0, sorted(range(m), key=lambda i: pts[i].x))
+    order = queue.order
     steps = deficit_steps([p.color for p in pts], Color.B, Color.G)
     curve = _window_curve(steps[order])
     # an event moves two vertices: on [x, y] lists of Python ints that costs
@@ -311,20 +382,14 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
         w0 = winding_number(curve) if zero_at is None else None
 
     stage = 0
-    while zero_at is None and stage < len(events):
-        _, _, i, j = events[stage]
-        a_pos, b_pos = sorted((pos[i], pos[j]))
-        if b_pos != a_pos + 1:
-            raise InternalError(
-                "event pair is not adjacent in the ordering",
-                {"stage": stage, "pair": (i, j), "positions": (a_pos, b_pos)},
-            )
-        u, v = order[a_pos], order[b_pos]
-        order[a_pos], order[b_pos] = v, u
-        pos[u], pos[v] = b_pos, a_pos
+    while zero_at is None:
+        a_pos = queue.cross()
+        if a_pos is None:
+            break
+        v, u = order[a_pos], order[a_pos + 1]
 
-        # the window from b_pos trades v for u, its complement u for v
-        w1 = (a_pos + 1) % m
+        # the window from a_pos + 1 trades v for u, its complement u for v
+        w1 = a_pos + 1
         w2 = (w1 + h) % m
         dx, dy = unit[u][0] - unit[v][0], unit[u][1] - unit[v][1]
         r1, r2 = q[w1], q[w2]
@@ -358,12 +423,13 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
 
     # the apex sits on x = x0 midway between the last line crossed and the
     # next, or 1 beyond the first or last intercept
-    above = events[stage - 1][0] if stage else events[0][0] + 2
-    below = events[stage][0] if stage < len(events) else events[-1][0] - 2
+    last, nxt = queue.last, queue.peek()
+    above = _y(last) if last else _y(nxt) + 2
+    below = _y(nxt) if nxt else _y(last) - 2
     if above != below:
         apex = (x0, (above + below) / 2)
     else:
-        apex = _apex_off_tie(events, stage, x0)
+        apex = _apex_off_tie(pts, x0, last, nxt)
     ax, ay = apex
 
     if validate and list(ordering_at(apex, pts).points) != [pts[i] for i in order]:
@@ -382,21 +448,41 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
         (-m_hi, Fraction(1), m_hi * ax - ay),
         contains_disagree=True,
     )
-    counts = wedge_color_counts(w, pts)
+    counts = _int_wedge_counts(w, ints, pts)
     if any(counts[c] != n for c in RGB):
         raise InternalError("balanced window did not verify", {"counts": str(counts)})
     return w
 
 
-def _apex_off_tie(events, stage: int, x0: Rat) -> tuple[Rat, Rat]:
-    """Apex between events stage - 1 and stage when both cross x = x0 at one
-    point (x0, y): step left along their mean slope s by
-    d = min(1, |y - y_e| / |s_e - s|) / 2 over the events e missing the point
-    with s_e != s, which crosses no other pair line."""
-    y = events[stage][0]
-    s = (events[stage - 1][1] + events[stage][1]) / 2
+def _int_wedge_counts(
+    w: DoubleWedge, ints: list[tuple[int, int, int]], pts: Sequence[ColoredPoint]
+) -> dict[Color, int]:
+    """`wedge_color_counts` on the points' `int_points` triples: the sign of
+    a boundary line at (X/W, Y/W) is that of A*X + B*Y + C*W for its
+    `int_line` (A, B, C), as W > 0."""
+    a1, b1, c1 = int_line(w.line1)
+    a2, b2, c2 = int_line(w.line2)
+    agree = w.sector == SECTOR_AGREE
+    counts = {c: 0 for c in RGB}
+    for (x, y, z), p in zip(ints, pts):
+        v1 = a1 * x + b1 * y + c1 * z
+        v2 = a2 * x + b2 * y + c2 * z
+        if v1 == 0 or v2 == 0:
+            raise OnBoundary("point on a wedge boundary line")
+        if ((v1 > 0) == (v2 > 0)) == agree:
+            counts[p.color] += 1
+    return counts
+
+
+def _apex_off_tie(pts: tuple[ColoredPoint, ...], x0: Rat, last, nxt) -> tuple[Rat, Rat]:
+    """Apex between the last line crossed and the next when both cross
+    x = x0 at one point (x0, y): step left along their mean slope s by
+    d = min(1, |y - y_e| / |s_e - s|) / 2 over the pair lines e missing the
+    point with s_e != s, which crosses no other pair line."""
+    y = _y(nxt)
+    s = (last[3] + nxt[3]) / 2
     d = Fraction(1)
-    for y_e, s_e, _, _ in events:
+    for y_e, s_e, _, _ in _pair_events(pts, x0):
         if y_e != y and s_e != s:
             d = min(d, abs(y - y_e) / abs(s_e - s))
     d /= 2

@@ -282,3 +282,21 @@ def test_non_utf8_file_exit_2(tmp_path, args):
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: ") and "UTF-8" in r.stderr
     assert r.stderr.count("\n") == 1
+
+
+def test_cached_parser_after_a_failing_call(tmp_path, capsys):
+    # run() builds its parser once per process; calls that fail in argparse
+    # or in the solver leave nothing behind for the next call to read
+    from tricut import cli
+
+    with pytest.raises(SystemExit) as err:
+        cli.run(["solve", "nonsense"])
+    assert err.value.code == 2
+    assert cli.run(["solve", "arcs", "--n", "5", "--k", "99", "--seed", "1", "--verify"]) == 2
+    out = tmp_path / "good.json"
+    assert cli.run(["solve", "arcs", "--n", "5", "--k", "2", "--out", str(out)]) == 0
+    env = json.loads(out.read_text())
+    assert env["params"] == {"k": 2} and env["verification"] is None
+    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser.cache_info().currsize == 1
+    capsys.readouterr()

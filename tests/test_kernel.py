@@ -8,13 +8,15 @@ lines and vertical lines.
 """
 
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricut import cells, core
+from tricut import cells, core, wedges
 from tricut.cells import validate_simple
 from tricut.core import (
     GeneralPosition,
@@ -30,6 +32,7 @@ from tricut.core import (
 )
 from tricut.wedges import _pair_events
 from tricut.errors import NotSimple, PreconditionViolated
+from tricut.generators import GenKind, GenSpec, generate
 
 
 # -- reference loops on Fractions ------------------------------------------------
@@ -66,15 +69,20 @@ def ref_general_position(points):
     return None
 
 
-def ref_pair_events(points, x0):
+def ref_pair_values(points, x0):
+    """(intercept on x = x0, slope, i, j) of every pair line, i < j."""
     events = []
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             pi, pj = points[i], points[j]
             s = (pj.y - pi.y) / (pj.x - pi.x)
             events.append((pi.y + s * (x0 - pi.x), s, i, j))
-    events.sort(key=lambda e: (-e[0], e[1]))
     return events
+
+
+def ref_pair_events(points, x0):
+    """The pair lines in sweep order: intercept descending, then slope."""
+    return sorted(ref_pair_values(points, x0), key=lambda e: (-e[0], e[1]))
 
 
 def check_validate_simple(lines):
@@ -203,12 +211,106 @@ class TestPairEventsMatchFractions:
                  max_size=8, unique_by=lambda p: p.x),
         points_on_a_line().filter(lambda ps: len({p.x for p in ps}) == len(ps)),
     ))
-    def test_same_keys_in_the_same_order(self, points):
+    def test_same_values_per_pair(self, points):
         # small grids tie intercepts on x0; big denominators and lines exercise
         # unrelated scales and equal keys
         if points:
             x0 = min(p.x for p in points) - 1
-            assert _pair_events(points, x0) == ref_pair_events(points, x0)
+            assert _pair_events(points, x0) == ref_pair_values(points, x0)
+
+
+def general_points(m, seed, spread):
+    """m seeded points with distinct x and no three collinear."""
+    rng = random.Random(seed)
+    while True:
+        xs = rng.sample(range(-spread, spread + 1), m)
+        points = [pt(x, rng.randint(-spread, spread), "R") for x in xs]
+        try:
+            check_general_position(points, GeneralPosition.NO_THREE_COLLINEAR)
+            return points
+        except PreconditionViolated:
+            continue
+
+
+def rational_map(points, seed):
+    """Image under x' = a x + c, y' = d y + e x + f with a, d > 0 and
+    denominators 10^5..10^6: same x order, same combinatorics."""
+    rng = random.Random(seed)
+
+    def rat(lo, hi):
+        den = rng.randint(10**5, 10**6)
+        return F(rng.randint(lo * den, hi * den), den)
+
+    a, d, e, c, f = rat(1, 3), rat(1, 3), rat(-1, 1), rat(-100, 100), rat(-100, 100)
+    return [pt(a * p.x + c, d * p.y + e * p.x + f, p.color) for p in points]
+
+
+def drive_queue(points):
+    """Cross every pair line.  Returns the ((i, j), key) of each crossing and
+    how often each pair became adjacent before its crossing, counted from
+    the order alone."""
+    x0 = min(p.x for p in points) - 1
+    start = sorted(range(len(points)), key=lambda i: points[i].x)
+    queue = wedges._EventQueue(int_points(points), x0, start[:])
+    crossed, entered = set(), Counter()
+
+    def adjacent():
+        return {frozenset(queue.order[r:r + 2]) for r in range(len(points) - 1)}
+
+    adj = adjacent()
+    entered.update(adj)
+    events = []
+    while (r := queue.cross()) is not None:
+        pair = frozenset(queue.order[r:r + 2])
+        crossed.add(pair)
+        events.append((tuple(sorted(pair)), queue.last))
+        now = adjacent()
+        entered.update(now - adj - crossed)
+        adj = now
+    assert queue.order == start[::-1]
+    return events, entered
+
+
+def check_queue_order(points):
+    events, entered = drive_queue(points)
+    x0 = min(p.x for p in points) - 1
+    ref = ref_pair_events(points, x0)
+    assert [pair for pair, _ in events] == [(i, j) for _, _, i, j in ref]
+    assert [(-k[1], k[3]) for _, k in events] == [(y, s) for y, s, _, _ in ref]
+    keys = [k for _, k in events]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    return entered
+
+
+class TestEventQueue:
+    """The lazy queue of the wedge sweep, driven past any zero vertex until
+    every pair line is crossed, against the sorted reference list."""
+
+    @pytest.mark.parametrize("m", [6, 7, 12, 18, 25, 36, 48])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_sets(self, m, seed):
+        # a spread of 2m ties many intercepts on x0, 40m few
+        for spread in (2 * m, 40 * m):
+            points = general_points(m, seed * 1000 + m, spread)
+            check_queue_order(points)
+            check_queue_order(rational_map(points, seed))
+
+    @pytest.mark.parametrize("n,seed", [(1, 1), (2, 2), (3, 3), (5, 4), (8, 5)])
+    def test_convex_sets(self, n, seed):
+        points = generate(GenSpec(GenKind.Points3CConvex, n, seed))
+        check_queue_order(points)
+        check_queue_order(rational_map(points, seed))
+
+    def test_pair_adjacent_again_before_its_crossing(self):
+        # by x: a = (0, 0), b = (1, 4), c = (2, 3).  Line bc crosses x = -1
+        # highest, so b and c swap first and split a from b; crossing ac
+        # makes a and b adjacent again, and ab is crossed last
+        points = [pt(0, 0, "R"), pt(1, 4, "G"), pt(2, 3, "B")]
+        entered = check_queue_order(points)
+        assert entered[frozenset((0, 1))] == 2
+        # the same happens in larger seeded sets
+        entered = check_queue_order(general_points(24, 7, 48))
+        assert max(entered.values()) >= 3
 
 
 class TestIntegerScaling:

@@ -314,6 +314,26 @@ class TestLLineCounts:
             assert tuple(a + b for a, b in zip(c1, c2)) == (4, 4, 4)
 
 
+class TestDoubledCounts:
+    """The search's self-check counts on doubled integers; it must agree with
+    lline_counts on every L-line of the canonical corner grid."""
+
+    @pytest.mark.parametrize("make", [
+        triple, ring12, diagonal12,
+        lambda: rand_red_hull(6, random.Random(3)),
+        lambda: _relabel(ring12(), range(-10**12, 10**12, 10**11 + 7), range(-5, 30, 2)),
+    ], ids=["triple", "ring12", "diagonal12", "red-hull", "relabeled"])
+    def test_matches_lline_counts(self, make):
+        s = make()
+        xs = sorted(p.x for p in s.points)
+        ys = sorted(p.y for p in s.points)
+        for cx in [xs[0] - F(1, 2)] + [x + F(1, 2) for x in xs]:
+            for cy in [ys[0] - F(1, 2)] + [y + F(1, 2) for y in ys]:
+                for pair in RAY_PAIRS:
+                    l = LLine((cx, cy), pair)
+                    assert llines._doubled_counts(l, s.points) == lline_counts(l, s)
+
+
 class TestOrthoHull:
     def test_single_point(self):
         p = pt(3, 7, "R")

@@ -9,6 +9,7 @@ from tricut.core import (
     Color,
     RGB,
     dual_point_to_line,
+    int_points,
     line,
     line_slope_intercept,
     orient,
@@ -330,6 +331,42 @@ class TestSweep:
         pts = generate(GenSpec(GenKind.Points3CConvex, 16, 1))
         w = sweep_balanced_wedge(pts)
         assert wedge_color_counts(w, pts) == {R: 16, G: 16, B: 16}
+
+
+class TestIntWedgeCounts:
+    """The sweep's self-check counts on integer triples; it must agree with
+    wedge_color_counts, boundary errors included."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_wedge_color_counts(self, seed):
+        rng = random.Random(seed)
+        pts = rand_balanced_points(2, seed)
+        ints = int_points(pts)
+        for _ in range(40):
+            apex = (F(rng.randint(-200, 200), rng.randint(1, 7)), F(rng.randint(-200, 200), 3))
+            f1, f2 = [
+                (F(a), F(b), -F(a) * apex[0] - F(b) * apex[1])
+                for a, b in ((rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+            ]
+            if f1[0] * f2[1] == f2[0] * f1[1]:
+                continue
+            w = wedge_from_functionals(apex, f1, f2, rng.random() < 0.5)
+            try:
+                want = wedge_color_counts(w, pts)
+            except OnBoundary:
+                with pytest.raises(OnBoundary):
+                    wedges._int_wedge_counts(w, ints, pts)
+                continue
+            assert wedges._int_wedge_counts(w, ints, pts) == want
+
+    def test_point_on_a_boundary_line(self):
+        pts = rand_balanced_points(1, 3)
+        p, q = pts[0], pts[1]
+        w = wedge_from_functionals(
+            (p.x, p.y), (q.y - p.y, p.x - q.x, q.x * p.y - p.x * q.y), (1, 1, -p.x - p.y), True
+        )
+        with pytest.raises(OnBoundary):
+            wedges._int_wedge_counts(w, int_points(pts), pts)
 
 
 class TestFind111Wedge:
