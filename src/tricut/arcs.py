@@ -16,21 +16,30 @@ length O(log n); `plan_ops` builds one greedily by expanding the target
 interval backward, `moment_halve` performs one halving step exactly, and
 `find_k_arcset` runs the whole pipeline.
 
-`find_k_arcset` sorts the points by parameter once.  Before each halving
-step it rotates 0 into the first parameter-free gap outside the current
-set; with the arc ends bisected into the sorted order, that gap is gap 0 or
-starts at an arc's upper end.  A rotation keeps the cyclic order, so the
-step's sorted list of its m sensitive parameters (points, arc ends, 0 and
-1) is the one order shifted by an index with the arc ends bisected in, and
-a rotated value is computed only where a cut or an arc end reads it.  The
-step works on ranks in that list.  Per color, the number of active
+`find_k_arcset` sorts the points by parameter once, on an exact integer
+key: floor(t * 2**64) first, the parameter itself only where two keys tie,
+so no float enters a comparison.  Before each halving step it rotates 0
+into the first parameter-free gap outside the current set; with the arc
+ends bisected into the sorted order, that gap is gap 0 or starts at an
+arc's upper end.  A rotation keeps the cyclic order, so the step's sorted
+list of its m sensitive parameters (points, arc ends, 0 and 1) is the one
+order shifted by an index with the arc ends merged in (`_CyclicOrder`).  Its
+rank query rotates nothing: the queried value is shifted once into the
+input frame and bisected on the integer keys, and the at most 6 merged
+ends below it are counted.  A rotated value is computed only where a cut
+or an arc end reads it.
+
+The step works on ranks in that list.  Per color, the number of active
 points below candidate cut i never decreases in i, so the count vectors,
 written in base k+1, form one sorted int64 key array in which a wanted
-vector is a binary search away.  The gap-cut search (even k) costs
-O(m^2 log m) time and O(m) memory; the on-point search (odd k) solves the
-blue cut in closed form for each red and green cut, O(k^2) candidates.
-Membership counts come from the same sorted list: a color per rank, prefix
-counts per color, and each arc end bisected into it.
+vector is a binary search away.  The gap-cut search (even k) pairs only
+cuts that start a run of equal keys, or follow such a start, in blocks of
+fixed size: O(r^2 log m) time for the r <= 3k + 1 distinct keys and O(m)
+memory.  The on-point search (odd k) solves the blue cut in closed form
+for each red and green cut, O(k^2) candidates.  Membership counts come from
+the same sorted order: a color per rank, prefix counts per color, and each
+arc end bisected into it.  The final answer is counted the same way on the
+sorted input, not with one `ArcSet.contains` per point.
 """
 
 from __future__ import annotations
@@ -50,7 +59,6 @@ from .core import (
     Rat,
     RGB,
     arcset,
-    arcset_color_counts,
     arcset_complement,
     arcset_rotate,
     full_circle,
@@ -66,6 +74,8 @@ from .errors import (
 
 OP_HALVE = "f"
 OP_COMPLEMENT = "g"
+
+_PAIR_BLOCK = 1 << 14  # (first, second) cut pairs per array pass of the r = 3 search
 
 
 # -- op plans ------------------------------------------------------------------
@@ -193,8 +203,8 @@ def moment_halve(a: ArcSet, points: Sequence[CirclePoint], k: int) -> HalveResul
     if any(p.t == 0 for p in points):
         raise PreconditionViolated("point parameter 0 is not allowed here")
 
-    ts, codes = _sorted_order(points)
-    return _halve(a, *_step_inputs(ts, codes, 0, Fraction(0), a), k)
+    ts, keys, codes = _sorted_order(points)
+    return _halve(a, *_step_inputs(ts, keys, codes, 0, Fraction(0), a), k)
 
 
 def _halve(a: ArcSet, sensitive, code, k: int) -> HalveResult:
@@ -204,11 +214,7 @@ def _halve(a: ArcSet, sensitive, code, k: int) -> HalveResult:
     RGB of the color of the point at rank r, or -1 where r is not a point."""
     # linear interval view; arcs never wrap here since 0 is outside
     intervals = [(Fraction(0), Fraction(1))] if a.is_full_circle else a.arcs
-    # prefix counts: pre[i][r] points of color RGB[i] below rank r
-    pre = np.zeros((len(RGB), len(sensitive) + 1), dtype=np.int64)
-    for i in range(len(RGB)):
-        np.cumsum(code == i, out=pre[i, 1:])
-
+    pre = _prefix_counts(code)
     inside = np.zeros(len(sensitive), dtype=bool)
     for lo, hi in intervals:
         inside[_end_rank(lo, sensitive, code) + 1 : _end_rank(hi, sensitive, code)] = True
@@ -264,7 +270,7 @@ def _piece_bounds(profile: CutProfile, sensitive: list[Rat]):
     bounds = []
     dropped = []
     for c in profile.cuts:
-        i = bisect_left(sensitive, c)
+        i = _rank(sensitive, c)
         zlo = (sensitive[i - 1] + c) / 2
         zhi = (c + sensitive[i + 1]) / 2
         bounds.extend((zlo, zhi))
@@ -272,30 +278,55 @@ def _piece_bounds(profile: CutProfile, sensitive: list[Rat]):
     return sorted(bounds), dropped
 
 
+def _rank(sensitive, x: Rat) -> int:
+    """`bisect_left(sensitive, x)`; a `_CyclicOrder` answers it with its own
+    rank query instead of reading entries."""
+    if isinstance(sensitive, _CyclicOrder):
+        return sensitive.rank(x)
+    return bisect_left(sensitive, x)
+
+
 def _end_rank(x: Rat, sensitive, code) -> int:
     """Rank of the first sensitive parameter >= the arc end x.  An end on a
     point parameter raises BoundaryPoint, as `ArcSet.contains` does."""
-    r = bisect_left(sensitive, x)
-    if r < len(sensitive) and sensitive[r] == x and code[r] >= 0:
+    r = _rank(sensitive, x)
+    if r < len(sensitive) and code[r] >= 0 and sensitive[r] == x:
         raise BoundaryPoint(f"parameter {x} is an arc endpoint")
     return r
 
 
-def _rank_counts(m: ArcSet, sensitive: list[Rat], code, pre) -> list[int]:
+def _prefix_counts(code):
+    """pre[i][r]: the points of color RGB[i] below rank r."""
+    pre = np.zeros((len(RGB), len(code) + 1), dtype=np.int64)
+    for i in range(len(RGB)):
+        np.cumsum(code == i, out=pre[i, 1:])
+    return pre
+
+
+def _rank_counts(m: ArcSet, sensitive, code, pre) -> list[int]:
     """Points of each color inside `m`, counted from the sorted parameters:
     each arc end is bisected into `sensitive` (`_end_rank`), and the prefix
-    counts `pre` give the points strictly between the ends.
+    counts `pre` (`_prefix_counts`) give the points strictly between the ends.
     """
     below = partial(_end_rank, sensitive=sensitive, code=code)
     if m.is_full_circle:
         return pre[:, -1].tolist()
     got = np.zeros(len(RGB), dtype=np.int64)
     for lo, hi in m.arcs:
-        if hi > 1:  # wraps through 0: [lo, 1) and [0, hi - 1)
+        if hi >= 1:  # through 0: [lo, 1) and [0, hi - 1); an end at 1 is one at 0
             got += pre[:, -1] - pre[:, below(lo)] + pre[:, below(hi - 1)]
         else:
             got += pre[:, below(hi)] - pre[:, below(lo)]
     return got.tolist()
+
+
+def _point_counts(a: ArcSet, ts: list[Rat], keys: list[int], codes) -> list[int]:
+    """Points of each color inside `a`, in RGB order, from the sorted
+    parameters `ts` (keys `keys`, colors `codes`) alone: `_rank_counts` with
+    no ends merged in, so an arc end on a point raises BoundaryPoint as
+    `arcset_color_counts` does."""
+    order = _CyclicOrder(ts, keys, 0, Fraction(0))
+    return _rank_counts(a, order, codes, _prefix_counts(codes))
 
 
 def _search_profile(ranks, sensitive, k: int) -> CutProfile | None:
@@ -305,9 +336,9 @@ def _search_profile(ranks, sensitive, k: int) -> CutProfile | None:
     active point's rank in the sorted `sensitive` list (`ranks[c]`, sorted):
     small exact int64s whatever the denominators.  Neither builds a table
     over pairs or triples of cuts.  Gap cuts look count vectors up in one
-    sorted key array: O(m^2 log m) time and O(m) memory over the m
-    candidate cuts.  On-point cuts solve the blue cut in closed form for
-    each red and green cut: O(k^2) candidates, O(k) memory.
+    sorted key array over the m candidate cuts: O(r^2 log m) time for its
+    r distinct keys, and O(m) memory.  On-point cuts solve the blue cut in
+    closed form for each red and green cut: O(k^2) candidates, O(k) memory.
     """
     if (k + 1) ** 3 > np.iinfo(np.int64).max:
         raise PreconditionViolated(f"k={k} is too large for int64 count keys")
@@ -331,8 +362,7 @@ def _first_key_at(key, target, start):
     one key form a single run, which one binary search finds."""
     m = len(key)
     pos = np.maximum(np.searchsorted(key, target), start)
-    found = pos < m
-    found[found] = key[pos[found]] == target[found]
+    found = (pos < m) & (key.take(pos, mode="clip") == target)
     return np.where(found, pos, m)
 
 
@@ -369,20 +399,36 @@ def _search_gap_cuts(ranks, sensitive, k: int) -> CutProfile | None:
         h = int(hits[0])
         return CutProfile((cut(h), cut(second[h])), 1, False)
     # r = 3: side + is between cut 1 and 2, or above cut 3, so
-    # idx[c3] = idx[b] - idx[a] + k - want, in range for the b (a prefix
-    # past a) where no color gains more than want points over a
-    for a in range(m):
-        top = min(
-            int(np.searchsorted(idx[c], idx[c][a] + want, side="right")) for c in RGB
-        )
-        second = np.arange(a + 1, top)
+    # idx[c3] = idx[b] - idx[a] + k - want, in range for the b in (a, top[a])
+    # where no color gains more than want points over a.  Within a run of
+    # equal keys a later first cut a hits only where the run's first one
+    # does, and a later second cut b only where the one before it does, so
+    # a runs over the run starts and b over the run starts and the cuts just
+    # past them.  The pairs (a, b) are numbered in lexicographic order and
+    # looked up _PAIR_BLOCK at a time, so the first hit is the one the search
+    # over every pair finds
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    marked = np.zeros(m + 1, dtype=bool)
+    marked[starts] = marked[starts + 1] = True
+    seconds = np.flatnonzero(marked[:m])
+    top = np.minimum.reduce(
+        [np.searchsorted(idx[c], idx[c][starts] + want, side="right") for c in RGB]
+    )
+    lo = np.searchsorted(seconds, starts, side="right")
+    count = np.maximum(np.searchsorted(seconds, top) - lo, 0)
+    end = np.cumsum(count)  # pairs with first cut <= starts[i]
+    pairs = int(end[-1])
+    for p0 in range(0, pairs, _PAIR_BLOCK):
+        p = np.arange(p0, min(p0 + _PAIR_BLOCK, pairs))
+        i = np.searchsorted(end, p, side="right")
+        first, second = starts[i], seconds[lo[i] + p - (end[i] - count[i])]
         third = _first_key_at(
-            key, key[a + 1 : top] - key[a] + (k - want) * unit, second + 1
+            key, key[second] - key[first] + (k - want) * unit, second + 1
         )
         hits = np.flatnonzero(third < m)
         if hits.size:
             h = int(hits[0])
-            return CutProfile((cut(a), cut(second[h]), cut(third[h])), 1, False)
+            return CutProfile((cut(first[h]), cut(second[h]), cut(third[h])), 1, False)
     return None
 
 
@@ -447,63 +493,97 @@ def rotate_parameters(
 class _CyclicOrder:
     """The sorted parameters of one halving step, each computed when read.
 
-    The sorted parameters `ts`, read cyclically from index `shift` and
-    rotated by `delta` (mod 1), merged with the values `ends` at the sorted
-    (rank, value) pairs `fixed`; a rotation keeps the cyclic order, so the
-    ranks stay sorted for `bisect`.  An end equal to a parameter is dropped.
+    The sorted parameters `ts` rotated by `delta` (mod 1), which moves the
+    origin -delta % 1 to 0: read cyclically from index `shift`, the number
+    of parameters below the origin, they stay sorted.  The values `ends`
+    are merged in, in order: `gaps[j]` parameters lie below the j-th end
+    kept, `fixed[j]`.  An end equal to a parameter is dropped.  `keys`
+    holds each parameter's `_floor_key`.
     """
 
-    def __init__(self, ts: list[Rat], shift: int, delta: Rat, ends=()):
-        self.ts, self.shift, self.delta, self.fixed = ts, shift, delta, []
-        for e in sorted(ends):  # each end's rank among the entries so far
-            r = bisect_left(self, e)
+    def __init__(self, ts: list[Rat], keys: list[int], shift: int, delta: Rat, ends=()):
+        self.ts, self.keys, self.shift, self.delta = ts, keys, shift, delta
+        self.origin = -delta % 1
+        self.gaps, self.fixed = [], []
+        for e in sorted(ends):
+            r = self.rank(e)
             if r == len(self) or self[r] != e:
-                self.fixed.append((r, e))
+                self.gaps.append(r - len(self.fixed))
+                self.fixed.append(e)
+
+    def rank(self, x: Rat) -> int:
+        """`bisect_left(self, x)` for x in [0, 1] without reading entries:
+        x is shifted once into the frame of `ts` and bisected there on the
+        integer keys, and the ends below x are bisected on `gaps`; only
+        ties are settled on the rationals."""
+        y = x + self.origin
+        wrap = y >= 1  # then every point from the origin up lies below x
+        if wrap:
+            y -= 1
+        ky = _floor_key(y)
+        i = bisect_left(self.keys, ky)
+        while i < len(self.ts) and self.keys[i] == ky and self.ts[i] < y:
+            i += 1
+        below = i - self.shift + (len(self.ts) if wrap else 0)
+        j = bisect_left(self.gaps, below)
+        while j < len(self.fixed) and self.gaps[j] == below and self.fixed[j] < x:
+            j += 1
+        return below + j
 
     def __len__(self) -> int:
         return len(self.ts) + len(self.fixed)
 
     def __getitem__(self, r: int) -> Rat:
         i = r
-        for fr, value in self.fixed:
-            if fr == r:
+        for j, (gap, value) in enumerate(zip(self.gaps, self.fixed)):
+            if gap + j == r:
                 return value
-            if fr > r:
+            if gap + j > r:
                 break
             i -= 1
         return (self.ts[(i + self.shift) % len(self.ts)] + self.delta) % 1
 
 
+def _floor_key(t: Rat) -> int:
+    """floor(t * 2**64): an exact integer, non-decreasing in t, so it orders
+    parameters up to the ties it leaves to an exact comparison."""
+    return (t.numerator << 64) // t.denominator
+
+
 def _sorted_order(points: Sequence[CirclePoint]):
-    """The parameters in ascending order and their colors' indices in RGB."""
-    order = sorted(points, key=lambda p: p.t)
-    return [p.t for p in order], np.array([RGB.index(p.color) for p in order], dtype=np.int64)
+    """The parameters in ascending order, their `_floor_key`s and their
+    colors' indices in RGB.  The sort compares the integer keys first and
+    the parameters only where the keys tie."""
+    order = sorted((_floor_key(p.t), p.t, i) for i, p in enumerate(points))
+    codes = np.array([RGB.index(points[i].color) for _, _, i in order], dtype=np.int64)
+    return [t for _, t, _ in order], [key for key, _, _ in order], codes
 
 
-def _step_inputs(ts: list[Rat], codes, shift: int, delta: Rat, a: ArcSet):
+def _step_inputs(ts: list[Rat], keys: list[int], codes, shift: int, delta: Rat, a: ArcSet):
     """`_halve`'s sensitive parameters and color codes for the set `a` (0
-    outside it), with the points `ts` (colors `codes`) read from index
-    `shift` and rotated by `delta`: the arc ends, 0 and 1 merged into the
-    rotated points, and the codes shifted alike, -1 off the points.  An arc
-    end on a point stays a point rank, where `_halve` raises BoundaryPoint.
+    outside it), with the points `ts` (keys `keys`, colors `codes`) read
+    from index `shift` and rotated by `delta`: the arc ends, 0 and 1 merged
+    into the rotated points, and the codes shifted alike, -1 off the points.
+    An arc end on a point stays a point rank, where `_halve` raises
+    BoundaryPoint.
     """
     ends = {t for arc in a.arcs for t in arc} | {Fraction(0), Fraction(1)}
-    order = _CyclicOrder(ts, shift, delta, ends)
-    code = np.insert(np.roll(codes, -shift), [r - j for j, (r, _) in enumerate(order.fixed)], -1)
+    order = _CyclicOrder(ts, keys, shift, delta, ends)
+    code = np.insert(np.roll(codes, -shift), order.gaps, -1)
     return order, code
 
 
-def _safe_gap(a: ArcSet, ts: list[Rat]) -> Rat:
+def _safe_gap(a: ArcSet, ts: list[Rat], keys: list[int]) -> Rat:
     """Middle of the first parameter-free gap outside `a`.
 
-    Gap i follows entry i of the sorted distinct parameters `ts` merged with
-    the arc ends (mod 1).  Every arc end is an entry, so each gap lies wholly
-    inside or outside `a`, and the first gap outside is gap 0 or starts at an
-    arc's upper end: only those (at most 3) are tested.
+    Gap i follows entry i of the sorted distinct parameters `ts` (keys
+    `keys`) merged with the arc ends (mod 1).  Every arc end is an entry, so
+    each gap lies wholly inside or outside `a`, and the first gap outside is
+    gap 0 or starts at an arc's upper end: only those (at most 3) are tested.
     """
-    entries = _CyclicOrder(ts, 0, Fraction(0), {t % 1 for arc in a.arcs for t in arc})
+    entries = _CyclicOrder(ts, keys, 0, Fraction(0), {t % 1 for arc in a.arcs for t in arc})
     comp = None if a.is_full_circle else arcset_complement(a)
-    for i in sorted({0} | {bisect_left(entries, hi % 1) for _, hi in a.arcs}):
+    for i in sorted({0} | {entries.rank(hi % 1) for _, hi in a.arcs}):
         s, nxt = entries[i], entries[(i + 1) % len(entries)]
         mid = (s + (nxt if nxt > s else nxt + 1)) / 2 % 1
         if comp is None or comp.contains(mid):
@@ -522,7 +602,7 @@ def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
     """
     n = len(points) // 3
     require_rgb([p.color for p in points], "point", n)
-    ts, codes = _sorted_order(points)
+    ts, keys, codes = _sorted_order(points)
     if any(s == t for s, t in zip(ts, ts[1:])):
         require_distinct_parameters(points)  # raises on the first repeat
     if not 0 <= k <= n:
@@ -540,10 +620,10 @@ def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
             a = arcset_complement(a)
             cur = n - cur
             continue
-        mid = _safe_gap(a, ts)
+        mid = _safe_gap(a, ts, keys)
         delta = -mid % 1
         a_rot = arcset_rotate(a, delta)
-        inputs = _step_inputs(ts, codes, bisect_right(ts, mid), delta, a_rot)
+        inputs = _step_inputs(ts, keys, codes, bisect_right(ts, mid), delta, a_rot)
         res = _halve(a_rot, *inputs, cur)
         sides = [s for s in (res.m1, res.m2) if s.component_count() <= 2]
         if not sides:
@@ -554,9 +634,9 @@ def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
         if a.component_count() > 2:
             raise InternalError("kept side has too many arcs")
 
-    got = arcset_color_counts(a, points)
-    if any(got[c] != k for c in RGB):
-        raise InternalError("final arc set is unbalanced", {"got": str(got)})
+    got = _point_counts(a, ts, keys, codes)
+    if any(g != k for g in got):
+        raise InternalError("final arc set is unbalanced", {"got": str(dict(zip(RGB, got)))})
     if a.component_count() > 2:
         raise InternalError("final arc set has too many arcs")
     return a

@@ -5,7 +5,8 @@ precision; lattice coordinates are plain JSON integers.  Decoders validate
 through the normal constructors, so a hand-edited file fails the same way a
 bad argument would; data of the wrong shape (a missing key, a string where a
 list belongs, an unknown color) raises PreconditionViolated through the
-`decoding` guard.
+`decoding` guard: one per public decoder, so a payload decoder enters it
+once, not once per element.
 """
 
 from __future__ import annotations
@@ -51,12 +52,22 @@ def enc_rat(x: Rat) -> str:
     return str(as_rat(x))
 
 
+def _parse_rat(s: str) -> Fraction:
+    """Fraction(s), with the forms `enc_rat` writes (ASCII "-?digits" or
+    "-?digits/digits") read by int(); any other string goes to Fraction."""
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if s.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(s)
+
+
 def dec_rat(v) -> Fraction:
     if isinstance(v, bool):
         raise PreconditionViolated(f"not a rational: {v!r}")
     if isinstance(v, (int, str)):
         try:
-            return Fraction(v)
+            return _parse_rat(v) if isinstance(v, str) else Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
             raise PreconditionViolated(f"not a rational: {v!r}") from e
     raise PreconditionViolated(f"not a rational: {v!r}")
@@ -69,9 +80,13 @@ def enc_point(p: ColoredPoint) -> dict:
     return {"x": enc_rat(p.x), "y": enc_rat(p.y), "color": p.color.value}
 
 
+def _point(d: dict) -> ColoredPoint:
+    return pt(dec_rat(d["x"]), dec_rat(d["y"]), d["color"])
+
+
 @decoding()
 def dec_point(d: dict) -> ColoredPoint:
-    return pt(dec_rat(d["x"]), dec_rat(d["y"]), d["color"])
+    return _point(d)
 
 
 def enc_line(l: ColoredLine) -> dict:
@@ -83,9 +98,13 @@ def enc_line(l: ColoredLine) -> dict:
     }
 
 
+def _line(d: dict) -> ColoredLine:
+    return line(dec_rat(d["a"]), dec_rat(d["b"]), dec_rat(d["c"]), d["color"])
+
+
 @decoding()
 def dec_line(d: dict) -> ColoredLine:
-    return line(dec_rat(d["a"]), dec_rat(d["b"]), dec_rat(d["c"]), d["color"])
+    return _line(d)
 
 
 def enc_xy(p: tuple[Rat, Rat]) -> list:
@@ -110,9 +129,13 @@ def enc_circle_point(p: CirclePoint) -> dict:
     return {"t": enc_rat(p.t), "color": p.color.value}
 
 
+def _circle_point(d: dict) -> CirclePoint:
+    return circle_point(dec_rat(d["t"]), d["color"])
+
+
 @decoding()
 def dec_circle_point(d: dict) -> CirclePoint:
-    return circle_point(dec_rat(d["t"]), d["color"])
+    return _circle_point(d)
 
 
 def enc_arcset(a: ArcSet) -> list:
@@ -134,7 +157,7 @@ def enc_lattice_set(s: LatticePointSet) -> list:
 
 @decoding()
 def dec_lattice_set(v) -> LatticePointSet:
-    return LatticePointSet(tuple(dec_point(d) for d in v))
+    return LatticePointSet(tuple(_point(d) for d in v))
 
 
 def enc_lline(l: LLine) -> dict:
@@ -216,7 +239,7 @@ def dec_lines_payload(d: dict) -> tuple[ColoredLine, ...]:
     body = unwrap_instance(d)
     if "lines" not in body:
         raise PreconditionViolated("expected a {\"lines\": [...]} instance")
-    return tuple(dec_line(x) for x in body["lines"])
+    return tuple(_line(x) for x in body["lines"])
 
 
 @decoding()
@@ -224,7 +247,7 @@ def dec_points_payload(d: dict) -> tuple[ColoredPoint, ...]:
     body = unwrap_instance(d)
     if "points" not in body or any("x" not in p for p in body["points"]):
         raise PreconditionViolated("expected a {\"points\": [{\"x\"...}]} instance")
-    return tuple(dec_point(x) for x in body["points"])
+    return tuple(_point(x) for x in body["points"])
 
 
 @decoding()
@@ -232,7 +255,7 @@ def dec_circle_payload(d: dict) -> tuple[CirclePoint, ...]:
     body = unwrap_instance(d)
     if "points" not in body or any("t" not in p for p in body["points"]):
         raise PreconditionViolated("expected a {\"points\": [{\"t\"...}]} instance")
-    return tuple(dec_circle_point(x) for x in body["points"])
+    return tuple(_circle_point(x) for x in body["points"])
 
 
 @decoding()

@@ -20,7 +20,8 @@ Events come from a lazy queue (`_EventQueue`): a heap of the pairs adjacent
 in the current slope order, as in kinetic sorting, so a sweep that stops
 after k events computes O(m + k) pair-line keys instead of sorting all
 m(m - 1)/2 of them.  The balanced wedge is counted once more, on the
-points' integer triples, before it is returned.
+points' integer triples, before it is returned; the halving segment is
+counted on its ends' integer triples and the lines' integer coefficients.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .errors import (
     OnBoundary,
     PreconditionViolated,
 )
-from .oracles import ORACLE_MAX_POINTS, count_segment_crossings
+from .oracles import ORACLE_MAX_POINTS
 
 SECTOR_AGREE = "pair-1"     # sectors where the two line functionals share sign
 SECTOR_DISAGREE = "pair-2"  # sectors where they differ
@@ -474,6 +475,25 @@ def _int_wedge_counts(
     return counts
 
 
+def _int_segment_counts(seg: Segment, lines: Sequence[ColoredLine]) -> dict[Color, int]:
+    """`count_segment_crossings` on integers: with the segment's ends as
+    `int_points` triples, the side of an end (X/W, Y/W) of a line is the
+    sign of A*X + B*Y + C*W for its `int_line` (A, B, C), as W > 0.  An end
+    on a line raises EndpointOnLine."""
+    ends = int_points([ColoredPoint(*seg.p, Color.K), ColoredPoint(*seg.q, Color.K)])
+    (x1, y1, w1), (x2, y2, w2) = ends
+    counts = {c: 0 for c in RGB}
+    for i, l in enumerate(lines):
+        a, b, c = int_line(l)
+        sp = a * x1 + b * y1 + c * w1
+        sq = a * x2 + b * y2 + c * w2
+        if sp == 0 or sq == 0:
+            raise EndpointOnLine(f"segment endpoint lies on line {i}")
+        if (sp > 0) != (sq > 0):
+            counts[l.color] += 1
+    return counts
+
+
 def _apex_off_tie(pts: tuple[ColoredPoint, ...], x0: Rat, last, nxt) -> tuple[Rat, Rat]:
     """Apex between the last line crossed and the next when both cross
     x = x0 at one point (x0, y): step left along their mean slope s by
@@ -775,7 +795,7 @@ def halving_segment(lines: Sequence[ColoredLine]) -> Segment:
         seg = Segment(_unrot_point(seg.p, cs), _unrot_point(seg.q, cs))
 
     try:
-        counts = count_segment_crossings(seg, ls)
+        counts = _int_segment_counts(seg, ls)
     except EndpointOnLine as e:
         raise InternalError("segment endpoint on an input line") from e
     if any(counts[c] != n for c in RGB):

@@ -3,7 +3,9 @@
 import math
 import random
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,11 +17,15 @@ from tricut.arcs import (
     OP_HALVE,
     CutProfile,
     OpPlan,
+    _CyclicOrder,
+    _floor_key,
     _halve,
+    _point_counts,
     _safe_gap,
     _search_gap_cuts,
     _search_on_point,
     _search_profile,
+    _sorted_order,
     bfs_shortest,
     find_k_arcset,
     moment_halve,
@@ -38,7 +44,7 @@ from tricut.core import (
     circle_point,
     full_circle,
 )
-from tricut.errors import InternalError, MissingColor, PreconditionViolated
+from tricut.errors import BoundaryPoint, InternalError, MissingColor, PreconditionViolated
 from tricut.generators import GenKind, GenSpec, generate
 from tricut.oracles import arcset_points_key, enumerate_2arc_sets
 
@@ -541,7 +547,10 @@ class TestSearchesMatchReference:
     @given(search_inputs())
     def test_same_profile(self, case):
         args = search_args(*case)
-        assert _search_gap_cuts(*args) == reference_gap_cuts(*args)
+        want = reference_gap_cuts(*args)
+        assert _search_gap_cuts(*args) == want
+        with mock.patch.object(tricut.arcs, "_PAIR_BLOCK", 5):  # r = 3 pairs in many blocks
+            assert _search_gap_cuts(*args) == want
         assert _search_on_point(*args) == reference_on_point(*args)
 
     def test_no_hit_examples(self):
@@ -710,4 +719,74 @@ class TestSafeGap:
     def test_same_rotation_as_reference(self, case):
         a, ts = case
         points = [CirclePoint(t, RGB[i % 3]) for i, t in enumerate(ts)]
-        assert -_safe_gap(a, ts) % 1 == reference_safe_zero_delta(a, points)
+        keys = [_floor_key(t) for t in ts]
+        assert -_safe_gap(a, ts, keys) % 1 == reference_safe_zero_delta(a, points)
+
+
+@st.composite
+def cyclic_orders(draw):
+    """Sorted parameters on a grid of 1/d rotated so that 0 is the middle of
+    the gap after one of them (as `find_k_arcset` rotates) or not at all (as
+    `moment_halve` and `_safe_gap` read them), with ends at 0 and 1, on a
+    half grid, next to the wrap and on a point's rotated value."""
+    d = draw(st.integers(2, 40))
+    nums = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=12, unique=True))
+    ts = [F(t, d) for t in sorted(nums)]
+    if draw(st.booleans()):
+        g = draw(st.integers(0, len(ts) - 1))
+        nxt = ts[g + 1] if g + 1 < len(ts) else ts[0] + 1
+        mid = (ts[g] + nxt) / 2 % 1
+        delta, shift = -mid % 1, bisect_right(ts, mid)
+    else:
+        delta, shift = F(0), 0
+    rotated = [(ts[(i + shift) % len(ts)] + delta) % 1 for i in range(len(ts))]
+    ends = {F(0), F(1), F(1, 4 * d), 1 - F(1, 4 * d)}
+    ends |= {F(e, 2 * d) for e in draw(st.lists(st.integers(0, 2 * d), max_size=4))}
+    ends |= {rotated[i] for i in draw(st.lists(st.integers(0, len(ts) - 1), max_size=2))}
+    keep = draw(st.lists(st.sampled_from(sorted(ends)), max_size=6, unique=True))
+    return ts, shift, delta, rotated, keep
+
+
+class TestCyclicOrder:
+    """The rank query shifts x into the frame of the sorted parameters
+    instead of reading rotated entries; it must equal `bisect_left` over the
+    materialised order."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(([F(0), F(1, 2)], 0, F(0), [F(0), F(1, 2)], [F(0), F(1)]))  # a point at 0
+    @example(([F(1, 4), F(3, 4)], 1, F(1, 2), [F(1, 4), F(3, 4)], [F(3, 4), F(1)]))  # on a point
+    @given(cyclic_orders())
+    def test_rank_is_bisect_left(self, case):
+        ts, shift, delta, rotated, ends = case
+        assert rotated == sorted(rotated)
+        order = _CyclicOrder(ts, [_floor_key(t) for t in ts], shift, delta, ends)
+        listed = sorted(set(rotated) | set(ends))
+        assert [order[r] for r in range(len(order))] == listed
+        d = max(t.denominator for t in ts + listed)
+        queries = set(listed) | {F(i, 4 * d) for i in range(4 * d + 1)}
+        for x in sorted(queries):
+            assert order.rank(x) == bisect_left(listed, x), x
+
+
+class TestPointCounts:
+    """`find_k_arcset` counts its answer on prefix sums over the sorted
+    parameters; it must agree with `arcset_color_counts`, endpoint errors
+    included."""
+
+    @settings(max_examples=300, deadline=None)
+    @example((arcset([(F(1, 2), F(1))]), [F(0), F(1, 4), F(3, 4)]))  # an end at 1 is one at 0
+    @example((arcset([(F(1, 2), F(5, 4))]), [F(0), F(1, 8), F(3, 4)]))  # wraps through 0
+    @example((full_circle(), [F(0), F(1, 3)]))
+    @example((arcset([(F(1, 4), F(1, 2))]), [F(1, 8), F(1, 4)]))  # an end on a point
+    @given(gap_instances())
+    def test_matches_arcset_color_counts(self, case):
+        a, ts = case
+        points = [CirclePoint(t, RGB[i % 3]) for i, t in enumerate(reversed(ts))]
+        order = _sorted_order(points)
+        try:
+            want = arcset_color_counts(a, points)
+        except BoundaryPoint:
+            with pytest.raises(BoundaryPoint):
+                _point_counts(a, *order)
+            return
+        assert _point_counts(a, *order) == [want[c] for c in RGB]

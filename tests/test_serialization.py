@@ -67,6 +67,25 @@ class TestRat:
             with pytest.raises(PreconditionViolated):
                 dec_rat(bad)
 
+    @pytest.mark.parametrize(
+        "s",
+        ["3/-4", "+1/2", " 1/2", "1_0/3", "\u0663/4", "1/0", "-0/7", "007/010", "1.5", "-",
+         "/3", "-12/18", "5", "-5", str(Fraction(-(10**30), 7**20))],
+    )
+    def test_string_forms_as_fraction(self, s):
+        # canonical "-?digits(/digits)?" strings are read by int(); every
+        # string must come out as Fraction(s) does, errors included
+        try:
+            want = Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(PreconditionViolated) as err:
+                dec_rat(s)
+            assert str(err.value) == f"not a rational: {s!r}"
+            return
+        got = dec_rat(s)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
 
 class TestGeometry:
     def test_point_round_trip(self):
@@ -166,6 +185,21 @@ class TestPayloads:
         s = generate(GenSpec(GenKind.LatticeRedHull, 4, 3))
         env = enc_instance("LatticeRedHull", 4, 3, s)
         assert dec_lattice_payload(env) == s
+
+    @pytest.mark.parametrize(
+        "decode,body",
+        [
+            (dec_lines_payload, {"lines": [{"a": "1", "b": "1", "color": "R"}]}),
+            (dec_points_payload, {"points": [{"x": "1", "y": "2", "color": "Q"}]}),
+            (dec_circle_payload, {"points": [{"t": "1/2"}]}),
+            (dec_circle_payload, {"points": [{"t": ["1/2"], "color": "R"}]}),
+            (dec_lattice_payload, {"points": [5]}),
+        ],
+    )
+    def test_malformed_element(self, decode, body):
+        # elements are decoded inside the payload decoder's one guard
+        with pytest.raises(PreconditionViolated, match="malformed input|not a rational"):
+            decode(body)
 
     def test_gen_envelope_fields(self):
         s = generate(GenSpec(GenKind.LatticeRedHull, 4, 3))

@@ -8,6 +8,7 @@ from tricut import wedges
 from tricut.core import (
     Color,
     RGB,
+    Segment,
     dual_point_to_line,
     int_points,
     line,
@@ -21,6 +22,7 @@ from tricut.oracles import count_segment_crossings
 from wedge_oracle_table import table_oracle_wedges
 from tricut.errors import (
     DegenerateApex,
+    EndpointOnLine,
     InternalError,
     MissingColor,
     NotSimple,
@@ -367,6 +369,51 @@ class TestIntWedgeCounts:
         )
         with pytest.raises(OnBoundary):
             wedges._int_wedge_counts(w, int_points(pts), pts)
+
+
+class TestIntSegmentCounts:
+    """`halving_segment` counts its answer on integer coefficients and end
+    triples; that count must agree with count_segment_crossings, endpoint
+    errors included."""
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_count_segment_crossings(self, seed, mapped):
+        rng = random.Random(seed)
+        pts = generate(GenSpec(GenKind.Points3CConvex, 2, seed + 1))
+        if mapped:  # a rational affine map with large denominators
+            sx, sy, ox, oy = (
+                F(rng.randint(1, 10**7), rng.randint(10**5, 10**6)) for _ in range(4)
+            )
+            pts = [pt(sx * p.x + ox, sy * p.y + oy, p.color) for p in pts]
+        lines = [dual_point_to_line(p) for p in pts]
+        segs = [halving_segment(lines)]
+        for _ in range(60):
+            p = tuple(F(rng.randint(-60, 60), rng.randint(1, 4)) for _ in range(2))
+            if rng.random() < 0.2:  # an end on a line
+                l = rng.choice(lines)
+                p = (p[0], -(l.a * p[0] + l.c) / l.b)
+            q = (F(rng.randint(-60, 60), rng.randint(1, 4)), F(rng.randint(-60, 60)))
+            if p != q:
+                segs.append(Segment(p, q))
+        for seg in segs:
+            try:
+                want = count_segment_crossings(seg, lines)
+            except EndpointOnLine:
+                with pytest.raises(EndpointOnLine):
+                    wedges._int_segment_counts(seg, lines)
+                continue
+            assert wedges._int_segment_counts(seg, lines) == want
+
+    @pytest.mark.usefixtures("expected_internal_errors")
+    def test_endpoint_on_a_line_is_internal(self, monkeypatch):
+        pts = generate(GenSpec(GenKind.Points3CConvex, 1, 1))
+        lines = [dual_point_to_line(p) for p in pts]
+        l = lines[0]
+        on_line = Segment((F(0), -l.c / l.b), (F(1), F(10**6)))
+        monkeypatch.setattr(wedges, "wedge_dual_segment", lambda w: on_line)
+        with pytest.raises(InternalError, match="segment endpoint on an input line"):
+            halving_segment(lines)
 
 
 class TestFind111Wedge:
