@@ -40,6 +40,7 @@ from .cells import (
     good_type_counts,
     is_complete,
     parity_audit,
+    require_simple,
     validate_simple,
 )
 from .wedges import (

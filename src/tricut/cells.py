@@ -5,6 +5,20 @@ walking its boundary meets an odd number of red/green, red/blue, and
 green/blue color changes.  `find_complete_face` constructs one such cell
 incrementally; `build_arrangement` builds the whole subdivision so oracles
 can scan every cell independently.
+
+Everything runs on the lines' integer coefficients (`core.int_line`).  A
+crossing is the cross product (X, Y, W) of two coefficient triples, the
+point (X/W, Y/W).  `validate_simple` keys every crossing by its primitive
+form and names the first parallel pair or concurrent triple.  Its gcds on
+big coefficients are the cost of a large check, so `require_simple` runs a
+residue pass first: every crossing mod one prime, in numpy.  When that pass
+finds no parallel pair and no repeated point mod the prime, the
+arrangement is exactly simple; otherwise the exact loop decides and names
+the witness.  The incremental insertion tracks its cell's corners as such
+triples and tests sides by the sign of A*X + B*Y + C*W, with W > 0; the
+corners become Fractions once, in the returned Face.  `build_arrangement`
+keys its nodes by primitive triples and orders each line's points on
+integer keys, so each vertex becomes a Fraction point only once.
 """
 
 from __future__ import annotations
@@ -14,7 +28,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
+
+import numpy as np
 
 from .core import (
     Color,
@@ -24,7 +41,6 @@ from .core import (
     Segment,
     clip_line,
     int_line,
-    intersect,
     line,
     primitive,
     require_rgb,
@@ -82,26 +98,127 @@ def validate_simple(lines: Sequence[ColoredLine]) -> dict[tuple[int, int, int], 
             if p in seen:
                 a, b = seen[p]
                 trio = tuple(sorted(set((a, b, i, j))))
-                raise NotSimple(trio, f"lines {trio} are concurrent at {_crossing_point(p)}")
+                raise NotSimple(trio, f"lines {trio} are concurrent at {_point(p)}")
             seen[p] = (i, j)
     return seen
 
 
-def _crossing_point(p: tuple[int, int, int]) -> tuple[Rat, Rat]:
-    x, y, w = p
+# a prime below 2**31, so a product of two residues fits in an int64, and so
+# does the key x * p + y of a crossing; p - 2 = 2**30 + 1, so the Fermat
+# inverse w**(p - 2) costs 30 squarings and one product
+_RESIDUE_PRIME = 2**30 + 3
+# below this many lines the exact loop is no slower than the residue pass:
+# on small integer coefficients the two cost the same at about 27 lines
+_PREPASS_MIN_LINES = 30
+
+
+def require_simple(lines: Sequence[ColoredLine]) -> None:
+    """Raise NotSimple exactly when `validate_simple` does, with its witness.
+
+    From `_PREPASS_MIN_LINES` lines on, a residue pass runs first.  It
+    reduces each `int_line` triple mod the prime p = `_RESIDUE_PRIME`, forms
+    the cross product (X, Y, W) mod p of every pair, and reports a hit when
+    some W is 0 mod p or two pairs share the key (X/W, Y/W) mod p.  With no
+    hit the arrangement is exactly simple: an exactly parallel or equal pair
+    has W = 0, so W is 0 mod p; and three exactly concurrent lines give two
+    pairs with X1/W1 = X2/W2 and Y1/W1 = Y2/W2, so X1*W2 = X2*W1 and
+    Y1*W2 = Y2*W1 hold mod p too, and with both W nonzero mod p the keys are
+    equal.  A hit may be a residue collision only, so every hit goes to the
+    exact loop, which either raises the witness or returns.
+    """
+    if len(lines) < _PREPASS_MIN_LINES or _residue_hit([int_line(l) for l in lines]):
+        validate_simple(lines)
+
+
+def _residue_hit(coeffs: Sequence[tuple[int, int, int]]) -> bool:
+    """True if some pair is parallel, or two pairs cross at one point, mod p."""
+    p = _RESIDUE_PRIME
+
+    def mod(z: np.ndarray) -> np.ndarray:
+        # z % p, written with //: numpy divides by a scalar several times
+        # faster than it takes the remainder
+        return z - z // p * p
+
+    a, b, c = (np.array([t[k] % p for t in coeffs], dtype=np.int64) for k in range(3))
+    i, j = np.triu_indices(len(coeffs), 1)
+
+    def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return mod(u[i] * v[j] - u[j] * v[i])
+
+    w = cross(a, b)
+    if not w.all():
+        return True
+    inv, power, e = np.ones_like(w), w, p - 2
+    while e:
+        if e & 1:
+            inv = mod(inv * power)
+        power = mod(power * power)
+        e >>= 1
+    key = np.sort(mod(cross(b, c) * inv) * p + mod(cross(c, a) * inv))
+    return bool((key[1:] == key[:-1]).any())
+
+
+def _crossing(l1: tuple[int, int, int], l2: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Homogeneous triple (X, Y, W), W > 0, of the crossing of two `int_line`
+    triples; W = 0 would mean parallel lines, which callers rule out."""
+    (a1, b1, c1), (a2, b2, c2) = l1, l2
+    w = a1 * b2 - a2 * b1
+    s = 1 if w > 0 else -1
+    return (s * (b1 * c2 - b2 * c1), s * (c1 * a2 - c2 * a1), s * w)
+
+
+def _point(t: tuple[int, int, int]) -> tuple[Rat, Rat]:
+    x, y, w = t
     return (Fraction(x, w), Fraction(y, w))
 
 
 def _dir_cmp(d1: tuple[int, int], d2: tuple[int, int]) -> int:
-    # ccw order starting at the positive x axis; directions are never equal here
+    # ccw order starting at the positive x axis; primitive directions of one
+    # angle are equal tuples, so two compared here never share an angle
     h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
     h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
     if h1 != h2:
         return -1 if h1 < h2 else 1
     cr = d1[0] * d2[1] - d1[1] * d2[0]
     if cr == 0:
-        raise InternalError("equal directions at a vertex", {"d1": str(d1), "d2": str(d2)})
+        raise InternalError("two directions of one angle", {"d1": str(d1), "d2": str(d2)})
     return -1 if cr > 0 else 1
+
+
+def _triple(p: tuple[Rat, Rat]) -> tuple[int, int, int]:
+    """Primitive homogeneous triple (X, Y, W), W > 0, of a Fraction point."""
+    x, y = p
+    w = lcm(x.denominator, y.denominator)
+    return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
+
+
+def _extent(ratios: Sequence[tuple[int, int]]) -> tuple[Rat, Rat]:
+    """Least and greatest of the rationals num/den (den > 0): compared on
+    integer floors, and exactly only among those sharing an extreme floor."""
+    floors = [num // den for num, den in ratios]
+    lo, hi = min(floors), max(floors)
+    return (min(Fraction(*r) for r, f in zip(ratios, floors) if f == lo),
+            max(Fraction(*r) for r, f in zip(ratios, floors) if f == hi))
+
+
+# bits of the fixed-point keys that order a line's points
+_KEY_BITS = 64
+
+
+def _sorted_along(pts: list[tuple[int, int, int]], d: tuple[int, int]) -> list[tuple[int, int, int]]:
+    """Distinct homogeneous triples on one line, in order along direction d.
+
+    A point's place is its projection (dx*X + dy*Y)/W, sorted on the integer
+    floor of that times 2**_KEY_BITS; only if two keys tie is the line
+    sorted again on the exact Fractions.
+    """
+    dx, dy = d
+    ts = [(dx * x + dy * y, w) for x, y, w in pts]
+    keys = [(t << _KEY_BITS) // w for t, w in ts]
+    order = sorted(range(len(pts)), key=keys.__getitem__)
+    if any(keys[k] == keys[m] for k, m in zip(order, order[1:])):
+        order.sort(key=lambda k: Fraction(*ts[k]))
+    return [pts[k] for k in order]
 
 
 def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
@@ -111,43 +228,45 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
     (margin 1), so every cell is a finite polygon; cells touching the box are
     flagged unbounded.  Face count must equal 1 + n + n*(n-1)/2.
 
-    Where each line meets the box comes from `core.clip_line`.  Every edge
-    runs along an input line or a box side, so the half-edges around a vertex
-    are ordered by integer directions alone: (B, -A) from `core.int_line`
-    along a line, (1, 0) or (0, 1) along the box, negated on the twin.
+    Where each line meets the box comes from `core.clip_line`.  Vertices,
+    box corners and box hits are keyed by their primitive homogeneous
+    triples, each line's points are ordered by integer keys along the line,
+    and each vertex becomes a Fraction point once.  Every edge runs along an
+    input line or a box side, so the half-edges around a vertex are ordered
+    by integer directions alone: (B, -A) from `core.int_line` divided by
+    gcd(A, B) along a line, (1, 0) or (0, 1) along the box, negated on the
+    twin.  All directions are ranked once, so each vertex sorts ints.
     """
     lines = tuple(lines)
     n = len(lines)
-    # the crossings become Fraction points here, once, filed under both lines
-    on_line: list[list[tuple[Rat, Rat]]] = [[] for _ in range(n)]
-    anchors: list[tuple[Rat, Rat]] = []
-    for key, (i, j) in validate_simple(lines).items():
-        p = _crossing_point(key)
-        anchors.append(p)
-        on_line[i].append(p)
-        on_line[j].append(p)
-    if not anchors:
+    # crossings stay primitive triples, filed under both lines
+    crossings = validate_simple(lines)
+    on_line: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for key, (i, j) in crossings.items():
+        on_line[i].append(key)
+        on_line[j].append(key)
+    if crossings:
+        xmin, xmax = _extent([(x, w) for x, _, w in crossings])
+        ymin, ymax = _extent([(y, w) for _, y, w in crossings])
+    else:
+        # at most one line: anchor the box where it meets an axis
+        x0 = y0 = Fraction(0)
         for l in lines:
             if l.is_vertical:
-                anchors.append((-l.c / l.a, Fraction(0)))
+                x0 = -l.c / l.a
             else:
-                anchors.append((Fraction(0), l.eval_at((Fraction(0), Fraction(0))) / -l.b))
-    if not anchors:
-        anchors = [(Fraction(0), Fraction(0))]
-    xmin = min(a[0] for a in anchors) - 1
-    xmax = max(a[0] for a in anchors) + 1
-    ymin = min(a[1] for a in anchors) - 1
-    ymax = max(a[1] for a in anchors) + 1
-    box = (xmin, ymin, xmax, ymax)
+                y0 = -l.c / l.b
+        xmin, xmax, ymin, ymax = x0, x0, y0, y0
+    xmin, ymin, xmax, ymax = box = (xmin - 1, ymin - 1, xmax + 1, ymax + 1)
     corners = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
 
-    node_id = {c: k for k, c in enumerate(corners)}
-
-    def node(p: tuple[Rat, Rat]) -> int:
-        return node_id.setdefault(p, len(node_id))
+    # nodes are keyed by primitive triples, corners first, then in the order
+    # the lines meet them
+    node_id = {_triple(c): k for k, c in enumerate(corners)}
 
     # undirected edges (u, v, line index, direction of u -> v); -1 marks box
-    # sides.  Points sorted as (x, y) tuples run along +d or -d.
+    # sides.  A line's points run along its primitive direction d, a
+    # positive multiple of (B, -A), so equal angles are equal tuples.
     edges: list[tuple[int, int, int, tuple[int, int]]] = []
     hits: list[tuple[Rat, Rat]] = []
     for i, l in enumerate(lines):
@@ -156,43 +275,41 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
             raise InternalError("line does not cross the box twice", {"line": i})
         hits += ends
         a, b, _ = int_line(l)
-        d = (b, -a)
-        pts = sorted([*ends, *on_line[i]], reverse=d < (0, 0))
-        for p, q in zip(pts, pts[1:]):
-            edges.append((node(p), node(q), i, d))
+        g = gcd(a, b)
+        d = (b // g, -a // g)
+        ids = [node_id.setdefault(t, len(node_id))
+               for t in _sorted_along([*map(_triple, ends), *on_line[i]], d)]
+        edges += [(u, v, i, d) for u, v in zip(ids, ids[1:])]
     # side s holds the hits whose coordinate `axis` equals `v`; a corner hit
     # lies on two sides
     for s, (axis, v) in enumerate(((1, ymin), (0, xmax), (1, ymax), (0, xmin))):
         pts = sorted({corners[s], corners[(s + 1) % 4], *(p for p in hits if p[axis] == v)})
-        for p, q in zip(pts, pts[1:]):
-            edges.append((node(p), node(q), -1, (axis, 1 - axis)))
-    coords = list(node_id)
+        ids = [node_id[_triple(p)] for p in pts]
+        edges += [(u, v, -1, (axis, 1 - axis)) for u, v in zip(ids, ids[1:])]
+    coords = [_point(t) for t in node_id]
 
     # half-edges 2k (u->v) and 2k+1 (v->u); twin of h is h ^ 1
-    out: dict[int, list[int]] = {u: [] for u in range(len(coords))}
-    he_from: list[int] = []
-    he_to: list[int] = []
-    he_line: list[int] = []
-    dirs: list[tuple[int, int]] = []
-    for u, v, li, (dx, dy) in edges:
-        he_from += [u, v]
-        he_to += [v, u]
-        he_line += [li, li]
-        dirs += [(dx, dy), (-dx, -dy)]
-        out[u].append(len(he_from) - 2)
-        out[v].append(len(he_from) - 1)
+    he_from = [w for u, v, _, _ in edges for w in (u, v)]
+    he_line = [li for _, _, li, _ in edges for _ in (0, 1)]
+    dirs = [e for _, _, _, (dx, dy) in edges for e in ((dx, dy), (-dx, -dy))]
+    # every direction ranked once, ccw from the positive x axis
+    rank = {d: r for r, d in enumerate(sorted(set(dirs), key=functools.cmp_to_key(_dir_cmp)))}
+    he_rank = [rank[d] for d in dirs]
+    rings: list[list[int]] = [[] for _ in coords]
+    for h, u in enumerate(he_from):
+        rings[u].append(h)
+    # a walk arriving on h leaves on the half-edge just clockwise of h's
+    # twin, which keeps its face on the left
+    next_he = [0] * len(he_from)
+    for ring in rings:
+        ring.sort(key=he_rank.__getitem__)
+        if len({he_rank[h] for h in ring}) < len(ring):
+            raise InternalError("equal directions at a vertex", {"vertex": he_from[ring[0]]})
+        for k, h in enumerate(ring):
+            next_he[h ^ 1] = ring[k - 1]
 
-    key = functools.cmp_to_key(_dir_cmp)
-    pos_in_out: dict[int, int] = {}
-    for u in out:
-        out[u].sort(key=lambda h: key(dirs[h]))
-        for idx, h in enumerate(out[u]):
-            pos_in_out[h] = idx
-
-    def next_he(h: int) -> int:
-        ring = out[he_to[h]]
-        return ring[(pos_in_out[h ^ 1] - 1) % len(ring)]
-
+    # index -1 (a box side) reads the last entry, K
+    colors = [l.color for l in lines] + [Color.K]
     faces: list[Face] = []
     outer_seen = 0
     visited = [False] * len(he_from)
@@ -204,27 +321,28 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
         while not visited[h]:
             visited[h] = True
             cycle.append(h)
-            h = next_he(h)
+            h = next_he[h]
         if h != h0:
             raise InternalError("face walk did not close", {"start": h0})
         # faces are convex, so every turn off a straight run has the sign of
         # the walk's orientation; the outer walk runs straight past box hits
-        turn = next((t for t in (
-            dirs[g][0] * dirs[h][1] - dirs[g][1] * dirs[h][0]
-            for g, h in zip(cycle, cycle[1:] + cycle[:1])
-        ) if t), 0)
+        turn = 0
+        for g, h in zip(cycle, cycle[1:] + cycle[:1]):
+            (gx, gy), (hx, hy) = dirs[g], dirs[h]
+            turn = gx * hy - gy * hx
+            if turn:
+                break
         if turn < 0:
             outer_seen += 1
             continue
         if turn == 0:
             raise InternalError("degenerate face", {"start": h0})
-        vs = [coords[he_from[x]] for x in cycle]
-        lids = tuple(he_line[x] for x in cycle)
+        lids = tuple([he_line[x] for x in cycle])
         faces.append(Face(
-            bounded=all(li >= 0 for li in lids),
-            vertices=tuple(vs),
+            bounded=-1 not in lids,
+            vertices=tuple([coords[he_from[x]] for x in cycle]),
             boundary_lines=lids,
-            boundary_colors=tuple(lines[li].color if li >= 0 else Color.K for li in lids),
+            boundary_colors=tuple([colors[li] for li in lids]),
         ))
     if outer_seen != 1:
         raise InternalError("expected exactly one outer walk", {"count": outer_seen})
@@ -266,24 +384,32 @@ def find_complete_face(lines: Sequence[ColoredLine]) -> Face:
     """
     lines = tuple(lines)
     require_rgb([l.color for l in lines], "line")
-    validate_simple(lines)
+    require_simple(lines)
+    return _complete_face(lines)
 
+
+def _complete_face(lines: Sequence[ColoredLine]) -> Face:
+    """`find_complete_face` on lines known to be simple, with every color.
+
+    The cell's corners are crossing triples (X, Y, W), W > 0, of the lines'
+    `int_line` coefficients; line (A, B, C) puts a corner on the side
+    sign(A*X + B*Y + C*W).
+    """
+    coeffs = [int_line(l) for l in lines]
     first = {}
     for i, l in enumerate(lines):
         first.setdefault(l.color, i)
     seed = [first[c] for c in RGB]
 
     # triangle of the three seed lines, oriented ccw; verts[i] -> verts[i+1]
-    # runs on supports[i]
+    # runs on supports[i].  With every W > 0 the determinant of the three
+    # corner triples has the sign of the triangle's area.
     i_r, i_g, i_b = seed
-    v_rg = intersect(lines[i_r], lines[i_g])
-    v_rb = intersect(lines[i_r], lines[i_b])
-    v_gb = intersect(lines[i_g], lines[i_b])
-    verts = [v_rg, v_rb, v_gb]
+    verts = [_crossing(coeffs[i_r], coeffs[i_g]), _crossing(coeffs[i_r], coeffs[i_b]),
+             _crossing(coeffs[i_g], coeffs[i_b])]
     owners = [{i_r, i_g}, {i_r, i_b}, {i_g, i_b}]
-    area2 = sum(verts[i][0] * verts[(i + 1) % 3][1] - verts[(i + 1) % 3][0] * verts[i][1]
-                for i in range(3))
-    if area2 < 0:
+    (x1, y1, w1), (x2, y2, w2), (x3, y3, w3) = verts
+    if x1 * (y2 * w3 - y3 * w2) - y1 * (x2 * w3 - x3 * w2) + w1 * (x2 * y3 - x3 * y2) < 0:
         verts.reverse()
         owners.reverse()
     supports = [next(iter(owners[i] & owners[(i + 1) % 3])) for i in range(3)]
@@ -291,20 +417,20 @@ def find_complete_face(lines: Sequence[ColoredLine]) -> Face:
     for idx in range(len(lines)):
         if idx in seed:
             continue
-        l = lines[idx]
-        s = [sign(l.eval_at(v)) for v in verts]
+        a, b, c = coeffs[idx]
+        s = [sign(a * x + b * y + c * w) for x, y, w in verts]
         if any(x == 0 for x in s):
             raise InternalError("tracked cell vertex on a new line", {"line": idx})
         if all(x == s[0] for x in s):
             continue
-        plus: list[tuple[tuple[Rat, Rat], int]] = []
-        minus: list[tuple[tuple[Rat, Rat], int]] = []
+        plus: list[tuple[tuple[int, int, int], int]] = []
+        minus: list[tuple[tuple[int, int, int], int]] = []
         m = len(verts)
         for i in range(m):
             j = (i + 1) % m
             (plus if s[i] > 0 else minus).append((verts[i], supports[i]))
             if s[i] * s[j] < 0:
-                x = intersect(l, lines[supports[i]])
+                x = _crossing(coeffs[idx], coeffs[supports[i]])
                 if s[i] > 0:
                     plus.append((x, idx))
                     minus.append((x, supports[i]))
@@ -325,7 +451,7 @@ def find_complete_face(lines: Sequence[ColoredLine]) -> Face:
 
     return Face(
         bounded=True,
-        vertices=tuple(verts),
+        vertices=tuple(map(_point, verts)),
         boundary_lines=tuple(supports),
         boundary_colors=tuple(lines[sp].color for sp in supports),
     )

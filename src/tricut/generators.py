@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import gen_shielded_counterexample, validate_simple
+from .cells import gen_shielded_counterexample, require_simple
 from .core import (
     Color,
     ColoredLine,
@@ -67,7 +67,7 @@ def _gen_simple_lines(n: int, seed: int) -> tuple[ColoredLine, ...]:
             for s, c in zip(slopes, colors)
         )
         try:
-            validate_simple(ls)
+            require_simple(ls)
             return ls
         except NotSimple:
             continue

@@ -36,12 +36,12 @@ from typing import Sequence
 import numpy as np
 
 from .cells import (
+    _complete_face,
     build_arrangement,
     cevian_111_segment,
     extract_111_segment,
-    find_complete_face,
     is_complete,
-    validate_simple,
+    require_simple,
 )
 from .core import (
     Color,
@@ -663,10 +663,12 @@ def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
         # dual x-coordinate of the original vertical direction, which a
         # segment from a rotated frame must avoid
         sigma = None if cs is None else -cs[0] / cs[1]
+        # distinct x (the frame) and no three collinear points make the
+        # duals simple, and they carry the points' colors
         duals = [dual_point_to_line(p) for p in work]
 
         def candidate_faces():
-            first = find_complete_face(duals)
+            first = _complete_face(duals)
             yield first
             ident = frozenset(first.vertices)
             for f in build_arrangement(duals).faces:
@@ -769,7 +771,7 @@ def halving_segment(lines: Sequence[ColoredLine]) -> Segment:
     """
     ls = tuple(lines)
     n = _require_6n([l.color for l in ls], "line")
-    validate_simple(ls)
+    require_simple(ls)
 
     cs = None
     work = ls

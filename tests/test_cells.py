@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricut import cells
+from tricut import cells, core
 from tricut.cells import (
     Arrangement,
     ColoredTriangulation,
@@ -19,9 +19,10 @@ from tricut.cells import (
     good_type_counts,
     is_complete,
     parity_audit,
+    require_simple,
     validate_simple,
 )
-from tricut.core import Color, RGB, intersect, line, line_slope_intercept, sign
+from tricut.core import Color, RGB, int_line, intersect, line, line_slope_intercept, orient, sign
 from tricut.errors import (
     InternalError,
     MissingColor,
@@ -30,6 +31,9 @@ from tricut.errors import (
     PreconditionViolated,
     UnboundedFace,
 )
+from tricut.generators import GenKind, GenSpec, generate
+
+from complete_face_reference import reference_complete_face
 
 
 def rand_simple_lines(n, seed, colors=None):
@@ -315,13 +319,29 @@ class TestBuildArrangementMatchesReference:
         corner_faces = [f for f in arr.faces if (6, -6) in f.vertices]
         assert len(corner_faces) == 2 and not any(f.bounded for f in corner_faces)
 
+    def test_points_closer_than_the_sort_key(self):
+        # on y = 0 two crossings 10**-30 apart share their fixed-point key,
+        # so that line's points are sorted again on Fractions
+        x0 = F(1, 3)
+        lines = [line(0, 1, 0, Color.R), line(1, 0, -x0, Color.G),
+                 line(1, -1, -(x0 + F(1, 10**30)), Color.B), line(1, 2, 5, Color.R)]
+        keys = [(F(x) * 2**cells._KEY_BITS).__floor__() for x in (x0, x0 + F(1, 10**30))]
+        assert keys[0] == keys[1]
+        check_matches_reference(lines)
+        check_matches_reference([line(-l.a, l.b, l.c, l.color) for l in lines])
+
     def test_no_intersect_call(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("build_arrangement called intersect")
+            raise AssertionError("cells called intersect")
 
-        monkeypatch.setattr(cells, "intersect", forbidden)
-        arr = build_arrangement(rand_simple_lines(6, 2) + [line(1, 0, -1), line(0, 1, 2)])
+        # cells does not bind the Fraction intersection at all, and what it
+        # calls in core does not reach it either
+        assert not hasattr(cells, "intersect")
+        monkeypatch.setattr(core, "intersect", forbidden)
+        lines = rand_simple_lines(6, 2) + [line(1, 0, -1, Color.R), line(0, 1, 2, Color.G)]
+        arr = build_arrangement(lines)
         assert len(arr.faces) == 1 + 8 + 8 * 7 // 2
+        assert is_complete(find_complete_face(lines))
 
 
 class TestCycleParity:
@@ -375,6 +395,132 @@ class TestFindCompleteFace:
         assert len(found) >= 1
         face = find_complete_face(lines)
         assert any(set(f.vertices) == set(face.vertices) for f in found)
+
+
+def rational_map(lines, seed):
+    """The lines' images under the affine map (x, y) -> (a x + c, e x + d y + f)
+    with seeded rationals of large denominators: the same arrangement, up to
+    orientation, with big coefficients."""
+    rng = random.Random(seed)
+
+    def rat():
+        return F(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(10**5, 10**6))
+
+    a, d, e, c, f = rat(), rat(), rat(), rat(), rat()
+    out = []
+    for l in lines:
+        # (A, B) times the inverse of [[a, 0], [e, d]], then the offset
+        na, nb = l.a / a - l.b * e / (a * d), l.b / d
+        out.append(line(na, nb, l.c - na * c - nb * f, l.color))
+    return out
+
+
+def mirrored(lines):
+    """The lines reflected in the y axis: every cell's orientation flips."""
+    return [line(-l.a, l.b, l.c, l.color) for l in lines]
+
+
+def seed_turn(lines):
+    """Orientation of the triangle of the first R, G and B lines."""
+    i_r, i_g, i_b = (next(i for i, l in enumerate(lines) if l.color is c) for c in RGB)
+    return orient(intersect(lines[i_r], lines[i_g]), intersect(lines[i_r], lines[i_b]),
+                  intersect(lines[i_g], lines[i_b]))
+
+
+class TestCompleteFaceMatchesReference:
+    """Integer insertion against the Fraction insertion it replaced."""
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("n", [*range(3, 13), 50, 100, 200])
+    def test_generated_and_rationally_mapped(self, n, mapped):
+        for seed in range(1, 11):
+            lines = generate(GenSpec(GenKind.SimpleLines3C, n, seed))
+            if mapped:
+                lines = rational_map(lines, seed)
+            assert find_complete_face(lines) == reference_complete_face(lines)
+
+    def test_clockwise_seed_triangle(self):
+        turns = set()
+        for n, seed in [(3, 1), (5, 2), (9, 3), (30, 4)]:
+            lines = generate(GenSpec(GenKind.SimpleLines3C, n, seed))
+            for ls in (lines, mirrored(lines)):
+                turns.add(seed_turn(ls))
+                face = find_complete_face(ls)
+                assert face == reference_complete_face(ls)
+                assert is_complete(face)
+        assert turns == {-1, 1}
+
+
+@st.composite
+def prepass_arrangements(draw):
+    """At least `_PREPASS_MIN_LINES` lines: generated, maybe rationally
+    mapped, and maybe with one planted defect or forced residue hit."""
+    n = draw(st.integers(cells._PREPASS_MIN_LINES, 40))
+    lines = list(generate(GenSpec(GenKind.SimpleLines3C, n, draw(st.integers(1, 10**6)))))
+    if draw(st.booleans()):
+        lines = rational_map(lines, draw(st.integers(0, 10**6)))
+    index = st.integers(0, n - 1)
+    plant = draw(st.sampled_from(["none", "triple", "parallel", "equal", "residue"]))
+    if plant == "triple":
+        # three lines through one lattice point
+        u, v = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+        ks = draw(st.lists(index, min_size=3, max_size=3, unique=True))
+        slopes = draw(st.lists(st.integers(-10**3, 10**3), min_size=3, max_size=3, unique=True))
+        for k, m in zip(ks, slopes):
+            lines[k] = line_slope_intercept(m, v - m * u, lines[k].color)
+    elif plant in ("parallel", "equal"):
+        i, k = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        l = lines[i]
+        shift = draw(st.integers(1, 9)) if plant == "parallel" else 0
+        lines[k] = line(3 * l.a, 3 * l.b, 3 * l.c + shift, lines[k].color)
+    elif plant == "residue":
+        # W = p * 1 - 0 * 1 = p: a pair parallel mod p only
+        c1, c2 = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+        for l in (line(cells._RESIDUE_PRIME, 1, c1), line(0, 1, c2)):
+            lines.insert(draw(st.integers(0, len(lines))), l)
+    return lines
+
+
+class TestRequireSimpleMatchesExact:
+    @settings(max_examples=150, deadline=None)
+    @given(prepass_arrangements())
+    def test_same_verdict_witness_and_message(self, lines):
+        assert len(lines) >= cells._PREPASS_MIN_LINES
+        try:
+            validate_simple(lines)
+        except NotSimple as e:
+            # the residue pass never misses a defect
+            assert cells._residue_hit([int_line(l) for l in lines])
+            with pytest.raises(NotSimple) as err:
+                require_simple(lines)
+            assert (err.value.witness, str(err.value)) == (e.witness, str(e))
+            return
+        require_simple(lines)
+
+    def test_residue_hit_on_a_simple_arrangement(self):
+        # tangents y = s x - s^2 of a parabola, plus y = 0 and p x + y = 0,
+        # which meet only at the origin, where W = p is 0 mod p
+        p = cells._RESIDUE_PRIME
+        lines = [line_slope_intercept(s, -s * s) for s in range(1, 30)]
+        lines += [line(0, 1, 0), line(p, 1, 0)]
+        assert cells._residue_hit([int_line(l) for l in lines])
+        assert len(validate_simple(lines)) == 31 * 30 // 2
+        require_simple(lines)
+
+    def test_no_hit_on_generated_arrangements(self):
+        for n in (cells._PREPASS_MIN_LINES, 50, 200):
+            lines = generate(GenSpec(GenKind.SimpleLines3C, n, 1))
+            assert not cells._residue_hit([int_line(l) for l in lines])
+            assert not cells._residue_hit([int_line(l) for l in rational_map(lines, 1)])
+
+    def test_below_the_cutoff_the_exact_loop_runs(self, monkeypatch):
+        def forbidden(coeffs):
+            raise AssertionError("residue pass below the cutoff")
+
+        monkeypatch.setattr(cells, "_residue_hit", forbidden)
+        require_simple(generate(GenSpec(GenKind.SimpleLines3C, cells._PREPASS_MIN_LINES - 1, 1)))
+        with pytest.raises(NotSimple):
+            require_simple([line_slope_intercept(2, 0), line_slope_intercept(2, 5)])
 
 
 class TestExtract111Segment:

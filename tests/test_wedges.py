@@ -438,7 +438,7 @@ class TestFind111Wedge:
     def test_duplicate_x_handled_by_rotation(self, monkeypatch):
         # a candidate angle is rotated only when the search reaches it
         calls = {"angles": 0, "frames": 0}
-        rotation, face = wedges._rotation, wedges.find_complete_face
+        rotation, face = wedges._rotation, wedges._complete_face
 
         def counting_rotation(t):
             calls["angles"] += 1
@@ -449,7 +449,7 @@ class TestFind111Wedge:
             return face(duals)
 
         monkeypatch.setattr(wedges, "_rotation", counting_rotation)
-        monkeypatch.setattr(wedges, "find_complete_face", counting_face)
+        monkeypatch.setattr(wedges, "_complete_face", counting_face)
         pts = [pt(2, 1, R), pt(2, 5, G), pt(0, 3, B), pt(1, -7, R)]
         w = find_111_wedge(pts)
         assert wedge_color_counts(w, pts) == {R: 1, G: 1, B: 1}
