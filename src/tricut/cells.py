@@ -8,17 +8,13 @@ can scan every cell independently.
 
 Everything runs on the lines' integer coefficients (`core.int_line`).  A
 crossing is the cross product (X, Y, W) of two coefficient triples, the
-point (X/W, Y/W).  `validate_simple` keys every crossing by its primitive
-form and names the first parallel pair or concurrent triple.  Its gcds on
-big coefficients are the cost of a large check, so `require_simple` runs a
-residue pass first: every crossing mod one prime, in numpy.  When that pass
-finds no parallel pair and no repeated point mod the prime, the
-arrangement is exactly simple; otherwise the exact loop decides and names
-the witness.  The incremental insertion tracks its cell's corners as such
-triples and tests sides by the sign of A*X + B*Y + C*W, with W > 0; the
-corners become Fractions once, in the returned Face.  `build_arrangement`
-keys its nodes by primitive triples and orders each line's points on
-integer keys, so each vertex becomes a Fraction point only once.
+point (X/W, Y/W); simplicity is checked on these triples by the incidence
+kernel of `core`, with the line at infinity as its z.  The incremental
+insertion tracks its cell's corners as such triples and tests sides by the
+sign of A*X + B*Y + C*W, with W > 0; the corners become Fractions once, in
+the returned Face.  `build_arrangement` keys its nodes by primitive triples
+and orders each line's points on integer keys, so each vertex becomes a
+Fraction point only once.
 """
 
 from __future__ import annotations
@@ -28,10 +24,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
-
-import numpy as np
 
 from .core import (
     Color,
@@ -39,10 +33,12 @@ from .core import (
     Rat,
     RGB,
     Segment,
+    check_joins,
     clip_line,
     int_line,
+    int_point,
+    join_map,
     line,
-    primitive,
     require_rgb,
     sign,
 )
@@ -77,85 +73,30 @@ class Arrangement:
     box: tuple[Rat, Rat, Rat, Rat]  # xmin, ymin, xmax, ymax
 
 
+_AT_INFINITY = (0, 0, 1)  # a crossing (X, Y, W) on it has W = 0: parallel lines
+
+
+def _not_simple(pair, earlier, p) -> NotSimple:
+    if earlier is None:
+        return NotSimple(pair, f"lines {pair[0]} and {pair[1]} are parallel or equal")
+    trio = tuple(sorted({*earlier, *pair}))
+    return NotSimple(trio, f"lines {trio} are concurrent at {_point(p)}")
+
+
 def validate_simple(lines: Sequence[ColoredLine]) -> dict[tuple[int, int, int], tuple[int, int]]:
     """Check pairwise non-parallel, distinct, and no three concurrent.
 
-    Returns {crossing: (i, j)} for every pair i < j, where a crossing is keyed
-    by its primitive homogeneous triple (x, y, w): the point (x/w, y/w) with
-    w > 0 and gcd(x, y, w) = 1, computed on the lines' integer coefficients
-    (`core.int_line`).  Raises NotSimple with the offending index pair or
-    triple.
+    Returns {crossing: (i, j)} for every pair i < j: the point (x/w, y/w) as
+    the primitive triple (x, y, w), w > 0, of the `core.int_line` triples.
+    Raises NotSimple with the offending index pair or triple.
     """
-    coeffs = [int_line(l) for l in lines]
-    seen: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for i, (a1, b1, c1) in enumerate(coeffs):
-        for j in range(i + 1, len(coeffs)):
-            a2, b2, c2 = coeffs[j]
-            w = a1 * b2 - a2 * b1
-            if w == 0:
-                raise NotSimple((i, j), f"lines {i} and {j} are parallel or equal")
-            p = primitive(b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, w, w)
-            if p in seen:
-                a, b = seen[p]
-                trio = tuple(sorted(set((a, b, i, j))))
-                raise NotSimple(trio, f"lines {trio} are concurrent at {_point(p)}")
-            seen[p] = (i, j)
-    return seen
-
-
-# a prime below 2**31, so a product of two residues fits in an int64, and so
-# does the key x * p + y of a crossing; p - 2 = 2**30 + 1, so the Fermat
-# inverse w**(p - 2) costs 30 squarings and one product
-_RESIDUE_PRIME = 2**30 + 3
-# below this many lines the exact loop is no slower than the residue pass:
-# on small integer coefficients the two cost the same at about 27 lines
-_PREPASS_MIN_LINES = 30
+    return join_map([int_line(l) for l in lines], _AT_INFINITY, _not_simple)
 
 
 def require_simple(lines: Sequence[ColoredLine]) -> None:
-    """Raise NotSimple exactly when `validate_simple` does, with its witness.
-
-    From `_PREPASS_MIN_LINES` lines on, a residue pass runs first.  It
-    reduces each `int_line` triple mod the prime p = `_RESIDUE_PRIME`, forms
-    the cross product (X, Y, W) mod p of every pair, and reports a hit when
-    some W is 0 mod p or two pairs share the key (X/W, Y/W) mod p.  With no
-    hit the arrangement is exactly simple: an exactly parallel or equal pair
-    has W = 0, so W is 0 mod p; and three exactly concurrent lines give two
-    pairs with X1/W1 = X2/W2 and Y1/W1 = Y2/W2, so X1*W2 = X2*W1 and
-    Y1*W2 = Y2*W1 hold mod p too, and with both W nonzero mod p the keys are
-    equal.  A hit may be a residue collision only, so every hit goes to the
-    exact loop, which either raises the witness or returns.
-    """
-    if len(lines) < _PREPASS_MIN_LINES or _residue_hit([int_line(l) for l in lines]):
-        validate_simple(lines)
-
-
-def _residue_hit(coeffs: Sequence[tuple[int, int, int]]) -> bool:
-    """True if some pair is parallel, or two pairs cross at one point, mod p."""
-    p = _RESIDUE_PRIME
-
-    def mod(z: np.ndarray) -> np.ndarray:
-        # z % p, written with //: numpy divides by a scalar several times
-        # faster than it takes the remainder
-        return z - z // p * p
-
-    a, b, c = (np.array([t[k] % p for t in coeffs], dtype=np.int64) for k in range(3))
-    i, j = np.triu_indices(len(coeffs), 1)
-
-    def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return mod(u[i] * v[j] - u[j] * v[i])
-
-    w = cross(a, b)
-    if not w.all():
-        return True
-    inv, power, e = np.ones_like(w), w, p - 2
-    while e:
-        if e & 1:
-            inv = mod(inv * power)
-        power = mod(power * power)
-        e >>= 1
-    key = np.sort(mod(cross(b, c) * inv) * p + mod(cross(c, a) * inv))
-    return bool((key[1:] == key[:-1]).any())
+    """Raise NotSimple exactly when `validate_simple` does, with its witness
+    (`core.check_joins`: a residue pass decides first on larger inputs)."""
+    check_joins([int_line(l) for l in lines], _AT_INFINITY, _not_simple)
 
 
 def _crossing(l1: tuple[int, int, int], l2: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -183,13 +124,6 @@ def _dir_cmp(d1: tuple[int, int], d2: tuple[int, int]) -> int:
     if cr == 0:
         raise InternalError("two directions of one angle", {"d1": str(d1), "d2": str(d2)})
     return -1 if cr > 0 else 1
-
-
-def _triple(p: tuple[Rat, Rat]) -> tuple[int, int, int]:
-    """Primitive homogeneous triple (X, Y, W), W > 0, of a Fraction point."""
-    x, y = p
-    w = lcm(x.denominator, y.denominator)
-    return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
 
 
 def _extent(ratios: Sequence[tuple[int, int]]) -> tuple[Rat, Rat]:
@@ -262,7 +196,7 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
 
     # nodes are keyed by primitive triples, corners first, then in the order
     # the lines meet them
-    node_id = {_triple(c): k for k, c in enumerate(corners)}
+    node_id = {int_point(*c): k for k, c in enumerate(corners)}
 
     # undirected edges (u, v, line index, direction of u -> v); -1 marks box
     # sides.  A line's points run along its primitive direction d, a
@@ -278,13 +212,13 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
         g = gcd(a, b)
         d = (b // g, -a // g)
         ids = [node_id.setdefault(t, len(node_id))
-               for t in _sorted_along([*map(_triple, ends), *on_line[i]], d)]
+               for t in _sorted_along([*(int_point(*e) for e in ends), *on_line[i]], d)]
         edges += [(u, v, i, d) for u, v in zip(ids, ids[1:])]
     # side s holds the hits whose coordinate `axis` equals `v`; a corner hit
     # lies on two sides
     for s, (axis, v) in enumerate(((1, ymin), (0, xmax), (1, ymax), (0, xmin))):
         pts = sorted({corners[s], corners[(s + 1) % 4], *(p for p in hits if p[axis] == v)})
-        ids = [node_id[_triple(p)] for p in pts]
+        ids = [node_id[int_point(*p)] for p in pts]
         edges += [(u, v, -1, (axis, 1 - axis)) for u, v in zip(ids, ids[1:])]
     coords = [_point(t) for t in node_id]
 
@@ -352,19 +286,17 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
     return Arrangement(lines, tuple(coords), tuple(faces), box)
 
 
+# the parity bit (RG 4, RB 2, GB 1) a bichromatic edge flips, by its colors
+_EDGE_BIT = {(Color.R, Color.G): 4, (Color.G, Color.R): 4, (Color.R, Color.B): 2,
+             (Color.B, Color.R): 2, (Color.G, Color.B): 1, (Color.B, Color.G): 1}
+
+
 def cycle_parity(colors: Sequence[Color]) -> tuple[int, int, int]:
     """Parities (mod 2) of bichromatic RG, RB, GB adjacencies along a cycle."""
-    pairs = {frozenset(p): 0 for p in ((Color.R, Color.G), (Color.R, Color.B), (Color.G, Color.B))}
-    m = len(colors)
-    for i in range(m):
-        k = frozenset((colors[i], colors[(i + 1) % m]))
-        if k in pairs:
-            pairs[k] += 1
-    return (
-        pairs[frozenset((Color.R, Color.G))] % 2,
-        pairs[frozenset((Color.R, Color.B))] % 2,
-        pairs[frozenset((Color.G, Color.B))] % 2,
-    )
+    bits = 0
+    for edge in zip(colors, [*colors[1:], *colors[:1]]):
+        bits ^= _EDGE_BIT.get(edge, 0)
+    return (bits >> 2, bits >> 1 & 1, bits & 1)
 
 
 def is_complete(face: Face) -> bool:
@@ -384,18 +316,18 @@ def find_complete_face(lines: Sequence[ColoredLine]) -> Face:
     """
     lines = tuple(lines)
     require_rgb([l.color for l in lines], "line")
-    require_simple(lines)
-    return _complete_face(lines)
+    coeffs = [int_line(l) for l in lines]
+    check_joins(coeffs, _AT_INFINITY, _not_simple)
+    return _complete_face(lines, coeffs)
 
 
-def _complete_face(lines: Sequence[ColoredLine]) -> Face:
+def _complete_face(lines: Sequence[ColoredLine], coeffs: Sequence[tuple[int, int, int]]) -> Face:
     """`find_complete_face` on lines known to be simple, with every color.
 
     The cell's corners are crossing triples (X, Y, W), W > 0, of the lines'
-    `int_line` coefficients; line (A, B, C) puts a corner on the side
-    sign(A*X + B*Y + C*W).
+    `int_line` coefficients `coeffs`; line (A, B, C) puts a corner on the
+    side sign(A*X + B*Y + C*W).
     """
-    coeffs = [int_line(l) for l in lines]
     first = {}
     for i, l in enumerate(lines):
         first.setdefault(l.color, i)

@@ -7,10 +7,21 @@ nowhere below; rendering code does its own presentation rounding.
 The predicates that run over all pairs (simplicity of an arrangement,
 collinearity, the wedge sweep's pair events, the wedge oracle's side matrix)
 run on Python ints scaled once here: `int_line` scales a line to primitive
-integer coefficients, `int_points` scales each point to a homogeneous
-integer triple, and `primitive` reduces a triple to its canonical form.
-Python ints never overflow, so no bound on the input sizes is needed.
-Fractions come back only where a value leaves the library.
+integer coefficients and `int_point` a point to a primitive homogeneous
+integer triple.  Python ints never overflow, so no bound on the input sizes
+is needed.  Fractions come back only where a value leaves the library.
+
+One incidence kernel checks lines and points.  Under projective duality "no
+two lines parallel, no three concurrent" and "no three points collinear"
+are one test: no two pairs of homogeneous triples share a join (cross
+product), and for lines no join touches z = (0, 0, 1), the line at infinity
+(W = 0: parallel or equal).  `join_map` is the exact pair loop and the one
+source of witnesses; `check_joins` runs a residue pre-pass first
+(`_residue_hit`: the joins mod a prime p in numpy, keyed by class mod p).
+A hit may be a collision, so the exact loop decides it.  "No hit" is exact:
+a join zero mod p is a hit, so is z . join = 0 mod p (for lines W = 0 mod
+p), and an exact repeat stays a repeat mod p, as proportional joins stay
+proportional.
 
 `clip_line` is the one place a line is cut to a box: the arrangement's
 unbounded cells and the SVG figures both take their box hits from it.
@@ -19,11 +30,10 @@ unbounded cells and the SVG figures both take their box hits from it.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,6 +46,7 @@ from .errors import (
 )
 
 Rat = Fraction
+Triple = tuple[int, int, int]
 
 
 class Color(enum.Enum):
@@ -173,18 +184,6 @@ def clip_line(l: ColoredLine, box) -> tuple[tuple[Rat, Rat], tuple[Rat, Rat]] | 
 # -- the integer kernel ----------------------------------------------------------
 
 
-def primitive(a: int, b: int, c: int, lead: int) -> tuple[int, int, int]:
-    """(a, b, c) divided by its gcd, with the sign that makes `lead` positive.
-
-    `lead` is one of a, b, c (nonzero): two homogeneous triples name the same
-    point or line exactly when their primitive forms are equal.
-    """
-    g = gcd(a, b, c)
-    if lead < 0:
-        g = -g
-    return (a // g, b // g, c // g)
-
-
 def int_line(l: ColoredLine) -> tuple[int, int, int]:
     """Primitive integer coefficients (A, B, C) of l, first nonzero of (A, B)
     positive: l's coefficients times the lcm of their own denominators."""
@@ -194,29 +193,19 @@ def int_line(l: ColoredLine) -> tuple[int, int, int]:
             l.c.numerator * (m // l.c.denominator))
 
 
+def int_point(x: Rat, y: Rat) -> tuple[int, int, int]:
+    """The point (x, y) as a primitive homogeneous integer triple (X, Y, W):
+    x = X/W, y = Y/W, W > 0 the lcm of the two denominators, so equal points
+    give equal triples."""
+    w = lcm(x.denominator, y.denominator)
+    return (x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
+
+
 def int_points(points: Sequence[ColoredPoint]) -> list[tuple[int, int, int]]:
-    """Each point as a homogeneous integer triple (X, Y, W): x = X/W, y = Y/W,
-    W > 0 the lcm of the point's own two denominators.
-
-    The triple is primitive, so equal points give equal triples.  Each point
-    keeps its own scale: a common denominator for the whole set would grow
-    with the number of unrelated denominators in it.
-    """
-    out = []
-    for p in points:
-        w = lcm(p.x.denominator, p.y.denominator)
-        out.append((p.x.numerator * (w // p.x.denominator),
-                    p.y.numerator * (w // p.y.denominator), w))
-    return out
-
-
-def int_line_through(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Primitive integer line (A, B, C) through two distinct `int_points`
-    triples, normalized as ColoredLine is (first nonzero of (A, B) positive).
-    A point (X, Y, W) lies on it when A*X + B*Y + C*W = 0."""
-    (x1, y1, w1), (x2, y2, w2) = p, q
-    a, b = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2
-    return primitive(a, b, x1 * y2 - x2 * y1, a or b)
+    """`int_point` of each point.  Each point keeps its own scale: a common
+    denominator for the whole set would grow with the number of unrelated
+    denominators in it."""
+    return [int_point(p.x, p.y) for p in points]
 
 
 def orient(p, q, r) -> int:
@@ -225,6 +214,73 @@ def orient(p, q, r) -> int:
     qx, qy = (q.x, q.y) if isinstance(q, ColoredPoint) else q
     rx, ry = (r.x, r.y) if isinstance(r, ColoredPoint) else r
     return sign((qx - px) * (ry - py) - (qy - py) * (rx - px))
+
+
+# -- the incidence kernel ------------------------------------------------------
+
+# a prime below 2**31, so a product of two residues fits in an int64, and so
+# does the key (n0 * p + n1) * p + n2 < 2 * p**2 of a join (n0 is 0 or 1);
+# p - 2 = 2**30 + 1, so the Fermat inverse costs 30 squarings and one product
+_RESIDUE_PRIME = 2**30 + 3
+# below this many triples the exact loop is no slower than the residue pass:
+# on small integer coefficients the two cost the same at about 27 lines
+_PREPASS_MIN_LINES = 30
+
+
+def join_map(triples: Sequence[Triple], z: Triple | None, clash: Callable) -> dict[Triple, tuple]:
+    """{join: (i, j)} for every pair i < j of distinct primitive triples, in
+    index order: their cross product over its gcd, signed so z . join > 0,
+    or without z so the first nonzero of its first two entries is.  At the
+    first pair whose join touches z or repeats that of an earlier pair e,
+    raises clash((i, j), None or e, join)."""
+    za, zb, zc = z or (0, 0, 0)
+    seen: dict[Triple, tuple[int, int]] = {}
+    for i, (a1, b1, c1) in enumerate(triples):
+        for j in range(i + 1, len(triples)):
+            a2, b2, c2 = triples[j]
+            x, y, w = b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1
+            lead = (x or y) if z is None else za * x + zb * y + zc * w
+            if lead == 0:
+                raise clash((i, j), None, (x, y, w))
+            g = gcd(x, y, w) if lead > 0 else -gcd(x, y, w)
+            key = (x // g, y // g, w // g)
+            if key in seen:
+                raise clash((i, j), seen[key], key)
+            seen[key] = (i, j)
+    return seen
+
+
+def check_joins(triples: Sequence[Triple], z: Triple | None, clash: Callable) -> None:
+    """Raise what `join_map` would; from `_PREPASS_MIN_LINES` triples on, only on a residue hit."""
+    if len(triples) < _PREPASS_MIN_LINES or _residue_hit(triples, z):
+        join_map(triples, z, clash)
+
+
+def _residue_hit(triples: Sequence[Triple], z: Triple | None) -> bool:
+    """True if, mod p, some join is zero, touches z, or repeats."""
+    p = _RESIDUE_PRIME
+
+    def mod(v: np.ndarray) -> np.ndarray:
+        # v % p, written with //: numpy divides by a scalar several times
+        # faster than it takes the remainder
+        return v - v // p * p
+
+    a, b, c = (np.array([t[k] % p for t in triples], dtype=np.int64) for k in range(3))
+    i, j = np.triu_indices(len(triples), 1)
+    x, y, w = (mod(u[i] * v[j] - u[j] * v[i]) for u, v in ((b, c), (c, a), (a, b)))
+    del i, j  # as large as the joins
+    lead = np.where(x != 0, x, np.where(y != 0, y, w))
+    za, zb, zc = (t % p for t in z or (0, 0, 0))
+    if not lead.all() or (z and not mod(za * x + zb * y + zc * w).all()):
+        return True
+    inv = lead  # lead ** (p - 2) mod p, square and multiply from the top bit
+    for bit in bin(p - 2)[3:]:
+        inv = mod(inv * inv)
+        if bit == "1":
+            inv = mod(inv * lead)
+    # each join divided by its first nonzero entry
+    key = np.sort(((x != 0) * p + mod(y * inv)) * p + mod(w * inv))
+    return bool((key[1:] == key[:-1]).any())
 
 
 # -- point/line duality ------------------------------------------------------
@@ -262,24 +318,34 @@ def _first_repeat(keyed: Iterable[tuple]) -> tuple | None:
     return None
 
 
+def _distinct_points(points: Sequence[ColoredPoint]) -> list[Triple]:
+    ints = int_points(points)
+    rep = _first_repeat((p, i) for i, p in enumerate(ints))
+    if rep:
+        raise PreconditionViolated(f"points {rep[0]} and {rep[1]} coincide")
+    return ints
+
+
+def _collinear(pair, earlier, join) -> PreconditionViolated:
+    i, j, k = sorted({*earlier, *pair})[:3]
+    return PreconditionViolated(f"points {i}, {j}, {k} are collinear")
+
+
+def point_joins(points: Sequence[ColoredPoint]) -> dict[Triple, tuple[int, int]]:
+    """`join_map` of the points: {line (A, B, C): (i, j)}, first nonzero of
+    (A, B) positive; raises as `check_general_position(NO_THREE_COLLINEAR)`."""
+    return join_map(_distinct_points(points), None, _collinear)
+
+
 def check_general_position(points: Sequence[ColoredPoint], mode: GeneralPosition) -> None:
     """Raise PreconditionViolated naming the offending indices.
 
     NO_THREE_COLLINEAR also rejects coincident points.  This is the one
     place that looks for repeated coordinates or collinear triples; a line
-    spanned by two point pairs names three collinear points.  Lines are
-    keyed by their primitive integer triples (`int_points`, `int_line_through`).
+    spanned by two point pairs (`check_joins`) names three collinear points.
     """
     if mode is GeneralPosition.NO_THREE_COLLINEAR:
-        ints = int_points(points)
-        rep = _first_repeat((p, i) for i, p in enumerate(ints))
-        if rep:
-            raise PreconditionViolated(f"points {rep[0]} and {rep[1]} coincide")
-        pairs = itertools.combinations(range(len(ints)), 2)
-        rep = _first_repeat((int_line_through(ints[i], ints[j]), (i, j)) for i, j in pairs)
-        if rep:
-            i, j, k = sorted({*rep[0], *rep[1]})[:3]
-            raise PreconditionViolated(f"points {i}, {j}, {k} are collinear")
+        check_joins(_distinct_points(points), None, _collinear)
         return
     if mode not in (GeneralPosition.DISTINCT_XY, GeneralPosition.DISTINCT_X):
         raise ValueError(mode)

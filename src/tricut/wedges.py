@@ -56,9 +56,10 @@ from .core import (
     dual_line_to_point,
     dual_point_to_line,
     int_line,
-    int_line_through,
+    int_point,
     int_points,
     intersect,
+    point_joins,
     require_rgb,
     winding_number,
 )
@@ -477,11 +478,10 @@ def _int_wedge_counts(
 
 def _int_segment_counts(seg: Segment, lines: Sequence[ColoredLine]) -> dict[Color, int]:
     """`count_segment_crossings` on integers: with the segment's ends as
-    `int_points` triples, the side of an end (X/W, Y/W) of a line is the
+    `int_point` triples, the side of an end (X/W, Y/W) of a line is the
     sign of A*X + B*Y + C*W for its `int_line` (A, B, C), as W > 0.  An end
     on a line raises EndpointOnLine."""
-    ends = int_points([ColoredPoint(*seg.p, Color.K), ColoredPoint(*seg.q, Color.K)])
-    (x1, y1, w1), (x2, y2, w2) = ends
+    (x1, y1, w1), (x2, y2, w2) = int_point(*seg.p), int_point(*seg.q)
     counts = {c: 0 for c in RGB}
     for i, l in enumerate(lines):
         a, b, c = int_line(l)
@@ -530,8 +530,9 @@ def brute_oracle_wedges(
     of the up-to-4 points on the chosen lines is exhaustive.  Deterministic,
     sorted by (size, indices).
 
-    Point sets are bitmasks (bit k is point k).  Each point-pair line gets
-    the masks of the points strictly on its positive and its negative side,
+    Point sets are bitmasks (bit k is point k).  Each point-pair line
+    (`core.point_joins`) gets the masks of the points strictly on its
+    positive and its negative side,
     from the signs of A*X + B*Y + C*W (W > 0) on Python ints; with no three
     collinear, its two endpoints are the only points on it.  Over every pair
     of lines (int64 arrays, which hold 62 points; the diagonal included) the
@@ -549,13 +550,11 @@ def brute_oracle_wedges(
     if len(target) != 3 or any(t < 0 for t in target):
         raise PreconditionViolated(f"bad target {target}")
     require_rgb([p.color for p in pts])
-    check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
+    joins = point_joins(pts)
 
     ints = int_points(pts)
-    pairs = list(itertools.combinations(range(m), 2))
     pos, neg = [], []
-    for i, j in pairs:
-        a, b, c = int_line_through(ints[i], ints[j])
+    for a, b, c in joins:
         plus = minus = 0
         for k, (x, y, w) in enumerate(ints):
             v = a * x + b * y + c * w
@@ -567,7 +566,7 @@ def brute_oracle_wedges(
         neg.append(minus)
     pos_a = np.array(pos, dtype=np.int64)
     neg_a = np.array(neg, dtype=np.int64)
-    end_bits = np.int64(1) << np.array(pairs, dtype=np.int64)
+    end_bits = np.int64(1) << np.array(list(joins.values()), dtype=np.int64)
     ends = end_bits[:, 0] | end_bits[:, 1]
 
     ii, jj = np.triu_indices(len(pos))  # includes the diagonal
@@ -668,7 +667,7 @@ def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
         duals = [dual_point_to_line(p) for p in work]
 
         def candidate_faces():
-            first = _complete_face(duals)
+            first = _complete_face(duals, [int_line(l) for l in duals])
             yield first
             ident = frozenset(first.vertices)
             for f in build_arrangement(duals).faces:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -22,7 +23,22 @@ from tricut.cells import (
     require_simple,
     validate_simple,
 )
-from tricut.core import Color, RGB, int_line, intersect, line, line_slope_intercept, orient, sign
+from tricut.core import (
+    Color,
+    ColoredLine,
+    GeneralPosition,
+    RGB,
+    check_general_position,
+    int_line,
+    int_points,
+    intersect,
+    line,
+    line_slope_intercept,
+    orient,
+    point_joins,
+    pt,
+    sign,
+)
 from tricut.errors import (
     InternalError,
     MissingColor,
@@ -344,7 +360,28 @@ class TestBuildArrangementMatchesReference:
         assert is_complete(find_complete_face(lines))
 
 
+def ref_cycle_parity(colors):
+    """`cycle_parity` as it was written first: a frozenset per edge."""
+    pairs = {frozenset(p): 0 for p in ((Color.R, Color.G), (Color.R, Color.B), (Color.G, Color.B))}
+    m = len(colors)
+    for i in range(m):
+        k = frozenset((colors[i], colors[(i + 1) % m]))
+        if k in pairs:
+            pairs[k] += 1
+    return (
+        pairs[frozenset((Color.R, Color.G))] % 2,
+        pairs[frozenset((Color.R, Color.B))] % 2,
+        pairs[frozenset((Color.G, Color.B))] % 2,
+    )
+
+
 class TestCycleParity:
+    def test_matches_the_frozenset_version(self):
+        for m in range(1, 7):
+            for colors in itertools.product(list(Color), repeat=m):
+                assert cycle_parity(colors) == ref_cycle_parity(colors), colors
+                assert cycle_parity(list(colors)) == ref_cycle_parity(colors), colors
+
     def test_frozen_examples(self):
         R, G, B = Color.R, Color.G, Color.B
         assert cycle_parity((R, R, G, G)) == (0, 0, 0)
@@ -397,22 +434,34 @@ class TestFindCompleteFace:
         assert any(set(f.vertices) == set(face.vertices) for f in found)
 
 
-def rational_map(lines, seed):
-    """The lines' images under the affine map (x, y) -> (a x + c, e x + d y + f)
-    with seeded rationals of large denominators: the same arrangement, up to
-    orientation, with big coefficients."""
+def affine_map(seed):
+    """(a, d, e, c, f) of the map (x, y) -> (a x + c, e x + d y + f): seeded
+    nonzero rationals of large denominators."""
     rng = random.Random(seed)
 
     def rat():
         return F(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(10**5, 10**6))
 
-    a, d, e, c, f = rat(), rat(), rat(), rat(), rat()
+    return rat(), rat(), rat(), rat(), rat()
+
+
+def rational_map(lines, seed):
+    """The lines' images under `affine_map(seed)`: the same arrangement, up
+    to orientation, with big coefficients."""
+    a, d, e, c, f = affine_map(seed)
     out = []
     for l in lines:
         # (A, B) times the inverse of [[a, 0], [e, d]], then the offset
         na, nb = l.a / a - l.b * e / (a * d), l.b / d
         out.append(line(na, nb, l.c - na * c - nb * f, l.color))
     return out
+
+
+def rational_map_points(points, seed):
+    """The points' images under `affine_map(seed)`: the same incidences, with
+    big denominators."""
+    a, d, e, c, f = affine_map(seed)
+    return [pt(a * p.x + c, e * p.x + d * p.y + f, p.color) for p in points]
 
 
 def mirrored(lines):
@@ -455,7 +504,7 @@ class TestCompleteFaceMatchesReference:
 def prepass_arrangements(draw):
     """At least `_PREPASS_MIN_LINES` lines: generated, maybe rationally
     mapped, and maybe with one planted defect or forced residue hit."""
-    n = draw(st.integers(cells._PREPASS_MIN_LINES, 40))
+    n = draw(st.integers(core._PREPASS_MIN_LINES, 40))
     lines = list(generate(GenSpec(GenKind.SimpleLines3C, n, draw(st.integers(1, 10**6)))))
     if draw(st.booleans()):
         lines = rational_map(lines, draw(st.integers(0, 10**6)))
@@ -476,51 +525,121 @@ def prepass_arrangements(draw):
     elif plant == "residue":
         # W = p * 1 - 0 * 1 = p: a pair parallel mod p only
         c1, c2 = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
-        for l in (line(cells._RESIDUE_PRIME, 1, c1), line(0, 1, c2)):
+        for l in (line(core._RESIDUE_PRIME, 1, c1), line(0, 1, c2)):
             lines.insert(draw(st.integers(0, len(lines))), l)
     return lines
 
 
+@st.composite
+def prepass_point_sets(draw):
+    """At least `_PREPASS_MIN_LINES` points: generated `Points3C` or
+    `Points3CConvex`, maybe rationally mapped, and maybe with one planted
+    collinear triple, coincident pair, or pair that collides only mod p."""
+    seed = draw(st.integers(1, 10**6))
+    if draw(st.booleans()):
+        n = draw(st.integers(core._PREPASS_MIN_LINES, 40))
+        points = list(generate(GenSpec(GenKind.Points3C, n, seed)))
+    else:
+        # 6n points
+        points = list(generate(GenSpec(GenKind.Points3CConvex, draw(st.integers(5, 7)), seed)))
+    if draw(st.booleans()):
+        points = rational_map_points(points, draw(st.integers(0, 10**6)))
+    index = st.integers(0, len(points) - 1)
+    plant = draw(st.sampled_from(["none", "triple", "coincident", "residue"]))
+    if plant == "triple":
+        # the third point on the line through the first two
+        i, j, k = draw(st.lists(index, min_size=3, max_size=3, unique=True))
+        t = draw(st.sampled_from([F(-1), F(1, 3), F(1, 2), F(2)]))
+        p, q = points[i], points[j]
+        points[k] = pt(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y), points[k].color)
+    elif plant == "coincident":
+        i, k = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        points[k] = pt(points[i].x, points[i].y, points[k].color)
+    elif plant == "residue":
+        # (u, v) and (u + p, v) join to (0, p, -p v): zero mod p only
+        u, v = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+        for x in (u, u + core._RESIDUE_PRIME):
+            points.insert(draw(st.integers(0, len(points))), pt(x, v, "R"))
+    return points
+
+
+def no_three_collinear(points):
+    check_general_position(points, GeneralPosition.NO_THREE_COLLINEAR)
+
+
 class TestRequireSimpleMatchesExact:
-    @settings(max_examples=150, deadline=None)
-    @given(prepass_arrangements())
-    def test_same_verdict_witness_and_message(self, lines):
-        assert len(lines) >= cells._PREPASS_MIN_LINES
+    """The residue pre-pass against the exact loop, on lines
+    (`require_simple` against `validate_simple`) and on points
+    (`check_general_position` against `point_joins`)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(prepass_arrangements(), prepass_point_sets()))
+    def test_same_verdict_witness_and_message(self, items):
+        assert len(items) >= core._PREPASS_MIN_LINES
+        if isinstance(items[0], ColoredLine):
+            exact, checked = validate_simple, require_simple
+            triples, z = [int_line(l) for l in items], cells._AT_INFINITY
+        else:
+            exact, checked = point_joins, no_three_collinear
+            triples, z = int_points(items), None
         try:
-            validate_simple(lines)
-        except NotSimple as e:
+            exact(items)
+        except PreconditionViolated as e:
             # the residue pass never misses a defect
-            assert cells._residue_hit([int_line(l) for l in lines])
-            with pytest.raises(NotSimple) as err:
-                require_simple(lines)
-            assert (err.value.witness, str(err.value)) == (e.witness, str(e))
+            assert core._residue_hit(triples, z)
+            with pytest.raises(type(e)) as err:
+                checked(items)
+            assert (getattr(err.value, "witness", None), str(err.value)) == (
+                getattr(e, "witness", None), str(e))
             return
-        require_simple(lines)
+        checked(items)
 
     def test_residue_hit_on_a_simple_arrangement(self):
         # tangents y = s x - s^2 of a parabola, plus y = 0 and p x + y = 0,
         # which meet only at the origin, where W = p is 0 mod p
-        p = cells._RESIDUE_PRIME
+        p = core._RESIDUE_PRIME
         lines = [line_slope_intercept(s, -s * s) for s in range(1, 30)]
         lines += [line(0, 1, 0), line(p, 1, 0)]
-        assert cells._residue_hit([int_line(l) for l in lines])
+        assert core._residue_hit([int_line(l) for l in lines], cells._AT_INFINITY)
         assert len(validate_simple(lines)) == 31 * 30 // 2
         require_simple(lines)
 
+    def test_residue_hit_on_points_in_general_position(self):
+        # points (s, s^2) of a parabola, plus (p, 0), which no line through
+        # two parabola points meets; (0, 0) and (p, 0) join to (0, p, 0)
+        p = core._RESIDUE_PRIME
+        points = [pt(s, s * s, "R") for s in range(30)] + [pt(p, 0, "G")]
+        assert core._residue_hit(int_points(points), None)
+        # on its own, the pair's zero join is the hit
+        assert core._residue_hit(int_points([points[0], points[-1]]), None)
+        assert len(point_joins(points)) == 31 * 30 // 2
+        no_three_collinear(points)
+
     def test_no_hit_on_generated_arrangements(self):
-        for n in (cells._PREPASS_MIN_LINES, 50, 200):
+        for n in (core._PREPASS_MIN_LINES, 50, 200):
             lines = generate(GenSpec(GenKind.SimpleLines3C, n, 1))
-            assert not cells._residue_hit([int_line(l) for l in lines])
-            assert not cells._residue_hit([int_line(l) for l in rational_map(lines, 1)])
+            assert not core._residue_hit([int_line(l) for l in lines], cells._AT_INFINITY)
+            assert not core._residue_hit([int_line(l) for l in rational_map(lines, 1)],
+                                         cells._AT_INFINITY)
+
+    def test_no_hit_on_generated_point_sets(self):
+        for kind, n in [(GenKind.Points3C, core._PREPASS_MIN_LINES), (GenKind.Points3C, 64),
+                        (GenKind.Points3CConvex, 5), (GenKind.Points3CConvex, 24)]:
+            points = generate(GenSpec(kind, n, 1))
+            assert not core._residue_hit(int_points(points), None)
+            assert not core._residue_hit(int_points(rational_map_points(points, 1)), None)
 
     def test_below_the_cutoff_the_exact_loop_runs(self, monkeypatch):
-        def forbidden(coeffs):
+        def forbidden(triples, z):
             raise AssertionError("residue pass below the cutoff")
 
-        monkeypatch.setattr(cells, "_residue_hit", forbidden)
-        require_simple(generate(GenSpec(GenKind.SimpleLines3C, cells._PREPASS_MIN_LINES - 1, 1)))
+        monkeypatch.setattr(core, "_residue_hit", forbidden)
+        require_simple(generate(GenSpec(GenKind.SimpleLines3C, core._PREPASS_MIN_LINES - 1, 1)))
         with pytest.raises(NotSimple):
             require_simple([line_slope_intercept(2, 0), line_slope_intercept(2, 5)])
+        no_three_collinear(generate(GenSpec(GenKind.Points3C, core._PREPASS_MIN_LINES - 1, 1)))
+        with pytest.raises(PreconditionViolated, match="collinear"):
+            no_three_collinear([pt(0, 0, "R"), pt(1, 1, "G"), pt(2, 2, "B")])
 
 
 class TestExtract111Segment:

@@ -22,11 +22,11 @@ from tricut.core import (
     GeneralPosition,
     check_general_position,
     int_line,
-    int_line_through,
     int_points,
     intersect,
     line,
     line_through,
+    point_joins,
     pt,
     sign,
 )
@@ -320,7 +320,7 @@ class TestIntegerScaling:
         p, q, r = [pt(x, y, "R") for x, y in coords]
         if (p.x, p.y) == (q.x, q.y):
             return
-        a, b, c = int_line_through(*int_points([p, q]))
+        ((a, b, c),) = point_joins([p, q])
         (x, y, w), = int_points([r])
         assert sign(a * x + b * y + c * w) == line_through(p, q).side(r)
 

@@ -444,9 +444,9 @@ class TestFind111Wedge:
             calls["angles"] += 1
             return rotation(t)
 
-        def counting_face(duals):
+        def counting_face(duals, coeffs):
             calls["frames"] += 1
-            return face(duals)
+            return face(duals, coeffs)
 
         monkeypatch.setattr(wedges, "_rotation", counting_rotation)
         monkeypatch.setattr(wedges, "_complete_face", counting_face)

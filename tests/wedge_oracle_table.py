@@ -17,7 +17,6 @@ from tricut.core import (
     ColoredPoint,
     GeneralPosition,
     check_general_position,
-    int_line_through,
     int_points,
     require_rgb,
     sign,
@@ -47,8 +46,11 @@ def table_oracle_wedges(
     # side matrix of every point-pair line: signs of A*X + B*Y + C*W, W > 0
     ints = int_points(pts)
     side_rows = []
-    for i, j in itertools.combinations(range(m), 2):
-        a, b, c = int_line_through(ints[i], ints[j])
+    for (x1, y1, w1), (x2, y2, w2) in itertools.combinations(ints, 2):
+        # the line through the two points, their cross product; negating a
+        # line moves its pairs with other lines between the two masks below,
+        # which are both scanned, so its sign needs no normalising
+        a, b, c = y1 * w2 - y2 * w1, x2 * w1 - x1 * w2, x1 * y2 - x2 * y1
         side_rows.append([sign(a * x + b * y + c * w) for x, y, w in ints])
     side = np.array(side_rows, dtype=np.int8)
     n_lines = len(side_rows)
