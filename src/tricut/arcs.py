@@ -482,14 +482,6 @@ def _search_on_point(ranks, sensitive, k: int) -> CutProfile | None:
 # -- the driver ----------------------------------------------------------------
 
 
-def rotate_parameters(
-    points: Sequence[CirclePoint], a: ArcSet, delta: Rat
-) -> tuple[tuple[CirclePoint, ...], ArcSet]:
-    """Rotate every parameter and the arc set by +delta (mod 1)."""
-    moved = tuple(CirclePoint((p.t + delta) % 1, p.color) for p in points)
-    return moved, arcset_rotate(a, delta)
-
-
 class _CyclicOrder:
     """The sorted parameters of one halving step, each computed when read.
 

@@ -389,24 +389,21 @@ def _complete_face(lines: Sequence[ColoredLine], coeffs: Sequence[tuple[int, int
     )
 
 
-def cevian_111_segment(
+def _cevian_111_segment(
     lines: Sequence[ColoredLine],
     face: Face,
     corner_v: int,
     edge_k: int,
     t_edge: Rat,
-    x_avoid: Rat | None = None,
+    x_avoid: Rat | None,
 ) -> Segment | None:
-    """One explicit candidate for `extract_111_segment`.
+    """One candidate for `extract_111_segment`.
 
     Runs from a point at fraction `t_edge` along edge `edge_k`, through the
     face vertex `corner_v` (where the two other target colors meet), extended
-    a little past both contacts.  The caller picks a bichromatic corner and a
-    third-color edge; this builds the segment or returns None when the
-    direction degenerates to vertical.  With `x_avoid` set, both endpoints
-    keep their x-coordinates strictly on the one side of `x_avoid` that the
-    two contact points share (None when they sit on opposite sides); callers
-    use this to dodge the dual image of a forbidden direction.
+    a little past both contacts.  Returns None when the direction degenerates
+    to vertical.  With `x_avoid` set, both contacts lie on one side of it and
+    both endpoints keep their x-coordinates strictly on that side.
     """
     m = len(face.vertices)
     v = face.vertices[corner_v]
@@ -414,11 +411,8 @@ def cevian_111_segment(
     base = (a[0] + t_edge * (b[0] - a[0]), a[1] + t_edge * (b[1] - a[1]))
     if base[0] == v[0]:
         return None
-    if x_avoid is not None:
-        if base[0] == x_avoid or v[0] == x_avoid:
-            return None
-        if (base[0] > x_avoid) != (v[0] > x_avoid):
-            return None
+    if x_avoid is not None and (base[0] == x_avoid or (base[0] > x_avoid) != (v[0] > x_avoid)):
+        raise PreconditionViolated("cell is not on one side of x = x_avoid")
 
     # param 0 at the edge point, 1 at the corner; find every other crossing
     u = (v[0] - base[0], v[1] - base[1])
@@ -458,12 +452,20 @@ def cevian_111_segment(
     )
 
 
-def extract_111_segment(lines: Sequence[ColoredLine], face: Face) -> Segment:
+def extract_111_segment(
+    lines: Sequence[ColoredLine], face: Face, x_avoid: Rat | None = None
+) -> Segment:
     """Segment crossing exactly one line of each color, from a complete cell.
 
     Runs from just outside an edge of one color, through that edge, to just
     past a corner where the other two colors meet.  Never vertical, and no
     endpoint lies on any input line.
+
+    With `x_avoid` set, the cell must lie on one side of the line
+    x = x_avoid with at most one vertex on it.  The corner is then the first
+    bichromatic one off that line, and the segment stays strictly on the
+    cell's side.  A complete cell has at least three bichromatic corners, so
+    such a corner exists.
     """
     if not is_complete(face):
         raise PreconditionViolated("cell is not complete")
@@ -472,18 +474,18 @@ def extract_111_segment(lines: Sequence[ColoredLine], face: Face) -> Segment:
     corner = None
     for i in range(m):
         j = (i + 1) % m
-        if face.boundary_colors[i] != face.boundary_colors[j]:
+        if face.boundary_colors[i] != face.boundary_colors[j] and face.vertices[j][0] != x_avoid:
             corner = j  # vertex between edges j-1 and j
             break
     if corner is None:
-        raise InternalError("complete cell with monochromatic boundary")
+        raise InternalError("complete cell without a usable bichromatic corner")
     c1 = face.boundary_colors[(corner - 1) % m]
     c2 = face.boundary_colors[corner]
     third = next(c for c in RGB if c not in (c1, c2))
     edge_k = next(k for k in range(m) if face.boundary_colors[k] is third)
 
     for t_edge in (Fraction(1, 2), Fraction(1, 3)):
-        seg = cevian_111_segment(lines, face, corner, edge_k, t_edge)
+        seg = _cevian_111_segment(lines, face, corner, edge_k, t_edge, x_avoid)
         if seg is not None:
             return seg
     raise InternalError("segment direction is forced vertical")

@@ -22,6 +22,12 @@ after k events computes O(m + k) pair-line keys instead of sorting all
 m(m - 1)/2 of them.  The balanced wedge is counted once more, on the
 points' integer triples, before it is returned; the halving segment is
 counted on its ends' integer triples and the lines' integer coefficients.
+
+`find_111_wedge` dualizes the points and pulls a segment out of one complete
+cell.  Points sharing an x coordinate would dualize to parallel lines, so
+they are sheared once, by a shear chosen in closed form, and the segment is
+kept off the dual image of the original vertical direction.  Vertical input
+lines of `halving_segment` are likewise removed by one integer shear.
 """
 
 from __future__ import annotations
@@ -35,14 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cells import (
-    _complete_face,
-    build_arrangement,
-    cevian_111_segment,
-    extract_111_segment,
-    is_complete,
-    require_simple,
-)
+from .cells import _complete_face, extract_111_segment, require_simple
 from .core import (
     Color,
     ColoredLine,
@@ -602,49 +601,20 @@ def brute_oracle_wedges(
 # -- duals: 111 wedges and halving segments ------------------------------------
 
 
-def _rotation(t: Rat) -> tuple[Rat, Rat]:
-    d = 1 + t * t
-    return ((1 - t * t) / d, 2 * t / d)  # cos, sin of a rational rotation
+def _shear(pts: tuple[ColoredPoint, ...]) -> int | None:
+    """q for the shear (x, y) -> (x + y/q, y) that gives the points distinct
+    x, or None when they already have it.
 
-
-def _rot_point(p: tuple[Rat, Rat], cs: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
-    c, s = cs
-    return (c * p[0] - s * p[1], s * p[0] + c * p[1])
-
-
-def _unrot_point(p: tuple[Rat, Rat], cs: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
-    c, s = cs
-    return (c * p[0] + s * p[1], -s * p[0] + c * p[1])
-
-
-def _rot_functional(f: tuple[Rat, Rat, Rat], cs: tuple[Rat, Rat]) -> tuple[Rat, Rat, Rat]:
-    # g(q) = f(R^-1 q): the rotated line's functional
-    a, b, c0 = f
-    c, s = cs
-    return (a * c - b * s, a * s + b * c, c0)
-
-
-def _unrot_functional(f: tuple[Rat, Rat, Rat], cs: tuple[Rat, Rat]) -> tuple[Rat, Rat, Rat]:
-    c, s = cs
-    return _rot_functional(f, (c, -s))
-
-
-def _frames(pts: tuple[ColoredPoint, ...]):
-    """(rotation or None, points) frames with distinct x, one angle at a time.
-
-    Shared x makes dual lines parallel, so the search rotates; several angles
-    are offered because the wedge pulled back from a rotated frame must still
-    avoid the original vertical direction, or no finite segment is dual to it.
+    q = floor((y_max - y_min) / gap) + 1, with gap the least difference of
+    distinct x, exceeds every |dy/dx| of a pair with distinct x, so sheared x
+    stay distinct and no two points' dual lines are parallel.
     """
-    if len({p.x for p in pts}) == len(pts):
-        yield None, pts
-        return
-    for den in range(1, 65):
-        for num in (1, -1):
-            cs = _rotation(Fraction(num, den))
-            work = tuple(ColoredPoint(*_rot_point((p.x, p.y), cs), p.color) for p in pts)
-            if len({p.x for p in work}) == len(work):
-                yield cs, work
+    xs = sorted({p.x for p in pts})
+    if len(xs) == len(pts):
+        return None
+    ys = [p.y for p in pts]
+    gap = min(b - a for a, b in zip(xs, xs[1:]))
+    return math.floor((max(ys) - min(ys)) / gap) + 1
 
 
 def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
@@ -653,147 +623,70 @@ def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
     Needs at least one point per color and no three collinear points.  Works
     through duality: dualize, find a complete cell, pull a segment crossing
     one line per color back to a double wedge.
+
+    Points sharing an x coordinate would dualize to parallel lines, so then
+    the points are first sheared by (x, y) -> (x + y/q, y) (`_shear`).  In
+    the sheared dual every crossing has x <= q, the dual x of the original
+    vertical direction, with equality only for pairs that shared x.  A
+    bounded cell thus has at most one vertex on x = q (two would make a
+    vertical edge), and `extract_111_segment` with `x_avoid=q` keeps the
+    segment strictly left of it, so the wedge avoids the vertical direction
+    and has a finite dual segment.
     """
     pts = tuple(points)
     require_rgb([p.color for p in pts])
     check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
 
-    for cs, work in _frames(pts):
-        # dual x-coordinate of the original vertical direction, which a
-        # segment from a rotated frame must avoid
-        sigma = None if cs is None else -cs[0] / cs[1]
-        # distinct x (the frame) and no three collinear points make the
-        # duals simple, and they carry the points' colors
-        duals = [dual_point_to_line(p) for p in work]
+    q = _shear(pts)
+    work = pts if q is None else tuple(ColoredPoint(p.x + p.y / q, p.y, p.color) for p in pts)
+    # distinct x and no three collinear points make the duals simple, and
+    # they carry the points' colors
+    duals = [dual_point_to_line(p) for p in work]
+    face = _complete_face(duals, [int_line(l) for l in duals])
+    seg = extract_111_segment(duals, face, x_avoid=q)
 
-        def candidate_faces():
-            first = _complete_face(duals, [int_line(l) for l in duals])
-            yield first
-            ident = frozenset(first.vertices)
-            for f in build_arrangement(duals).faces:
-                if f.bounded and is_complete(f) and frozenset(f.vertices) != ident:
-                    yield f
-
-        for face in candidate_faces():
-            for seg in _frame_segments(duals, face, sigma):
-                e1, e2 = seg.p, seg.q
-                if e1[0] == e2[0]:
-                    continue  # boundary lines would be parallel
-
-                # primal boundary line of dual point e: y = e_x * x - e_y,
-                # functional f(q) = q.y - e_x * q.x + e_y; a point's dual
-                # line crosses the segment exactly when f_1, f_2 disagree
-                # in sign
-                f1 = (-e1[0], Fraction(1), e1[1])
-                f2 = (-e2[0], Fraction(1), e2[1])
-                if cs is not None:
-                    f1 = _unrot_functional(f1, cs)
-                    f2 = _unrot_functional(f2, cs)
-                # the wedge dualizes back to a finite segment only if it
-                # avoids the vertical direction: y-coefficients of one sign
-                if f1[1] == 0 or f2[1] == 0 or (f1[1] > 0) != (f2[1] > 0):
-                    continue
-                l1 = ColoredLine(*f1, Color.K)
-                l2 = ColoredLine(*f2, Color.K)
-                apex = intersect(l1, l2)
-                if apex is None:
-                    raise InternalError("wedge boundary lines are parallel")
-                w = wedge_from_functionals(apex, f1, f2, contains_disagree=True)
-                counts = wedge_color_counts(w, pts)
-                if any(counts[c] != 1 for c in RGB):
-                    raise InternalError(
-                        "111 wedge did not verify", {"counts": str(counts)}
-                    )
-                return w
-    raise InternalError("no rotation left a segment-realizable wedge")
-
-
-def _lambda_candidates(a_x: Rat, b_x: Rat, v_x: Rat, sigma: Rat) -> list[Rat]:
-    """Edge parameters keeping the edge point on v_x's side of sigma.
-
-    Two candidates are offered because one parameter can put the edge point
-    directly above or below the corner, degenerating the cevian direction.
-    """
-    want = v_x > sigma
-    if a_x == b_x:
-        if a_x != sigma and (a_x > sigma) == want and a_x != v_x:
-            return [Fraction(1, 2)]
-        return []
-    lam_sigma = (sigma - a_x) / (b_x - a_x)
-    if (b_x > a_x) == want:
-        lo, hi = max(Fraction(0), lam_sigma), Fraction(1)
-    else:
-        lo, hi = Fraction(0), min(Fraction(1), lam_sigma)
-    if lo >= hi:
-        return []
-    mid = (lo + hi) / 2
-    return [mid, (mid + hi) / 2]
-
-
-def _frame_segments(duals, face, sigma):
-    """Candidate dual-plane segments for one complete face.
-
-    The canonical extraction comes first.  When the frame is a rotated copy
-    (sigma set), it may touch the forbidden x-coordinate, so every other
-    corner/edge/parameter choice that stays clear of sigma follows.
-    """
-    yield extract_111_segment(duals, face)
-    if sigma is None:
-        return
-    m = len(face.vertices)
-    for j in range(m):
-        cj1 = face.boundary_colors[(j - 1) % m]
-        cj2 = face.boundary_colors[j]
-        if cj1 == cj2:
-            continue
-        v_x = face.vertices[j][0]
-        if v_x == sigma:
-            continue
-        third = next(c for c in RGB if c not in (cj1, cj2))
-        for k in range(m):
-            if face.boundary_colors[k] is not third:
-                continue
-            a_x = face.vertices[k][0]
-            b_x = face.vertices[(k + 1) % m][0]
-            for lam in _lambda_candidates(a_x, b_x, v_x, sigma):
-                seg = cevian_111_segment(duals, face, j, k, lam, x_avoid=sigma)
-                if seg is not None:
-                    yield seg
+    # primal boundary line of dual point e: y = e_x * x - e_y, functional
+    # f(p) = p.y - e_x * p.x + e_y; a point's dual line crosses the segment
+    # exactly when f_1, f_2 disagree in sign.  Under the shear it reads back
+    # as (-e_x, 1 - e_x / q, e_y), whose y-coefficient is positive as e_x < q.
+    f1, f2 = (
+        (-e[0], Fraction(1) if q is None else 1 - e[0] / q, e[1]) for e in (seg.p, seg.q)
+    )
+    apex = intersect(ColoredLine(*f1, Color.K), ColoredLine(*f2, Color.K))
+    w = wedge_from_functionals(apex, f1, f2, contains_disagree=True)
+    counts = wedge_color_counts(w, pts)
+    if any(counts[c] != 1 for c in RGB):
+        raise InternalError("111 wedge did not verify", {"counts": str(counts)})
+    return w
 
 
 def halving_segment(lines: Sequence[ColoredLine]) -> Segment:
     """Segment crossing exactly n lines of each color, of 6n given lines.
 
     Preconditions: simple arrangement, 2n lines per color.  Vertical input
-    lines are handled by an internal rational rotation.  Dual of
+    lines are handled by an internal integer shear.  Dual of
     sweep_balanced_wedge.
     """
     ls = tuple(lines)
     n = _require_6n([l.color for l in ls], "line")
     require_simple(ls)
 
-    cs = None
+    # with a vertical line, shear by (x, y) -> (x + lam*y, y): line
+    # (a, b, c) becomes (a, b - a*lam, c), and as normalized lines have
+    # a in {0, 1} and lam > |b|, no sheared line is vertical
+    lam = None
     work = ls
     if any(l.is_vertical for l in ls):
-        # the angles 2*atan(1/den) are distinct, and each line is vertical
-        # under at most one of them, so m + 1 candidates always suffice
-        for den in range(2, len(ls) + 3):
-            cand = _rotation(Fraction(1, den))
-            fs = [_rot_functional((l.a, l.b, l.c), cand) for l in ls]
-            if all(b != 0 for _, b, _ in fs):
-                cs = cand
-                work = tuple(ColoredLine(a, b, c0, l.color) for (a, b, c0), l in zip(fs, ls))
-                break
-        else:
-            raise InternalError("no rotation makes every line non-vertical")
+        lam = math.floor(max(abs(l.b) for l in ls)) + 1
+        work = tuple(ColoredLine(l.a, l.b - l.a * lam, l.c, l.color) for l in ls)
 
     # a simple arrangement has no parallel lines (distinct dual x) and no
     # three concurrent lines (no three collinear dual points), so the duals
     # already meet the sweep's preconditions
     dual_pts = tuple(dual_line_to_point(l) for l in work)
     seg = wedge_dual_segment(_sweep(dual_pts, n))
-    if cs is not None:
-        seg = Segment(_unrot_point(seg.p, cs), _unrot_point(seg.q, cs))
+    if lam is not None:
+        seg = Segment(*((x - lam * y, y) for x, y in (seg.p, seg.q)))
 
     try:
         counts = _int_segment_counts(seg, ls)

@@ -30,7 +30,6 @@ from tricut.arcs import (
     find_k_arcset,
     moment_halve,
     plan_ops,
-    rotate_parameters,
 )
 from tricut.core import (
     ArcSet,
@@ -442,21 +441,6 @@ class TestBigDenominators:
                 assert key in oracle, (n, k)
 
 
-class TestRotateParameters:
-    def test_roundtrip(self):
-        pts = interleaved_points(2)
-        a = arcset([(F(1, 10), F(2, 10))])
-        moved, a2 = rotate_parameters(pts, a, F(1, 3))
-        back, a3 = rotate_parameters(moved, a2, -F(1, 3))
-        assert [p.t for p in back] == [p.t for p in pts]
-        assert a3 == a
-
-    def test_wraps_mod_one(self):
-        pts = [circle_point(F(3, 4), "R")]
-        moved, _ = rotate_parameters(pts, full_circle(), F(1, 2))
-        assert moved[0].t == F(1, 4)
-
-
 # -- the cut searches against the full-table searches they replace -------------
 
 
@@ -678,8 +662,11 @@ class TestFindKArcsetMatchesReference:
 
             return spy
 
-        for name in ("rotate_parameters", "require_distinct_parameters"):
-            monkeypatch.setattr(tricut.arcs, name, counted(name, getattr(tricut.arcs, name)))
+        monkeypatch.setattr(
+            tricut.arcs,
+            "require_distinct_parameters",
+            counted("require_distinct_parameters", tricut.arcs.require_distinct_parameters),
+        )
         monkeypatch.setattr(CirclePoint, "__init__", counted("CirclePoint", CirclePoint.__init__))
         a = find_k_arcset(points, 21)
         assert calls == []

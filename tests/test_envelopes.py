@@ -29,8 +29,8 @@ GOLDEN = [
     ('wedge111', 18, 1, None, '45e196d818df24f71e8e99215b221185a62acd3e'),
     ('wedge111', 9, 2, None, '7d39e3d2f7c7a019aa96e16d8b3ddf7b74a34f19'),
     ('wedge111', 18, 2, None, '1d3785c3c24b332f782753d26544bd42dce188c4'),
-    ('wedge111', 9, 3, None, '4782335871ec0c3489693a52919d77582afd48a8'),
-    ('wedge111', 18, 3, None, '5bf0e991452780ee836fd72b5f9fc59760a9d80f'),
+    ('wedge111', 9, 3, None, '252908f787f8a0b997a4422b21ab568840b7f3b5'),
+    ('wedge111', 18, 3, None, 'd76a3bf863910a5411cb0a62685d5c2b34c01187'),
     ('wedge', 2, 1, None, 'd926ee5097ca621923b08753666f7781e2a44707'),
     ('wedge', 4, 1, None, '24815e46c22530261b2ca81b4f1034d1539380b7'),
     ('wedge', 2, 2, None, '9f152c289e147217da0d2fa91acebab410663298'),

@@ -1,14 +1,19 @@
+import json
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from tricut import wedges
+from tricut import cells, cli, wedges
 from tricut.core import (
     Color,
+    GeneralPosition,
     RGB,
     Segment,
+    check_general_position,
+    dual_line_to_point,
     dual_point_to_line,
     int_points,
     line,
@@ -18,7 +23,7 @@ from tricut.core import (
     winding_number,
 )
 from tricut.generators import GenKind, GenSpec, generate
-from tricut.oracles import count_segment_crossings
+from tricut.oracles import ORACLE_MAX_POINTS, count_segment_crossings
 from wedge_oracle_table import table_oracle_wedges
 from tricut.errors import (
     DegenerateApex,
@@ -416,6 +421,44 @@ class TestIntSegmentCounts:
             halving_segment(lines)
 
 
+THREE_SHARED_X = [pt(-1, -2, R), pt(-1, 71771, B), pt(2, 8317, G)]
+
+# a narrow x range, some of it rational, for a wide y range
+_X_POOL = [F(x) for x in range(-2, 3)] + [F(x, 2) for x in (-3, -1, 1, 3)] + [F(-2, 3), F(2, 3)]
+
+
+@st.composite
+def shared_x_points(draw):
+    """3-16 points of every color, no three collinear, at least two of them
+    on one vertical line."""
+    xs = draw(st.lists(st.sampled_from(_X_POOL), min_size=2, max_size=8, unique=True))
+    coords = []
+    for i, x in enumerate(xs):
+        k = 2 if i == 0 else draw(st.integers(1, 2))
+        ys = draw(st.lists(st.integers(-10**6, 10**6), min_size=k, max_size=k, unique=True))
+        coords += [(x, y) for y in ys]
+    m = len(coords)
+    rest = draw(st.lists(st.sampled_from(RGB), min_size=m - 3, max_size=m - 3))
+    colors = draw(st.permutations([R, G, B, *rest]))
+    pts = [pt(x, y, c) for (x, y), c in zip(coords, colors)]
+    try:
+        check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
+    except PreconditionViolated:
+        assume(False)
+    return pts
+
+
+def assert_111_wedge(w, pts):
+    """One point per color inside, one dual line per color across the dual
+    segment, and a type the exhaustive oracle lists."""
+    assert wedge_color_counts(w, pts) == {R: 1, G: 1, B: 1}
+    seg = wedge_dual_segment(w)
+    crossings = count_segment_crossings(seg, [dual_point_to_line(p) for p in pts])
+    assert {c: crossings.get(c, 0) for c in RGB} == {R: 1, G: 1, B: 1}
+    assert len(pts) <= ORACLE_MAX_POINTS["wedge"]
+    assert wedge_point_indices(w, pts) in brute_oracle_wedges(pts, (1, 1, 1))
+
+
 class TestFind111Wedge:
     @pytest.mark.parametrize("seed", range(10, 18))
     def test_one_of_each(self, seed):
@@ -435,42 +478,81 @@ class TestFind111Wedge:
         counts = wedge_color_counts(w, pts)
         assert counts == {R: 1, G: 1, B: 1}
 
-    def test_duplicate_x_handled_by_rotation(self, monkeypatch):
-        # a candidate angle is rotated only when the search reaches it
-        calls = {"angles": 0, "frames": 0}
-        rotation, face = wedges._rotation, wedges._complete_face
-
-        def counting_rotation(t):
-            calls["angles"] += 1
-            return rotation(t)
+    def test_duplicate_x_one_complete_face(self, monkeypatch):
+        # shared x is handled by one shear: one complete cell, no arrangement
+        calls = {"faces": 0, "arrangements": 0}
+        face, arrangement = wedges._complete_face, cells.build_arrangement
 
         def counting_face(duals, coeffs):
-            calls["frames"] += 1
+            calls["faces"] += 1
             return face(duals, coeffs)
 
-        monkeypatch.setattr(wedges, "_rotation", counting_rotation)
+        def counting_arrangement(lines):
+            calls["arrangements"] += 1
+            return arrangement(lines)
+
         monkeypatch.setattr(wedges, "_complete_face", counting_face)
-        pts = [pt(2, 1, R), pt(2, 5, G), pt(0, 3, B), pt(1, -7, R)]
+        monkeypatch.setattr(cells, "build_arrangement", counting_arrangement)
+        for pts in (
+            [pt(2, 1, R), pt(2, 5, G), pt(0, 3, B), pt(1, -7, R)],
+            THREE_SHARED_X,
+        ):
+            calls.update(faces=0, arrangements=0)
+            w = find_111_wedge(pts)
+            assert wedge_color_counts(w, pts) == {R: 1, G: 1, B: 1}
+            assert calls == {"faces": 1, "arrangements": 0}
+
+    def test_three_points_with_a_shared_x(self, tmp_path, capsys):
+        # the rotation search this solver used to run raised InternalError here
+        pts = THREE_SHARED_X
         w = find_111_wedge(pts)
-        assert wedge_color_counts(w, pts) == {R: 1, G: 1, B: 1}
-        assert calls["angles"] == calls["frames"] == 1
+        assert_111_wedge(w, pts)
+        inst = tmp_path / "three.json"
+        inst.write_text(json.dumps({"instance": {"points": [
+            {"color": p.color.value, "x": str(p.x), "y": str(p.y)} for p in pts
+        ]}}))
+        assert cli.run(["solve", "wedge111", "--in", str(inst), "--verify"]) == 0
+        v = json.loads(capsys.readouterr().out)["verification"]
+        assert v["member"] is True and v["counts"] == [1, 1, 1]
+        assert v["oracle_answers"] == [[0, 1, 2]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_x_points())
+    def test_shared_x_property(self, pts):
+        assert_111_wedge(find_111_wedge(pts), pts)
 
     def test_duplicate_x_wedge_still_dualizes_to_a_segment(self):
-        # the rotated frame must not leak into the answer: the wedge has to
-        # avoid the original vertical direction or no dual segment exists
+        # the shear must not leak into the answer: the wedge has to avoid the
+        # original vertical direction or no dual segment exists
         pts = [pt(-1, 21, R), pt(19, 15, G), pt(-1, 5, B)]
-        w = find_111_wedge(pts)
-        assert wedge_color_counts(w, pts) == {R: 1, G: 1, B: 1}
-        seg = wedge_dual_segment(w)
-        counts = {c: 0 for c in RGB}
-        duals = [dual_point_to_line(p) for p in pts]
-        for c, k in count_segment_crossings(seg, duals).items():
-            counts[c] += k
-        assert counts == {R: 1, G: 1, B: 1}
+        assert_111_wedge(find_111_wedge(pts), pts)
 
     def test_missing_color(self):
         with pytest.raises(MissingColor):
             find_111_wedge([pt(0, 0, R), pt(1, 3, G), pt(2, 1, R)])
+
+
+_SLOPES = sorted({F(a, b) for a in range(-20, 21) for b in range(1, 10)})
+
+
+@st.composite
+def vertical_line_arrangements(draw):
+    """6n simple lines, n in {1, 2}, 2n per color, the first one vertical;
+    rational slopes make some |b| of the normalized lines large."""
+    n = draw(st.integers(1, 2))
+    slope = st.sampled_from(_SLOPES)
+    slopes = draw(st.lists(slope, min_size=6 * n - 1, max_size=6 * n - 1, unique=True))
+    colors = draw(st.permutations([R, G, B] * (2 * n)))
+    ls = [line(1, 0, -draw(st.integers(-30, 30)), colors[0])]
+    ls += [
+        line_slope_intercept(s, draw(st.integers(-50, 50)), c)
+        for s, c in zip(slopes, colors[1:])
+    ]
+    try:
+        cells.require_simple(ls)
+    except NotSimple:
+        assume(False)
+    return ls
 
 
 class TestHalvingSegment:
@@ -523,6 +605,23 @@ class TestHalvingSegment:
         validate_simple(ls)
         seg = halving_segment(ls)
         assert self.seg_counts(seg, ls) == {R: 1, G: 1, B: 1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(vertical_line_arrangements(), st.booleans())
+    def test_one_vertical_line_property(self, ls, vertical):
+        n = len(ls) // 6
+        if not vertical:  # no shear: the sweep's own dual segment
+            ls = ls[1:] + [line_slope_intercept(F(10**4 + 1, 7), 0, ls[0].color)]
+            try:
+                cells.require_simple(ls)
+            except NotSimple:
+                assume(False)
+        seg = halving_segment(ls)
+        crossings = count_segment_crossings(seg, ls)
+        assert {c: crossings.get(c, 0) for c in RGB} == {R: n, G: n, B: n}
+        if not vertical:
+            duals = [dual_line_to_point(l) for l in ls]
+            assert seg == wedge_dual_segment(sweep_balanced_wedge(duals))
 
     def test_not_simple_rejected(self):
         ls = [
