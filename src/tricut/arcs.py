@@ -18,37 +18,36 @@ interval backward, `moment_halve` performs one halving step exactly, and
 
 `find_k_arcset` sorts the points by parameter once, on an exact integer
 key: floor(t * 2**64) first, the parameter itself only where two keys tie,
-so no float enters a comparison.  Before each halving step it rotates 0
-into the first parameter-free gap outside the current set; with the arc
-ends bisected into the sorted order, that gap is gap 0 or starts at an
-arc's upper end.  A rotation keeps the cyclic order, so the step's sorted
-list of its m sensitive parameters (points, arc ends, 0 and 1) is the one
-order shifted by an index with the arc ends merged in (`_CyclicOrder`).  Its
-rank query rotates nothing: the queried value is shifted once into the
-input frame and bisected on the integer keys, and the at most 6 merged
-ends below it are counted.  A rotated value is computed only where a cut
-or an arc end reads it.
+so no float enters a comparison.  Every halving step runs on ranks of that
+order in the input frame, with nothing rotated.  The current set is at most
+two (lo, hi) pairs of ends, each a parameter with the number of points
+below it.  A step reads the circle from an origin in the first gap outside
+the set (`_origin`): the origin, the points and arc ends met going round,
+and the origin again (`_Order`), so the set's arcs are rank intervals that
+never wrap.  A cut between adjacent entries a and b is their cyclic
+midpoint (a + ((b - a) mod 1) / 2) mod 1, which is where rotating the origin
+to 0, cutting and rotating back would put it.  The sides are half-rank
+intervals; only the at most 4 ends a step keeps become parameters.  A
+complement keeps the ends and swaps which gaps are inside, and the ArcSet
+is built once, from the last step's ends.
 
-The step works on ranks in that list.  Per color, the number of active
-points below candidate cut i never decreases in i, so the count vectors,
-written in base k+1, form one sorted int64 key array in which a wanted
-vector is a binary search away.  The gap-cut search (even k) pairs only
-cuts that start a run of equal keys, or follow such a start, in blocks of
-fixed size: O(r^2 log m) time for the r <= 3k + 1 distinct keys and O(m)
-memory.  The on-point search (odd k) solves the blue cut in closed form
-for each red and green cut, O(k^2) candidates.  Membership counts come from
-the same sorted order: a color per rank, prefix counts per color, and each
-arc end bisected into it.  The final answer is counted the same way on the
-sorted input, not with one `ArcSet.contains` per point.
+Per color, the number of active points below candidate cut i never
+decreases in i, so the count vectors, written in base k+1, form one sorted
+int64 key array; the run of cuts holding a wanted vector is named by its
+point total R + G + B, which rises by at most one per cut.  The gap-cut
+search (even k) pairs only cuts that start a run of equal keys, or follow
+such a start, in blocks of fixed size: O(r^2 log r) time for the r <= 3k + 1
+distinct keys and O(m) memory.  The on-point search (odd k) solves the blue
+cut in closed form for each red and green cut, O(k^2) candidates, also in
+blocks.  The answer is counted on prefix sums over the sorted input.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,8 +58,6 @@ from .core import (
     Rat,
     RGB,
     arcset,
-    arcset_complement,
-    arcset_rotate,
     full_circle,
     require_distinct_parameters,
     require_rgb,
@@ -75,7 +72,8 @@ from .errors import (
 OP_HALVE = "f"
 OP_COMPLEMENT = "g"
 
-_PAIR_BLOCK = 1 << 14  # (first, second) cut pairs per array pass of the r = 3 search
+_PAIR_BLOCK = 1 << 14  # cut pairs per array pass of the r = 3 and on-point searches
+_MARK = np.full(1, -1, dtype=np.int64)  # the origin and each arc end in `_Order.code`
 
 
 # -- op plans ------------------------------------------------------------------
@@ -174,9 +172,84 @@ class HalveResult:
     profile: CutProfile
 
 
-def _point_side(t: Rat, profile: CutProfile) -> int:
-    above = sum(1 for c in profile.cuts if c > t)
-    return profile.polarity * (-1 if above % 2 else 1)
+class _Order:
+    """One halving step's entries: the origin, the points and arc ends met
+    going round the circle from it, and the origin again.
+
+    `ts` are the sorted parameters (keys `keys`, colors' indices in RGB
+    `codes`); `shift` of them lie below `origin`.  `arcs` is the set as
+    (lo, hi) pairs of (value, gap) ends, gap the number of parameters below
+    the value, or None for the full circle.  code[r] is the color index of
+    the point at rank r if the set holds it, else -1; `ends` maps ranks to
+    ends, and `inside` lists the set's arcs as rank pairs.
+    """
+
+    def __init__(self, ts: list[Rat], keys: list[int], codes, origin: Rat, arcs):
+        n = len(ts)
+        self.ts, self.origin = ts, origin
+        self.shift = shift = _end_gap(ts, keys, origin)
+        ends = sorted(  # going round from the origin: first the ends above it
+            (g < shift or (g == shift and v < origin), g, v)
+            for arc in arcs or () for v, g in arc
+        )
+        before = [g - shift + n * past for past, g, _ in ends]  # points before each end
+        self.ends = {1 + p + j: (v, g) for j, (p, (_, g, v)) in enumerate(zip(before, ends))}
+        rolled = np.concatenate([codes[shift:], codes[:shift]])
+        parts = [_MARK]
+        for lo, hi in zip([0, *before], [*before, n]):
+            parts += [rolled[lo:hi], _MARK]
+        self.code = np.concatenate(parts)
+        self.size = len(self.code)
+        if arcs is None:
+            self.inside = [(0, self.size - 1)]
+        else:
+            rank = {e: r for r, e in self.ends.items()}
+            self.inside = sorted((rank[lo], rank[hi]) for lo, hi in arcs)
+            edges = [0, *(r for arc in self.inside for r in arc), self.size]
+            for lo, hi in zip(edges[::2], edges[1::2]):
+                self.code[lo:hi] = -1
+
+    def _point(self, r: int) -> int:
+        """The index in `ts` of the first point at rank r or above."""
+        return (self.shift + r - 1 - sum(1 for e in self.ends if e < r)) % len(self.ts)
+
+    def value(self, r: int) -> Rat:
+        if r in self.ends:
+            return self.ends[r][0]
+        if r == 0 or r == self.size - 1:
+            return self.origin
+        return self.ts[self._point(r)]
+
+    def at(self, h: int) -> Rat:
+        """The parameter at half-rank h, read round the circle: entry h/2
+        for even h, else the `_midpoint` of entries (h - 1)/2 and
+        (h + 1)/2."""
+        h %= 2 * (self.size - 1)
+        lo = self.value(h // 2)
+        return lo if h % 2 == 0 else _midpoint(lo, self.value(h // 2 + 1))
+
+    def end(self, h: int):
+        """The (value, gap) end at half-rank h: a cut's gap is the index of
+        the point after it, but len(ts) above the last point."""
+        h %= 2 * (self.size - 1)
+        if h == 0:
+            return self.origin, self.shift
+        if h % 2 == 0:
+            return self.ends[h // 2]
+        v, g = self.at(h), self._point(h // 2 + 1)
+        return v, (g if g or v < self.ts[0] else len(self.ts))
+
+
+class _Halves(NamedTuple):
+    """One halving step on ranks.  `cuts` are gap cuts, cut i lying between
+    ranks i and i + 1, or for odd k the ranks of the three points cut on.
+    `plus` and `minus` are the two sides' arcs in half-ranks (rank r at 2r,
+    cut i at 2i + 1), sorted; an arc through the origin ends past
+    2 * (size - 1)."""
+
+    cuts: tuple[int, ...]
+    plus: tuple[tuple[int, int], ...]
+    minus: tuple[tuple[int, int], ...]
 
 
 def moment_halve(a: ArcSet, points: Sequence[CirclePoint], k: int) -> HalveResult:
@@ -204,147 +277,98 @@ def moment_halve(a: ArcSet, points: Sequence[CirclePoint], k: int) -> HalveResul
         raise PreconditionViolated("point parameter 0 is not allowed here")
 
     ts, keys, codes = _sorted_order(points)
-    return _halve(a, *_step_inputs(ts, keys, codes, 0, Fraction(0), a), k)
+    arcs = None if a.is_full_circle else [
+        tuple((t, _end_gap(ts, keys, t)) for t in arc) for arc in a.arcs
+    ]
+    order = _Order(ts, keys, codes, Fraction(0), arcs)
+    res = _halve(order, k)
+
+    def side(arcs) -> ArcSet:
+        return _arcset([(order.at(lo), order.at(hi)) for lo, hi in arcs])
+
+    cuts = tuple(order.at(2 * c + 1 - k % 2) for c in res.cuts)
+    return HalveResult(side(res.plus), side(res.minus), CutProfile(cuts, 1, k % 2 == 1))
 
 
-def _halve(a: ArcSet, sensitive, code, k: int) -> HalveResult:
-    """`moment_halve` past its preconditions, with the color counts and arc
-    ends still to check.  `sensitive` holds the sorted point parameters, arc
-    ends, 0 and 1 (any sequence `bisect` can search); code[r] is the index in
-    RGB of the color of the point at rank r, or -1 where r is not a point."""
-    # linear interval view; arcs never wrap here since 0 is outside
-    intervals = [(Fraction(0), Fraction(1))] if a.is_full_circle else a.arcs
-    pre = _prefix_counts(code)
-    inside = np.zeros(len(sensitive), dtype=bool)
-    for lo, hi in intervals:
-        inside[_end_rank(lo, sensitive, code) + 1 : _end_rank(hi, sensitive, code)] = True
-    ranks = {c: np.flatnonzero(inside & (code == i)) for i, c in enumerate(RGB)}
+def _halve(order: _Order, k: int) -> _Halves:
+    """`moment_halve` on ranks of the step order `order`, with the color
+    counts still to check.  Half-ranks place entry r at 2r and gap cut i at
+    2i + 1.  An on-point cut at 2r excises its point with the sliver
+    (2r - 1, 2r + 1) between the midpoints to its neighbours, which belongs
+    to neither side, so no side ends on a point."""
+    ranks = {c: np.flatnonzero(order.code == i) for i, c in enumerate(RGB)}
     for c in RGB:
         if len(ranks[c]) != k:
-            raise PreconditionViolated(
-                f"set holds {len(ranks[c])} {c.value} points, want {k}"
-            )
-
-    profile = _search_profile(ranks, sensitive, k)
-    if profile is None:
+            raise PreconditionViolated(f"set holds {len(ranks[c])} {c.value} points, want {k}")
+    cuts = _search_profile(ranks, order.size, k)
+    if cuts is None:
         raise NoCutFound(f"no admissible cut profile for k={k}")
 
-    halves = {1: [], -1: []}
-    bounds, dropped = _piece_bounds(profile, sensitive)
-    for lo, hi in intervals:
-        inner = sorted({c for c in bounds if lo < c < hi})
-        edges = [lo] + inner + [hi]
-        for plo, phi in zip(edges, edges[1:]):
-            mid = (plo + phi) / 2
-            if any(zlo <= mid <= zhi for zlo, zhi in dropped):
-                continue  # excised sliver around an on-point cut: neither side
-            halves[_point_side(mid, profile)].append((plo, phi))
-    m1 = arcset(halves[1]) if halves[1] else ArcSet(())
-    m2 = arcset(halves[-1]) if halves[-1] else ArcSet(())
+    at = [2 * c + 1 - k % 2 for c in cuts]
+    slivers = {(h - 1, h + 1) for h in at} if k % 2 else set()
+    bounds = sorted({b for s in slivers for b in s}) if k % 2 else at
+    sides = {1: [], -1: []}
+    for lo, hi in order.inside:
+        edges = [2 * lo, *(b for b in bounds if 2 * lo < b < 2 * hi), 2 * hi]
+        for piece in zip(edges, edges[1:]):
+            if piece not in slivers:  # side +: an even number of cuts above
+                sides[-1 if sum(h > piece[0] for h in at) % 2 else 1].append(piece)
 
-    want = k // 2
-    for m in (m1, m2):
-        got = _rank_counts(m, sensitive, code, pre)
-        if any(g != want for g in got):
+    for side in sides.values():  # the points at ranks r with plo < 2r < phi
+        ends = np.array([(plo // 2, (phi - 1) // 2) for plo, phi in side], dtype=np.int64)
+        held = [np.searchsorted(ranks[c], ends.reshape(-1, 2), "right") for c in RGB]
+        got = [int(np.diff(h).sum()) for h in held]
+        if any(g != k // 2 for g in got):
             raise InternalError(
                 "halve sides are unbalanced", {"got": str(dict(zip(RGB, got)))}
             )
-    total = m1.component_count() + m2.component_count()
-    if total > 5 or min(m1.component_count(), m2.component_count()) > 2:
+    last = 2 * (order.size - 1)
+    for s, side in sides.items():
+        if len(side) > 1 and side[0][0] == 0 and side[-1][1] == last:
+            sides[s] = side[1:-1] + [(side[-1][0], last + side[0][1])]  # one arc through the origin
+    plus, minus = tuple(sides[1]), tuple(sides[-1])
+    total = len(plus) + len(minus)
+    if total > 5 or min(len(plus), len(minus)) > 2:
         raise InternalError("halve produced too many arcs", {"total": total})
-    return HalveResult(m1, m2, profile)
+    return _Halves(tuple(cuts), plus, minus)
 
 
-def _piece_bounds(profile: CutProfile, sensitive: list[Rat]):
-    """Where the output arcs start and stop, plus slivers belonging to neither.
-
-    Gap cuts are already safely between sensitive parameters and bound both
-    sides.  An on-point cut excises its point: the left side stops at the
-    midpoint just below the point, the right side starts at the midpoint
-    just above, so no output boundary ever hits a point parameter.  The
-    sliver between those two midpoints holds only the excised point and is
-    dropped from both sides.
-    """
-    if not profile.on_points:
-        return sorted(profile.cuts), []
-    bounds = []
-    dropped = []
-    for c in profile.cuts:
-        i = _rank(sensitive, c)
-        zlo = (sensitive[i - 1] + c) / 2
-        zhi = (c + sensitive[i + 1]) / 2
-        bounds.extend((zlo, zhi))
-        dropped.append((zlo, zhi))
-    return sorted(bounds), dropped
-
-
-def _rank(sensitive, x: Rat) -> int:
-    """`bisect_left(sensitive, x)`; a `_CyclicOrder` answers it with its own
-    rank query instead of reading entries."""
-    if isinstance(sensitive, _CyclicOrder):
-        return sensitive.rank(x)
-    return bisect_left(sensitive, x)
-
-
-def _end_rank(x: Rat, sensitive, code) -> int:
-    """Rank of the first sensitive parameter >= the arc end x.  An end on a
-    point parameter raises BoundaryPoint, as `ArcSet.contains` does."""
-    r = _rank(sensitive, x)
-    if r < len(sensitive) and code[r] >= 0 and sensitive[r] == x:
-        raise BoundaryPoint(f"parameter {x} is an arc endpoint")
-    return r
-
-
-def _prefix_counts(code):
-    """pre[i][r]: the points of color RGB[i] below rank r."""
-    pre = np.zeros((len(RGB), len(code) + 1), dtype=np.int64)
-    for i in range(len(RGB)):
-        np.cumsum(code == i, out=pre[i, 1:])
-    return pre
-
-
-def _rank_counts(m: ArcSet, sensitive, code, pre) -> list[int]:
-    """Points of each color inside `m`, counted from the sorted parameters:
-    each arc end is bisected into `sensitive` (`_end_rank`), and the prefix
-    counts `pre` (`_prefix_counts`) give the points strictly between the ends.
-    """
-    below = partial(_end_rank, sensitive=sensitive, code=code)
-    if m.is_full_circle:
-        return pre[:, -1].tolist()
-    got = np.zeros(len(RGB), dtype=np.int64)
-    for lo, hi in m.arcs:
-        if hi >= 1:  # through 0: [lo, 1) and [0, hi - 1); an end at 1 is one at 0
-            got += pre[:, -1] - pre[:, below(lo)] + pre[:, below(hi - 1)]
-        else:
-            got += pre[:, below(hi)] - pre[:, below(lo)]
-    return got.tolist()
+def _arcset(pairs) -> ArcSet:
+    """The ArcSet of arcs from lo round to hi, for (lo, hi) parameter pairs."""
+    return arcset([(lo, lo + (hi - lo) % 1) for lo, hi in pairs]) if pairs else ArcSet(())
 
 
 def _point_counts(a: ArcSet, ts: list[Rat], keys: list[int], codes) -> list[int]:
     """Points of each color inside `a`, in RGB order, from the sorted
-    parameters `ts` (keys `keys`, colors `codes`) alone: `_rank_counts` with
-    no ends merged in, so an arc end on a point raises BoundaryPoint as
-    `arcset_color_counts` does."""
-    order = _CyclicOrder(ts, keys, 0, Fraction(0))
-    return _rank_counts(a, order, codes, _prefix_counts(codes))
+    parameters `ts` (keys `keys`, colors `codes`): prefix counts between
+    the arc ends' gaps (`_end_gap`, which raises BoundaryPoint on a point,
+    as `arcset_color_counts` does)."""
+    pre = np.zeros((len(RGB), len(codes) + 1), dtype=np.int64)
+    for i in range(len(RGB)):
+        np.cumsum(codes == i, out=pre[i, 1:])
+    if a.is_full_circle:
+        return pre[:, -1].tolist()
+    got = np.zeros(len(RGB), dtype=np.int64)
+    for lo, hi in a.arcs:
+        below = pre[:, _end_gap(ts, keys, lo)]
+        if hi >= 1:  # through 0: [lo, 1) and [0, hi - 1); an end at 1 is one at 0
+            got += pre[:, -1] - below + pre[:, _end_gap(ts, keys, hi - 1)]
+        else:
+            got += pre[:, _end_gap(ts, keys, hi)] - below
+    return got.tolist()
 
 
-def _search_profile(ranks, sensitive, k: int) -> CutProfile | None:
-    """First admissible profile: fewest cuts, then lexicographic.
-
-    Both searches compare parameters only by order, so they run on each
-    active point's rank in the sorted `sensitive` list (`ranks[c]`, sorted):
-    small exact int64s whatever the denominators.  Neither builds a table
-    over pairs or triples of cuts.  Gap cuts look count vectors up in one
-    sorted key array over the m candidate cuts: O(r^2 log m) time for its
-    r distinct keys, and O(m) memory.  On-point cuts solve the blue cut in
-    closed form for each red and green cut: O(k^2) candidates, O(k) memory.
-    """
+def _search_profile(ranks, size: int, k: int) -> tuple[int, ...] | None:
+    """First admissible profile: fewest cuts, then lexicographic, as cut
+    ranks (`_Halves.cuts`).  Both searches compare parameters only by
+    order, so they run on each active point's rank among the `size` entries
+    of the step (`ranks[c]`, sorted): small exact int64s whatever the
+    denominators.  Neither builds a table over pairs or triples of cuts."""
     if (k + 1) ** 3 > np.iinfo(np.int64).max:
         raise PreconditionViolated(f"k={k} is too large for int64 count keys")
     if k % 2 == 1:
-        return _search_on_point(ranks, sensitive, k)
-    return _search_gap_cuts(ranks, sensitive, k)
+        return _search_on_point(ranks, k)
+    return _search_gap_cuts(ranks, size, k)
 
 
 def _count_key(idx, k: int):
@@ -356,48 +380,49 @@ def _count_key(idx, k: int):
     return (idx[Color.R] * (k + 1) + idx[Color.G]) * (k + 1) + idx[Color.B]
 
 
-def _first_key_at(key, target, start):
-    """Per entry, the first position p >= start with key[p] == target, or
-    len(key) if there is none.  `key` is sorted, so the positions holding
-    one key form a single run, which one binary search finds."""
+def _first_key_at(runs, target, total, start):
+    """Per entry, the first cut p >= start whose key is `target`, or m if
+    there is none.  `runs` = (key, tot, starts): the sorted key of each of
+    the m cuts, its point total, and the first cut of each run of equal
+    keys.  Totals rise by at most 1 per cut, so run j holds total
+    tot[0] + j, and the target's `total` names the one run to look in."""
+    key, tot, starts = runs
     m = len(key)
-    pos = np.maximum(np.searchsorted(key, target), start)
-    found = (pos < m) & (key.take(pos, mode="clip") == target)
+    j = np.clip(total - tot[0], 0, len(starts) - 1)
+    pos = np.maximum(starts[j], start)
+    found = (key[starts[j]] == target) & (pos < m) & (tot.take(pos, mode="clip") == total)
     return np.where(found, pos, m)
 
 
-def _search_gap_cuts(ranks, sensitive, k: int) -> CutProfile | None:
-    # candidate cut i is the midpoint of sensitive[i] and sensitive[i + 1],
-    # which can never collide with a point or an arc boundary; idx[c][i]
-    # counts the active points of color c below it.  Each idx[c] is
-    # non-decreasing in i, so key[i] is sorted, and two cuts share a key
-    # exactly when they share a count vector.
-    m = len(sensitive) - 1
+def _search_gap_cuts(ranks, size: int, k: int) -> tuple[int, ...] | None:
+    # candidate cut i lies between entries i and i + 1, so it can never
+    # collide with a point or an arc boundary; idx[c][i] counts the active
+    # points of color c below it.  Each idx[c] is non-decreasing in i, so
+    # key[i] is sorted, and two cuts share a key exactly when they share a
+    # count vector.
+    m = size - 1
     idx = {c: np.searchsorted(ranks[c], np.arange(m), side="right") for c in RGB}
     want = k // 2
     key = _count_key(idx, k)
     unit = _count_key({c: 1 for c in RGB}, k)  # key of (1, 1, 1)
 
-    def cut(i) -> Rat:
-        i = int(i)
-        return (sensitive[i] + sensitive[i + 1]) / 2
-
     # r = 1: points above the cut are side +;  want k - idx == k/2
-    ok = None
-    for c in RGB:
-        cond = (k - idx[c]) == want
-        ok = cond if ok is None else (ok & cond)
-    hits = np.flatnonzero(ok)
+    hits = np.flatnonzero(np.logical_and.reduce([k - idx[c] == want for c in RGB]))
     if hits.size:
-        return CutProfile((cut(hits[0]),), 1, False)
+        return (int(hits[0]),)
     # r = 2: side + is below the first cut a and above the second, so
     # idx[j] = idx[a] + want; only cuts a with idx[a] + want <= k can match
+    tot = idx[Color.R] + idx[Color.G] + idx[Color.B]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    runs = key, tot, starts
     top = min(int(np.searchsorted(idx[c], k - want, side="right")) for c in RGB)
-    second = _first_key_at(key, key[:top] + want * unit, np.arange(1, top + 1))
+    second = _first_key_at(
+        runs, key[:top] + want * unit, tot[:top] + 3 * want, np.arange(1, top + 1)
+    )
     hits = np.flatnonzero(second < m)
     if hits.size:
         h = int(hits[0])
-        return CutProfile((cut(h), cut(second[h])), 1, False)
+        return (h, int(second[h]))
     # r = 3: side + is between cut 1 and 2, or above cut 3, so
     # idx[c3] = idx[b] - idx[a] + k - want, in range for the b in (a, top[a])
     # where no color gains more than want points over a.  Within a run of
@@ -407,7 +432,6 @@ def _search_gap_cuts(ranks, sensitive, k: int) -> CutProfile | None:
     # past them.  The pairs (a, b) are numbered in lexicographic order and
     # looked up _PAIR_BLOCK at a time, so the first hit is the one the search
     # over every pair finds
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
     marked = np.zeros(m + 1, dtype=bool)
     marked[starts] = marked[starts + 1] = True
     seconds = np.flatnonzero(marked[:m])
@@ -423,117 +447,73 @@ def _search_gap_cuts(ranks, sensitive, k: int) -> CutProfile | None:
         i = np.searchsorted(end, p, side="right")
         first, second = starts[i], seconds[lo[i] + p - (end[i] - count[i])]
         third = _first_key_at(
-            key, key[second] - key[first] + (k - want) * unit, second + 1
+            runs,
+            key[second] - key[first] + (k - want) * unit,
+            tot[second] - tot[first] + 3 * (k - want),
+            second + 1,
         )
         hits = np.flatnonzero(third < m)
         if hits.size:
             h = int(hits[0])
-            return CutProfile((cut(first[h]), cut(second[h]), cut(third[h])), 1, False)
+            return (int(first[h]), int(second[h]), int(third[h]))
     return None
 
 
-def _search_on_point(ranks, sensitive, k: int) -> CutProfile | None:
+def _search_on_point(ranks, k: int) -> tuple[int, int, int] | None:
     """Odd k: one cut on a point of each color; remaining k-1 split evenly.
 
     With the red and green cuts fixed, blue's own side count is strictly
     monotone in the blue cut's index within each order region (below both
     other cuts, between them, above both), so each region admits at most
     one blue cut, solved in closed form.  The count formula then checks
-    every color on those candidates, red cut by red cut.
+    every color on those candidates.  The (red, green) pairs are numbered
+    red-major and looked at _PAIR_BLOCK at a time, so the first hit is the
+    one a loop over the red cuts finds.
     """
     want = (k - 1) // 2
     red, green, blue = ranks[Color.R], ranks[Color.G], ranks[Color.B]
-    for x in red:
-        # rows: green cuts; columns: blue cut index ib below both, between
-        # and above both, where blue's own side count is bl - ib + k - bh - 1,
+    pairs = len(red) * len(green)
+    for p0 in range(0, pairs, _PAIR_BLOCK):
+        p = np.arange(p0, min(p0 + _PAIR_BLOCK, pairs))
+        xi, yi = np.divmod(p, len(green))
+        x, y = red[xi], green[yi]
+        bx, by = np.searchsorted(blue, x), np.searchsorted(blue, y)
+        bl, bh = np.minimum(bx, by), np.maximum(bx, by)
+        # columns: blue cut index ib below both, between and above both,
+        # where blue's own side count is bl - ib + k - bh - 1,
         # ib - bl + k - bh and bh - bl + k - ib - 1; each is want at one ib
-        lo, hi = np.minimum(x, green), np.maximum(x, green)
-        bl, bh = np.searchsorted(blue, lo), np.searchsorted(blue, hi)
         ib = np.stack(
             [bl + k - bh - 1 - want, want + bl + bh - k, bh - bl + k - 1 - want], axis=1
         )
         edges = np.stack([np.zeros_like(bl), bl, bh, np.full_like(bl, k)], axis=1)
-        ok = (edges[:, :3] <= ib) & (ib < edges[:, 1:])
-        triple = np.stack(
-            [np.full(ib.shape, x), np.broadcast_to(green[:, None], ib.shape),
-             blue[np.where(ok, ib, 0)]],
-            axis=2,
-        ).reshape(-1, 3)
-        ok = ok.ravel()
-        cuts = np.sort(triple, axis=1)
-        for i, c in enumerate(RGB):
-            i1 = np.searchsorted(ranks[c], cuts[:, 0])
-            i2 = np.searchsorted(ranks[c], cuts[:, 1])
-            i3 = np.searchsorted(ranks[c], cuts[:, 2])
-            plus = i2 - i1 + k - i3
+        found = np.flatnonzero((edges[:, :3] <= ib) & (ib < edges[:, 1:]))
+        if not found.size:
+            continue
+        pair, ib = found // 3, ib.ravel()[found]
+        x, y, b = x[pair], y[pair], blue[ib]
+        cut = np.stack([x, y, b])
+        # per color, its points below each cut, which rise with the cut
+        below = [
+            np.stack([xi[pair], np.searchsorted(red, y), np.searchsorted(red, b)]),
+            np.stack([np.searchsorted(green, x), yi[pair], np.searchsorted(green, b)]),
+            np.stack([bx[pair], by[pair], ib]),
+        ]
+        low, high = cut.min(axis=0), cut.max(axis=0)
+        ok = np.ones(len(found), dtype=bool)
+        for i, cnt in enumerate(below):
+            i1, i3 = cnt.min(axis=0), cnt.max(axis=0)
+            plus = (cnt.sum(axis=0) - i1 - i3) - i1 + k - i3
             # own cut point gets excised; it was tallied in + iff it is the
             # lowest or highest cut (even number of cuts strictly above it).
             # Cuts never collide across colors: parameters are globally distinct
-            mine = triple[:, i]
-            plus = plus - ((cuts[:, 0] == mine) | (cuts[:, 2] == mine))
-            ok &= plus == want
+            ok &= plus - ((cut[i] == low) | (cut[i] == high)) == want
         hits = np.flatnonzero(ok)
         if hits.size:
-            h = int(hits[0])
-            return CutProfile(tuple(sensitive[int(r)] for r in cuts[h]), 1, True)
+            return tuple(sorted(int(r) for r in cut[:, hits[0]]))
     return None
 
 
 # -- the driver ----------------------------------------------------------------
-
-
-class _CyclicOrder:
-    """The sorted parameters of one halving step, each computed when read.
-
-    The sorted parameters `ts` rotated by `delta` (mod 1), which moves the
-    origin -delta % 1 to 0: read cyclically from index `shift`, the number
-    of parameters below the origin, they stay sorted.  The values `ends`
-    are merged in, in order: `gaps[j]` parameters lie below the j-th end
-    kept, `fixed[j]`.  An end equal to a parameter is dropped.  `keys`
-    holds each parameter's `_floor_key`.
-    """
-
-    def __init__(self, ts: list[Rat], keys: list[int], shift: int, delta: Rat, ends=()):
-        self.ts, self.keys, self.shift, self.delta = ts, keys, shift, delta
-        self.origin = -delta % 1
-        self.gaps, self.fixed = [], []
-        for e in sorted(ends):
-            r = self.rank(e)
-            if r == len(self) or self[r] != e:
-                self.gaps.append(r - len(self.fixed))
-                self.fixed.append(e)
-
-    def rank(self, x: Rat) -> int:
-        """`bisect_left(self, x)` for x in [0, 1] without reading entries:
-        x is shifted once into the frame of `ts` and bisected there on the
-        integer keys, and the ends below x are bisected on `gaps`; only
-        ties are settled on the rationals."""
-        y = x + self.origin
-        wrap = y >= 1  # then every point from the origin up lies below x
-        if wrap:
-            y -= 1
-        ky = _floor_key(y)
-        i = bisect_left(self.keys, ky)
-        while i < len(self.ts) and self.keys[i] == ky and self.ts[i] < y:
-            i += 1
-        below = i - self.shift + (len(self.ts) if wrap else 0)
-        j = bisect_left(self.gaps, below)
-        while j < len(self.fixed) and self.gaps[j] == below and self.fixed[j] < x:
-            j += 1
-        return below + j
-
-    def __len__(self) -> int:
-        return len(self.ts) + len(self.fixed)
-
-    def __getitem__(self, r: int) -> Rat:
-        i = r
-        for j, (gap, value) in enumerate(zip(self.gaps, self.fixed)):
-            if gap + j == r:
-                return value
-            if gap + j > r:
-                break
-            i -= 1
-        return (self.ts[(i + self.shift) % len(self.ts)] + self.delta) % 1
 
 
 def _floor_key(t: Rat) -> int:
@@ -546,41 +526,60 @@ def _sorted_order(points: Sequence[CirclePoint]):
     """The parameters in ascending order, their `_floor_key`s and their
     colors' indices in RGB.  The sort compares the integer keys first and
     the parameters only where the keys tie."""
-    order = sorted((_floor_key(p.t), p.t, i) for i, p in enumerate(points))
-    codes = np.array([RGB.index(points[i].color) for _, _, i in order], dtype=np.int64)
-    return [t for _, t, _ in order], [key for key, _, _ in order], codes
+    keys = [_floor_key(p.t) for p in points]
+    if len(set(keys)) == len(keys):
+        order = sorted(range(len(points)), key=keys.__getitem__)
+    else:  # parameters within 2**-64 of each other
+        order = sorted(range(len(points)), key=lambda i: (keys[i], points[i].t))
+    codes = np.array([RGB.index(points[i].color) for i in order], dtype=np.int64)
+    return [points[i].t for i in order], [keys[i] for i in order], codes
 
 
-def _step_inputs(ts: list[Rat], keys: list[int], codes, shift: int, delta: Rat, a: ArcSet):
-    """`_halve`'s sensitive parameters and color codes for the set `a` (0
-    outside it), with the points `ts` (keys `keys`, colors `codes`) read
-    from index `shift` and rotated by `delta`: the arc ends, 0 and 1 merged
-    into the rotated points, and the codes shifted alike, -1 off the points.
-    An arc end on a point stays a point rank, where `_halve` raises
-    BoundaryPoint.
-    """
-    ends = {t for arc in a.arcs for t in arc} | {Fraction(0), Fraction(1)}
-    order = _CyclicOrder(ts, keys, shift, delta, ends)
-    code = np.insert(np.roll(codes, -shift), order.gaps, -1)
-    return order, code
+def _end_gap(ts: list[Rat], keys: list[int], x: Rat) -> int:
+    """The number of sorted parameters `ts` below x, bisected on their
+    integer keys `keys`; only ties are settled on the rationals.  An x equal
+    to a parameter raises BoundaryPoint, as `ArcSet.contains` does for a
+    point on an arc end."""
+    kx = _floor_key(x)
+    i = bisect_left(keys, kx)
+    while i < len(ts) and keys[i] == kx and ts[i] < x:
+        i += 1
+    if i < len(ts) and ts[i] == x:
+        raise BoundaryPoint(f"parameter {x} is an arc endpoint")
+    return i
 
 
-def _safe_gap(a: ArcSet, ts: list[Rat], keys: list[int]) -> Rat:
-    """Middle of the first parameter-free gap outside `a`.
+def _origin(ts: list[Rat], arcs) -> Rat:
+    """Middle of the first gap outside the set `arcs` (as `_Order` takes
+    it) between adjacent entries of the parameters `ts` and the arc ends.
+    Gap 0 follows the least entry; it is inside if that entry opens an arc
+    or is ts[0] inside one (then the greatest end opens), and the gap after
+    the least closing end is next.  On the full circle 0 counts as an
+    entry, and the gap after it is taken."""
+    if arcs is None:
+        return (ts[1] if ts[0] == 0 else ts[0]) / 2
+    ends = sorted((v, g, opens) for arc in arcs for (v, g), opens in zip(arc, (True, False)))
+    v, g, opens = ends[0]
+    if g > 0:
+        v, g, opens = ts[0], 1, ends[-1][2]
+    if opens:
+        v, g, _ = next(e for e in ends if not e[2])
+    later = [w for w, h, _ in ends if w > v and h == g]
+    if later:
+        return _midpoint(v, later[0])
+    return _midpoint(v, ts[g] if g < len(ts) else min(ts[0], ends[0][0]))
 
-    Gap i follows entry i of the sorted distinct parameters `ts` (keys
-    `keys`) merged with the arc ends (mod 1).  Every arc end is an entry, so
-    each gap lies wholly inside or outside `a`, and the first gap outside is
-    gap 0 or starts at an arc's upper end: only those (at most 3) are tested.
-    """
-    entries = _CyclicOrder(ts, keys, 0, Fraction(0), {t % 1 for arc in a.arcs for t in arc})
-    comp = None if a.is_full_circle else arcset_complement(a)
-    for i in sorted({0} | {entries.rank(hi % 1) for _, hi in a.arcs}):
-        s, nxt = entries[i], entries[(i + 1) % len(entries)]
-        mid = (s + (nxt if nxt > s else nxt + 1)) / 2 % 1
-        if comp is None or comp.contains(mid):
-            return mid
-    raise InternalError("no safe gap for the zero parameter")
+
+def _midpoint(a: Rat, b: Rat) -> Rat:
+    """The middle of the arc from a up to b (both in [0, 1)), on integers:
+    (a + ((b - a) % 1) / 2) % 1."""
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    num, den = p * s + r * q, 2 * q * s
+    if r * q <= p * s:  # b is reached past 1
+        num += q * s
+        if num >= den:
+            num -= den
+    return Fraction(num, den)
 
 
 def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
@@ -588,14 +587,13 @@ def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
 
     Input: n points per color with globally distinct parameters, 0 <= k <= n.
     k = 0 and k = n short-circuit to the empty set and the full circle; the
-    rest runs the op plan, rotating before each halve so the parameter
-    origin sits in a safe gap.  The points are sorted once; each rotation
-    is a cyclic shift of that order.
+    rest runs the op plan on ranks of one sorted order, each halving step
+    read from a safe gap (`_origin`), and builds the ArcSet once at the end.
     """
     n = len(points) // 3
     require_rgb([p.color for p in points], "point", n)
     ts, keys, codes = _sorted_order(points)
-    if any(s == t for s, t in zip(ts, ts[1:])):
+    if any(a == b for a, b in zip(keys, keys[1:])) and any(s == t for s, t in zip(ts, ts[1:])):
         require_distinct_parameters(points)  # raises on the first repeat
     if not 0 <= k <= n:
         raise PreconditionViolated(f"need 0 <= k <= n, got k={k}")
@@ -605,27 +603,23 @@ def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
         return full_circle()
 
     plan = plan_ops(n, k)
-    a = full_circle()
+    arcs = None  # the full circle
     cur = n
     for op in plan.ops:
-        if op == OP_COMPLEMENT:
-            a = arcset_complement(a)
+        if op == OP_COMPLEMENT:  # the same ends, the other gaps inside
+            los = [lo for lo, _ in arcs]
+            arcs = [(hi, los[(i + 1) % len(arcs)]) for i, (_, hi) in enumerate(arcs)]
             cur = n - cur
             continue
-        mid = _safe_gap(a, ts, keys)
-        delta = -mid % 1
-        a_rot = arcset_rotate(a, delta)
-        inputs = _step_inputs(ts, keys, codes, bisect_right(ts, mid), delta, a_rot)
-        res = _halve(a_rot, *inputs, cur)
-        sides = [s for s in (res.m1, res.m2) if s.component_count() <= 2]
+        order = _Order(ts, keys, codes, _origin(ts, arcs), arcs)
+        res = _halve(order, cur)
+        sides = [s for s in (res.plus, res.minus) if len(s) <= 2]
         if not sides:
             raise InternalError("no side with at most 2 arcs")
-        pick = min(sides, key=lambda s: s.arcs)
-        a = arcset_rotate(pick, -delta)
+        arcs = [(order.end(lo), order.end(hi)) for lo, hi in min(sides)]
         cur //= 2
-        if a.component_count() > 2:
-            raise InternalError("kept side has too many arcs")
 
+    a = _arcset([(lo[0], hi[0]) for lo, hi in arcs])
     got = _point_counts(a, ts, keys, codes)
     if any(g != k for g in got):
         raise InternalError("final arc set is unbalanced", {"got": str(dict(zip(RGB, got)))})

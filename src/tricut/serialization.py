@@ -11,6 +11,8 @@ once, not once per element.
 
 from __future__ import annotations
 
+import re
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -52,13 +54,30 @@ def enc_rat(x: Rat) -> str:
     return str(as_rat(x))
 
 
+# the decimal and exponent forms Fraction reads, for sizing them first
+_DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
+
+
 def _parse_rat(s: str) -> Fraction:
     """Fraction(s), with the forms `enc_rat` writes (ASCII "-?digits" or
-    "-?digits/digits") read by int(); any other string goes to Fraction."""
+    "-?digits/digits") read by int(); any other string goes to Fraction.
+
+    Fraction would build 10**exp for an exponent form, so "1e10000000"
+    alone makes a ten-million-digit integer.  A decimal or exponent form
+    whose numerator or denominator would have more digits than
+    `sys.get_int_max_str_digits()` (the bound int() puts on a digit string)
+    raises ValueError before anything is built."""
     num, slash, den = s.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if s.isascii() and digits.isdigit() and (not slash or den.isdigit()):
         return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    m = _DECIMAL.fullmatch(s)
+    limit = sys.get_int_max_str_digits()
+    if m and limit:
+        whole, frac, exp = (g.replace("_", "") if g else "" for g in m.groups())
+        e = int(exp or 0)
+        if max(len(whole) + len(frac) + e, len(frac) - e) > limit:
+            raise ValueError(f"{s!r} has more than {limit} digits")
     return Fraction(s)
 
 

@@ -204,9 +204,9 @@ def test_criterion_7_two_arc_subsets(monkeypatch):
 
     def spy(*args):
         res = real_halve(*args)
-        assert len(res.profile.cuts) <= 3
-        assert res.m1.component_count() + res.m2.component_count() <= 5
-        halve_calls.append(len(res.profile.cuts))
+        assert len(res.cuts) <= 3
+        assert len(res.plus) + len(res.minus) <= 5
+        halve_calls.append(len(res.cuts))
         return res
 
     monkeypatch.setattr(tricut.arcs, "_halve", spy)

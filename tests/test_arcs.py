@@ -3,13 +3,13 @@
 import math
 import random
 import tracemalloc
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction as F
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import tricut.arcs
 from tricut.arcs import (
@@ -17,11 +17,9 @@ from tricut.arcs import (
     OP_HALVE,
     CutProfile,
     OpPlan,
-    _CyclicOrder,
-    _floor_key,
-    _halve,
+    _Order,
+    _origin,
     _point_counts,
-    _safe_gap,
     _search_gap_cuts,
     _search_on_point,
     _search_profile,
@@ -38,15 +36,14 @@ from tricut.core import (
     RGB,
     arcset,
     arcset_color_counts,
-    arcset_complement,
-    arcset_rotate,
     circle_point,
     full_circle,
 )
-from tricut.errors import BoundaryPoint, InternalError, MissingColor, PreconditionViolated
+from tricut.errors import BoundaryPoint, MissingColor, PreconditionViolated
 from tricut.generators import GenKind, GenSpec, generate
 from tricut.oracles import arcset_points_key, enumerate_2arc_sets
 
+from arcs_reference import reference_find_k_arcset, reference_halve, reference_safe_zero_delta
 from plan_batch import bfs_shortest_lengths, eval_plans_batch, plan_ops_batch
 
 
@@ -524,18 +521,30 @@ def search_args(k, size, per_color):
     return ranks, [F(i, size) for i in range(size)], k
 
 
+def as_profile(cuts, sensitive, on_points):
+    """Rank cuts as the reference reports them: a gap cut i at the middle of
+    sensitive[i] and sensitive[i + 1], an on-point cut at its parameter."""
+    if cuts is None:
+        return None
+    if on_points:
+        return CutProfile(tuple(sensitive[r] for r in cuts), 1, True)
+    return CutProfile(tuple((sensitive[i] + sensitive[i + 1]) / 2 for i in cuts), 1, False)
+
+
 class TestSearchesMatchReference:
     @settings(max_examples=300, deadline=None)
     @example((1, 3, [[0], [2], [1]]))  # gap search, no hit
     @example((2, 6, [[0, 1], [3, 4], [2, 5]]))  # on-point search, no hit
     @given(search_inputs())
     def test_same_profile(self, case):
-        args = search_args(*case)
-        want = reference_gap_cuts(*args)
-        assert _search_gap_cuts(*args) == want
-        with mock.patch.object(tricut.arcs, "_PAIR_BLOCK", 5):  # r = 3 pairs in many blocks
-            assert _search_gap_cuts(*args) == want
-        assert _search_on_point(*args) == reference_on_point(*args)
+        ranks, sensitive, k = search_args(*case)
+        gap = reference_gap_cuts(ranks, sensitive, k)
+        on_point = reference_on_point(ranks, sensitive, k)
+        for block in (tricut.arcs._PAIR_BLOCK, 5):  # and pairs in many blocks
+            with mock.patch.object(tricut.arcs, "_PAIR_BLOCK", block):
+                got = _search_gap_cuts(ranks, len(sensitive), k)
+                assert as_profile(got, sensitive, False) == gap
+                assert as_profile(_search_on_point(ranks, k), sensitive, True) == on_point
 
     def test_no_hit_examples(self):
         assert reference_gap_cuts(*search_args(1, 3, [[0], [2], [1]])) is None
@@ -544,7 +553,7 @@ class TestSearchesMatchReference:
     def test_k_beyond_int64_keys(self):
         ranks = {c: np.zeros(0, dtype=np.int64) for c in RGB}
         with pytest.raises(PreconditionViolated, match="int64"):
-            _search_profile(ranks, [F(0), F(1)], 2**21)
+            _search_profile(ranks, 2, 2**21)
 
 
 class TestMemory:
@@ -566,61 +575,14 @@ class TestMemory:
 
 
 # -- find_k_arcset against a reference copy that rotates and re-sorts each step
+#
+# `arcs_reference.reference_find_k_arcset` is the pipeline as it was before
+# the steps moved to ranks in the input frame; it calls nothing under test.
 
 
-def reference_rotate_parameters(points, a, delta):
-    moved = tuple(CirclePoint((p.t + delta) % 1, p.color) for p in points)
-    return moved, arcset_rotate(a, delta)
-
-
-def reference_safe_zero_delta(a, points):
-    """Every gap of a fresh sort of the parameters and arc ends, in order."""
-    sensitive = sorted(
-        {p.t for p in points} | {lo % 1 for lo, _ in a.arcs} | {hi % 1 for _, hi in a.arcs}
-    )
-    comp = None if a.is_full_circle else arcset_complement(a)
-    for i, s in enumerate(sensitive):
-        nxt = sensitive[(i + 1) % len(sensitive)]
-        mid = (s + (nxt if nxt > s else nxt + 1)) / 2 % 1
-        if comp is None or comp.contains(mid):
-            return -mid % 1
-    raise InternalError("no safe gap for the zero parameter")
-
-
-def reference_halve(a, points, k):
-    """The halving step on a sensitive list sorted from a set of parameters."""
-    sensitive = sorted(
-        {p.t for p in points} | {t for arc in a.arcs for t in arc} | {F(0), F(1)}
-    )
-    rank = {t: i for i, t in enumerate(sensitive)}
-    code = np.full(len(sensitive), -1, dtype=np.int64)
-    code[[rank[p.t] for p in points]] = [RGB.index(p.color) for p in points]
-    return _halve(a, sensitive, code, k)
-
-
-def reference_find_k_arcset(points, k):
-    """Rotates every point and re-sorts before each halving step; each step
-    is also held to `moment_halve` on the same rotated input."""
-    n = len(points) // 3
-    if k == 0:
-        return ArcSet(())
-    if k == n:
-        return full_circle()
-    a = full_circle()
-    cur = n
-    for op in plan_ops(n, k).ops:
-        if op == OP_COMPLEMENT:
-            a = arcset_complement(a)
-            cur = n - cur
-            continue
-        delta = reference_safe_zero_delta(a, points)
-        moved, a_rot = reference_rotate_parameters(points, a, delta)
-        res = reference_halve(a_rot, moved, cur)
-        assert moment_halve(a_rot, moved, cur) == res
-        sides = [s for s in (res.m1, res.m2) if s.component_count() <= 2]
-        a = arcset_rotate(min(sides, key=lambda s: s.arcs), -delta)
-        cur //= 2
-    return a
+def check_moment_halve(a_rot, moved, cur, res):
+    """Each reference step's rotated input, halved by `moment_halve`."""
+    assert moment_halve(a_rot, moved, cur) == res
 
 
 @st.composite
@@ -637,12 +599,29 @@ def circle_instances(draw):
     return [circle_point(F(t, d), c) for t, c in zip(nums, colors)]
 
 
+def first_step(monkeypatch, points, k):
+    """find_k_arcset(points, k) and the order and result of its first
+    halving step."""
+    steps = []
+    real = tricut.arcs._halve
+
+    def spy(order, cur):
+        res = real(order, cur)
+        steps.append((order, res))
+        return res
+
+    monkeypatch.setattr(tricut.arcs, "_halve", spy)
+    a = find_k_arcset(points, k)
+    return a, steps[0]
+
+
 class TestFindKArcsetMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(circle_instances())
     def test_every_k(self, points):
         for k in range(len(points) // 3 + 1):
-            assert find_k_arcset(points, k) == reference_find_k_arcset(points, k), k
+            want = reference_find_k_arcset(points, k, check_moment_halve)
+            assert find_k_arcset(points, k) == want, k
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_generator_cases(self, seed):
@@ -650,6 +629,51 @@ class TestFindKArcsetMatchesReference:
             points = generate(GenSpec(GenKind.CirclePoints3C, n, seed))
             for k in range(n + 1):
                 assert find_k_arcset(points, k) == reference_find_k_arcset(points, k), (n, k)
+
+    @pytest.mark.parametrize("big", [False, True], ids=["plain", "big-denominators"])
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_bench_shapes(self, n, big):
+        points = generate(GenSpec(GenKind.CirclePoints3C, n, n))
+        if big:
+            points = relabel_in_order(points, n)
+        for k in (1, n // 2 + 1, n - 1):
+            want = reference_find_k_arcset(points, k, check_moment_halve)
+            assert find_k_arcset(points, k) == want, k
+
+    @pytest.mark.parametrize("at_zero", [False, True])
+    def test_full_circle_first_step(self, monkeypatch, at_zero):
+        # 0 counts as an entry of the full circle, so the first origin is the
+        # middle of the gap after it: ts[0] / 2, or ts[1] / 2 past a point at 0
+        points = generate(GenSpec(GenKind.CirclePoints3C, 6, 2))
+        if at_zero:
+            points = [circle_point(F(0), points[0].color)] + list(points[1:])
+        ts = sorted(p.t for p in points)
+        assert (ts[0] == 0) == at_zero
+        for k in (1, 2, 3, 5):
+            a, (order, _) = first_step(monkeypatch, points, k)
+            assert order.origin == (ts[1] if at_zero else ts[0]) / 2
+            assert order.inside == [(0, order.size - 1)]
+            assert a == reference_find_k_arcset(points, k, check_moment_halve), k
+
+    def test_outer_pieces_meet_at_the_origin(self, monkeypatch):
+        # B B G R G R: the full circle is halved by two cuts, and side + is
+        # the piece before the first cut joined to the piece after the second
+        points = [circle_point(F(2 * i + 1, 12), c) for i, c in enumerate("BBGRGR")]
+        res = moment_halve(full_circle(), points, 2)
+        assert len(res.profile.cuts) == 2
+        assert res.m1.arcs == ((F(2, 3), F(7, 6)),)
+        assert res == reference_halve(full_circle(), points, 2)
+
+        a, (order, step) = first_step(monkeypatch, points, 1)
+        last = 2 * (order.size - 1)
+        assert len(step.cuts) == 2 and len(step.plus) == 1 and step.plus[0][1] > last
+        delta = reference_safe_zero_delta(full_circle(), points)
+        moved = [CirclePoint((p.t + delta) % 1, p.color) for p in points]
+        want = reference_halve(full_circle(), moved, 2).m1
+        got = tricut.arcs._arcset([(order.at(lo), order.at(hi)) for lo, hi in step.plus])
+        assert got == arcset([(lo - delta, hi - delta) for lo, hi in want.arcs])
+        assert got.component_count() == 1 and got.arcs[0][1] > 1
+        assert a == reference_find_k_arcset(points, 1)
 
     def test_no_rotation_or_point_rebuild(self, monkeypatch):
         points = generate(GenSpec(GenKind.CirclePoints3C, 40, 1))
@@ -671,6 +695,21 @@ class TestFindKArcsetMatchesReference:
         a = find_k_arcset(points, 21)
         assert calls == []
         assert set(side_counts(a, points).values()) == {21}
+
+    def test_one_arcset_per_answer(self, monkeypatch):
+        # the steps carry their arcs as ranks; only the answer is an ArcSet
+        points = generate(GenSpec(GenKind.CirclePoints3C, 40, 1))
+        built = []
+        real = tricut.arcs.arcset
+        monkeypatch.setattr(tricut.arcs, "arcset", lambda arcs: built.append(1) or real(arcs))
+        for k in (1, 21, 39):
+            built.clear()
+            a = find_k_arcset(points, k)
+            assert len(plan_ops(40, k).ops) > 2
+            assert len(built) == 1
+            assert set(side_counts(a, points).values()) == {k}
+        assert not hasattr(tricut.arcs, "arcset_rotate")
+        assert not hasattr(tricut.arcs, "arcset_complement")
 
 
 @st.composite
@@ -695,64 +734,87 @@ def gap_instances(draw):
     return a, sorted(F(t, d) for t in nums)
 
 
-class TestSafeGap:
+def rank_arcs(a, ts):
+    """`a` as `_Order` and `_origin` take it: None for the full circle, else
+    (lo, hi) pairs of (value mod 1, parameters below it)."""
+    if a.is_full_circle:
+        return None
+    return [tuple((t % 1, bisect_left(ts, t % 1)) for t in arc) for arc in a.arcs]
+
+
+class TestOrigin:
     @settings(max_examples=300, deadline=None)
     @example((arcset([(F(9, 10), F(11, 10))]), [F(0), F(1, 2)]))  # wraps over t = 0
     @example((full_circle(), [F(0), F(1, 3), F(2, 3)]))
+    @example((full_circle(), [F(1, 5), F(1, 3), F(2, 3)]))
     @example((arcset([(F(1, 20), F(1, 2))]), [F(1, 40), F(3, 4)]))  # end next to 0
-    @example((arcset([(F(0), F(1, 2)), (F(3, 4), F(7, 8))]), [F(1, 4), F(7, 8)]))
+    @example((arcset([(F(0), F(1, 2)), (F(3, 4), F(7, 8))]), [F(1, 4), F(6, 7)]))
     @example((arcset([(F(1, 4), F(3, 4))]), [F(1, 3), F(1, 2)]))  # the wrap gap, middle 0
     @given(gap_instances())
-    def test_same_rotation_as_reference(self, case):
+    def test_same_origin_as_reference(self, case):
+        # as in find_k_arcset: a set that is not empty, no point on an arc
+        # end, and at least two points
         a, ts = case
+        ends = {t % 1 for arc in a.arcs for t in arc}
+        assume(not a.is_empty and len(ts) >= 2 and (a.is_full_circle or not ends & set(ts)))
         points = [CirclePoint(t, RGB[i % 3]) for i, t in enumerate(ts)]
-        keys = [_floor_key(t) for t in ts]
-        assert -_safe_gap(a, ts, keys) % 1 == reference_safe_zero_delta(a, points)
+        assert -_origin(ts, rank_arcs(a, ts)) % 1 == reference_safe_zero_delta(a, points)
 
 
 @st.composite
-def cyclic_orders(draw):
-    """Sorted parameters on a grid of 1/d rotated so that 0 is the middle of
-    the gap after one of them (as `find_k_arcset` rotates) or not at all (as
-    `moment_halve` and `_safe_gap` read them), with ends at 0 and 1, on a
-    half grid, next to the wrap and on a point's rotated value."""
-    d = draw(st.integers(2, 40))
+def step_orders(draw):
+    """Points on a grid of 1/d, arc ends a quarter step past grid values and
+    an origin three quarters past one, outside the set: up to 2 arcs (one
+    may wrap through 0) or the full circle."""
+    d = draw(st.integers(4, 30))
     nums = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=12, unique=True))
-    ts = [F(t, d) for t in sorted(nums)]
-    if draw(st.booleans()):
-        g = draw(st.integers(0, len(ts) - 1))
-        nxt = ts[g + 1] if g + 1 < len(ts) else ts[0] + 1
-        mid = (ts[g] + nxt) / 2 % 1
-        delta, shift = -mid % 1, bisect_right(ts, mid)
+    points = [CirclePoint(F(t, d), RGB[i % 3]) for i, t in enumerate(draw(st.permutations(nums)))]
+    origin = F(4 * draw(st.integers(0, d - 1)) + 3, 4 * d)
+    count = draw(st.sampled_from([0, 2, 4]))
+    e = [F(4 * i + 1, 4 * d) for i in sorted(draw(
+        st.lists(st.integers(0, d - 1), min_size=count, max_size=count, unique=True)))]
+    wrap = draw(st.booleans())
+    if count == 0:
+        a = full_circle()
+    elif count == 2:
+        a = arcset([(e[1], e[0] + 1) if wrap else (e[0], e[1])])
     else:
-        delta, shift = F(0), 0
-    rotated = [(ts[(i + shift) % len(ts)] + delta) % 1 for i in range(len(ts))]
-    ends = {F(0), F(1), F(1, 4 * d), 1 - F(1, 4 * d)}
-    ends |= {F(e, 2 * d) for e in draw(st.lists(st.integers(0, 2 * d), max_size=4))}
-    ends |= {rotated[i] for i in draw(st.lists(st.integers(0, len(ts) - 1), max_size=2))}
-    keep = draw(st.lists(st.sampled_from(sorted(ends)), max_size=6, unique=True))
-    return ts, shift, delta, rotated, keep
+        a = arcset([(e[1], e[2]), (e[3], e[0] + 1)] if wrap else [(e[0], e[1]), (e[2], e[3])])
+    assume(a.is_full_circle or not a.contains(origin))
+    return points, origin, a
 
 
-class TestCyclicOrder:
-    """The rank query shifts x into the frame of the sorted parameters
-    instead of reading rotated entries; it must equal `bisect_left` over the
-    materialised order."""
+class TestOrder:
+    """A step's order, read off ranks: the entries met going round from the
+    origin, the colors of the points in the set, and each cut's value and
+    gap."""
 
     @settings(max_examples=300, deadline=None)
-    @example(([F(0), F(1, 2)], 0, F(0), [F(0), F(1, 2)], [F(0), F(1)]))  # a point at 0
-    @example(([F(1, 4), F(3, 4)], 1, F(1, 2), [F(1, 4), F(3, 4)], [F(3, 4), F(1)]))  # on a point
-    @given(cyclic_orders())
-    def test_rank_is_bisect_left(self, case):
-        ts, shift, delta, rotated, ends = case
-        assert rotated == sorted(rotated)
-        order = _CyclicOrder(ts, [_floor_key(t) for t in ts], shift, delta, ends)
-        listed = sorted(set(rotated) | set(ends))
-        assert [order[r] for r in range(len(order))] == listed
-        d = max(t.denominator for t in ts + listed)
-        queries = set(listed) | {F(i, 4 * d) for i in range(4 * d + 1)}
-        for x in sorted(queries):
-            assert order.rank(x) == bisect_left(listed, x), x
+    @example(([CirclePoint(F(0), Color.R), CirclePoint(F(1, 2), Color.G)], F(3, 8), full_circle()))
+    @example((
+        [CirclePoint(F(1, 4), Color.R), CirclePoint(F(3, 4), Color.G)],
+        F(3, 8), arcset([(F(9, 16), F(21, 16))]),  # wraps through 0
+    ))
+    @given(step_orders())
+    def test_entries_codes_and_cuts(self, case):
+        points, origin, a = case
+        ts, keys, codes = _sorted_order(points)
+        order = _Order(ts, keys, codes, origin, rank_arcs(a, ts))
+        ends = set() if a.is_full_circle else {t % 1 for arc in a.arcs for t in arc}
+        entries = sorted(set(ts) | ends)
+        listed = [origin] + [t for t in entries if t > origin] + [t for t in entries if t < origin]
+        listed.append(origin)
+        assert order.size == len(listed)
+        assert [order.value(r) for r in range(order.size)] == listed
+        color = {p.t: RGB.index(p.color) for p in points}
+        want = [color[t] if t in color and a.contains(t) else -1 for t in listed]
+        want[0] = want[-1] = -1
+        assert order.code.tolist() == want
+        for h in range(1, 2 * order.size - 2, 2):
+            lo, hi = listed[h // 2], listed[h // 2 + 1]
+            mid = (lo + (hi - lo) % 1 / 2) % 1
+            assert order.at(h) == mid
+            assert order.end(h) == (mid, bisect_left(ts, mid))
 
 
 class TestPointCounts:

@@ -7,6 +7,7 @@ solve/verify round trips, and SVG rendering of instances and solutions.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -107,6 +108,20 @@ class TestSolve:
         r = run_cli("solve", "arcs", "--in", str(inst), "--k", "1")
         assert r.returncode == 2
         assert "color K" in r.stderr
+
+    def test_arcs_huge_exponent_exit_2(self, tmp_path, capsys):
+        # an 11-byte parameter that would decode to a ten-million-digit
+        # denominator is refused before it is built
+        from tricut import cli
+
+        inst = tmp_path / "e.json"
+        pts = [{"t": f"{i}/8", "color": c} for i, c in enumerate("RGBRGB", start=1)]
+        pts[0]["t"] = "1e-10000000"
+        inst.write_text(json.dumps({"points": pts}))
+        t0 = time.process_time()
+        assert cli.run(["solve", "arcs", "--in", str(inst), "--k", "1"]) == 2
+        assert time.process_time() - t0 < 1.0
+        assert "not a rational: '1e-10000000'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "kind,instance",

@@ -1,5 +1,6 @@
 """JSON encoding round trips for every CLI-facing structure."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -70,7 +71,8 @@ class TestRat:
     @pytest.mark.parametrize(
         "s",
         ["3/-4", "+1/2", " 1/2", "1_0/3", "\u0663/4", "1/0", "-0/7", "007/010", "1.5", "-",
-         "/3", "-12/18", "5", "-5", str(Fraction(-(10**30), 7**20))],
+         "/3", "-12/18", "5", "-5", str(Fraction(-(10**30), 7**20)), "1e5", "2.5e-3",
+         "-3.25E+2", "1_0e2"],
     )
     def test_string_forms_as_fraction(self, s):
         # canonical "-?digits(/digits)?" strings are read by int(); every
@@ -85,6 +87,19 @@ class TestRat:
         got = dec_rat(s)
         assert type(got) is Fraction
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+    @pytest.mark.parametrize(
+        "s", ["1e10000000", "1e-10000000", "2.5E+9_999_999", "\u0661e10000000",
+              "0." + "1" * 5000, "1" * 4000 + "." + "1" * 400],
+    )
+    def test_oversized_decimal_forms_rejected_at_once(self, s):
+        # Fraction(s) would first build 10**exp, which takes seconds here
+        t0 = time.process_time()
+        with pytest.raises(PreconditionViolated) as err:
+            dec_rat(s)
+        assert time.process_time() - t0 < 0.5
+        assert str(err.value) == f"not a rational: {s!r}"
 
 
 class TestGeometry:
