@@ -526,13 +526,9 @@ def _sorted_order(points: Sequence[CirclePoint]):
     """The parameters in ascending order, their `_floor_key`s and their
     colors' indices in RGB.  The sort compares the integer keys first and
     the parameters only where the keys tie."""
-    keys = [_floor_key(p.t) for p in points]
-    if len(set(keys)) == len(keys):
-        order = sorted(range(len(points)), key=keys.__getitem__)
-    else:  # parameters within 2**-64 of each other
-        order = sorted(range(len(points)), key=lambda i: (keys[i], points[i].t))
-    codes = np.array([RGB.index(points[i].color) for i in order], dtype=np.int64)
-    return [points[i].t for i in order], [keys[i] for i in order], codes
+    order = sorted((_floor_key(p.t), p.t, i) for i, p in enumerate(points))
+    codes = np.array([RGB.index(points[i].color) for _, _, i in order], dtype=np.int64)
+    return [t for _, t, _ in order], [key for key, _, _ in order], codes
 
 
 def _end_gap(ts: list[Rat], keys: list[int], x: Rat) -> int:
@@ -593,6 +589,7 @@ def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
     n = len(points) // 3
     require_rgb([p.color for p in points], "point", n)
     ts, keys, codes = _sorted_order(points)
+    # equal parameters have equal keys; the int scan spares a Fraction one
     if any(a == b for a, b in zip(keys, keys[1:])) and any(s == t for s, t in zip(ts, ts[1:])):
         require_distinct_parameters(points)  # raises on the first repeat
     if not 0 <= k <= n:

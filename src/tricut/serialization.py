@@ -66,7 +66,8 @@ def _parse_rat(s: str) -> Fraction:
     alone makes a ten-million-digit integer.  A decimal or exponent form
     whose numerator or denominator would have more digits than
     `sys.get_int_max_str_digits()` (the bound int() puts on a digit string)
-    raises ValueError before anything is built."""
+    raises ValueError before anything is built.  A mantissa of zeros reads
+    as 0 whatever its (well-formed) exponent, which is not applied."""
     num, slash, den = s.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if s.isascii() and digits.isdigit() and (not slash or den.isdigit()):
@@ -75,6 +76,9 @@ def _parse_rat(s: str) -> Fraction:
     limit = sys.get_int_max_str_digits()
     if m and limit:
         whole, frac, exp = (g.replace("_", "") if g else "" for g in m.groups())
+        if exp and not (whole + frac).strip("0"):
+            int(m.group(3))  # Fraction's exponent syntax, as int() reads it
+            return Fraction(s[: m.start(3) - 1])
         e = int(exp or 0)
         if max(len(whole) + len(frac) + e, len(frac) - e) > limit:
             raise ValueError(f"{s!r} has more than {limit} digits")

@@ -72,7 +72,8 @@ class TestRat:
         "s",
         ["3/-4", "+1/2", " 1/2", "1_0/3", "\u0663/4", "1/0", "-0/7", "007/010", "1.5", "-",
          "/3", "-12/18", "5", "-5", str(Fraction(-(10**30), 7**20)), "1e5", "2.5e-3",
-         "-3.25E+2", "1_0e2"],
+         "-3.25E+2", "1_0e2", "0e5000", "-0.0e99999", "0_0.0e-5000", "0e5_", "0e1__2", "e5",
+         ".e5", "-.0e7", "0.e+3 "],
     )
     def test_string_forms_as_fraction(self, s):
         # canonical "-?digits(/digits)?" strings are read by int(); every
@@ -100,6 +101,14 @@ class TestRat:
             dec_rat(s)
         assert time.process_time() - t0 < 0.5
         assert str(err.value) == f"not a rational: {s!r}"
+
+    @pytest.mark.parametrize("s", ["0e10000000", "-0.000e10000000", ".0E-10000000"])
+    def test_zero_mantissa_is_zero_at_once(self, s):
+        # Fraction(s) would build 10**exp only to multiply it by 0
+        t0 = time.process_time()
+        got = dec_rat(s)
+        assert time.process_time() - t0 < 0.5
+        assert type(got) is Fraction and got == 0
 
 
 class TestGeometry:
