@@ -11,8 +11,6 @@ from .core import (
     Segment,
     arcset,
     arcset_color_counts,
-    arcset_complement,
-    arcset_rotate,
     check_general_position,
     circle_point,
     dual_line_to_point,
@@ -22,7 +20,6 @@ from .core import (
     intersect,
     line,
     line_slope_intercept,
-    line_through,
     orient,
     pt,
     winding_number,
@@ -68,7 +65,6 @@ from .llines import (
     RayDir,
     brute_oracle_llines,
     find_balanced_lline,
-    lattice_curve,
     lline,
     lline_counts,
     ortho_hull,

@@ -21,7 +21,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import serialization as ser
 from .arcs import find_k_arcset
@@ -74,13 +73,15 @@ from .wedges import (
 
 SOLVE_KINDS = ("cell", "wedge111", "wedge", "segment", "arcs", "lline")
 
-_DEFAULT_N = {
-    "cell": 7,
-    "wedge111": 9,
-    "wedge": 2,
-    "segment": 2,
-    "arcs": 5,
-    "lline": 4,
+# the generator and default n of the instance a solve command makes itself;
+# segment takes the duals of convex-position points: simple, 2n lines per color
+_GENERATED = {
+    "cell": (GenKind.SimpleLines3C, 7),
+    "wedge111": (GenKind.Points3C, 9),
+    "wedge": (GenKind.Points3CConvex, 2),
+    "segment": (GenKind.Points3CConvex, 2),
+    "arcs": (GenKind.CirclePoints3C, 5),
+    "lline": (GenKind.LatticeRedHull, 4),
 }
 
 
@@ -120,30 +121,6 @@ def _instance_id(payload: dict) -> str:
     return hashlib.sha1(blob).hexdigest()[:12]
 
 
-def _default_instance(kind: str, n: int, seed: int) -> dict:
-    """Instance payload a solve command generates for itself."""
-    if kind == "cell":
-        lines = generate(GenSpec(GenKind.SimpleLines3C, n, seed))
-        return {"lines": [ser.enc_line(l) for l in lines]}
-    if kind == "wedge111":
-        points = generate(GenSpec(GenKind.Points3C, n, seed))
-        return {"points": [ser.enc_point(p) for p in points]}
-    if kind == "wedge":
-        points = generate(GenSpec(GenKind.Points3CConvex, n, seed))
-        return {"points": [ser.enc_point(p) for p in points]}
-    if kind == "segment":
-        # duals of convex-position points: simple, 2n lines per color
-        points = generate(GenSpec(GenKind.Points3CConvex, n, seed))
-        return {"lines": [ser.enc_line(dual_point_to_line(p)) for p in points]}
-    if kind == "arcs":
-        points = generate(GenSpec(GenKind.CirclePoints3C, n, seed))
-        return {"points": [ser.enc_circle_point(p) for p in points]}
-    if kind == "lline":
-        s = generate(GenSpec(GenKind.LatticeRedHull, n, seed))
-        return {"points": ser.enc_lattice_set(s)}
-    raise PreconditionViolated(f"unknown solve kind {kind!r}")
-
-
 # -- solving ---------------------------------------------------------------------
 
 
@@ -153,13 +130,9 @@ def _solve(kind: str, payload: dict, k: int | None) -> dict:
         lines = ser.dec_lines_payload(payload)
         face = find_complete_face(lines)
         return {"face": ser.enc_face(face)}
-    if kind == "wedge111":
+    if kind in ("wedge111", "wedge"):
         points = ser.dec_points_payload(payload)
-        w = find_111_wedge(points)
-        return {"wedge": ser.enc_wedge(w), "dual_segment": ser.enc_segment(wedge_dual_segment(w))}
-    if kind == "wedge":
-        points = ser.dec_points_payload(payload)
-        w = sweep_balanced_wedge(points)
+        w = (find_111_wedge if kind == "wedge111" else sweep_balanced_wedge)(points)
         return {"wedge": ser.enc_wedge(w), "dual_segment": ser.enc_segment(wedge_dual_segment(w))}
     if kind == "segment":
         lines = ser.dec_lines_payload(payload)
@@ -254,7 +227,9 @@ def _report(kind: str, payload: dict, answer: dict, k: int | None) -> Verificati
         s = ser.dec_lattice_payload(payload)
         with ser.decoding():
             l = ser.dec_lline(answer["lline"])
-            kk = int(answer["k"])
+            kk = answer["k"]
+        if type(kk) is not int:
+            raise PreconditionViolated(f"answer.k must be an integer, got {kk!r}")
         counts = lline_counts(l, s)[0]
         target = (kk, kk, kk)
         oracle_pairs = brute_oracle_llines(s)
@@ -297,8 +272,12 @@ def _cmd_solve(args) -> int:
     if args.infile is not None:
         payload = ser.unwrap_instance(_load_json(args.infile))
     else:
-        n = args.n if args.n is not None else _DEFAULT_N[kind]
-        payload = _default_instance(kind, n, args.seed)
+        gen, n = _GENERATED[kind]
+        n = n if args.n is None else args.n
+        obj = generate(GenSpec(gen, n, args.seed))
+        if kind == "segment":
+            obj = tuple(dual_point_to_line(p) for p in obj)
+        payload = ser.enc_instance(gen.value, n, args.seed, obj)["instance"]
     k = args.k
     answer = _solve(kind, payload, k)
     if kind == "lline":

@@ -137,15 +137,6 @@ def line(a, b, c, color: Color | str = Color.K) -> ColoredLine:
     return ColoredLine(as_rat(a), as_rat(b), as_rat(c), Color(color))
 
 
-def line_through(p: ColoredPoint, q: ColoredPoint, color: Color | str = Color.K) -> ColoredLine:
-    if (p.x, p.y) == (q.x, q.y):
-        raise PreconditionViolated("two distinct points are needed to span a line")
-    a = p.y - q.y
-    b = q.x - p.x
-    c = -(a * p.x + b * p.y)
-    return ColoredLine(a, b, c, Color(color))
-
-
 def line_slope_intercept(m, k, color: Color | str = Color.K) -> ColoredLine:
     """y = m*x + k."""
     return line(as_rat(m), -1, as_rat(k), color)
@@ -356,27 +347,25 @@ def check_general_position(points: Sequence[ColoredPoint], mode: GeneralPosition
             raise PreconditionViolated(f"points {rep[0]} and {rep[1]} share {axis} = {value}")
 
 
-def require_rgb(colors: Iterable[Color], what: str = "point", per_color: int | None = None) -> None:
+def require_rgb(colors: Sequence[Color], what: str = "point", per_color: int | None = None) -> None:
     """Every item is R, G or B and every color occurs; with `per_color`,
     each color occurs exactly that often.
 
     Pass len(items) // 3 as `per_color` to demand equal counts.  Raises
     MissingColor for an absent color, PreconditionViolated otherwise.
     """
-    counts = {c: 0 for c in RGB}
-    for i, c in enumerate(colors):
-        if c not in counts:
-            raise PreconditionViolated(f"{what} {i} has color {c.value}, want R, G or B")
-        counts[c] += 1
-    missing = [c.value for c in RGB if counts[c] == 0]
+    # count() compares by identity first, so no Enum.__hash__ runs per item
+    counts = [colors.count(c) for c in RGB]
+    if sum(counts) != len(colors):
+        i = next(i for i, c in enumerate(colors) if c not in RGB)
+        raise PreconditionViolated(f"{what} {i} has color {colors[i].value}, want R, G or B")
+    missing = [c.value for c, k in zip(RGB, counts) if k == 0]
     if missing:
         raise MissingColor(f"no {what} of color {','.join(missing)}")
     if per_color is not None:
-        for c in RGB:
-            if counts[c] != per_color:
-                raise PreconditionViolated(
-                    f"color {c.value} has {counts[c]} {what}s, want {per_color}"
-                )
+        for c, k in zip(RGB, counts):
+            if k != per_color:
+                raise PreconditionViolated(f"color {c.value} has {k} {what}s, want {per_color}")
 
 
 # -- arcs on the unit-perimeter circle ---------------------------------------
@@ -497,26 +486,6 @@ def full_circle() -> ArcSet:
 
 def empty_arcset() -> ArcSet:
     return ArcSet(())
-
-
-def arcset_complement(a: ArcSet) -> ArcSet:
-    if a.is_full_circle:
-        return empty_arcset()
-    if a.is_empty:
-        return full_circle()
-    gaps = []
-    for i, (lo, hi) in enumerate(a.arcs):
-        nxt_lo = a.arcs[i + 1][0] if i + 1 < len(a.arcs) else a.arcs[0][0] + 1
-        gaps.append((hi % 1, (hi % 1) + (nxt_lo - hi)))
-    return arcset(gaps)
-
-
-def arcset_rotate(a: ArcSet, delta: Rat) -> ArcSet:
-    """Rotate every arc by +delta (mod 1)."""
-    if a.is_empty or a.is_full_circle:
-        return a
-    delta = as_rat(delta)
-    return arcset([(lo + delta, hi + delta) for lo, hi in a.arcs])
 
 
 @dataclass(frozen=True)

@@ -300,33 +300,19 @@ def _color_steps(points: Sequence[ColoredPoint], hull_color: Color) -> np.ndarra
 
 def _balanced_prefixes(q: np.ndarray, ends_on_hull: bool) -> np.ndarray:
     """Lengths k in 1..m-1 with q_k at the origin, once the curve is checked
-    to run from (-1,-1) to (1,1) and to end on a hull-colored point."""
+    to run from (-1,-1) to (1,1) and to end on a hull-colored point.
+
+    q holds the prefix sums of an ordering's `_color_steps`: q_k at the
+    origin marks a balanced prefix of k points, and the closed curve is
+    q_1..q_{m-1} followed by their negatives.  An ordering of a set with a
+    monochromatic hull starts and ends on hull-colored points, which forces
+    the two checked ends."""
     if q[0].tolist() != [-1, -1] or q[-2].tolist() != [1, 1] or not ends_on_hull:
         raise PreconditionViolated(
             "ordering must start and end with hull-colored points "
             "(is the orthogonal hull monochromatic?)"
         )
     return np.flatnonzero(~q[:-1].any(axis=1)) + 1
-
-
-def lattice_curve(sigma: SidedOrdering, hull_color: Color | None = None) -> np.ndarray:
-    """Prefix-deficit vertices q_1..q_{3n-1} of a sided ordering, as an int64
-    (3n - 1, 2) array: q_k sums the color steps of the ordering's first k
-    points, and q_k at the origin marks a balanced prefix.  The closed curve
-    is these vertices followed by their negatives.
-
-    The hull color contributes step (-1,-1); the remaining two colors in
-    R,G,B order contribute (2,-1) and (-1,2).  A valid ordering of a
-    monochromatic-hull set starts and ends with hull-colored points, forcing
-    q_1 = (-1,-1) and q_{3n-1} = (1,1); anything else is rejected.
-    """
-    pts = sigma.order
-    require_rgb([p.color for p in pts])
-    if hull_color is None:
-        hull_color = _hull_color(_lattice_frame(pts))
-    q = _color_steps(pts, hull_color).cumsum(axis=0)
-    _balanced_prefixes(q, pts[-1].color is hull_color)
-    return q[:-1]
 
 
 # -- the zero-vertex sweep -----------------------------------------------------

@@ -22,7 +22,6 @@ from .core import (
     CirclePoint,
     Color,
     ColoredLine,
-    RGB,
     Segment,
     full_circle,
     empty_arcset,

@@ -16,7 +16,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .cells import Arrangement, Face
+from .cells import Face
 from .core import (
     ArcSet,
     CirclePoint,
@@ -107,11 +107,6 @@ def _point(d: dict) -> ColoredPoint:
     return pt(dec_rat(d["x"]), dec_rat(d["y"]), d["color"])
 
 
-@decoding()
-def dec_point(d: dict) -> ColoredPoint:
-    return _point(d)
-
-
 def enc_line(l: ColoredLine) -> dict:
     return {
         "a": enc_rat(l.a),
@@ -123,11 +118,6 @@ def enc_line(l: ColoredLine) -> dict:
 
 def _line(d: dict) -> ColoredLine:
     return line(dec_rat(d["a"]), dec_rat(d["b"]), dec_rat(d["c"]), d["color"])
-
-
-@decoding()
-def dec_line(d: dict) -> ColoredLine:
-    return _line(d)
 
 
 def enc_xy(p: tuple[Rat, Rat]) -> list:
@@ -156,11 +146,6 @@ def _circle_point(d: dict) -> CirclePoint:
     return circle_point(dec_rat(d["t"]), d["color"])
 
 
-@decoding()
-def dec_circle_point(d: dict) -> CirclePoint:
-    return _circle_point(d)
-
-
 def enc_arcset(a: ArcSet) -> list:
     return [[enc_rat(lo), enc_rat(hi)] for lo, hi in a.arcs]
 
@@ -170,17 +155,8 @@ def dec_arcset(v) -> ArcSet:
     return arcset([(dec_rat(lo), dec_rat(hi)) for lo, hi in v])
 
 
-def enc_lattice_point(p: ColoredPoint) -> dict:
-    return {"x": int(p.x), "y": int(p.y), "color": p.color.value}
-
-
 def enc_lattice_set(s: LatticePointSet) -> list:
-    return [enc_lattice_point(p) for p in s.points]
-
-
-@decoding()
-def dec_lattice_set(v) -> LatticePointSet:
-    return LatticePointSet(tuple(_point(d) for d in v))
+    return [{"x": int(p.x), "y": int(p.y), "color": p.color.value} for p in s.points]
 
 
 def enc_lline(l: LLine) -> dict:
@@ -204,7 +180,7 @@ def enc_wedge(w: DoubleWedge) -> dict:
 @decoding()
 def dec_wedge(d: dict) -> DoubleWedge:
     return DoubleWedge(
-        dec_xy(d["apex"]), dec_line(d["line1"]), dec_line(d["line2"]), d["sector"]
+        dec_xy(d["apex"]), _line(d["line1"]), _line(d["line2"]), d["sector"]
     )
 
 
@@ -227,20 +203,13 @@ def dec_face(d: dict) -> Face:
     )
 
 
-def enc_arrangement(a: Arrangement) -> dict:
-    return {
-        "lines": [enc_line(l) for l in a.lines],
-        "vertices": [enc_xy(v) for v in a.vertices],
-        "faces": [enc_face(f) for f in a.faces],
-        "box": [enc_rat(x) for x in a.box],
-    }
-
-
 # -- instances -------------------------------------------------------------------
 
 
 def enc_instance(kind: str, n: int, seed: int, obj) -> dict:
-    """Envelope written by the gen command; `obj` is what generate() returned."""
+    """Envelope written by the gen command, whose "instance" is also the
+    payload solve makes for itself; `obj` is what generate() returned (or,
+    for solve segment, the dual lines of those points)."""
     if isinstance(obj, LatticePointSet):
         payload = {"points": enc_lattice_set(obj)}
     elif obj and isinstance(obj[0], ColoredLine):
@@ -257,33 +226,31 @@ def unwrap_instance(d: dict) -> dict:
     return d["instance"] if isinstance(d, dict) and "instance" in d else d
 
 
+def _elements(d: dict, key: str, field: str | None, element) -> tuple:
+    """`element` of each item of the list under `key` in a bare payload or
+    an envelope's instance; with `field`, every item must hold it."""
+    body = unwrap_instance(d)
+    if key not in body or (field and any(field not in e for e in body[key])):
+        want = f'{{"{field}"...}}' if field else "..."
+        raise PreconditionViolated(f'expected a {{"{key}": [{want}]}} instance')
+    return tuple(element(e) for e in body[key])
+
+
 @decoding()
 def dec_lines_payload(d: dict) -> tuple[ColoredLine, ...]:
-    body = unwrap_instance(d)
-    if "lines" not in body:
-        raise PreconditionViolated("expected a {\"lines\": [...]} instance")
-    return tuple(_line(x) for x in body["lines"])
+    return _elements(d, "lines", None, _line)
 
 
 @decoding()
 def dec_points_payload(d: dict) -> tuple[ColoredPoint, ...]:
-    body = unwrap_instance(d)
-    if "points" not in body or any("x" not in p for p in body["points"]):
-        raise PreconditionViolated("expected a {\"points\": [{\"x\"...}]} instance")
-    return tuple(_point(x) for x in body["points"])
+    return _elements(d, "points", "x", _point)
 
 
 @decoding()
 def dec_circle_payload(d: dict) -> tuple[CirclePoint, ...]:
-    body = unwrap_instance(d)
-    if "points" not in body or any("t" not in p for p in body["points"]):
-        raise PreconditionViolated("expected a {\"points\": [{\"t\"...}]} instance")
-    return tuple(_circle_point(x) for x in body["points"])
+    return _elements(d, "points", "t", _circle_point)
 
 
 @decoding()
 def dec_lattice_payload(d: dict) -> LatticePointSet:
-    body = unwrap_instance(d)
-    if "points" not in body:
-        raise PreconditionViolated("expected a {\"points\": [...]} instance")
-    return dec_lattice_set(body["points"])
+    return LatticePointSet(_elements(d, "points", None, _point))

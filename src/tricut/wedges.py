@@ -19,9 +19,10 @@ balanced window.
 Events come from a lazy queue (`_EventQueue`): a heap of the pairs adjacent
 in the current slope order, as in kinetic sorting, so a sweep that stops
 after k events computes O(m + k) pair-line keys instead of sorting all
-m(m - 1)/2 of them.  The balanced wedge is counted once more, on the
-points' integer triples, before it is returned; the halving segment is
-counted on its ends' integer triples and the lines' integer coefficients.
+m(m - 1)/2 of them.  The balanced wedge and the 111 wedge are counted once
+more, on the points' integer triples, before they are returned; the halving
+segment is counted on its ends' integer triples and the lines' integer
+coefficients.
 
 `find_111_wedge` dualizes the points and pulls a segment out of one complete
 cell.  Points sharing an x coordinate would dualize to parallel lines, so
@@ -126,22 +127,13 @@ def _window_curve(steps: np.ndarray) -> np.ndarray:
     """Row k: the sum of the half-length window of `steps` from position k
     (cyclically), divided by 3.  With the steps of `core.deficit_steps`
     (x color blue, y color green) that is (blue - n, green - n) of the
-    window: the window holds 3n points, so its sum is 3 (blue - n, green - n).
-    It is the difference of two prefix sums over the doubled sequence."""
+    window: the window holds 3n points, so its sum is 3 (blue - n, green - n),
+    and row k + 3n is minus row k, as complementary windows have
+    complementary counts.  It is the difference of two prefix sums over the
+    doubled sequence."""
     m = len(steps)
     prefix = np.concatenate((_ORIGIN, steps, steps)).cumsum(axis=0)
     return (prefix[m // 2:m // 2 + m] - prefix[:m]) // 3
-
-
-def wedge_curve(colors: Sequence[Color]) -> np.ndarray:
-    """Deficit curve of all 3n-windows of a cyclic 6n-coloring.
-
-    Row k = (blue count - n, green count - n) of the window starting at
-    position k.  Closed 6n-gon; row k + 3n is minus row k because
-    complementary windows have complementary counts.
-    """
-    _require_6n(colors, "point")
-    return _window_curve(deficit_steps(colors, Color.B, Color.G))
 
 
 # the legal steps between consecutive vertices: |dx|, |dy|, |dx + dy| <= 1
@@ -654,7 +646,7 @@ def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
     )
     apex = intersect(ColoredLine(*f1, Color.K), ColoredLine(*f2, Color.K))
     w = wedge_from_functionals(apex, f1, f2, contains_disagree=True)
-    counts = wedge_color_counts(w, pts)
+    counts = _int_wedge_counts(w, int_points(pts), pts)
     if any(counts[c] != 1 for c in RGB):
         raise InternalError("111 wedge did not verify", {"counts": str(counts)})
     return w

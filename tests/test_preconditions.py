@@ -22,7 +22,6 @@ from tricut import (
     find_k_arcset,
     full_circle,
     halving_segment,
-    lattice_curve,
     moment_halve,
     ortho_hull,
     pt,
@@ -161,13 +160,15 @@ def test_lattice_point_set_rejects(kind):
         LatticePointSet(_lattice_cases()[kind])
 
 
-def test_lattice_curve_rejects_K_point_in_raw_points():
-    # four red hull points around one G, one B and one K point
+def test_lattice_point_set_rejects_K_point_in_raw_points():
+    # four red hull points around one G, one B and one K point: the hull and
+    # the orderings take raw points, the L-line search only a LatticePointSet
     ring = (pt(0, 1, "R"), pt(1, 9, "R"), pt(9, 8, "R"), pt(8, 0, "R"))
     points = ring + (pt(4, 4, "G"), pt(5, 3, "B"), pt(3, 5, "K"))
     assert ortho_hull(points) == list(ring)
-    with pytest.raises(PreconditionViolated):
-        lattice_curve(sided_ordering(ring[1], 2, points))
+    assert len(sided_ordering(ring[1], 2, points).order) == len(points)
+    with pytest.raises(PreconditionViolated, match="point 6 has color K"):
+        LatticePointSet(points)
 
 
 @pytest.mark.parametrize("kind", ["coincident", "shared-x", "shared-y", "off-lattice"])

@@ -21,18 +21,16 @@ from tricut.llines import LatticePointSet, RayDir, lline
 from tricut.serialization import (
     dec_arcset,
     dec_circle_payload,
+    dec_face,
     dec_lattice_payload,
-    dec_line,
     dec_lines_payload,
     dec_lline,
-    dec_point,
     dec_points_payload,
     dec_rat,
     dec_segment,
     dec_wedge,
     dec_xy,
     enc_arcset,
-    enc_arrangement,
     enc_circle_point,
     enc_face,
     enc_instance,
@@ -114,11 +112,11 @@ class TestRat:
 class TestGeometry:
     def test_point_round_trip(self):
         p = pt(Fraction(1, 3), -2, "G")
-        assert dec_point(enc_point(p)) == p
+        assert dec_points_payload({"points": [enc_point(p)]}) == (p,)
 
     def test_line_round_trip(self):
         l = line(2, Fraction(-3, 5), 1, "B")
-        assert dec_line(enc_line(l)) == l
+        assert dec_lines_payload({"lines": [enc_line(l)]}) == (l,)
 
     def test_xy_round_trip(self):
         assert dec_xy(enc_xy((Fraction(5, 2), -3))) == (Fraction(5, 2), -3)
@@ -131,9 +129,7 @@ class TestGeometry:
         p = circle_point(Fraction(3, 7), "R")
         d = enc_circle_point(p)
         assert d == {"t": "3/7", "color": "R"}
-        from tricut.serialization import dec_circle_point
-
-        assert dec_circle_point(d) == p
+        assert dec_circle_payload({"points": [d]}) == (p,)
 
     def test_arcset_round_trip(self):
         a = arcset([(Fraction(1, 8), Fraction(1, 4)), (Fraction(7, 8), Fraction(9, 8))])
@@ -170,12 +166,10 @@ class TestFacesAndArrangements:
     def test_face_and_arrangement_shapes(self):
         lines = (line(0, 1, 0, "R"), line(1, -1, 0, "G"), line(1, 1, -4, "B"))
         arr = build_arrangement(lines)
-        d = enc_arrangement(arr)
-        assert len(d["lines"]) == 3
-        assert len(d["faces"]) == len(arr.faces)
-        assert len(d["box"]) == 4
-        f = enc_face(arr.faces[0])
-        assert set(f) == {"bounded", "vertices", "boundary_lines", "boundary_colors"}
+        for face in arr.faces:
+            f = enc_face(face)
+            assert set(f) == {"bounded", "vertices", "boundary_lines", "boundary_colors"}
+            assert dec_face(f) == face
 
 
 class TestPayloads:

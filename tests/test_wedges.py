@@ -13,6 +13,7 @@ from tricut.core import (
     RGB,
     Segment,
     check_general_position,
+    deficit_steps,
     dual_line_to_point,
     dual_point_to_line,
     int_points,
@@ -48,11 +49,16 @@ from tricut.wedges import (
     wedge_dual_segment,
     wedge_point_indices,
     wedge_contains,
-    wedge_curve,
     wedge_from_functionals,
 )
 
 R, G, B = Color.R, Color.G, Color.B
+
+
+def wedge_curve(colors):
+    """Deficit curve of all 3n-windows of a cyclic 6n-coloring, as the sweep
+    builds it: row k is (blue - n, green - n) of the window from position k."""
+    return wedges._window_curve(deficit_steps(colors, B, G))
 
 
 @pytest.fixture
@@ -119,12 +125,13 @@ class TestWedgeCurve:
         assert c.shape == (6, 2) and not c.any()
 
     def test_counts_validated(self):
+        # the sweep's color check, run before any curve is built
         with pytest.raises(PreconditionViolated):
-            wedge_curve((R, R, G, G, B, G))
+            wedges._require_6n((R, R, G, G, B, G), "point")
         with pytest.raises(MissingColor):
-            wedge_curve((R, R, R, R, G, G, G, G, R, R, G, G))
+            wedges._require_6n((R, R, R, R, G, G, G, G, R, R, G, G), "point")
         with pytest.raises(PreconditionViolated):
-            wedge_curve((R, G, B))
+            wedges._require_6n((R, G, B), "point")
 
     def test_random_words_satisfy_invariants(self):
         rng = random.Random(5)
