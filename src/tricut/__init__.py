@@ -42,6 +42,7 @@ from .cells import (
 )
 from .wedges import (
     DoubleWedge,
+    brute_oracle_segments,
     brute_oracle_wedges,
     find_111_wedge,
     halving_segment,

@@ -29,15 +29,7 @@ from .cells import (
     cycle_parity,
     find_complete_face,
 )
-from .core import (
-    Color,
-    arcset_color_counts,
-    dual_line_to_point,
-    dual_point_to_line,
-    empty_arcset,
-    intersect,
-    pt,
-)
+from .core import Color, arcset_color_counts, dual_point_to_line, empty_arcset
 from .errors import (
     GenerationFailed,
     InternalError,
@@ -61,13 +53,13 @@ from .svg import (
     render_wedge,
 )
 from .wedges import (
+    brute_oracle_segments,
     brute_oracle_wedges,
     find_111_wedge,
     halving_segment,
     sweep_balanced_wedge,
     wedge_color_counts,
     wedge_dual_segment,
-    wedge_from_functionals,
     wedge_point_indices,
 )
 
@@ -163,52 +155,48 @@ def _report(kind: str, payload: dict, answer: dict, k: int | None) -> Verificati
     if kind == "cell":
         lines = ser.dec_lines_payload(payload)
         with ser.decoding():
-            verts = frozenset(ser.dec_xy(v) for v in answer["face"]["vertices"])
+            verts = [ser.dec_xy(v) for v in answer["face"]["vertices"]]
             colors = [Color(c) for c in answer["face"]["boundary_colors"]]
         arr = build_arrangement(lines)
         complete = scan_all_complete_faces(arr)
-        # cells are convex; the vertex set identifies one regardless of the
-        # rotation the two construction paths chose
         oracle = tuple(
             sorted(ser.enc_xy(v) for v in f.vertices) for f in complete
         )
-        member = any(frozenset(f.vertices) == verts for f in complete)
+        # a cell's edges (vertex, color, next vertex) do not depend on the
+        # vertex either construction path starts its cycle at
+        def edges(vs, cs):
+            return len(vs), frozenset(zip(vs, cs, vs[1:] + vs[:1]))
+
+        mine = edges(verts, colors)
+        member = len(verts) == len(colors) and any(
+            edges(f.vertices, f.boundary_colors) == mine for f in complete
+        )
         counts, target = cycle_parity(colors), (1, 1, 1)
 
-    elif kind in ("wedge111", "wedge"):
-        points = ser.dec_points_payload(payload)
-        with ser.decoding():
-            w = ser.dec_wedge(answer["wedge"])
-        counts = _counts_tuple(wedge_color_counts(w, points))
-        n = 1 if kind == "wedge111" else len(points) // 6
+    elif kind in ("wedge111", "wedge", "segment"):
+        if kind == "segment":
+            items = ser.dec_lines_payload(payload)
+            with ser.decoding():
+                seg = ser.dec_segment(answer["segment"])
+            # count_segment_crossings refuses an end on a line, so each side is +-1
+            counts = _counts_tuple(count_segment_crossings(seg, items))
+            key = tuple(i for i, l in enumerate(items) if l.side(seg.p) != l.side(seg.q))
+            oracle_of = brute_oracle_segments
+        else:
+            items = ser.dec_points_payload(payload)
+            with ser.decoding():
+                w = ser.dec_wedge(answer["wedge"])
+            counts = _counts_tuple(wedge_color_counts(w, items))
+            key = wedge_point_indices(w, items)
+            oracle_of = brute_oracle_wedges
+        n = 1 if kind == "wedge111" else len(items) // 6
         target = (n, n, n)
-        if len(points) <= ORACLE_MAX_POINTS["wedge"]:
-            oracle_sets = brute_oracle_wedges(points, target)
-            member = wedge_point_indices(w, points) in oracle_sets
+        if len(items) <= ORACLE_MAX_POINTS["wedge"]:
+            oracle_sets = oracle_of(items, target)
+            member = key in oracle_sets
             oracle = tuple(list(t) for t in oracle_sets)
         else:
             oracle, member = (), counts == target
-
-    elif kind == "segment":
-        lines = ser.dec_lines_payload(payload)
-        with ser.decoding():
-            seg = ser.dec_segment(answer["segment"])
-        counts = _counts_tuple(count_segment_crossings(seg, lines))
-        n = len(lines) // 6
-        target = (n, n, n)
-        oracle, member = (), counts == target
-        if len(lines) <= ORACLE_MAX_POINTS["wedge"] and not any(l.is_vertical for l in lines):
-            f1 = dual_point_to_line(pt(seg.p[0], seg.p[1], Color.K))
-            f2 = dual_point_to_line(pt(seg.q[0], seg.q[1], Color.K))
-            apex = intersect(f1, f2)
-            if apex is not None:
-                w = wedge_from_functionals(
-                    apex, (f1.a, f1.b, f1.c), (f2.a, f2.b, f2.c), contains_disagree=True
-                )
-                duals = tuple(dual_line_to_point(l) for l in lines)
-                oracle_sets = brute_oracle_wedges(duals, target)
-                member = wedge_point_indices(w, duals) in oracle_sets
-                oracle = tuple(list(t) for t in oracle_sets)
 
     elif kind == "arcs":
         points = ser.dec_circle_payload(payload)
@@ -368,8 +356,6 @@ def _render(env: dict) -> str:
 
 
 def _cmd_render(args) -> int:
-    if args.format == "json":
-        raise PreconditionViolated("render emits SVG; use --format svg")
     env = _load_envelope(args.infile)
     _emit(_render(env), args.out)
     return 0
@@ -412,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("render", help="draw an instance or solution as SVG")
     r.add_argument("--in", dest="infile", required=True)
-    r.add_argument("--format", choices=("json", "svg"), default="svg")
+    r.add_argument("--format", choices=("svg",), default="svg")
     r.add_argument("--out", dest="out", default=None)
     r.set_defaults(func=_cmd_render)
     return top

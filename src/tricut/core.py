@@ -527,12 +527,6 @@ class Segment:
         if self.p == self.q:
             raise PreconditionViolated("degenerate segment")
 
-    def point_at(self, t: Rat) -> tuple[Rat, Rat]:
-        return (
-            self.p[0] + t * (self.q[0] - self.p[0]),
-            self.p[1] + t * (self.q[1] - self.p[1]),
-        )
-
 
 # -- lattice deficit curves ----------------------------------------------------
 #

@@ -14,7 +14,7 @@ from typing import Sequence
 from .cells import Arrangement, Face
 from .core import ArcSet, CirclePoint, Color, ColoredLine, ColoredPoint, clip_line
 from .llines import LatticePointSet, LLine, RayDir
-from .wedges import DoubleWedge
+from .wedges import DoubleWedge, wedge_contains
 
 _PALETTE = {
     Color.R: "#c0392b",
@@ -103,8 +103,6 @@ def render_arrangement(arr: Arrangement, face: Face | None = None) -> str:
 
 def render_wedge(points: Sequence[ColoredPoint], w: DoubleWedge) -> str:
     """Boundary lines plus points; wedge members filled, the rest hollow."""
-    from .wedges import wedge_contains
-
     xs = [p.x for p in points] + [w.apex[0]]
     ys = [p.y for p in points] + [w.apex[1]]
     pad = max(max(xs) - min(xs), max(ys) - min(ys), 1) / Fraction(8)

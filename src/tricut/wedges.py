@@ -19,10 +19,9 @@ balanced window.
 Events come from a lazy queue (`_EventQueue`): a heap of the pairs adjacent
 in the current slope order, as in kinetic sorting, so a sweep that stops
 after k events computes O(m + k) pair-line keys instead of sorting all
-m(m - 1)/2 of them.  The balanced wedge and the 111 wedge are counted once
-more, on the points' integer triples, before they are returned; the halving
-segment is counted on its ends' integer triples and the lines' integer
-coefficients.
+m(m - 1)/2 of them.  The balanced wedge, the 111 wedge and the halving
+segment are counted once more, by one integer side count, before they are
+returned.
 
 `find_111_wedge` dualizes the points and pulls a segment out of one complete
 cell.  Points sharing an x coordinate would dualize to parallel lines, so
@@ -65,7 +64,6 @@ from .core import (
 )
 from .errors import (
     DegenerateApex,
-    EndpointOnLine,
     InternalError,
     OnBoundary,
     PreconditionViolated,
@@ -363,7 +361,8 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
     ints = int_points(pts)
     queue = _EventQueue(ints, x0, sorted(range(m), key=lambda i: pts[i].x))
     order = queue.order
-    steps = deficit_steps([p.color for p in pts], Color.B, Color.G)
+    colors = [p.color for p in pts]
+    steps = deficit_steps(colors, Color.B, Color.G)
     curve = _window_curve(steps[order])
     # an event moves two vertices: on [x, y] lists of Python ints that costs
     # less than numpy calls on single rows
@@ -441,47 +440,36 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
         (-m_hi, Fraction(1), m_hi * ax - ay),
         contains_disagree=True,
     )
-    counts = _int_wedge_counts(w, ints, pts)
+    u, v, agree = int_line(w.line1), int_line(w.line2), w.sector == SECTOR_AGREE
+    counts = _int_side_counts(u, v, ints, colors, agree)
     if any(counts[c] != n for c in RGB):
         raise InternalError("balanced window did not verify", {"counts": str(counts)})
     return w
 
 
-def _int_wedge_counts(
-    w: DoubleWedge, ints: list[tuple[int, int, int]], pts: Sequence[ColoredPoint]
+def _int_side_counts(
+    u: tuple[int, int, int],
+    v: tuple[int, int, int],
+    triples: Sequence[tuple[int, int, int]],
+    colors: Sequence[Color],
+    agree: bool,
 ) -> dict[Color, int]:
-    """`wedge_color_counts` on the points' `int_points` triples: the sign of
-    a boundary line at (X/W, Y/W) is that of A*X + B*Y + C*W for its
-    `int_line` (A, B, C), as W > 0."""
-    a1, b1, c1 = int_line(w.line1)
-    a2, b2, c2 = int_line(w.line2)
-    agree = w.sector == SECTOR_AGREE
+    """Per color, the items t where u.t and v.t have equal signs if `agree`,
+    opposite signs if not; a zero raises OnBoundary.  The solvers' self-check:
+    for a wedge u, v are the `int_line` of its boundary lines and t the
+    points' `int_point` triples (W > 0, so u.t has the side's sign); for a
+    segment u, v are its ends' `int_point` and t the lines' `int_line`.
+    """
+    a1, b1, c1 = u
+    a2, b2, c2 = v
     counts = {c: 0 for c in RGB}
-    for (x, y, z), p in zip(ints, pts):
-        v1 = a1 * x + b1 * y + c1 * z
-        v2 = a2 * x + b2 * y + c2 * z
-        if v1 == 0 or v2 == 0:
-            raise OnBoundary("point on a wedge boundary line")
-        if ((v1 > 0) == (v2 > 0)) == agree:
-            counts[p.color] += 1
-    return counts
-
-
-def _int_segment_counts(seg: Segment, lines: Sequence[ColoredLine]) -> dict[Color, int]:
-    """`count_segment_crossings` on integers: with the segment's ends as
-    `int_point` triples, the side of an end (X/W, Y/W) of a line is the
-    sign of A*X + B*Y + C*W for its `int_line` (A, B, C), as W > 0.  An end
-    on a line raises EndpointOnLine."""
-    (x1, y1, w1), (x2, y2, w2) = int_point(*seg.p), int_point(*seg.q)
-    counts = {c: 0 for c in RGB}
-    for i, l in enumerate(lines):
-        a, b, c = int_line(l)
-        sp = a * x1 + b * y1 + c * w1
-        sq = a * x2 + b * y2 + c * w2
-        if sp == 0 or sq == 0:
-            raise EndpointOnLine(f"segment endpoint lies on line {i}")
-        if (sp > 0) != (sq > 0):
-            counts[l.color] += 1
+    for (x, y, z), color in zip(triples, colors):
+        s1 = a1 * x + b1 * y + c1 * z
+        s2 = a2 * x + b2 * y + c2 * z
+        if s1 == 0 or s2 == 0:
+            raise OnBoundary("an item lies on a boundary")
+        if ((s1 > 0) == (s2 > 0)) == agree:
+            counts[color] += 1
     return counts
 
 
@@ -590,6 +578,18 @@ def brute_oracle_wedges(
     return sorted(out, key=lambda t: (len(t), t))
 
 
+def brute_oracle_segments(
+    lines: Sequence[ColoredLine], target: tuple[int, int, int]
+) -> list[tuple[int, ...]]:
+    """Every segment crossing type (sorted indices of the lines crossed) with
+    per-color counts (R, G, B) `target`: `brute_oracle_wedges` on the dual
+    points in `halving_segment`'s sheared frame (`_sheared_duals`).  Wedges
+    holding the vertical direction are dual to the other projective segment
+    on the same ends (two rays), which crosses the lines the segment misses.
+    """
+    return brute_oracle_wedges(_sheared_duals(tuple(lines))[1], target)
+
+
 # -- duals: 111 wedges and halving segments ------------------------------------
 
 
@@ -646,10 +646,26 @@ def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
     )
     apex = intersect(ColoredLine(*f1, Color.K), ColoredLine(*f2, Color.K))
     w = wedge_from_functionals(apex, f1, f2, contains_disagree=True)
-    counts = _int_wedge_counts(w, int_points(pts), pts)
+    u, v, agree = int_line(w.line1), int_line(w.line2), w.sector == SECTOR_AGREE
+    counts = _int_side_counts(u, v, int_points(pts), [p.color for p in pts], agree)
     if any(counts[c] != 1 for c in RGB):
         raise InternalError("111 wedge did not verify", {"counts": str(counts)})
     return w
+
+
+def _sheared_duals(lines: tuple[ColoredLine, ...]) -> tuple[int | None, tuple[ColoredPoint, ...]]:
+    """(lam, the lines' dual points after the shear (x, y) -> (x + lam*y, y)),
+    lam None and no shear when no line is vertical.  Line (a, b, c) becomes
+    (a, b - a*lam, c); normalized lines have a in {0, 1}, so lam =
+    floor(max |b|) + 1 leaves none vertical.  A shear keeps every crossing,
+    and a line crosses a segment iff its dual point is in the segment's dual
+    wedge.
+    """
+    lam = None
+    if any(l.is_vertical for l in lines):
+        lam = math.floor(max(abs(l.b) for l in lines)) + 1
+        lines = tuple(ColoredLine(l.a, l.b - l.a * lam, l.c, l.color) for l in lines)
+    return lam, tuple(dual_line_to_point(l) for l in lines)
 
 
 def halving_segment(lines: Sequence[ColoredLine]) -> Segment:
@@ -663,26 +679,18 @@ def halving_segment(lines: Sequence[ColoredLine]) -> Segment:
     n = _require_6n([l.color for l in ls], "line")
     require_simple(ls)
 
-    # with a vertical line, shear by (x, y) -> (x + lam*y, y): line
-    # (a, b, c) becomes (a, b - a*lam, c), and as normalized lines have
-    # a in {0, 1} and lam > |b|, no sheared line is vertical
-    lam = None
-    work = ls
-    if any(l.is_vertical for l in ls):
-        lam = math.floor(max(abs(l.b) for l in ls)) + 1
-        work = tuple(ColoredLine(l.a, l.b - l.a * lam, l.c, l.color) for l in ls)
-
+    lam, dual_pts = _sheared_duals(ls)
     # a simple arrangement has no parallel lines (distinct dual x) and no
     # three concurrent lines (no three collinear dual points), so the duals
     # already meet the sweep's preconditions
-    dual_pts = tuple(dual_line_to_point(l) for l in work)
     seg = wedge_dual_segment(_sweep(dual_pts, n))
     if lam is not None:
         seg = Segment(*((x - lam * y, y) for x, y in (seg.p, seg.q)))
 
+    u, v = int_point(*seg.p), int_point(*seg.q)
     try:
-        counts = _int_segment_counts(seg, ls)
-    except EndpointOnLine as e:
+        counts = _int_side_counts(u, v, [int_line(l) for l in ls], [l.color for l in ls], False)
+    except OnBoundary as e:
         raise InternalError("segment endpoint on an input line") from e
     if any(counts[c] != n for c in RGB):
         raise InternalError("halving segment did not verify", {"counts": str(counts)})

@@ -21,6 +21,14 @@ def run_cli(*args):
     )
 
 
+# six simple lines, 2 per color, the first one vertical
+VERTICAL_SIX = [
+    {"a": "1", "b": "0", "c": "0", "color": "R"}, {"a": "1", "b": "-1", "c": "3", "color": "R"},
+    {"a": "1", "b": "2", "c": "-5", "color": "G"}, {"a": "1", "b": "-3", "c": "7", "color": "G"},
+    {"a": "1", "b": "5", "c": "11", "color": "B"}, {"a": "0", "b": "1", "c": "-13", "color": "B"},
+]
+
+
 class TestGen:
     def test_deterministic_bytes(self, tmp_path):
         a = run_cli("gen", "SimpleLines3C", "--n", "6", "--seed", "9")
@@ -79,6 +87,15 @@ class TestSolve:
         assert json.loads(r.stdout)["verification"]["counts"] == [1, 1, 1]
         r2 = run_cli("solve", "segment", "--n", "2", "--seed", "6", "--verify")
         assert json.loads(r2.stdout)["verification"]["member"] is True
+
+    def test_segment_with_a_vertical_line_is_oracle_checked(self, tmp_path):
+        inst = tmp_path / "vertical.json"
+        inst.write_text(json.dumps({"instance": {"lines": VERTICAL_SIX}}))
+        r = run_cli("solve", "segment", "--in", str(inst), "--verify")
+        assert r.returncode == 0, r.stderr
+        v = json.loads(r.stdout)["verification"]
+        assert v["member"] is True and v["counts"] == [1, 1, 1]
+        assert len(v["oracle_answers"]) == 8 and [1, 3, 5] in v["oracle_answers"]
 
     def test_lline_self_generated(self):
         r = run_cli("solve", "lline", "--n", "4", "--seed", "5", "--verify")
@@ -187,6 +204,39 @@ class TestVerify:
         assert r.returncode == 3
         trace = json.loads(r.stderr)
         assert trace["error"] == "internal"
+
+    def test_tampered_cell_colors_exit_3(self, tmp_path):
+        sol = self.solution(tmp_path, "solve", "cell", "--n", "7", "--seed", "1")
+        env = json.loads(sol.read_text())
+        face = env["answer"]["face"]
+        face["boundary_colors"] = ["R"] * len(face["boundary_colors"])
+        sol.write_text(json.dumps(env))
+        r = run_cli("verify", "--in", str(sol))
+        assert r.returncode == 3
+        assert json.loads(r.stderr)["error"] == "internal"
+
+    def test_rotated_cell_verifies(self, tmp_path):
+        sol = self.solution(tmp_path, "solve", "cell", "--n", "7", "--seed", "1")
+        env = json.loads(sol.read_text())
+        face = env["answer"]["face"]
+        for key in ("vertices", "boundary_lines", "boundary_colors"):
+            face[key] = face[key][1:] + face[key][:1]
+        sol.write_text(json.dumps(env))
+        assert run_cli("verify", "--in", str(sol)).returncode == 0
+
+    def test_unbalanced_segment_file_verifies(self, tmp_path):
+        # 6 lines colored R, R, G, R, G, B: the answer crosses lines 1, 2
+        # and 5, one per color, while the lines it misses are R, R, G
+        sol = self.solution(tmp_path, "solve", "segment", "--n", "1", "--seed", "3")
+        env = json.loads(sol.read_text())
+        for l, c in zip(env["instance"]["lines"], "RRGRGB"):
+            l["color"] = c
+        sol.write_text(json.dumps(env))
+        r = run_cli("verify", "--in", str(sol))
+        assert r.returncode == 0, r.stderr
+        v = json.loads(r.stdout)
+        assert v["member"] is True and v["counts"] == [1, 1, 1]
+        assert [1, 2, 5] in v["oracle_answers"]
 
     def test_neutral_point_in_solution_exit_2(self, tmp_path):
         sol = self.solution(

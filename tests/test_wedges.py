@@ -16,6 +16,8 @@ from tricut.core import (
     deficit_steps,
     dual_line_to_point,
     dual_point_to_line,
+    int_line,
+    int_point,
     int_points,
     line,
     line_slope_intercept,
@@ -43,6 +45,7 @@ from tricut.wedges import (
     find_111_wedge,
     halving_segment,
     ordering_at,
+    brute_oracle_segments,
     brute_oracle_wedges,
     sweep_balanced_wedge,
     wedge_color_counts,
@@ -347,6 +350,24 @@ class TestSweep:
         assert wedge_color_counts(w, pts) == {R: 16, G: 16, B: 16}
 
 
+def int_wedge_counts(w, pts):
+    """The wedge solvers' self-check: `_int_side_counts` on the boundary
+    lines' and the points' integer triples."""
+    return wedges._int_side_counts(
+        int_line(w.line1), int_line(w.line2), int_points(pts), [p.color for p in pts],
+        w.sector == SECTOR_AGREE,
+    )
+
+
+def int_segment_counts(seg, lines):
+    """`halving_segment`'s self-check: `_int_side_counts` on the ends'
+    integer triples and the lines' integer coefficients."""
+    return wedges._int_side_counts(
+        int_point(*seg.p), int_point(*seg.q), [int_line(l) for l in lines],
+        [l.color for l in lines], False,
+    )
+
+
 class TestIntWedgeCounts:
     """The sweep's self-check counts on integer triples; it must agree with
     wedge_color_counts, boundary errors included."""
@@ -355,7 +376,6 @@ class TestIntWedgeCounts:
     def test_matches_wedge_color_counts(self, seed):
         rng = random.Random(seed)
         pts = rand_balanced_points(2, seed)
-        ints = int_points(pts)
         for _ in range(40):
             apex = (F(rng.randint(-200, 200), rng.randint(1, 7)), F(rng.randint(-200, 200), 3))
             f1, f2 = [
@@ -369,9 +389,9 @@ class TestIntWedgeCounts:
                 want = wedge_color_counts(w, pts)
             except OnBoundary:
                 with pytest.raises(OnBoundary):
-                    wedges._int_wedge_counts(w, ints, pts)
+                    int_wedge_counts(w, pts)
                 continue
-            assert wedges._int_wedge_counts(w, ints, pts) == want
+            assert int_wedge_counts(w, pts) == want
 
     def test_point_on_a_boundary_line(self):
         pts = rand_balanced_points(1, 3)
@@ -380,13 +400,13 @@ class TestIntWedgeCounts:
             (p.x, p.y), (q.y - p.y, p.x - q.x, q.x * p.y - p.x * q.y), (1, 1, -p.x - p.y), True
         )
         with pytest.raises(OnBoundary):
-            wedges._int_wedge_counts(w, int_points(pts), pts)
+            int_wedge_counts(w, pts)
 
 
 class TestIntSegmentCounts:
     """`halving_segment` counts its answer on integer coefficients and end
-    triples; that count must agree with count_segment_crossings, endpoint
-    errors included."""
+    triples; that count must agree with count_segment_crossings, and an end
+    on a line, which count_segment_crossings refuses, is OnBoundary."""
 
     @pytest.mark.parametrize("mapped", [False, True])
     @pytest.mark.parametrize("seed", range(4))
@@ -412,10 +432,10 @@ class TestIntSegmentCounts:
             try:
                 want = count_segment_crossings(seg, lines)
             except EndpointOnLine:
-                with pytest.raises(EndpointOnLine):
-                    wedges._int_segment_counts(seg, lines)
+                with pytest.raises(OnBoundary):
+                    int_segment_counts(seg, lines)
                 continue
-            assert wedges._int_segment_counts(seg, lines) == want
+            assert int_segment_counts(seg, lines) == want
 
     @pytest.mark.usefixtures("expected_internal_errors")
     def test_endpoint_on_a_line_is_internal(self, monkeypatch):
@@ -690,6 +710,48 @@ class TestBruteOracleWedges:
         pts = rand_balanced_points(4, 10)
         with pytest.raises(PreconditionViolated):
             brute_oracle_wedges(pts, (4, 4, 4))
+
+
+# six simple lines, one vertical; the halving segment's crossing set is (1, 3, 5)
+VERTICAL_SIX = [
+    line(1, 0, 0, R), line(1, -1, 3, R), line(1, 2, -5, G),
+    line(1, -3, 7, G), line(1, 5, 11, B), line(0, 1, -13, B),
+]
+
+
+def crossing_set(seg, lines):
+    return tuple(i for i, l in enumerate(lines) if l.side(seg.p) != l.side(seg.q))
+
+
+class TestBruteOracleSegments:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_wedge_oracle_on_the_duals_without_vertical_lines(self, n):
+        for seed in (1, 2, 3):
+            pts = generate(GenSpec(GenKind.Points3CConvex, n, seed))
+            lines = [dual_point_to_line(p) for p in pts]
+            duals = [dual_line_to_point(l) for l in lines]
+            for target in ((n, n, n), (0, 0, 0), (1, 0, 0), (n, 0, 2 * n)):
+                assert brute_oracle_segments(lines, target) == brute_oracle_wedges(duals, target)
+
+    def test_vertical_line(self):
+        seg = halving_segment(VERTICAL_SIX)
+        assert crossing_set(seg, VERTICAL_SIX) == (1, 3, 5)
+        assert len(brute_oracle_segments(VERTICAL_SIX, (1, 1, 1))) == 8
+        # any segment's crossing set is a type of its own counts
+        rng = random.Random(5)
+        for _ in range(200):
+            p, q = ((F(rng.randint(-300, 300), 7), F(rng.randint(-300, 300), 5)) for _ in range(2))
+            if p == q or any(l.side(p) * l.side(q) == 0 for l in VERTICAL_SIX):
+                continue
+            seg = Segment(p, q)
+            key = crossing_set(seg, VERTICAL_SIX)
+            target = tuple(sum(VERTICAL_SIX[i].color is c for i in key) for c in RGB)
+            assert key in brute_oracle_segments(VERTICAL_SIX, target)
+
+    def test_size_cap(self):
+        lines = [dual_point_to_line(p) for p in rand_balanced_points(4, 10)]
+        with pytest.raises(PreconditionViolated):
+            brute_oracle_segments(lines, (4, 4, 4))
 
 
 class TestBruteOracleMatchesTable:
