@@ -2,13 +2,17 @@
 
     tricut gen KIND [--n N] [--seed S] [--out PATH]
     tricut solve {cell,wedge111,wedge,segment,arcs,lline}
-                 [--in PATH | --n N --seed S] [--k K] [--verify] [--out PATH]
+                 [--in PATH | --n N --seed S] [--k K] [--verify]
+                 [--format json|svg] [--out PATH]
     tricut verify --in SOLUTION [--out PATH]
     tricut render --in FILE [--out PATH] [--format svg]
 
 Solve commands read an instance file, or generate one themselves from --n
-and --seed.  Every solver output is a JSON envelope carrying the instance,
-so it can be re-verified or rendered from the file alone.  Exit codes:
+and --seed.  Every solver output is a JSON envelope carrying the instance
+and naming its kind in `command`, so verify and render work from the file
+alone; render draws a file without a solve command as a bare instance.
+Each command decodes its instance once, through the kind table `_KINDS`;
+solve hands a generated instance to its solver undecoded.  Exit codes:
 0 success, 2 a precondition failed (bad input, bad flags), 3 an internal
 guarantee broke (the contradiction trace is dumped to stderr).
 """
@@ -24,18 +28,9 @@ import time
 
 from . import serialization as ser
 from .arcs import find_k_arcset
-from .cells import (
-    build_arrangement,
-    cycle_parity,
-    find_complete_face,
-)
-from .core import Color, arcset_color_counts, dual_point_to_line, empty_arcset
-from .errors import (
-    GenerationFailed,
-    InternalError,
-    PreconditionViolated,
-    TricutError,
-)
+from .cells import build_arrangement, cycle_parity, find_complete_face
+from .core import Color, arcset_color_counts, dual_point_to_line, require_rgb
+from .errors import GenerationFailed, InternalError, PreconditionViolated, TricutError
 from .generators import GenKind, GenSpec, generate
 from .llines import brute_oracle_llines, find_balanced_lline, lline_counts
 from .oracles import (
@@ -46,12 +41,7 @@ from .oracles import (
     enumerate_2arc_sets,
     scan_all_complete_faces,
 )
-from .svg import (
-    render_arcset,
-    render_arrangement,
-    render_lline,
-    render_wedge,
-)
+from .svg import render_arcset, render_arrangement, render_lline, render_wedge
 from .wedges import (
     brute_oracle_segments,
     brute_oracle_wedges,
@@ -63,18 +53,19 @@ from .wedges import (
     wedge_point_indices,
 )
 
-SOLVE_KINDS = ("cell", "wedge111", "wedge", "segment", "arcs", "lline")
-
-# the generator and default n of the instance a solve command makes itself;
-# segment takes the duals of convex-position points: simple, 2n lines per color
-_GENERATED = {
-    "cell": (GenKind.SimpleLines3C, 7),
-    "wedge111": (GenKind.Points3C, 9),
-    "wedge": (GenKind.Points3CConvex, 2),
-    "segment": (GenKind.Points3CConvex, 2),
-    "arcs": (GenKind.CirclePoints3C, 5),
-    "lline": (GenKind.LatticeRedHull, 4),
+# per solve kind: the generator and default n of the instance a solve command
+# makes itself, and the name of its payload decoder in `serialization` (looked
+# up at call time, so a wrapper bound there sees the call); segment takes the
+# duals of convex-position points: simple, 2n lines per color
+_KINDS = {
+    "cell": (GenKind.SimpleLines3C, 7, "dec_lines_payload"),
+    "wedge111": (GenKind.Points3C, 9, "dec_points_payload"),
+    "wedge": (GenKind.Points3CConvex, 2, "dec_points_payload"),
+    "segment": (GenKind.Points3CConvex, 2, "dec_lines_payload"),
+    "arcs": (GenKind.CirclePoints3C, 5, "dec_circle_payload"),
+    "lline": (GenKind.LatticeRedHull, 4, "dec_lattice_payload"),
 }
+SOLVE_KINDS = tuple(_KINDS)
 
 
 # -- plumbing --------------------------------------------------------------------
@@ -116,52 +107,51 @@ def _instance_id(payload: dict) -> str:
 # -- solving ---------------------------------------------------------------------
 
 
-def _solve(kind: str, payload: dict, k: int | None) -> dict:
-    """Run one solver on a decoded instance; answers come back as JSON data."""
+def _decode(kind: str, payload: dict):
+    """The items of an instance payload, through its solve kind's decoder."""
+    return getattr(ser, _KINDS[kind][2])(payload)
+
+
+def _answer(answer: dict, key: str, dec):
+    """dec(answer[key]); a missing key or an answer that is no object is malformed."""
+    with ser.decoding():
+        return dec(answer[key])
+
+
+def _solve(kind: str, items, k: int | None) -> dict:
+    """Run one solver on decoded items; answers come back as JSON data."""
     if kind == "cell":
-        lines = ser.dec_lines_payload(payload)
-        face = find_complete_face(lines)
-        return {"face": ser.enc_face(face)}
+        return {"face": ser.enc_face(find_complete_face(items))}
     if kind in ("wedge111", "wedge"):
-        points = ser.dec_points_payload(payload)
-        w = (find_111_wedge if kind == "wedge111" else sweep_balanced_wedge)(points)
+        w = (find_111_wedge if kind == "wedge111" else sweep_balanced_wedge)(items)
         return {"wedge": ser.enc_wedge(w), "dual_segment": ser.enc_segment(wedge_dual_segment(w))}
     if kind == "segment":
-        lines = ser.dec_lines_payload(payload)
-        seg = halving_segment(lines)
-        return {"segment": ser.enc_segment(seg)}
+        return {"segment": ser.enc_segment(halving_segment(items))}
     if kind == "arcs":
-        points = ser.dec_circle_payload(payload)
         if k is None:
             raise PreconditionViolated("solve arcs requires --k")
-        a = find_k_arcset(points, k)
-        return {"arcs": ser.enc_arcset(a)}
-    if kind == "lline":
-        s = ser.dec_lattice_payload(payload)
-        l, kk = find_balanced_lline(s)
-        return {"lline": ser.enc_lline(l), "k": kk}
-    raise PreconditionViolated(f"unknown solve kind {kind!r}")
+        return {"arcs": ser.enc_arcset(find_k_arcset(items, k))}
+    l, kk = find_balanced_lline(items)
+    return {"lline": ser.enc_lline(l), "k": kk}
 
 
 def _counts_tuple(cc: dict) -> tuple[int, int, int]:
     return (cc[Color.R], cc[Color.G], cc[Color.B])
 
 
-def _report(kind: str, payload: dict, answer: dict, k: int | None) -> VerificationReport:
-    """Recompute the oracle check from JSON data alone (what verify re-runs)."""
+def _report(kind: str, payload: dict, items, answer: dict, k: int | None) -> VerificationReport:
+    """Recompute the oracle check of a JSON answer on the decoded items of
+    `payload` (what verify re-runs)."""
     t0 = time.perf_counter()
-    iid = _instance_id(payload)
+    if kind != "lline":  # the lattice decoder checks its colors itself
+        require_rgb([x.color for x in items], "line" if kind in ("cell", "segment") else "point")
 
     if kind == "cell":
-        lines = ser.dec_lines_payload(payload)
         with ser.decoding():
             verts = [ser.dec_xy(v) for v in answer["face"]["vertices"]]
             colors = [Color(c) for c in answer["face"]["boundary_colors"]]
-        arr = build_arrangement(lines)
-        complete = scan_all_complete_faces(arr)
-        oracle = tuple(
-            sorted(ser.enc_xy(v) for v in f.vertices) for f in complete
-        )
+        complete = scan_all_complete_faces(build_arrangement(items))
+        oracle = tuple(sorted(ser.enc_xy(v) for v in f.vertices) for f in complete)
         # a cell's edges (vertex, color, next vertex) do not depend on the
         # vertex either construction path starts its cycle at
         def edges(vs, cs):
@@ -175,17 +165,13 @@ def _report(kind: str, payload: dict, answer: dict, k: int | None) -> Verificati
 
     elif kind in ("wedge111", "wedge", "segment"):
         if kind == "segment":
-            items = ser.dec_lines_payload(payload)
-            with ser.decoding():
-                seg = ser.dec_segment(answer["segment"])
+            seg = _answer(answer, "segment", ser.dec_segment)
             # count_segment_crossings refuses an end on a line, so each side is +-1
             counts = _counts_tuple(count_segment_crossings(seg, items))
             key = tuple(i for i, l in enumerate(items) if l.side(seg.p) != l.side(seg.q))
             oracle_of = brute_oracle_segments
         else:
-            items = ser.dec_points_payload(payload)
-            with ser.decoding():
-                w = ser.dec_wedge(answer["wedge"])
+            w = _answer(answer, "wedge", ser.dec_wedge)
             counts = _counts_tuple(wedge_color_counts(w, items))
             key = wedge_point_indices(w, items)
             oracle_of = brute_oracle_wedges
@@ -199,38 +185,29 @@ def _report(kind: str, payload: dict, answer: dict, k: int | None) -> Verificati
             oracle, member = (), counts == target
 
     elif kind == "arcs":
-        points = ser.dec_circle_payload(payload)
         if k is None:
             raise PreconditionViolated("verify arcs requires the k parameter")
-        with ser.decoding():
-            a = ser.dec_arcset(answer["arcs"])
-        counts = _counts_tuple(arcset_color_counts(a, points))
+        a = _answer(answer, "arcs", ser.dec_arcset)
+        counts = _counts_tuple(arcset_color_counts(a, items))
         target = (k, k, k)
-        oracle_sets = enumerate_2arc_sets(points, k)
-        keys = {arcset_points_key(o, points) for o in oracle_sets}
-        member = a.component_count() <= 2 and arcset_points_key(a, points) in keys
+        keys = {arcset_points_key(o, items) for o in enumerate_2arc_sets(items, k)}
+        member = a.component_count() <= 2 and arcset_points_key(a, items) in keys
         oracle = tuple(sorted(list(kk) for kk in keys))
 
-    elif kind == "lline":
-        s = ser.dec_lattice_payload(payload)
+    else:
         with ser.decoding():
             l = ser.dec_lline(answer["lline"])
             kk = answer["k"]
         if type(kk) is not int:
             raise PreconditionViolated(f"answer.k must be an integer, got {kk!r}")
-        counts = lline_counts(l, s)[0]
+        counts = lline_counts(l, items)[0]
         target = (kk, kk, kk)
-        oracle_pairs = brute_oracle_llines(s)
+        oracle_pairs = brute_oracle_llines(items)
         member = (l, kk) in oracle_pairs
-        oracle = tuple(
-            {"lline": ser.enc_lline(ol), "k": ok} for ol, ok in oracle_pairs
-        )
-
-    else:
-        raise PreconditionViolated(f"unknown solve kind {kind!r}")
+        oracle = tuple({"lline": ser.enc_lline(ol), "k": ok} for ol, ok in oracle_pairs)
 
     return VerificationReport(
-        instance_id=iid,
+        instance_id=_instance_id(payload),
         solver_answer=answer,
         oracle_answers=oracle,
         member=member,
@@ -242,6 +219,20 @@ def _report(kind: str, payload: dict, answer: dict, k: int | None) -> Verificati
 
 def _report_as_dict(r: VerificationReport) -> dict:
     return json.loads(r.to_json_line())
+
+
+def _draw(kind: str, items, answer: dict) -> str:
+    """SVG of decoded items with their kind's JSON answer drawn over them."""
+    if kind == "cell":
+        face = _answer(answer, "face", ser.dec_face)
+        return render_arrangement(build_arrangement(items), face)
+    if kind in ("wedge111", "wedge"):
+        return render_wedge(items, _answer(answer, "wedge", ser.dec_wedge))
+    if kind == "arcs":
+        return render_arcset(items, _answer(answer, "arcs", ser.dec_arcset))
+    if kind == "lline":
+        return render_lline(items, _answer(answer, "lline", ser.dec_lline))
+    return render_arrangement(build_arrangement(items))  # a segment as its lines
 
 
 # -- commands --------------------------------------------------------------------
@@ -259,17 +250,18 @@ def _cmd_solve(args) -> int:
     kind = args.what
     if args.infile is not None:
         payload = ser.unwrap_instance(_load_json(args.infile))
+        items = _decode(kind, payload)
     else:
-        gen, n = _GENERATED[kind]
+        gen, n, _ = _KINDS[kind]
         n = n if args.n is None else args.n
-        obj = generate(GenSpec(gen, n, args.seed))
+        items = generate(GenSpec(gen, n, args.seed))
         if kind == "segment":
-            obj = tuple(dual_point_to_line(p) for p in obj)
-        payload = ser.enc_instance(gen.value, n, args.seed, obj)["instance"]
+            items = tuple(dual_point_to_line(p) for p in items)
+        payload = ser.enc_instance(gen.value, n, args.seed, items)["instance"]
     k = args.k
-    answer = _solve(kind, payload, k)
+    answer = _solve(kind, items, k)
     if kind == "lline":
-        k = int(answer["k"])
+        k = answer["k"]
     env = {
         "command": f"solve {kind}",
         "params": {"k": k},
@@ -278,16 +270,20 @@ def _cmd_solve(args) -> int:
         "verification": None,
     }
     if args.verify:
-        env["verification"] = _report_as_dict(_report(kind, payload, answer, k))
+        env["verification"] = _report_as_dict(_report(kind, payload, items, answer, k))
         if not env["verification"]["member"]:
-            raise InternalError(
-                "solver answer rejected by its oracle", env["verification"]
-            )
+            raise InternalError("solver answer rejected by its oracle", env["verification"])
     if args.format == "svg":
-        _emit(_render(env), args.out)
+        _emit(_draw(kind, items, answer), args.out)
     else:
         _emit(json.dumps(env, indent=2, sort_keys=True), args.out)
     return 0
+
+
+def _kind_of(command: str) -> str | None:
+    """The solve kind a solution file's command names (its last word), or None."""
+    words = command.split()
+    return words[-1] if words and words[-1] in _KINDS else None
 
 
 def _cmd_verify(args) -> int:
@@ -295,18 +291,17 @@ def _cmd_verify(args) -> int:
     for key in ("command", "instance", "answer"):
         if key not in env:
             raise PreconditionViolated(f"solution file lacks {key!r}")
-    command = env["command"]
-    words = command.split()
-    kind = words[-1] if words else None
-    if kind not in SOLVE_KINDS:
-        raise PreconditionViolated(f"unknown command {command!r}")
+    kind = _kind_of(env["command"])
+    if kind is None:
+        raise PreconditionViolated(f"unknown command {env['command']!r}")
     params = env.get("params") or {}
     if not isinstance(params, dict):
         raise PreconditionViolated(f"params must be an object, got {params!r}")
     k = params.get("k")
     if k is not None and type(k) is not int:
         raise PreconditionViolated(f"params.k must be an integer, got {k!r}")
-    report = _report(kind, env["instance"], env["answer"], k)
+    items = _decode(kind, env["instance"])
+    report = _report(kind, env["instance"], items, env["answer"], k)
     got = _report_as_dict(report)
     if not got["member"]:
         raise InternalError("solution rejected by its oracle", got)
@@ -323,41 +318,23 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _render(env: dict) -> str:
-    command = env.get("command", "")
-    with ser.decoding():  # the instance and the answer are objects
-        payload = dict(ser.unwrap_instance(env))
-        answer = dict(env.get("answer", {}))
-        circle = "points" in payload and payload["points"] and "t" in payload["points"][0]
-
-    if command.endswith("cell") and "face" in answer:
-        lines = ser.dec_lines_payload(payload)
-        return render_arrangement(build_arrangement(lines), ser.dec_face(answer["face"]))
-    if "wedge" in answer:
-        points = ser.dec_points_payload(payload)
-        return render_wedge(points, ser.dec_wedge(answer["wedge"]))
-    if "arcs" in answer:
-        points = ser.dec_circle_payload(payload)
-        return render_arcset(points, ser.dec_arcset(answer["arcs"]))
-    if "lline" in answer:
-        s = ser.dec_lattice_payload(payload)
-        return render_lline(s, ser.dec_lline(answer["lline"]))
-    if "segment" in answer:
-        lines = ser.dec_lines_payload(payload)
-        arr = build_arrangement(lines)
-        return render_arrangement(arr)
-
-    # bare or generated instances, no solution overlay
-    if "lines" in payload:
-        return render_arrangement(build_arrangement(ser.dec_lines_payload(payload)))
-    if circle:
-        return render_arcset(ser.dec_circle_payload(payload), empty_arcset())
-    raise PreconditionViolated("nothing renderable in this file")
-
-
 def _cmd_render(args) -> int:
+    """A solution file is drawn through the kind its command names; any
+    other file as a bare instance of lines or circle points, with nothing
+    over it."""
     env = _load_envelope(args.infile)
-    _emit(_render(env), args.out)
+    kind, answer = _kind_of(env.get("command", "")), env.get("answer", {})
+    with ser.decoding():  # the instance is an object
+        payload = dict(ser.unwrap_instance(env))
+        circle = "points" in payload and payload["points"] and "t" in payload["points"][0]
+    if kind is None:
+        if "lines" in payload:
+            kind = "segment"
+        elif circle:
+            kind, answer = "arcs", {"arcs": []}
+        else:
+            raise PreconditionViolated("nothing renderable in this file")
+    _emit(_draw(kind, _decode(kind, payload), answer), args.out)
     return 0
 
 

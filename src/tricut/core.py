@@ -434,14 +434,12 @@ def arcset(intervals: Iterable[tuple[Rat, Rat]]) -> ArcSet:
     covering everything becomes the full circle.
     """
     pieces: list[tuple[Rat, Rat]] = []
-    total = Fraction(0)
     for lo, hi in intervals:
         lo, hi = as_rat(lo), as_rat(hi)
         if hi <= lo:
             raise PreconditionViolated(f"arc ({lo}, {hi}) has nonpositive length")
         if hi - lo > 1:
             raise PreconditionViolated(f"arc ({lo}, {hi}) is longer than the circle")
-        total += hi - lo
         lo_m = lo % 1
         hi_m = lo_m + (hi - lo)
         if hi_m <= 1:
@@ -451,19 +449,7 @@ def arcset(intervals: Iterable[tuple[Rat, Rat]]) -> ArcSet:
             pieces.append((Fraction(0), hi_m - 1))
     if not pieces:
         return ArcSet(())
-    if total >= 1:
-        # only legal when the pieces tile the whole circle
-        pieces.sort()
-        cover = pieces[0][0] == 0
-        end = pieces[0][1] if cover else None
-        for lo, hi in pieces[1:]:
-            if not cover or lo > end:
-                cover = False
-                break
-            end = max(end, hi)
-        if cover and end == 1 and total == 1:
-            return full_circle()
-        raise PreconditionViolated("arcs overlap (total length exceeds the circle)")
+    # pieces tiling the circle merge into (0, 1), the full circle
     pieces.sort()
     merged: list[list[Rat]] = [list(pieces[0])]
     for lo, hi in pieces[1:]:

@@ -83,10 +83,6 @@ class SlopeOrdering:
     points: tuple[ColoredPoint, ...]  # sorted by increasing slope from apex
     slopes: tuple[Rat, ...]
 
-    @property
-    def colors(self) -> tuple[Color, ...]:
-        return tuple(p.color for p in self.points)
-
 
 def ordering_at(apex: tuple[Rat, Rat], points: Sequence[ColoredPoint]) -> SlopeOrdering:
     """Order points by slope of the ray from apex.  The apex must not share an

@@ -1,7 +1,8 @@
-"""End-to-end command line runs in subprocesses.
+"""End-to-end command line runs, in subprocesses and in process.
 
 Covers the exit-code contract (0 success, 2 precondition, 3 internal),
-solve/verify round trips, and SVG rendering of instances and solutions.
+solve/verify round trips, and SVG rendering of instances and solutions;
+`TestEveryKind` takes each solve kind through the file routes in process.
 """
 
 import json
@@ -10,6 +11,8 @@ import sys
 import time
 
 import pytest
+
+from tricut import cli
 
 
 def run_cli(*args):
@@ -129,8 +132,6 @@ class TestSolve:
     def test_arcs_huge_exponent_exit_2(self, tmp_path, capsys):
         # an 11-byte parameter that would decode to a ten-million-digit
         # denominator is refused before it is built
-        from tricut import cli
-
         inst = tmp_path / "e.json"
         pts = [{"t": f"{i}/8", "color": c} for i, c in enumerate("RGBRGB", start=1)]
         pts[0]["t"] = "1e-10000000"
@@ -300,6 +301,29 @@ class TestVerify:
     def test_missing_file_exit_2(self):
         assert run_cli("verify", "--in", "/nonexistent/x.json").returncode == 2
 
+    @pytest.mark.parametrize("kind,n,edit,message", [
+        ("segment", 1, "B->R", "no line of color B"),
+        ("segment", 1, "empty", "no line of color R,G,B"),
+        ("segment", 4, "B->R", "no line of color B"),  # 24 lines, past the oracle cap
+        ("wedge", 4, "B->R", "no point of color B"),
+        ("cell", 7, "K", "line 0 has color K, want R, G or B"),
+    ], ids=["segment", "segment-empty", "segment-past-cap", "wedge-past-cap", "cell-neutral"])
+    def test_instance_colors_checked_exit_2(self, tmp_path, capsys, kind, n, edit, message):
+        sol = tmp_path / "sol.json"
+        assert cli.run(["solve", kind, "--n", str(n), "--seed", "3", "--out", str(sol)]) == 0
+        env = json.loads(sol.read_text())
+        items = env["instance"]["lines" if kind in ("cell", "segment") else "points"]
+        if edit == "empty":
+            items.clear()
+        elif edit == "K":
+            items[0]["color"] = "K"
+        else:
+            for item in items:
+                item["color"] = "R" if item["color"] == "B" else item["color"]
+        sol.write_text(json.dumps(env))
+        assert cli.run(["verify", "--in", str(sol)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestRender:
     def test_solution_pictures(self, tmp_path):
@@ -348,6 +372,52 @@ class TestRender:
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+def k_flag(kind):
+    return ["--k", "2"] if kind == "arcs" else []
+
+
+@pytest.mark.parametrize("kind", cli.SOLVE_KINDS)
+class TestEveryKind:
+    """Each solve kind at its default n, seed 1, through every file route."""
+
+    def solve(self, tmp_path, kind, name, *args):
+        out = tmp_path / name
+        assert cli.run(["solve", kind, "--seed", "1", *k_flag(kind), *args, "--out", str(out)]) == 0
+        return out
+
+    def test_file_solve_repeats_the_generated_one(self, tmp_path, kind):
+        gen = self.solve(tmp_path, kind, "gen.json")
+        again = tmp_path / "again.json"
+        assert cli.run(["solve", kind, "--in", str(gen), *k_flag(kind), "--out", str(again)]) == 0
+        a, b = json.loads(gen.read_text()), json.loads(again.read_text())
+        assert (a["instance"], a["answer"]) == (b["instance"], b["answer"])
+
+    def test_svg_equals_render_of_the_json(self, tmp_path, kind):
+        svg = self.solve(tmp_path, kind, "solve.svg", "--format", "svg")
+        pic = tmp_path / "render.svg"
+        assert cli.run(["render", "--in", str(self.solve(tmp_path, kind, "sol.json")),
+                        "--out", str(pic)]) == 0
+        assert svg.read_text().startswith("<svg ")
+        assert svg.read_bytes() == pic.read_bytes()
+
+    def test_verified_file_verifies(self, tmp_path, kind, capsys):
+        sol = self.solve(tmp_path, kind, "sol.json", "--verify")
+        assert cli.run(["verify", "--in", str(sol)]) == 0
+        assert json.loads(capsys.readouterr().out)["member"] is True
+
+    def test_file_without_command_renders_as_its_bare_instance(self, tmp_path, kind, capsys):
+        # lines and circle points draw bare; other bare points have no picture
+        env = json.loads(self.solve(tmp_path, kind, "sol.json").read_text())
+        del env["command"]
+        results = []
+        for doc in (env, {"instance": env["instance"]}):
+            f = tmp_path / "doc.json"
+            f.write_text(json.dumps(doc))
+            results.append((cli.run(["render", "--in", str(f)]), capsys.readouterr()))
+        assert results[0] == results[1]
+        assert results[0][0] == (0 if kind in ("cell", "segment", "arcs") else 2)
+
+
 @pytest.mark.parametrize("args", [
     ["solve", "cell", "--in"],
     ["verify", "--in"],
@@ -365,8 +435,6 @@ def test_non_utf8_file_exit_2(tmp_path, args):
 def test_cached_parser_after_a_failing_call(tmp_path, capsys):
     # run() builds its parser once per process; calls that fail in argparse
     # or in the solver leave nothing behind for the next call to read
-    from tricut import cli
-
     with pytest.raises(SystemExit) as err:
         cli.run(["solve", "nonsense"])
     assert err.value.code == 2

@@ -214,8 +214,22 @@ class TestArcSet:
     def test_overlap_rejected(self):
         with pytest.raises(PreconditionViolated):
             arcset([(0, F(1, 2)), (F(1, 4), F(3, 4))])
-        with pytest.raises(PreconditionViolated):
-            arcset([(0, F(3, 4)), (F(1, 2), F(5, 4))])
+        # however long the overlapping arcs are together
+        for intervals in (
+            [(0, F(3, 4)), (F(1, 2), F(5, 4))],
+            [(0, 1), (F(1, 4), F(1, 2))],
+            [(F(1, 3), F(4, 3)), (F(1, 3), F(4, 3))],
+        ):
+            with pytest.raises(PreconditionViolated, match="^arcs overlap$"):
+                arcset(intervals)
+
+    @pytest.mark.parametrize("intervals", [
+        [(F(1, 2), F(5, 4)), (F(1, 4), F(1, 2))],
+        [(F(2, 3), 1), (0, F(1, 3)), (F(1, 3), F(2, 3))],
+    ])
+    def test_tiling_pieces_merge_into_the_full_circle(self, intervals):
+        a = arcset(intervals)
+        assert a == full_circle() and a.is_full_circle
 
     def test_direct_construction_validates(self):
         with pytest.raises(PreconditionViolated):
