@@ -12,7 +12,11 @@ point (X/W, Y/W); simplicity is checked on these triples by the incidence
 kernel of `core`, with the line at infinity as its z.  The incremental
 insertion tracks its cell's corners as such triples and tests sides by the
 sign of A*X + B*Y + C*W, with W > 0; the corners become Fractions once, in
-the returned Face.  `build_arrangement` keys its nodes by primitive triples
+the returned Face.  The incremental search reads nothing else of a line
+than its triple and its color, so its body (`_face_of_rows`) runs on those
+rows: `find_complete_face` builds them from the lines, and the CLI decodes
+a payload straight into them (`serialization.dec_line_rows`).
+`build_arrangement` keys its nodes by primitive triples
 and orders each line's points on integer keys, so each vertex becomes a
 Fraction point only once.
 """
@@ -33,6 +37,7 @@ from .core import (
     Rat,
     RGB,
     Segment,
+    Triple,
     check_joins,
     clip_line,
     int_line,
@@ -314,23 +319,34 @@ def find_complete_face(lines: Sequence[ColoredLine]) -> Face:
     splits it into two sub-cells, exactly one of which is complete; keep it.
     The result is a cell of the full arrangement.
     """
-    lines = tuple(lines)
-    require_rgb([l.color for l in lines], "line")
-    coeffs = [int_line(l) for l in lines]
+    return _face_of_rows(*_rows_of_lines(tuple(lines)))
+
+
+def _rows_of_lines(lines: Sequence[ColoredLine]) -> tuple[list[Triple], list[Color]]:
+    """The rows `_face_of_rows` takes: each line's `int_line` triple, and
+    its color."""
+    return [int_line(l) for l in lines], [l.color for l in lines]
+
+
+def _face_of_rows(coeffs: Sequence[Triple], colors: Sequence[Color]) -> Face:
+    """`find_complete_face` on rows: each line's `int_line` triple and its
+    color, in input order; checks the colors and simplicity first."""
+    require_rgb(colors, "line")
     check_joins(coeffs, _AT_INFINITY, _not_simple)
-    return _complete_face(lines, coeffs)
+    return _complete_face(colors, coeffs)
 
 
-def _complete_face(lines: Sequence[ColoredLine], coeffs: Sequence[tuple[int, int, int]]) -> Face:
-    """`find_complete_face` on lines known to be simple, with every color.
+def _complete_face(colors: Sequence[Color], coeffs: Sequence[tuple[int, int, int]]) -> Face:
+    """`find_complete_face` on lines known to be simple, with every color,
+    given as their colors and `int_line` coefficients `coeffs`.
 
-    The cell's corners are crossing triples (X, Y, W), W > 0, of the lines'
-    `int_line` coefficients `coeffs`; line (A, B, C) puts a corner on the
-    side sign(A*X + B*Y + C*W).
+    The cell's corners are crossing triples (X, Y, W), W > 0, of the
+    coefficients; line (A, B, C) puts a corner on the side
+    sign(A*X + B*Y + C*W).
     """
     first = {}
-    for i, l in enumerate(lines):
-        first.setdefault(l.color, i)
+    for i, c in enumerate(colors):
+        first.setdefault(c, i)
     seed = [first[c] for c in RGB]
 
     # triangle of the three seed lines, oriented ccw; verts[i] -> verts[i+1]
@@ -346,7 +362,7 @@ def _complete_face(lines: Sequence[ColoredLine], coeffs: Sequence[tuple[int, int
         owners.reverse()
     supports = [next(iter(owners[i] & owners[(i + 1) % 3])) for i in range(3)]
 
-    for idx in range(len(lines)):
+    for idx in range(len(coeffs)):
         if idx in seed:
             continue
         a, b, c = coeffs[idx]
@@ -371,7 +387,7 @@ def _complete_face(lines: Sequence[ColoredLine], coeffs: Sequence[tuple[int, int
                     plus.append((x, supports[i]))
         keep = None
         for cand in (plus, minus):
-            cols = tuple(lines[sp].color for _, sp in cand)
+            cols = tuple(colors[sp] for _, sp in cand)
             if cycle_parity(cols) == (1, 1, 1):
                 if keep is not None:
                     raise InternalError("both sub-cells complete", {"line": idx})
@@ -385,7 +401,7 @@ def _complete_face(lines: Sequence[ColoredLine], coeffs: Sequence[tuple[int, int
         bounded=True,
         vertices=tuple(map(_point, verts)),
         boundary_lines=tuple(supports),
-        boundary_colors=tuple(lines[sp].color for sp in supports),
+        boundary_colors=tuple(colors[sp] for sp in supports),
     )
 
 

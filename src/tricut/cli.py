@@ -12,7 +12,10 @@ and --seed.  Every solver output is a JSON envelope carrying the instance
 and naming its kind in `command`, so verify and render work from the file
 alone; render draws a file without a solve command as a bare instance.
 Each command decodes its instance once, through the kind table `_KINDS`;
-solve hands a generated instance to its solver undecoded.  Exit codes:
+solve hands a generated instance to its solver undecoded.  Cell and lline
+instances decode to integer rows, which their solver bodies take as they
+are; the dataclass items the oracles and figures need are built from those
+rows only when a command needs them.  Exit codes:
 0 success, 2 a precondition failed (bad input, bad flags), 3 an internal
 guarantee broke (the contradiction trace is dumped to stderr).
 """
@@ -28,11 +31,11 @@ import time
 
 from . import serialization as ser
 from .arcs import find_k_arcset
-from .cells import build_arrangement, cycle_parity, find_complete_face
+from .cells import _face_of_rows, _rows_of_lines, build_arrangement, cycle_parity
 from .core import Color, arcset_color_counts, dual_point_to_line, require_rgb
 from .errors import GenerationFailed, InternalError, PreconditionViolated, TricutError
 from .generators import GenKind, GenSpec, generate
-from .llines import brute_oracle_llines, find_balanced_lline, lline_counts
+from .llines import _lline_of_rows, _rows_of_points, brute_oracle_llines, lline_counts
 from .oracles import (
     ORACLE_MAX_POINTS,
     VerificationReport,
@@ -56,14 +59,15 @@ from .wedges import (
 # per solve kind: the generator and default n of the instance a solve command
 # makes itself, and the name of its payload decoder in `serialization` (looked
 # up at call time, so a wrapper bound there sees the call); segment takes the
-# duals of convex-position points: simple, 2n lines per color
+# duals of convex-position points: simple, 2n lines per color.  Cell and
+# lline decode to the integer rows their solver bodies take
 _KINDS = {
-    "cell": (GenKind.SimpleLines3C, 7, "dec_lines_payload"),
+    "cell": (GenKind.SimpleLines3C, 7, "dec_line_rows"),
     "wedge111": (GenKind.Points3C, 9, "dec_points_payload"),
     "wedge": (GenKind.Points3CConvex, 2, "dec_points_payload"),
     "segment": (GenKind.Points3CConvex, 2, "dec_lines_payload"),
     "arcs": (GenKind.CirclePoints3C, 5, "dec_circle_payload"),
-    "lline": (GenKind.LatticeRedHull, 4, "dec_lattice_payload"),
+    "lline": (GenKind.LatticeRedHull, 4, "dec_lattice_rows"),
 }
 SOLVE_KINDS = tuple(_KINDS)
 
@@ -112,6 +116,24 @@ def _decode(kind: str, payload: dict):
     return getattr(ser, _KINDS[kind][2])(payload)
 
 
+def _rows(kind: str, objects):
+    """What the solver body of `kind` takes, from dataclass items."""
+    if kind == "cell":
+        return _rows_of_lines(objects)
+    if kind == "lline":
+        return _rows_of_points(objects.points)
+    return objects
+
+
+def _objects(kind: str, items):
+    """The dataclass items of decoded ones (the inverse of `_rows`)."""
+    if kind == "cell":
+        return ser._lines_of_rows(*items)
+    if kind == "lline":
+        return ser._lattice_of_rows(*items)
+    return items
+
+
 def _answer(answer: dict, key: str, dec):
     """dec(answer[key]); a missing key or an answer that is no object is malformed."""
     with ser.decoding():
@@ -121,7 +143,7 @@ def _answer(answer: dict, key: str, dec):
 def _solve(kind: str, items, k: int | None) -> dict:
     """Run one solver on decoded items; answers come back as JSON data."""
     if kind == "cell":
-        return {"face": ser.enc_face(find_complete_face(items))}
+        return {"face": ser.enc_face(_face_of_rows(*items))}
     if kind in ("wedge111", "wedge"):
         w = (find_111_wedge if kind == "wedge111" else sweep_balanced_wedge)(items)
         return {"wedge": ser.enc_wedge(w), "dual_segment": ser.enc_segment(wedge_dual_segment(w))}
@@ -131,7 +153,7 @@ def _solve(kind: str, items, k: int | None) -> dict:
         if k is None:
             raise PreconditionViolated("solve arcs requires --k")
         return {"arcs": ser.enc_arcset(find_k_arcset(items, k))}
-    l, kk = find_balanced_lline(items)
+    l, kk = _lline_of_rows(*items)
     return {"lline": ser.enc_lline(l), "k": kk}
 
 
@@ -140,10 +162,10 @@ def _counts_tuple(cc: dict) -> tuple[int, int, int]:
 
 
 def _report(kind: str, payload: dict, items, answer: dict, k: int | None) -> VerificationReport:
-    """Recompute the oracle check of a JSON answer on the decoded items of
+    """Recompute the oracle check of a JSON answer on the dataclass items of
     `payload` (what verify re-runs)."""
     t0 = time.perf_counter()
-    if kind != "lline":  # the lattice decoder checks its colors itself
+    if kind != "lline":  # a LatticePointSet has checked its colors
         require_rgb([x.color for x in items], "line" if kind in ("cell", "segment") else "point")
 
     if kind == "cell":
@@ -221,17 +243,21 @@ def _report_as_dict(r: VerificationReport) -> dict:
     return json.loads(r.to_json_line())
 
 
-def _draw(kind: str, items, answer: dict) -> str:
-    """SVG of decoded items with their kind's JSON answer drawn over them."""
+def _draw(kind: str, items, answer: dict | None) -> str:
+    """SVG of dataclass items with their kind's JSON answer drawn over them;
+    with no answer, the items alone."""
+
+    def drawn(key: str, dec):
+        return None if answer is None else _answer(answer, key, dec)
+
     if kind == "cell":
-        face = _answer(answer, "face", ser.dec_face)
-        return render_arrangement(build_arrangement(items), face)
+        return render_arrangement(build_arrangement(items), drawn("face", ser.dec_face))
     if kind in ("wedge111", "wedge"):
-        return render_wedge(items, _answer(answer, "wedge", ser.dec_wedge))
+        return render_wedge(items, drawn("wedge", ser.dec_wedge))
     if kind == "arcs":
-        return render_arcset(items, _answer(answer, "arcs", ser.dec_arcset))
+        return render_arcset(items, drawn("arcs", ser.dec_arcset))
     if kind == "lline":
-        return render_lline(items, _answer(answer, "lline", ser.dec_lline))
+        return render_lline(items, drawn("lline", ser.dec_lline))
     return render_arrangement(build_arrangement(items))  # a segment as its lines
 
 
@@ -251,13 +277,15 @@ def _cmd_solve(args) -> int:
     if args.infile is not None:
         payload = ser.unwrap_instance(_load_json(args.infile))
         items = _decode(kind, payload)
+        objects = None  # built from the items once --verify or svg needs them
     else:
         gen, n, _ = _KINDS[kind]
         n = n if args.n is None else args.n
-        items = generate(GenSpec(gen, n, args.seed))
+        objects = generate(GenSpec(gen, n, args.seed))
         if kind == "segment":
-            items = tuple(dual_point_to_line(p) for p in items)
-        payload = ser.enc_instance(gen.value, n, args.seed, items)["instance"]
+            objects = tuple(dual_point_to_line(p) for p in objects)
+        payload = ser.enc_instance(gen.value, n, args.seed, objects)["instance"]
+        items = _rows(kind, objects)
     k = args.k
     answer = _solve(kind, items, k)
     if kind == "lline":
@@ -269,12 +297,14 @@ def _cmd_solve(args) -> int:
         "answer": answer,
         "verification": None,
     }
+    if objects is None and (args.verify or args.format == "svg"):
+        objects = _objects(kind, items)
     if args.verify:
-        env["verification"] = _report_as_dict(_report(kind, payload, items, answer, k))
+        env["verification"] = _report_as_dict(_report(kind, payload, objects, answer, k))
         if not env["verification"]["member"]:
             raise InternalError("solver answer rejected by its oracle", env["verification"])
     if args.format == "svg":
-        _emit(_draw(kind, items, answer), args.out)
+        _emit(_draw(kind, objects, answer), args.out)
     else:
         _emit(json.dumps(env, indent=2, sort_keys=True), args.out)
     return 0
@@ -300,7 +330,7 @@ def _cmd_verify(args) -> int:
     k = params.get("k")
     if k is not None and type(k) is not int:
         raise PreconditionViolated(f"params.k must be an integer, got {k!r}")
-    items = _decode(kind, env["instance"])
+    items = _objects(kind, _decode(kind, env["instance"]))
     report = _report(kind, env["instance"], items, env["answer"], k)
     got = _report_as_dict(report)
     if not got["member"]:
@@ -318,23 +348,33 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _bare_kind(payload: dict) -> str:
+    """The kind whose figure draws a bare instance: lines as a segment's
+    arrangement, points by their fields (circle parameters t, lattice
+    coordinates as JSON integers, other points as a wedge's)."""
+    if "lines" in payload:
+        return "segment"
+    points = payload.get("points") or ()
+    with ser.decoding():  # the points are objects
+        if points and "t" in points[0]:
+            return "arcs"
+        if points and all(type(p["x"]) is int and type(p["y"]) is int for p in points):
+            return "lline"
+        if points:
+            return "wedge"
+    raise PreconditionViolated("nothing renderable in this file")
+
+
 def _cmd_render(args) -> int:
     """A solution file is drawn through the kind its command names; any
-    other file as a bare instance of lines or circle points, with nothing
-    over it."""
+    other file as a bare instance, with nothing over it."""
     env = _load_envelope(args.infile)
     kind, answer = _kind_of(env.get("command", "")), env.get("answer", {})
     with ser.decoding():  # the instance is an object
         payload = dict(ser.unwrap_instance(env))
-        circle = "points" in payload and payload["points"] and "t" in payload["points"][0]
     if kind is None:
-        if "lines" in payload:
-            kind = "segment"
-        elif circle:
-            kind, answer = "arcs", {"arcs": []}
-        else:
-            raise PreconditionViolated("nothing renderable in this file")
-    _emit(_draw(kind, _decode(kind, payload), answer), args.out)
+        kind, answer = _bare_kind(payload), None
+    _emit(_draw(kind, _objects(kind, _decode(kind, payload)), answer), args.out)
     return 0
 
 

@@ -341,10 +341,16 @@ def check_general_position(points: Sequence[ColoredPoint], mode: GeneralPosition
     if mode not in (GeneralPosition.DISTINCT_XY, GeneralPosition.DISTINCT_X):
         raise ValueError(mode)
     for axis in "xy" if mode is GeneralPosition.DISTINCT_XY else "x":
-        rep = _first_repeat((getattr(p, axis), i) for i, p in enumerate(points))
-        if rep:
-            value = getattr(points[rep[1]], axis)
-            raise PreconditionViolated(f"points {rep[0]} and {rep[1]} share {axis} = {value}")
+        require_distinct([getattr(p, axis) for p in points], axis)
+
+
+def require_distinct(values: Sequence, axis: str) -> None:
+    """No value repeats: one coordinate of a row of points, named `axis`.
+    Raises PreconditionViolated naming the first repeat's two indices."""
+    if len(set(values)) == len(values):
+        return
+    i, j = _first_repeat((v, i) for i, v in enumerate(values))
+    raise PreconditionViolated(f"points {i} and {j} share {axis} = {values[j]}")
 
 
 def require_rgb(colors: Sequence[Color], what: str = "point", per_color: int | None = None) -> None:

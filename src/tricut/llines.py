@@ -14,6 +14,12 @@ side of an L-line.  Consecutive orderings differ by moving a single point;
 the two terminal polygons are reverses of each other, which forces an origin
 vertex somewhere along the sequence.
 
+The search body runs on integer rows: the points' x and y coordinates as
+ints and their colors, in input order.  `find_balanced_lline` builds the
+rows of a LatticePointSet and calls it; the CLI decodes a payload straight
+into rows (`serialization.dec_lattice_rows`), checked by the one row-level
+check that `LatticePointSet` runs too.
+
 The points are sorted once by x and once by y (the rank frame).  A quarter
 turn only reverses or swaps those two orders, so each ordering is two slices
 of the one frame, an index array, and its polygon is the cumulative sum of
@@ -34,12 +40,11 @@ import numpy as np
 from .core import (
     Color,
     ColoredPoint,
-    GeneralPosition,
     RGB,
     Rat,
     as_rat,
-    check_general_position,
     deficit_steps,
+    require_distinct,
     require_rgb,
     sign,
     winding_number,
@@ -103,20 +108,29 @@ class LatticePointSet:
     points: tuple[ColoredPoint, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        _check_lattice_general_position(self.points)
-        require_rgb([p.color for p in self.points], "point", len(self.points) // 3)
+        points = tuple(self.points)
+        object.__setattr__(self, "points", points)
+        _check_lattice_rows(
+            [p.x for p in points], [p.y for p in points], [p.color for p in points]
+        )
 
     @property
     def n(self) -> int:
         return len(self.points) // 3
 
 
-def _check_lattice_general_position(points: Sequence[ColoredPoint]) -> None:
-    for i, p in enumerate(points):
-        if p.x.denominator != 1 or p.y.denominator != 1:
+def _check_lattice_rows(xs: Sequence[Rat | int], ys: Sequence[Rat | int],
+                        colors: Sequence[Color] | None) -> None:
+    """The lattice set's preconditions on rows: every coordinate an integer,
+    no shared x, no shared y and, unless `colors` is None, n points of each
+    color (3n in all)."""
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if x.denominator != 1 or y.denominator != 1:
             raise PreconditionViolated(f"point {i} is not on the integer lattice")
-    check_general_position(points, GeneralPosition.DISTINCT_XY)
+    require_distinct(xs, "x")
+    require_distinct(ys, "y")
+    if colors is not None:
+        require_rgb(colors, "point", len(colors) // 3)
 
 
 @dataclass(frozen=True)
@@ -189,18 +203,16 @@ class _RankFrame:
 
     A quarter turn only reverses or swaps the two sort orders, so every
     rotated order is one of four arrays built here, and a rotated coordinate
-    compares like its rank.  Needs integer points with distinct x and
+    compares like its rank.  Needs integer coordinates, distinct x and
     distinct y.
     """
 
-    def __init__(self, points: Sequence[ColoredPoint]):
-        self.points = points
-        m = self.m = len(points)
+    def __init__(self, xs: Sequence[int], ys: Sequence[int]):
+        m = self.m = len(xs)
         # sorted coordinate values per axis, for the corners of realized L-lines
         self.coords: list[list[int]] = []
         self._oriented: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        for axis in (0, 1):
-            vals = [int(p.y if axis else p.x) for p in points]
+        for axis, vals in enumerate((xs, ys)):
             by = np.array(sorted(range(m), key=vals.__getitem__), dtype=np.intp)
             rank = np.empty(m, dtype=np.intp)
             rank[by] = np.arange(m)
@@ -221,12 +233,20 @@ class _RankFrame:
         return np.concatenate((y_order[r:][::-1], x_order[y_rank[x_order] < r]))
 
 
+def _rows_of_points(points: Sequence[ColoredPoint]) -> tuple[list[int], list[int], list[Color]]:
+    """(xs, ys, colors) of lattice points, the coordinates as ints."""
+    return ([p.x.numerator for p in points], [p.y.numerator for p in points],
+            [p.color for p in points])
+
+
 def _lattice_frame(s) -> _RankFrame:
-    """Rank frame of a LatticePointSet, or of raw points after checking them."""
+    """Rank frame of a LatticePointSet, or of raw points after checking
+    their coordinates."""
     points = _points_of(s)
     if not isinstance(s, LatticePointSet):
-        _check_lattice_general_position(points)
-    return _RankFrame(points)
+        _check_lattice_rows([p.x for p in points], [p.y for p in points], None)
+    xs, ys, _ = _rows_of_points(points)
+    return _RankFrame(xs, ys)
 
 
 # -- orthogonal convex hull ----------------------------------------------------
@@ -252,13 +272,13 @@ def ortho_hull(s) -> list[ColoredPoint]:
     of the orthogonal convex hull.  Accepts a LatticePointSet or any
     sequence of integer-coordinate points with distinct x and distinct y.
     """
-    frame = _lattice_frame(s)
-    return [frame.points[i] for i in _hull_indices(frame)]
+    points = _points_of(s)
+    return [points[i] for i in _hull_indices(_lattice_frame(s))]
 
 
-def _hull_color(frame: _RankFrame) -> Color:
+def _hull_color(frame: _RankFrame, colors: Sequence[Color]) -> Color:
     """The one color of the orthogonal hull; raises unless it is monochromatic."""
-    hull_colors = {frame.points[i].color for i in _hull_indices(frame)}
+    hull_colors = {colors[i] for i in _hull_indices(frame)}
     if len(hull_colors) != 1:
         raise PreconditionViolated(
             f"orthogonal hull is not monochromatic: {sorted(c.value for c in hull_colors)}"
@@ -283,19 +303,19 @@ class SidedOrdering:
 def sided_ordering(p: ColoredPoint, quarter_turns: int, s) -> SidedOrdering:
     if quarter_turns not in (0, 1, 2, 3):
         raise PreconditionViolated("quarter_turns must be 0, 1, 2 or 3")
+    points = _points_of(s)
     frame = _lattice_frame(s)
-    points = frame.points
     if p not in points:
         raise PreconditionViolated("anchor must belong to the point set")
     order = frame.ordering(points.index(p), quarter_turns)
     return SidedOrdering(p, quarter_turns, tuple(points[i] for i in order))
 
 
-def _color_steps(points: Sequence[ColoredPoint], hull_color: Color) -> np.ndarray:
+def _color_steps(colors: Sequence[Color], hull_color: Color) -> np.ndarray:
     """One row per point from `core.deficit_steps`: (-1,-1) for the hull
     color, (2,-1) and (-1,2) for the other two colors in R, G, B order."""
     x_color, y_color = (c for c in RGB if c is not hull_color)
-    return deficit_steps([p.color for p in points], x_color, y_color)
+    return deficit_steps(colors, x_color, y_color)
 
 
 def _balanced_prefixes(q: np.ndarray, ends_on_hull: bool) -> np.ndarray:
@@ -337,13 +357,21 @@ def find_balanced_lline(s: LatticePointSet, validate: bool = False) -> tuple[LLi
     origin-containing cell would need a vertex coordinate that is both
     divisible by 3 and in {1, 2}).
     """
-    n = s.n
+    return _lline_of_rows(*_rows_of_points(s.points), validate=validate)
+
+
+def _lline_of_rows(
+    xs: Sequence[int], ys: Sequence[int], colors: Sequence[Color], validate: bool = False
+) -> tuple[LLine, int]:
+    """`find_balanced_lline` on rows that pass `_check_lattice_rows`: the
+    points' integer coordinates and colors, in input order."""
+    n = len(colors) // 3
     if n < 2:
         raise PreconditionViolated("n >= 2 is required for a nontrivial L-line")
-    frame = _RankFrame(s.points)
-    hull_color = _hull_color(frame)
-    steps = _color_steps(s.points, hull_color)
-    on_hull_color = [p.color is hull_color for p in s.points]
+    frame = _RankFrame(xs, ys)
+    hull_color = _hull_color(frame, colors)
+    steps = _color_steps(colors, hull_color)
+    on_hull_color = [c is hull_color for c in colors]
     windings: list[int] = []
 
     for anchor, turns in _ordering_sequence(frame):
@@ -351,7 +379,7 @@ def find_balanced_lline(s: LatticePointSet, validate: bool = False) -> tuple[LLi
         q = steps[order].cumsum(axis=0)
         zeros = _balanced_prefixes(q, on_hull_color[order[-1]])
         if zeros.size:
-            return _realize_prefix(s, frame, anchor, turns, order, int(zeros[0]))
+            return _realize_prefix(xs, ys, colors, frame, anchor, turns, order, int(zeros[0]))
         if validate:
             w = winding_number(np.concatenate((q[:-1], -q[:-1])))
             if windings and w != windings[-1]:
@@ -372,7 +400,8 @@ def find_balanced_lline(s: LatticePointSet, validate: bool = False) -> tuple[LLi
 
 
 def _realize_prefix(
-    s: LatticePointSet, frame: _RankFrame, anchor: int, turns: int, order: np.ndarray, k0: int
+    xs: Sequence[int], ys: Sequence[int], colors: Sequence[Color],
+    frame: _RankFrame, anchor: int, turns: int, order: np.ndarray, k0: int,
 ) -> tuple[LLine, int]:
     """L-line whose one side is exactly the first k0 points of the ordering.
 
@@ -407,8 +436,8 @@ def _realize_prefix(
         rays.append(r)
     l = LLine(tuple(corner), tuple(rays))
 
-    c1, c2 = _doubled_counts(l, s.points)
-    n = s.n
+    c1, c2 = _doubled_counts(l, xs, ys, colors)
+    n = m // 3
     if len(set(c1)) != 1 or len(set(c2)) != 1 or not 1 <= c1[0] <= n - 1:
         raise InternalError(
             "realized L-line is not nontrivially balanced",
@@ -423,7 +452,7 @@ def _realize_prefix(
 
 
 def _doubled_counts(
-    l: LLine, points: Sequence[ColoredPoint]
+    l: LLine, xs: Sequence[int], ys: Sequence[int], colors: Sequence[Color]
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """`lline_counts` for the search's self-check, on doubled integer
     coordinates: lattice points double to even integers and the corner to
@@ -432,10 +461,10 @@ def _doubled_counts(
     cx, cy = (int(2 * c) for c in l.corner)
     dx, dy = _REGION1_DIR[frozenset(l.rays)]
     c1, c2 = [0, 0, 0], [0, 0, 0]
-    for p in points:
+    for x, y, c in zip(xs, ys, colors):
         # 2x - cx is odd, never 0: a zero factor leaves that axis free
-        inside = dx * (2 * p.x.numerator - cx) >= 0 and dy * (2 * p.y.numerator - cy) >= 0
-        (c1 if inside else c2)[_RGB_INDEX[p.color]] += 1
+        inside = dx * (2 * x - cx) >= 0 and dy * (2 * y - cy) >= 0
+        (c1 if inside else c2)[_RGB_INDEX[c]] += 1
     return tuple(c1), tuple(c2)
 
 

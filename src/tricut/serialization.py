@@ -1,10 +1,17 @@
 """Exact JSON encoding for every CLI-facing structure.
 
 Rationals travel as strings ("5" or "5/2"), so persisted data never loses
-precision; lattice coordinates are plain JSON integers.  Decoders validate
+precision; lattice coordinates are plain JSON integers.  Every rational is
+read once, by one pair parser (`_parse_rat`: an exact (num, den) in lowest
+terms).  The two instances whose solvers run on integers decode straight to
+integer rows: `dec_line_rows` gives each line as its primitive triple
+(A, B, C), as `core.int_line` would, and `dec_lattice_rows` gives the
+lattice coordinates as ints; both check what the dataclass constructors
+check, with the same errors.  `dec_lines_payload` and `dec_lattice_payload`
+build their dataclasses from those rows; the other decoders build theirs
 through the normal constructors, so a hand-edited file fails the same way a
-bad argument would; data of the wrong shape (a missing key, a string where a
-list belongs, an unknown color) raises PreconditionViolated through the
+bad argument would.  Data of the wrong shape (a missing key, a string where
+a list belongs, an unknown color) raises PreconditionViolated through the
 `decoding` guard: one per public decoder, so a payload decoder enters it
 once, not once per element.
 """
@@ -15,6 +22,7 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd, lcm
 
 from .cells import Face
 from .core import (
@@ -25,14 +33,13 @@ from .core import (
     ColoredPoint,
     Rat,
     Segment,
+    Triple,
     arcset,
     as_rat,
     circle_point,
-    line,
-    pt,
 )
 from .errors import PreconditionViolated
-from .llines import LatticePointSet, LLine, RayDir
+from .llines import LatticePointSet, LLine, RayDir, _check_lattice_rows
 from .wedges import DoubleWedge
 
 
@@ -58,9 +65,10 @@ def enc_rat(x: Rat) -> str:
 _DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
 
 
-def _parse_rat(s: str) -> Fraction:
-    """Fraction(s), with the forms `enc_rat` writes (ASCII "-?digits" or
-    "-?digits/digits") read by int(); any other string goes to Fraction.
+def _parse_rat(s: str) -> tuple[int, int]:
+    """(num, den) of the rational Fraction(s) reads, in lowest terms with
+    den > 0.  The forms `enc_rat` writes (ASCII "-?digits" or
+    "-?digits/digits") are read by int(); any other string goes to Fraction.
 
     Fraction would build 10**exp for an exponent form, so "1e10000000"
     alone makes a ten-million-digit integer.  A decimal or exponent form
@@ -71,29 +79,54 @@ def _parse_rat(s: str) -> Fraction:
     num, slash, den = s.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if s.isascii() and digits.isdigit() and (not slash or den.isdigit()):
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        if not slash:
+            return int(num), 1
+        p, q = int(num), int(den)
+        if not q:
+            raise ZeroDivisionError(f"{s!r} has a zero denominator")
+        g = gcd(p, q)
+        return p // g, q // g
     m = _DECIMAL.fullmatch(s)
     limit = sys.get_int_max_str_digits()
     if m and limit:
         whole, frac, exp = (g.replace("_", "") if g else "" for g in m.groups())
         if exp and not (whole + frac).strip("0"):
             int(m.group(3))  # Fraction's exponent syntax, as int() reads it
-            return Fraction(s[: m.start(3) - 1])
-        e = int(exp or 0)
-        if max(len(whole) + len(frac) + e, len(frac) - e) > limit:
-            raise ValueError(f"{s!r} has more than {limit} digits")
-    return Fraction(s)
+            s = s[: m.start(3) - 1]  # the zero mantissa alone
+        else:
+            e = int(exp or 0)
+            if max(len(whole) + len(frac) + e, len(frac) - e) > limit:
+                raise ValueError(f"{s!r} has more than {limit} digits")
+    f = Fraction(s)
+    return f.numerator, f.denominator
+
+
+def _rat_pair(v) -> tuple[int, int]:
+    """`_parse_rat` of a JSON string, (v, 1) of a JSON integer; anything
+    else, or a string that is no rational, raises PreconditionViolated."""
+    if isinstance(v, str):
+        try:
+            return _parse_rat(v)
+        except (ValueError, ZeroDivisionError) as e:
+            raise PreconditionViolated(f"not a rational: {v!r}") from e
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v, 1
+    raise PreconditionViolated(f"not a rational: {v!r}")
 
 
 def dec_rat(v) -> Fraction:
-    if isinstance(v, bool):
-        raise PreconditionViolated(f"not a rational: {v!r}")
-    if isinstance(v, (int, str)):
-        try:
-            return _parse_rat(v) if isinstance(v, str) else Fraction(v)
-        except (ValueError, ZeroDivisionError) as e:
-            raise PreconditionViolated(f"not a rational: {v!r}") from e
-    raise PreconditionViolated(f"not a rational: {v!r}")
+    return Fraction(*_rat_pair(v))
+
+
+_COLORS = {c.value: c for c in Color}
+
+
+def _color(v) -> Color:
+    """Color(v), read from a dict for the color strings."""
+    try:
+        return _COLORS[v]
+    except (KeyError, TypeError):
+        return Color(v)
 
 
 # -- geometry --------------------------------------------------------------------
@@ -104,7 +137,7 @@ def enc_point(p: ColoredPoint) -> dict:
 
 
 def _point(d: dict) -> ColoredPoint:
-    return pt(dec_rat(d["x"]), dec_rat(d["y"]), d["color"])
+    return ColoredPoint(dec_rat(d["x"]), dec_rat(d["y"]), _color(d["color"]))
 
 
 def enc_line(l: ColoredLine) -> dict:
@@ -116,8 +149,29 @@ def enc_line(l: ColoredLine) -> dict:
     }
 
 
+def _line_row(d: dict) -> tuple[Triple, Color]:
+    """A line's primitive integer triple (A, B, C), the first nonzero of
+    (A, B) positive (`core.int_line` of the line), and its color."""
+    (na, da), (nb, db), (nc, dc) = _rat_pair(d["a"]), _rat_pair(d["b"]), _rat_pair(d["c"])
+    color = _color(d["color"])
+    m = lcm(da, db, dc)
+    a, b, c = na * (m // da), nb * (m // db), nc * (m // dc)
+    lead = a or b
+    if not lead:
+        raise PreconditionViolated("line needs a nonzero normal")
+    g = gcd(a, b, c) if lead > 0 else -gcd(a, b, c)
+    return (a // g, b // g, c // g), color
+
+
+def _line_of_row(t: Triple, color: Color) -> ColoredLine:
+    """The ColoredLine of a primitive triple, its lead coefficient made 1."""
+    a, b, c = t
+    lead = a or b
+    return ColoredLine(Fraction(a, lead), Fraction(b, lead), Fraction(c, lead), color)
+
+
 def _line(d: dict) -> ColoredLine:
-    return line(dec_rat(d["a"]), dec_rat(d["b"]), dec_rat(d["c"]), d["color"])
+    return _line_of_row(*_line_row(d))
 
 
 def enc_xy(p: tuple[Rat, Rat]) -> list:
@@ -226,31 +280,88 @@ def unwrap_instance(d: dict) -> dict:
     return d["instance"] if isinstance(d, dict) and "instance" in d else d
 
 
-def _elements(d: dict, key: str, field: str | None, element) -> tuple:
-    """`element` of each item of the list under `key` in a bare payload or
-    an envelope's instance; with `field`, every item must hold it."""
+def _items(d: dict, key: str, field: str | None) -> list:
+    """The list under `key` in a bare payload or an envelope's instance;
+    with `field`, every item must hold it."""
     body = unwrap_instance(d)
     if key not in body or (field and any(field not in e for e in body[key])):
         want = f'{{"{field}"...}}' if field else "..."
         raise PreconditionViolated(f'expected a {{"{key}": [{want}]}} instance')
-    return tuple(element(e) for e in body[key])
+    return body[key]
+
+
+def _line_rows(d: dict) -> tuple[list[Triple], list[Color]]:
+    triples, colors = [], []
+    for e in _items(d, "lines", None):
+        t, c = _line_row(e)
+        triples.append(t)
+        colors.append(c)
+    return triples, colors
+
+
+@decoding()
+def dec_line_rows(d: dict) -> tuple[list[Triple], list[Color]]:
+    """The lines of a payload as (triples, colors): each line's primitive
+    integer triple (A, B, C), first nonzero of (A, B) positive, equal to
+    `core.int_line` of the line `dec_lines_payload` gives, with the same
+    errors."""
+    return _line_rows(d)
+
+
+def _coordinate(v) -> int | Fraction:
+    # an int for an integer, a Fraction (which the lattice check refuses)
+    # for any other rational
+    num, den = _rat_pair(v)
+    return num if den == 1 else Fraction(num, den)
+
+
+def _lattice_fields(d: dict) -> tuple[list, list, list[Color]]:
+    xs, ys, colors = [], [], []
+    for e in _items(d, "points", None):
+        x = e["x"]  # JSON integers, as `enc_lattice_set` writes them, pass as they are
+        xs.append(x if type(x) is int else _coordinate(x))
+        y = e["y"]
+        ys.append(y if type(y) is int else _coordinate(y))
+        colors.append(_color(e["color"]))
+    return xs, ys, colors
+
+
+@decoding()
+def dec_lattice_rows(d: dict) -> tuple[list[int], list[int], list[Color]]:
+    """The points of a lattice payload as (xs, ys, colors), ints and Colors,
+    checked as `LatticePointSet` checks them, with the same errors."""
+    xs, ys, colors = _lattice_fields(d)
+    _check_lattice_rows(xs, ys, colors)
+    return xs, ys, colors
+
+
+def _lines_of_rows(triples, colors) -> tuple[ColoredLine, ...]:
+    """The ColoredLines of `dec_line_rows`' rows."""
+    return tuple(map(_line_of_row, triples, colors))
+
+
+def _lattice_of_rows(xs, ys, colors) -> LatticePointSet:
+    """The LatticePointSet of `dec_lattice_rows`' rows (checked again)."""
+    return LatticePointSet(tuple(
+        ColoredPoint(Fraction(x), Fraction(y), c) for x, y, c in zip(xs, ys, colors)
+    ))
 
 
 @decoding()
 def dec_lines_payload(d: dict) -> tuple[ColoredLine, ...]:
-    return _elements(d, "lines", None, _line)
+    return _lines_of_rows(*_line_rows(d))
 
 
 @decoding()
 def dec_points_payload(d: dict) -> tuple[ColoredPoint, ...]:
-    return _elements(d, "points", "x", _point)
+    return tuple(map(_point, _items(d, "points", "x")))
 
 
 @decoding()
 def dec_circle_payload(d: dict) -> tuple[CirclePoint, ...]:
-    return _elements(d, "points", "t", _circle_point)
+    return tuple(map(_circle_point, _items(d, "points", "t")))
 
 
 @decoding()
 def dec_lattice_payload(d: dict) -> LatticePointSet:
-    return LatticePointSet(_elements(d, "points", None, _point))
+    return _lattice_of_rows(*_lattice_fields(d))

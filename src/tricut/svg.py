@@ -101,25 +101,31 @@ def render_arrangement(arr: Arrangement, face: Face | None = None) -> str:
     return _document(view, body)
 
 
-def render_wedge(points: Sequence[ColoredPoint], w: DoubleWedge) -> str:
-    """Boundary lines plus points; wedge members filled, the rest hollow."""
-    xs = [p.x for p in points] + [w.apex[0]]
-    ys = [p.y for p in points] + [w.apex[1]]
+def render_wedge(points: Sequence[ColoredPoint], w: DoubleWedge | None) -> str:
+    """Boundary lines plus points; wedge members filled, the rest hollow.
+    With no wedge, the points alone, filled."""
+    apex = [] if w is None else [w.apex]
+    xs = [p.x for p in points] + [a[0] for a in apex]
+    ys = [p.y for p in points] + [a[1] for a in apex]
     pad = max(max(xs) - min(xs), max(ys) - min(ys), 1) / Fraction(8)
     box = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
     view = _View(*box)
-    body = _line_elems([w.line1, w.line2], box, view)
-    ax, ay = view.map(w.apex)
-    body.append(
-        f'<circle cx="{_fmt(ax)}" cy="{_fmt(ay)}" r="3.200000" fill="#000000"/>'
-    )
+    body = []
+    if w is not None:
+        body = _line_elems([w.line1, w.line2], box, view)
+        ax, ay = view.map(w.apex)
+        body.append(
+            f'<circle cx="{_fmt(ax)}" cy="{_fmt(ay)}" r="3.200000" fill="#000000"/>'
+        )
     for p in points:
-        body.append(_dot((p.x, p.y), _PALETTE[p.color], view, filled=wedge_contains(w, p)))
+        filled = w is None or wedge_contains(w, p)
+        body.append(_dot((p.x, p.y), _PALETTE[p.color], view, filled=filled))
     return _document(view, body)
 
 
-def render_arcset(points: Sequence[CirclePoint], a: ArcSet) -> str:
-    """Unit circle with the arc set stroked thick and points on the rim."""
+def render_arcset(points: Sequence[CirclePoint], a: ArcSet | None) -> str:
+    """Unit circle with the arc set (if any) stroked thick and points on the
+    rim."""
     view = _View(Fraction(-5, 4), Fraction(-5, 4), Fraction(5, 4), Fraction(5, 4))
     cx, cy = view.map((0, 0))
     r = view.scale  # world radius 1
@@ -132,7 +138,7 @@ def render_arcset(points: Sequence[CirclePoint], a: ArcSet) -> str:
         ang = 2 * math.pi * float(t)
         return (cx + r * math.cos(ang), cy - r * math.sin(ang))
 
-    for lo, hi in a.arcs:
+    for lo, hi in () if a is None else a.arcs:
         if hi - lo >= 1:
             body.append(
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
@@ -163,16 +169,18 @@ _RAY_VEC = {
 }
 
 
-def render_lline(s: LatticePointSet, l: LLine) -> str:
-    """Lattice points with the L-line drawn from its corner to the frame."""
-    xs = [p.x for p in s.points] + [l.corner[0]]
-    ys = [p.y for p in s.points] + [l.corner[1]]
+def render_lline(s: LatticePointSet, l: LLine | None) -> str:
+    """Lattice points with the L-line (if any) drawn from its corner to the
+    frame."""
+    corner = [] if l is None else [l.corner]
+    xs = [p.x for p in s.points] + [c[0] for c in corner]
+    ys = [p.y for p in s.points] + [c[1] for c in corner]
     pad = Fraction(3, 2)
     box = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
     view = _View(*box)
     xmin, ymin, xmax, ymax = box
     body = []
-    for ray in l.rays:
+    for ray in () if l is None else l.rays:
         dx, dy = _RAY_VEC[ray]
         end = (
             xmax if dx > 0 else xmin if dx < 0 else l.corner[0],
@@ -183,7 +191,7 @@ def render_lline(s: LatticePointSet, l: LLine) -> str:
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             'stroke="#111111" stroke-width="2.4"/>'
         )
-    if not l.is_straight:
+    if l is not None and not l.is_straight:
         cxp, cyp = view.map(l.corner)
         body.append(
             f'<circle cx="{_fmt(cxp)}" cy="{_fmt(cyp)}" r="3.000000" fill="#111111"/>'

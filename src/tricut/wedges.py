@@ -630,7 +630,7 @@ def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
     # distinct x and no three collinear points make the duals simple, and
     # they carry the points' colors
     duals = [dual_point_to_line(p) for p in work]
-    face = _complete_face(duals, [int_line(l) for l in duals])
+    face = _complete_face([l.color for l in duals], [int_line(l) for l in duals])
     seg = extract_111_segment(duals, face, x_avoid=q)
 
     # primal boundary line of dual point e: y = e_x * x - e_y, functional

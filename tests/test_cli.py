@@ -9,10 +9,15 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
+from fractions import Fraction as F
 
 import pytest
 
-from tricut import cli
+from tricut import cells, cli, core, llines, serialization as ser, wedges
+from tricut.cells import find_complete_face
+from tricut.generators import GenKind, GenSpec, generate
+from tricut.llines import find_balanced_lline
 
 
 def run_cli(*args):
@@ -348,6 +353,14 @@ class TestRender:
         r = run_cli("render", "--in", str(inst))
         assert r.returncode == 0 and r.stdout.startswith("<svg ")
 
+    @pytest.mark.parametrize("gen_kind", [k.value for k in GenKind])
+    def test_every_gen_envelope_renders(self, tmp_path, capsys, gen_kind):
+        # lines, circle points, lattice points and other points all draw bare
+        inst = tmp_path / "inst.json"
+        assert cli.run(["gen", gen_kind, "--n", "5", "--seed", "8", "--out", str(inst)]) == 0
+        assert cli.run(["render", "--in", str(inst)]) == 0
+        assert capsys.readouterr().out.startswith("<svg ")
+
     def test_render_rejects_json_format(self, tmp_path):
         inst = tmp_path / "inst.json"
         run_cli("gen", "SimpleLines3C", "--n", "5", "--seed", "8", "--out", str(inst))
@@ -406,7 +419,7 @@ class TestEveryKind:
         assert json.loads(capsys.readouterr().out)["member"] is True
 
     def test_file_without_command_renders_as_its_bare_instance(self, tmp_path, kind, capsys):
-        # lines and circle points draw bare; other bare points have no picture
+        # every instance draws bare, whatever answer the file holds
         env = json.loads(self.solve(tmp_path, kind, "sol.json").read_text())
         del env["command"]
         results = []
@@ -415,7 +428,66 @@ class TestEveryKind:
             f.write_text(json.dumps(doc))
             results.append((cli.run(["render", "--in", str(f)]), capsys.readouterr()))
         assert results[0] == results[1]
-        assert results[0][0] == (0 if kind in ("cell", "segment", "arcs") else 2)
+        assert results[0][0] == 0
+        assert results[0][1].out.startswith("<svg ")
+
+
+def _mapped_lines(lines):
+    """The lines under the affine map (x, y) -> (x * 7/3 + 5/11, y * 13/17 - 2/9),
+    coefficients written as "p/q": a simple arrangement stays simple."""
+    s, t, u, v = F(7, 3), F(5, 11), F(13, 17), F(-2, 9)
+    return [
+        {"a": str(l.a / s), "b": str(l.b / u), "c": str(l.c - l.a * t / s - l.b * v / u),
+         "color": l.color.value}
+        for l in lines
+    ]
+
+
+class TestIntegerRoutes:
+    """`solve cell|lline --in` run their solver bodies on the integer rows of
+    the payload; the answers equal the public dataclass entries'."""
+
+    @pytest.mark.parametrize("case", ["lines", "mapped-lines", "lattice"])
+    def test_same_answer_as_the_dataclass_entry(self, tmp_path, monkeypatch, case):
+        if case == "lattice":
+            kind, payload = "lline", ser.enc_instance(
+                "LatticeRedHull", 32, 1, generate(GenSpec(GenKind.LatticeRedHull, 32, 1)))
+        else:
+            lines = generate(GenSpec(GenKind.SimpleLines3C, 100, 1))
+            body = ([ser.enc_line(l) for l in lines] if case == "lines" else _mapped_lines(lines))
+            kind, payload = "cell", {"lines": body}
+        inst, out = tmp_path / "in.json", tmp_path / "out.json"
+        inst.write_text(json.dumps(payload))
+
+        calls = Counter()
+        if kind == "cell":
+            # every module that holds core.int_line by name
+            real = core.int_line
+            for mod in (core, cells, wedges, ser, cli):
+                if getattr(mod, "int_line", None) is real:
+                    monkeypatch.setattr(mod, "int_line", _counted(calls, "int_line", real))
+        else:
+            init = llines.LatticePointSet.__post_init__
+            monkeypatch.setattr(llines.LatticePointSet, "__post_init__",
+                                _counted(calls, "LatticePointSet", init))
+        assert cli.run(["solve", kind, "--in", str(inst), "--out", str(out)]) == 0
+        assert calls == Counter()
+        monkeypatch.undo()
+
+        got = json.loads(out.read_text())["answer"]
+        if kind == "cell":
+            want = {"face": ser.enc_face(find_complete_face(ser.dec_lines_payload(payload)))}
+        else:
+            l, k = find_balanced_lline(ser.dec_lattice_payload(payload))
+            want = {"lline": ser.enc_lline(l), "k": k}
+        assert got == want
+
+
+def _counted(calls, name, f):
+    def spy(*args, **kwargs):
+        calls[name] += 1
+        return f(*args, **kwargs)
+    return spy
 
 
 @pytest.mark.parametrize("args", [

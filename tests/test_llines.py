@@ -38,9 +38,10 @@ def lattice_curve(sigma, hull_color=None):
     """q_1..q_{3n-1} of a sided ordering, as the search reads them: prefix
     sums of the color steps, with the ends checked by `_balanced_prefixes`."""
     pts = sigma.order
+    colors = [p.color for p in pts]
     if hull_color is None:
-        hull_color = llines._hull_color(llines._lattice_frame(pts))
-    q = llines._color_steps(pts, hull_color).cumsum(axis=0)
+        hull_color = llines._hull_color(llines._lattice_frame(pts), colors)
+    q = llines._color_steps(colors, hull_color).cumsum(axis=0)
     llines._balanced_prefixes(q, pts[-1].color is hull_color)
     return q[:-1]
 
@@ -70,7 +71,8 @@ def _block_move(old: tuple, new: tuple):
 
 
 def _anchor_sequence(s: LatticePointSet):
-    return [(s.points[i], turns) for i, turns in _ordering_sequence(_RankFrame(s.points))]
+    xs, ys, _ = llines._rows_of_points(s.points)
+    return [(s.points[i], turns) for i, turns in _ordering_sequence(_RankFrame(xs, ys))]
 
 
 def _ortho_hull_reference(points):
@@ -341,7 +343,8 @@ class TestDoubledCounts:
             for cy in [ys[0] - F(1, 2)] + [y + F(1, 2) for y in ys]:
                 for pair in RAY_PAIRS:
                     l = LLine((cx, cy), pair)
-                    assert llines._doubled_counts(l, s.points) == lline_counts(l, s)
+                    rows = llines._rows_of_points(s.points)
+                    assert llines._doubled_counts(l, *rows) == lline_counts(l, s)
 
 
 class TestOrthoHull:

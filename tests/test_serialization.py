@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricut.core import (
     Color,
@@ -11,6 +12,7 @@ from tricut.core import (
     arcset,
     circle_point,
     full_circle,
+    int_line,
     line,
     pt,
 )
@@ -23,6 +25,8 @@ from tricut.serialization import (
     dec_circle_payload,
     dec_face,
     dec_lattice_payload,
+    dec_lattice_rows,
+    dec_line_rows,
     dec_lines_payload,
     dec_lline,
     dec_points_payload,
@@ -224,3 +228,108 @@ class TestPayloads:
         env = enc_instance("LatticeRedHull", 4, 3, s)
         assert env["kind"] == "LatticeRedHull"
         assert env["n"] == 4 and env["seed"] == 3
+
+
+# -- integer rows against the dataclass decoders -------------------------------------
+
+
+@st.composite
+def forms_of(draw, value: Fraction):
+    """`value` as a JSON value in one of the forms the rational parser
+    reads: a JSON integer, "-0", canonical, zero-padded and unreduced "p/q",
+    decimal and exponent forms, a zero mantissa with a huge exponent."""
+    sgn = "-" if value < 0 else ""
+    p, q = abs(value.numerator), value.denominator
+    k = draw(st.integers(1, 12))
+    forms = [str(value), f"{sgn}{p * k}/{q * k}", f"{sgn}00{p}/0{q}"]  # "6/4", "007/014"
+    if q == 1:
+        forms += [value.numerator, f"{sgn}{p}.0", f"{sgn}{p}e0", f"{sgn}{p * 1000}e-3"]
+        if p % 1000 == 0 and p:
+            forms.append(f"{sgn}{p // 1000}e3")  # "2e3"
+    if value == 0:
+        forms += ["-0", "0e5000", "-0.0e999"]
+    if q in (2, 4, 5, 10) and p < 10**6:
+        forms.append(f"{sgn}{p / q}")  # "1.5"
+    return draw(st.sampled_from(forms))
+
+
+# numerators up to about 10**300, and mixed denominators
+NUMERATORS = st.integers(-50, 50) | st.integers(-(10**300), 10**300) | st.just(2000)
+RATIONALS = st.builds(
+    Fraction, NUMERATORS, st.sampled_from([1, 2, 3, 4, 7, 10, 10**6 + 3]) | st.integers(1, 10**9)
+)
+
+
+def _outcome(decode, payload):
+    """decode(payload), or the type and message of what it raised."""
+    try:
+        return decode(payload)
+    except PreconditionViolated as e:
+        return type(e), str(e)
+
+
+class TestRowDecoders:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(*[RATIONALS.flatmap(forms_of)] * 3, st.sampled_from("RGBK")),
+        min_size=1, max_size=6,
+    ))
+    def test_line_rows_are_int_lines(self, rows):
+        payload = {"lines": [{"a": a, "b": b, "c": c, "color": col} for a, b, c, col in rows]}
+        want = _outcome(dec_lines_payload, payload)
+        got = _outcome(dec_line_rows, payload)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+            return
+        triples, colors = got
+        assert triples == [int_line(l) for l in want]
+        assert colors == [l.color for l in want]
+        assert all(type(v) is int for t in triples for v in t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_lattice_rows_are_int_coordinates(self, data):
+        n = data.draw(st.integers(1, 5))
+        coord = st.integers(-(10**300), 10**300) | st.integers(-20, 20)
+        xs = data.draw(st.lists(coord, min_size=3 * n, max_size=3 * n, unique=True))
+        ys = data.draw(st.lists(coord, min_size=3 * n, max_size=3 * n, unique=True))
+        colors = data.draw(st.permutations("RGB" * n))
+        payload = {"points": [
+            {"x": data.draw(forms_of(Fraction(x))), "y": data.draw(forms_of(Fraction(y))), "color": c}
+            for x, y, c in zip(xs, ys, colors)
+        ]}
+        s = dec_lattice_payload(payload)
+        got = dec_lattice_rows(payload)
+        assert got == ([int(p.x) for p in s.points], [int(p.y) for p in s.points],
+                       [p.color for p in s.points])
+        assert all(type(v) is int for v in got[0] + got[1])
+
+    LINES = [{"a": "1", "b": "2", "c": "3", "color": "R"}, {"a": "-1/2", "b": "1", "c": "0", "color": "G"},
+             {"a": "0", "b": "5", "c": "-1", "color": "B"}]
+    LATTICE = [{"x": 0, "y": 1, "color": "R"}, {"x": 1, "y": 0, "color": "G"},
+               {"x": 2, "y": 3, "color": "B"}]
+
+    @pytest.mark.parametrize("key,item,change", [
+        ("lines", 0, {"a": True}), ("points", 1, {"x": True}),
+        ("lines", 1, {"b": 5.0}), ("points", 0, {"y": 5.0}),
+        ("lines", 2, {"c": "1/0"}), ("points", 2, {"x": "1/0"}),
+        ("lines", 0, {"a": "1/-2"}), ("points", 1, {"y": "1/-2"}),
+        ("points", 1, {"x": "3/2"}),
+        ("points", 2, {"x": 0}),  # a repeated x
+        ("points", 0, {"color": "K"}),
+        ("lines", 1, {"color": "X"}), ("points", 2, {"color": "X"}),
+        ("lines", 2, {"c": None}), ("points", 1, {"y": None}),  # None: the key is missing
+        ("lines", 1, {"a": "0", "b": "0"}),
+    ])
+    def test_malformed_payloads_fail_alike(self, key, item, change):
+        items = [dict(e) for e in (self.LINES if key == "lines" else self.LATTICE)]
+        for field, value in change.items():
+            if value is None:
+                del items[item][field]
+            else:
+                items[item][field] = value
+        rows, dataclasses = ((dec_line_rows, dec_lines_payload) if key == "lines"
+                             else (dec_lattice_rows, dec_lattice_payload))
+        want = _outcome(dataclasses, {key: items})
+        assert isinstance(want, tuple) and issubclass(want[0], PreconditionViolated)
+        assert _outcome(rows, {key: items}) == want

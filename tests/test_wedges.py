@@ -510,9 +510,9 @@ class TestFind111Wedge:
         calls = {"faces": 0, "arrangements": 0}
         face, arrangement = wedges._complete_face, cells.build_arrangement
 
-        def counting_face(duals, coeffs):
+        def counting_face(colors, coeffs):
             calls["faces"] += 1
-            return face(duals, coeffs)
+            return face(colors, coeffs)
 
         def counting_arrangement(lines):
             calls["arrangements"] += 1
