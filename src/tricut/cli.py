@@ -12,10 +12,10 @@ and --seed.  Every solver output is a JSON envelope carrying the instance
 and naming its kind in `command`, so verify and render work from the file
 alone; render draws a file without a solve command as a bare instance.
 Each command decodes its instance once, through the kind table `_KINDS`;
-solve hands a generated instance to its solver undecoded.  Cell and lline
-instances decode to integer rows, which their solver bodies take as they
-are; the dataclass items the oracles and figures need are built from those
-rows only when a command needs them.  Exit codes:
+solve hands a generated instance to its solver undecoded.  Cell, wedge,
+segment and lline instances decode to integer rows, which their solver
+bodies take as they are; the dataclass items the oracles and figures need
+are built from those rows only when a command needs them.  Exit codes:
 0 success, 2 a precondition failed (bad input, bad flags), 3 an internal
 guarantee broke (the contradiction trace is dumped to stderr).
 """
@@ -32,7 +32,7 @@ import time
 from . import serialization as ser
 from .arcs import find_k_arcset
 from .cells import _face_of_rows, _rows_of_lines, build_arrangement, cycle_parity
-from .core import Color, arcset_color_counts, dual_point_to_line, require_rgb
+from .core import Color, arcset_color_counts, dual_point_to_line, int_points, require_rgb
 from .errors import GenerationFailed, InternalError, PreconditionViolated, TricutError
 from .generators import GenKind, GenSpec, generate
 from .llines import _lline_of_rows, _rows_of_points, brute_oracle_llines, lline_counts
@@ -46,11 +46,13 @@ from .oracles import (
 )
 from .svg import render_arcset, render_arrangement, render_lline, render_wedge
 from .wedges import (
+    _points_of_rows,
+    _require_6n,
+    _segment_of_rows,
+    _wedge_of_rows,
     brute_oracle_segments,
     brute_oracle_wedges,
     find_111_wedge,
-    halving_segment,
-    sweep_balanced_wedge,
     wedge_color_counts,
     wedge_dual_segment,
     wedge_point_indices,
@@ -59,13 +61,13 @@ from .wedges import (
 # per solve kind: the generator and default n of the instance a solve command
 # makes itself, and the name of its payload decoder in `serialization` (looked
 # up at call time, so a wrapper bound there sees the call); segment takes the
-# duals of convex-position points: simple, 2n lines per color.  Cell and
-# lline decode to the integer rows their solver bodies take
+# duals of convex-position points: simple, 2n lines per color.  Cell, wedge,
+# segment and lline decode to the integer rows their solver bodies take
 _KINDS = {
     "cell": (GenKind.SimpleLines3C, 7, "dec_line_rows"),
     "wedge111": (GenKind.Points3C, 9, "dec_points_payload"),
-    "wedge": (GenKind.Points3CConvex, 2, "dec_points_payload"),
-    "segment": (GenKind.Points3CConvex, 2, "dec_lines_payload"),
+    "wedge": (GenKind.Points3CConvex, 2, "dec_point_rows"),
+    "segment": (GenKind.Points3CConvex, 2, "dec_line_rows"),
     "arcs": (GenKind.CirclePoints3C, 5, "dec_circle_payload"),
     "lline": (GenKind.LatticeRedHull, 4, "dec_lattice_rows"),
 }
@@ -118,8 +120,10 @@ def _decode(kind: str, payload: dict):
 
 def _rows(kind: str, objects):
     """What the solver body of `kind` takes, from dataclass items."""
-    if kind == "cell":
+    if kind in ("cell", "segment"):
         return _rows_of_lines(objects)
+    if kind == "wedge":
+        return int_points(objects), [p.color for p in objects]
     if kind == "lline":
         return _rows_of_points(objects.points)
     return objects
@@ -127,8 +131,10 @@ def _rows(kind: str, objects):
 
 def _objects(kind: str, items):
     """The dataclass items of decoded ones (the inverse of `_rows`)."""
-    if kind == "cell":
+    if kind in ("cell", "segment"):
         return ser._lines_of_rows(*items)
+    if kind == "wedge":
+        return _points_of_rows(*items)
     if kind == "lline":
         return ser._lattice_of_rows(*items)
     return items
@@ -145,10 +151,10 @@ def _solve(kind: str, items, k: int | None) -> dict:
     if kind == "cell":
         return {"face": ser.enc_face(_face_of_rows(*items))}
     if kind in ("wedge111", "wedge"):
-        w = (find_111_wedge if kind == "wedge111" else sweep_balanced_wedge)(items)
+        w = find_111_wedge(items) if kind == "wedge111" else _wedge_of_rows(*items)
         return {"wedge": ser.enc_wedge(w), "dual_segment": ser.enc_segment(wedge_dual_segment(w))}
     if kind == "segment":
-        return {"segment": ser.enc_segment(halving_segment(items))}
+        return {"segment": ser.enc_segment(_segment_of_rows(*items))}
     if kind == "arcs":
         if k is None:
             raise PreconditionViolated("solve arcs requires --k")
@@ -165,8 +171,9 @@ def _report(kind: str, payload: dict, items, answer: dict, k: int | None) -> Ver
     """Recompute the oracle check of a JSON answer on the dataclass items of
     `payload` (what verify re-runs)."""
     t0 = time.perf_counter()
+    what = "line" if kind in ("cell", "segment") else "point"
     if kind != "lline":  # a LatticePointSet has checked its colors
-        require_rgb([x.color for x in items], "line" if kind in ("cell", "segment") else "point")
+        require_rgb([x.color for x in items], what)
 
     if kind == "cell":
         with ser.decoding():
@@ -186,6 +193,9 @@ def _report(kind: str, payload: dict, items, answer: dict, k: int | None) -> Ver
         counts, target = cycle_parity(colors), (1, 1, 1)
 
     elif kind in ("wedge111", "wedge", "segment"):
+        # a wedge or segment instance the solver refuses, refused with its message
+        n = 1 if kind == "wedge111" else _require_6n([x.color for x in items], what)
+        target = (n, n, n)
         if kind == "segment":
             seg = _answer(answer, "segment", ser.dec_segment)
             # count_segment_crossings refuses an end on a line, so each side is +-1
@@ -197,8 +207,6 @@ def _report(kind: str, payload: dict, items, answer: dict, k: int | None) -> Ver
             counts = _counts_tuple(wedge_color_counts(w, items))
             key = wedge_point_indices(w, items)
             oracle_of = brute_oracle_wedges
-        n = 1 if kind == "wedge111" else len(items) // 6
-        target = (n, n, n)
         if len(items) <= ORACLE_MAX_POINTS["wedge"]:
             oracle_sets = oracle_of(items, target)
             member = key in oracle_sets

@@ -216,6 +216,10 @@ _RESIDUE_PRIME = 2**30 + 3
 # below this many triples the exact loop is no slower than the residue pass:
 # on small integer coefficients the two cost the same at about 27 lines
 _PREPASS_MIN_LINES = 30
+# pairs per block of the residue pass: a block's joins and inverses take
+# about nine int64 arrays of its pairs, the whole pass keeps 8 bytes a pair;
+# 200 lines (19,900 pairs) are one block
+_RESIDUE_BLOCK = 1 << 15
 
 
 def join_map(triples: Sequence[Triple], z: Triple | None, clash: Callable) -> dict[Triple, tuple]:
@@ -247,8 +251,24 @@ def check_joins(triples: Sequence[Triple], z: Triple | None, clash: Callable) ->
         join_map(triples, z, clash)
 
 
+def _row_blocks(m: int):
+    """(r0, r1) runs of whole rows of the pairs i < j of m items, row i
+    holding the pairs (i, j), each run at most `_RESIDUE_BLOCK` pairs (one
+    row at least)."""
+    r0 = 0
+    while r0 < m - 1:
+        r1, size = r0 + 1, m - 1 - r0
+        while r1 < m - 1 and size + m - 1 - r1 <= _RESIDUE_BLOCK:
+            size += m - 1 - r1
+            r1 += 1
+        yield r0, r1
+        r0 = r1
+
+
 def _residue_hit(triples: Sequence[Triple], z: Triple | None) -> bool:
-    """True if, mod p, some join is zero, touches z, or repeats."""
+    """True if, mod p, some join is zero, touches z, or repeats.  The joins
+    are computed a block of rows of pairs at a time (`_row_blocks`); only
+    their keys, one int64 per pair, are kept for the repeat test."""
     p = _RESIDUE_PRIME
 
     def mod(v: np.ndarray) -> np.ndarray:
@@ -256,22 +276,31 @@ def _residue_hit(triples: Sequence[Triple], z: Triple | None) -> bool:
         # faster than it takes the remainder
         return v - v // p * p
 
+    m = len(triples)
     a, b, c = (np.array([t[k] % p for t in triples], dtype=np.int64) for k in range(3))
-    i, j = np.triu_indices(len(triples), 1)
-    x, y, w = (mod(u[i] * v[j] - u[j] * v[i]) for u, v in ((b, c), (c, a), (a, b)))
-    del i, j  # as large as the joins
-    lead = np.where(x != 0, x, np.where(y != 0, y, w))
     za, zb, zc = (t % p for t in z or (0, 0, 0))
-    if not lead.all() or (z and not mod(za * x + zb * y + zc * w).all()):
-        return True
-    inv = lead  # lead ** (p - 2) mod p, square and multiply from the top bit
-    for bit in bin(p - 2)[3:]:
-        inv = mod(inv * inv)
-        if bit == "1":
-            inv = mod(inv * lead)
-    # each join divided by its first nonzero entry
-    key = np.sort(((x != 0) * p + mod(y * inv)) * p + mod(w * inv))
-    return bool((key[1:] == key[:-1]).any())
+    keys = np.empty(m * (m - 1) // 2, dtype=np.int64)
+    done = 0
+    for r0, r1 in _row_blocks(m):
+        # the pairs of rows r0..r1 - 1: an upper triangle of columns r0..m - 1
+        i, j = np.triu_indices(r1 - r0, 1, m - r0)
+        i += r0
+        j += r0
+        x, y, w = (mod(u[i] * v[j] - u[j] * v[i]) for u, v in ((b, c), (c, a), (a, b)))
+        del i, j  # as large as the joins
+        lead = np.where(x != 0, x, np.where(y != 0, y, w))
+        if not lead.all() or (z and not mod(za * x + zb * y + zc * w).all()):
+            return True
+        inv = lead  # lead ** (p - 2) mod p, square and multiply from the top bit
+        for bit in bin(p - 2)[3:]:
+            inv = mod(inv * inv)
+            if bit == "1":
+                inv = mod(inv * lead)
+        # each join divided by its first nonzero entry
+        keys[done:done + len(x)] = ((x != 0) * p + mod(y * inv)) * p + mod(w * inv)
+        done += len(x)
+    keys.sort()
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 # -- point/line duality ------------------------------------------------------

@@ -3,15 +3,17 @@
 Rationals travel as strings ("5" or "5/2"), so persisted data never loses
 precision; lattice coordinates are plain JSON integers.  Every rational is
 read once, by one pair parser (`_parse_rat`: an exact (num, den) in lowest
-terms).  The two instances whose solvers run on integers decode straight to
-integer rows: `dec_line_rows` gives each line as its primitive triple
-(A, B, C), as `core.int_line` would, and `dec_lattice_rows` gives the
-lattice coordinates as ints; both check what the dataclass constructors
-check, with the same errors.  `dec_lines_payload` and `dec_lattice_payload`
-build their dataclasses from those rows; the other decoders build theirs
-through the normal constructors, so a hand-edited file fails the same way a
-bad argument would.  Data of the wrong shape (a missing key, a string where
-a list belongs, an unknown color) raises PreconditionViolated through the
+terms).  The four instances whose solvers run on integers (cell, wedge,
+segment, lline) decode straight to integer rows: `dec_line_rows` gives each
+line as its primitive triple (A, B, C), as `core.int_line` would,
+`dec_point_rows` each point as its primitive homogeneous triple (X, Y, W),
+as `core.int_point` would, and `dec_lattice_rows` the lattice coordinates
+as ints; each checks what the dataclass decoder checks, with the same
+errors.  `dec_lines_payload` and `dec_lattice_payload` build their
+dataclasses from those rows; the other decoders build theirs through the
+normal constructors, so a hand-edited file fails the same way a bad
+argument would.  Data of the wrong shape (a missing key, a string where a
+list belongs, an unknown color) raises PreconditionViolated through the
 `decoding` guard: one per public decoder, so a payload decoder enters it
 once, not once per element.
 """
@@ -138,6 +140,15 @@ def enc_point(p: ColoredPoint) -> dict:
 
 def _point(d: dict) -> ColoredPoint:
     return ColoredPoint(dec_rat(d["x"]), dec_rat(d["y"]), _color(d["color"]))
+
+
+def _point_row(d: dict) -> tuple[Triple, Color]:
+    """A point's primitive homogeneous triple (X, Y, W), W > 0 the lcm of
+    the two denominators (`core.int_point` of the point), and its color."""
+    (nx, dx), (ny, dy) = _rat_pair(d["x"]), _rat_pair(d["y"])
+    color = _color(d["color"])
+    w = lcm(dx, dy)
+    return (nx * (w // dx), ny * (w // dy), w), color
 
 
 def enc_line(l: ColoredLine) -> dict:
@@ -290,10 +301,11 @@ def _items(d: dict, key: str, field: str | None) -> list:
     return body[key]
 
 
-def _line_rows(d: dict) -> tuple[list[Triple], list[Color]]:
+def _rows(d: dict, key: str, field: str | None, row) -> tuple[list[Triple], list[Color]]:
+    """(triples, colors) of the items under `key`, each read by `row`."""
     triples, colors = [], []
-    for e in _items(d, "lines", None):
-        t, c = _line_row(e)
+    for e in _items(d, key, field):
+        t, c = row(e)
         triples.append(t)
         colors.append(c)
     return triples, colors
@@ -305,7 +317,15 @@ def dec_line_rows(d: dict) -> tuple[list[Triple], list[Color]]:
     integer triple (A, B, C), first nonzero of (A, B) positive, equal to
     `core.int_line` of the line `dec_lines_payload` gives, with the same
     errors."""
-    return _line_rows(d)
+    return _rows(d, "lines", None, _line_row)
+
+
+@decoding()
+def dec_point_rows(d: dict) -> tuple[list[Triple], list[Color]]:
+    """The points of a payload as (triples, colors): each point's primitive
+    homogeneous triple (X, Y, W), W > 0, equal to `core.int_point` of the
+    point `dec_points_payload` gives, with the same errors."""
+    return _rows(d, "points", "x", _point_row)
 
 
 def _coordinate(v) -> int | Fraction:
@@ -349,7 +369,7 @@ def _lattice_of_rows(xs, ys, colors) -> LatticePointSet:
 
 @decoding()
 def dec_lines_payload(d: dict) -> tuple[ColoredLine, ...]:
-    return _lines_of_rows(*_line_rows(d))
+    return _lines_of_rows(*_rows(d, "lines", None, _line_row))
 
 
 @decoding()

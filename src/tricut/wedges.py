@@ -19,9 +19,12 @@ balanced window.
 Events come from a lazy queue (`_EventQueue`): a heap of the pairs adjacent
 in the current slope order, as in kinetic sorting, so a sweep that stops
 after k events computes O(m + k) pair-line keys instead of sorting all
-m(m - 1)/2 of them.  The balanced wedge, the 111 wedge and the halving
-segment are counted once more, by one integer side count, before they are
-returned.
+m(m - 1)/2 of them.  The sweep and the halving segment run on integer
+rows (`_wedge_of_rows`, `_segment_of_rows`: homogeneous triples and
+colors); Fractions are built only for the apex, the slopes around the
+balanced window and the answer.  The balanced wedge, the 111 wedge and the
+halving segment are counted once more, by one integer side count, before
+they are returned.
 
 `find_111_wedge` dualizes the points and pulls a segment out of one complete
 cell.  Points sharing an x coordinate would dualize to parallel lines, so
@@ -41,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cells import _complete_face, extract_111_segment, require_simple
+from .cells import _AT_INFINITY, _complete_face, _not_simple, _rows_of_lines, extract_111_segment
 from .core import (
     Color,
     ColoredLine,
@@ -50,15 +53,18 @@ from .core import (
     Rat,
     RGB,
     Segment,
+    Triple,
+    _collinear,
     check_general_position,
+    check_joins,
     deficit_steps,
     dual_line_to_point,
     dual_point_to_line,
     int_line,
-    int_point,
     int_points,
     intersect,
     point_joins,
+    require_distinct,
     require_rgb,
     winding_number,
 )
@@ -241,52 +247,73 @@ def wedge_dual_segment(w: DoubleWedge) -> Segment:
 # -- the sweep -----------------------------------------------------------------
 
 
-def _pair_event(p, q, n0: int, d0: int) -> tuple[Fraction, Fraction]:
-    """(intercept on x = n0/d0, slope) of the line through two `int_points`
-    triples with distinct x: one Fraction of integer differences each."""
+def _pair_line(p, q, n0: int, d0: int) -> tuple[int, int, int, int]:
+    """(n, d, dy, dx): intercept n/d on x = n0/d0 and slope dy/dx of the line
+    through two point triples (X, Y, W), W > 0, with distinct x; d and dx are
+    positive when p is left of q."""
     (xi, yi, wi), (xj, yj, wj) = p, q
     run = n0 * wi - xi * d0  # (x0 - x_i) * wi * d0
     dx, dy = xj * wi - xi * wj, yj * wi - yi * wj  # differences times wi * wj
-    return Fraction(yi * dx * d0 + dy * run, wi * d0 * dx), Fraction(dy, dx)
+    return yi * dx * d0 + dy * run, wi * d0 * dx, dy, dx
 
 
-def _pair_events(points: Sequence[ColoredPoint], x0: Rat):
+def _pair_event(p, q, n0: int, d0: int) -> tuple[Fraction, Fraction]:
+    """(intercept on x = n0/d0, slope) of the line through two point triples
+    with distinct x, as Fractions (`_pair_line`)."""
+    n, d, dy, dx = _pair_line(p, q, n0, d0)
+    return Fraction(n, d), Fraction(dy, dx)
+
+
+def _pair_events(triples: Sequence[Triple], x0: Rat):
     """Every point-pair line as (intercept on x = x0, slope, i, j), i < j, in
     index order."""
-    ints = int_points(points)
     n0, d0 = x0.numerator, x0.denominator
     return [
-        (*_pair_event(ints[i], ints[j], n0, d0), i, j)
-        for i, j in itertools.combinations(range(len(ints)), 2)
+        (*_pair_event(triples[i], triples[j], n0, d0), i, j)
+        for i, j in itertools.combinations(range(len(triples)), 2)
     ]
+
+
+def _x_keys(triples: Sequence[Triple]) -> list[int]:
+    """x = X/W of each point triple times the lcm of the W: integers in the
+    order of x."""
+    scale = math.lcm(*(w for _, _, w in triples))
+    return [x * (scale // w) for x, _, w in triples]
 
 
 class _EventQueue:
     """The point-pair lines in the order an apex sliding down x = x0 - eps
-    crosses them, for a small eps > 0: intercept on x = x0 descending, then
-    slope ascending, since of two lines meeting on x = x0 the steeper runs
+    crosses them, for a small eps > 0: intercept y on x = x0 descending, then
+    slope s ascending, since of two lines meeting on x = x0 the steeper runs
     lower just left of it (Simulation of Simplicity).
 
     `order` starts as the points by increasing x, which an apex above every
     pair line sees, and crossing a pair line swaps its two points.  With no
     three collinear points the next line crossed always joins two points
     adjacent in `order` (kinetic sorting), so a heap holds only the adjacent
-    pairs not yet crossed, keyed by (floor(-y), -y, floor(s), s): ordering
-    by (floor(v), v) is exactly ordering by v, and the int comparison
-    settles most pairs without Fraction arithmetic.  A pair is pushed each
-    time it becomes adjacent in its original order; an entry whose pair has
-    since moved apart or swapped is stale and dropped when it surfaces.
+    pairs not yet crossed.  An entry is (floor(-y * 2**k), floor(s * 2**k),
+    a, b), a left of b, on Python ints: k is fixed by the largest W and |X|
+    so that 2**k exceeds the square of every denominator of y and s, and
+    two values that differ then differ by more than 2**-k, so the integer
+    keys order the lines exactly as their Fractions would.  A pair is pushed
+    each time it becomes adjacent in its original order; an entry whose
+    pair has since moved apart or swapped is stale and dropped when it
+    surfaces.  `line` gives an entry's exact (y, s).
     """
 
-    def __init__(self, ints: list[tuple[int, int, int]], x0: Rat, order: list[int]):
+    def __init__(self, ints: list[Triple], x0: Rat, order: list[int]):
         self.ints = ints
         self.n0, self.d0 = x0.numerator, x0.denominator
+        # |dx| <= 2 max|X| max W, and y has the denominator W_a d0 dx
+        most = max(abs(x) for x, _, _ in ints) or 1
+        wmax = max(w for _, _, w in ints)
+        self.k = 2 * (2 * most * wmax * wmax * self.d0).bit_length()
         self.order = order
         self.pos = [0] * len(order)
         for r, i in enumerate(order):
             self.pos[i] = r
         self.rank = self.pos[:]  # position in the starting x order
-        self.last = None  # key of the last line crossed
+        self.last = None  # entry of the last line crossed
         self.heap = []
         for r in range(len(order) - 1):
             self._push(r)
@@ -294,30 +321,36 @@ class _EventQueue:
     def _push(self, r: int) -> None:
         """Queue the pair at positions r, r + 1 unless its line is crossed."""
         a, b = self.order[r], self.order[r + 1]
-        if self.rank[a] < self.rank[b]:
-            y, s = _pair_event(self.ints[a], self.ints[b], self.n0, self.d0)
-            heapq.heappush(self.heap, (math.floor(-y), -y, math.floor(s), s, a, b))
+        if self.rank[a] < self.rank[b]:  # a is left of b
+            n, d, dy, dx = _pair_line(self.ints[a], self.ints[b], self.n0, self.d0)
+            k = self.k
+            heapq.heappush(self.heap, ((-n << k) // d, (dy << k) // dx, a, b))
+
+    def line(self, entry) -> tuple[Fraction, Fraction]:
+        """Exact (y, s) of a queue entry's pair line."""
+        return _pair_event(self.ints[entry[2]], self.ints[entry[3]], self.n0, self.d0)
 
     def peek(self):
-        """Key of the next line to cross, or None once every one is crossed."""
+        """Entry of the next line to cross, or None once every one is crossed."""
         heap, pos = self.heap, self.pos
-        while heap and pos[heap[0][4]] + 1 != pos[heap[0][5]]:
+        while heap and pos[heap[0][2]] + 1 != pos[heap[0][3]]:
             heapq.heappop(heap)
-        return heap[0][:4] if heap else None
+        return heap[0] if heap else None
 
     def cross(self) -> int | None:
         """Cross the next line: swap its two points and return the position r
         of the swapped pair (now at r, r + 1), or None if none is left."""
-        key = self.peek()
-        if key is None:
+        entry = self.peek()
+        if entry is None:
             return None
-        _, _, _, _, a, b = heapq.heappop(self.heap)
-        if self.last is not None and key <= self.last:
+        heapq.heappop(self.heap)
+        _, _, a, b = entry
+        if self.last is not None and entry[:2] <= self.last[:2]:
             raise InternalError(
                 "pair line crossed out of order",
-                {"pair": (a, b), "key": str(key), "last": str(self.last)},
+                {"pair": (a, b), "key": str(entry[:2]), "last": str(self.last[:2])},
             )
-        self.last = key
+        self.last = entry
         order, pos = self.order, self.pos
         r = pos[a]
         order[r], order[r + 1] = b, a
@@ -329,8 +362,11 @@ class _EventQueue:
         return r
 
 
-def _y(key) -> Fraction:
-    return -key[1]
+def _points_of_rows(triples: Sequence[Triple], colors: Sequence[Color]) -> tuple[ColoredPoint, ...]:
+    """The ColoredPoints of point triples (X, Y, W) and their colors."""
+    return tuple(
+        ColoredPoint(Fraction(x, w), Fraction(y, w), c) for (x, y, w), c in zip(triples, colors)
+    )
 
 
 def sweep_balanced_wedge(points: Sequence[ColoredPoint], validate: bool = False) -> DoubleWedge:
@@ -341,23 +377,52 @@ def sweep_balanced_wedge(points: Sequence[ColoredPoint], validate: bool = False)
     a guaranteed sweep invariant fails, which would be a library bug.
     """
     pts = tuple(points)
-    n = _require_6n([p.color for p in pts], "point")
-    check_general_position(pts, GeneralPosition.DISTINCT_X)
-    check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
-    return _sweep(pts, n, validate)
+    return _wedge_of_rows(int_points(pts), [p.color for p in pts], validate)
 
 
-def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> DoubleWedge:
-    """Body of sweep_balanced_wedge on input already known to satisfy its
-    preconditions."""
+def _wedge_of_rows(
+    triples: Sequence[Triple], colors: Sequence[Color], validate: bool = False
+) -> DoubleWedge:
+    """`sweep_balanced_wedge` on rows: each point's `int_point` triple and its
+    color, in input order; checks the colors, distinct x and no three
+    collinear points first, in that order."""
+    n = _require_6n(colors, "point")
+    xs = _x_keys(triples)
+    if len(set(xs)) != len(xs):
+        require_distinct([Fraction(x, w) for x, _, w in triples], "x")
+    check_joins(triples, None, _collinear)
+    apex, u, v = _sweep(triples, colors, n, validate)
+    w = wedge_from_functionals(
+        apex, tuple(map(Fraction, u)), tuple(map(Fraction, v)), contains_disagree=True
+    )
+    counts = _int_side_counts(u, v, triples, colors, False)
+    if any(counts[c] != n for c in RGB):
+        raise InternalError("balanced window did not verify", {"counts": str(counts)})
+    return w
+
+
+def _through(apex: tuple[Rat, Rat], m: Rat) -> Triple:
+    """Integer functional (A, B, C), B > 0, of the line through `apex` with
+    slope m: a positive multiple of (-m, 1, m * ax - ay)."""
+    p, q = m.numerator, m.denominator
+    c = p * apex[0] - q * apex[1]
+    return (-p * c.denominator, q * c.denominator, c.numerator)
+
+
+def _sweep(
+    triples: Sequence[Triple], colors: Sequence[Color], n: int, validate: bool = False
+) -> tuple[tuple[Rat, Rat], Triple, Triple]:
+    """Body of sweep_balanced_wedge on point triples (X, Y, W), W > 0, already
+    known to satisfy its preconditions: (apex, u, v), the integer functionals
+    of the two boundary lines (`_through`), whose disagree sectors hold the
+    balanced window."""
     m = 6 * n
     h = 3 * n
 
-    x0 = min(p.x for p in pts) - 1
-    ints = int_points(pts)
-    queue = _EventQueue(ints, x0, sorted(range(m), key=lambda i: pts[i].x))
-    order = queue.order
-    colors = [p.color for p in pts]
+    order = sorted(range(m), key=_x_keys(triples).__getitem__)
+    x, _, w = triples[order[0]]
+    x0 = Fraction(x - w, w)  # min x - 1
+    queue = _EventQueue(triples, x0, order)
     steps = deficit_steps(colors, Color.B, Color.G)
     curve = _window_curve(steps[order])
     # an event moves two vertices: on [x, y] lists of Python ints that costs
@@ -411,50 +476,44 @@ def _sweep(pts: tuple[ColoredPoint, ...], n: int, validate: bool = False) -> Dou
 
     # the apex sits on x = x0 midway between the last line crossed and the
     # next, or 1 beyond the first or last intercept
-    last, nxt = queue.last, queue.peek()
-    above = _y(last) if last else _y(nxt) + 2
-    below = _y(nxt) if nxt else _y(last) - 2
+    last = queue.line(queue.last) if queue.last else None
+    nxt = queue.peek()
+    nxt = queue.line(nxt) if nxt else None
+    above = last[0] if last else nxt[0] + 2
+    below = nxt[0] if nxt else last[0] - 2
     if above != below:
         apex = (x0, (above + below) / 2)
     else:
-        apex = _apex_off_tie(pts, x0, last, nxt)
+        apex = _apex_off_tie(triples, x0, last, nxt)
     ax, ay = apex
 
-    if validate and list(ordering_at(apex, pts).points) != [pts[i] for i in order]:
-        raise InternalError("ordering drifted from slope order", {"stage": stage})
+    if validate:
+        pts = _points_of_rows(triples, colors)
+        if list(ordering_at(apex, pts).points) != [pts[i] for i in order]:
+            raise InternalError("ordering drifted from slope order", {"stage": stage})
 
     def slope(r: int) -> Rat:
-        p = pts[order[r]]
-        return (p.y - ay) / (p.x - ax)
+        x, y, w = triples[order[r]]
+        return (y - ay * w) / (x - ax * w)
 
     m_lo = slope(0) - 1 if k0 == 0 else (slope(k0 - 1) + slope(k0)) / 2
     m_hi = slope(m - 1) + 1 if k0 + h == m else (slope(k0 + h - 1) + slope(k0 + h)) / 2
-
-    w = wedge_from_functionals(
-        apex,
-        (-m_lo, Fraction(1), m_lo * ax - ay),
-        (-m_hi, Fraction(1), m_hi * ax - ay),
-        contains_disagree=True,
-    )
-    u, v, agree = int_line(w.line1), int_line(w.line2), w.sector == SECTOR_AGREE
-    counts = _int_side_counts(u, v, ints, colors, agree)
-    if any(counts[c] != n for c in RGB):
-        raise InternalError("balanced window did not verify", {"counts": str(counts)})
-    return w
+    return apex, _through(apex, m_lo), _through(apex, m_hi)
 
 
 def _int_side_counts(
-    u: tuple[int, int, int],
-    v: tuple[int, int, int],
-    triples: Sequence[tuple[int, int, int]],
+    u: Triple,
+    v: Triple,
+    triples: Sequence[Triple],
     colors: Sequence[Color],
     agree: bool,
 ) -> dict[Color, int]:
     """Per color, the items t where u.t and v.t have equal signs if `agree`,
     opposite signs if not; a zero raises OnBoundary.  The solvers' self-check:
-    for a wedge u, v are the `int_line` of its boundary lines and t the
+    for a wedge u, v are integer functionals of its boundary lines and t the
     points' `int_point` triples (W > 0, so u.t has the side's sign); for a
-    segment u, v are its ends' `int_point` and t the lines' `int_line`.
+    segment u, v are its ends' homogeneous triples (W > 0) and t the lines'
+    `int_line`.
     """
     a1, b1, c1 = u
     a2, b2, c2 = v
@@ -469,15 +528,18 @@ def _int_side_counts(
     return counts
 
 
-def _apex_off_tie(pts: tuple[ColoredPoint, ...], x0: Rat, last, nxt) -> tuple[Rat, Rat]:
-    """Apex between the last line crossed and the next when both cross
-    x = x0 at one point (x0, y): step left along their mean slope s by
-    d = min(1, |y - y_e| / |s_e - s|) / 2 over the pair lines e missing the
-    point with s_e != s, which crosses no other pair line."""
-    y = _y(nxt)
-    s = (last[3] + nxt[3]) / 2
+def _apex_off_tie(
+    triples: Sequence[Triple], x0: Rat, last: tuple[Rat, Rat], nxt: tuple[Rat, Rat]
+) -> tuple[Rat, Rat]:
+    """Apex between the last line crossed and the next, each given as its
+    (y, s), when both cross x = x0 at one point (x0, y): step left along
+    their mean slope s by d = min(1, |y - y_e| / |s_e - s|) / 2 over the
+    pair lines e missing the point with s_e != s, which crosses no other
+    pair line."""
+    y = nxt[0]
+    s = (last[1] + nxt[1]) / 2
     d = Fraction(1)
-    for y_e, s_e, _, _ in _pair_events(pts, x0):
+    for y_e, s_e, _, _ in _pair_events(triples, x0):
         if y_e != y and s_e != s:
             d = min(d, abs(y - y_e) / abs(s_e - s))
     d /= 2
@@ -583,7 +645,9 @@ def brute_oracle_segments(
     holding the vertical direction are dual to the other projective segment
     on the same ends (two rays), which crosses the lines the segment misses.
     """
-    return brute_oracle_wedges(_sheared_duals(tuple(lines))[1], target)
+    ls = tuple(lines)
+    _, duals = _sheared_duals([int_line(l) for l in ls])
+    return brute_oracle_wedges(_points_of_rows(duals, [l.color for l in ls]), target)
 
 
 # -- duals: 111 wedges and halving segments ------------------------------------
@@ -649,19 +713,25 @@ def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
     return w
 
 
-def _sheared_duals(lines: tuple[ColoredLine, ...]) -> tuple[int | None, tuple[ColoredPoint, ...]]:
-    """(lam, the lines' dual points after the shear (x, y) -> (x + lam*y, y)),
-    lam None and no shear when no line is vertical.  Line (a, b, c) becomes
-    (a, b - a*lam, c); normalized lines have a in {0, 1}, so lam =
-    floor(max |b|) + 1 leaves none vertical.  A shear keeps every crossing,
-    and a line crosses a segment iff its dual point is in the segment's dual
-    wedge.
+def _sheared_duals(triples: Sequence[Triple]) -> tuple[int | None, list[Triple]]:
+    """(lam, the dual points (X, Y, W), W > 0, of the `int_line` triples after
+    the shear (x, y) -> (x + lam*y, y)), lam None and no shear when no line
+    is vertical.  The shear takes line (A, B, C) to (A, B - A*lam, C), and
+    lam = max |B| // A + 1 (1 for A = 0) exceeds every |B/A|, so no line
+    stays vertical.  The dual point of a line (A, B, C), B != 0, is
+    (-A/B, C/B); as (-A, C, B) it is primitive, as the line is, and B's
+    sign is made positive.  A shear keeps every crossing, and a line
+    crosses a segment iff its dual point is in the segment's dual wedge.
     """
     lam = None
-    if any(l.is_vertical for l in lines):
-        lam = math.floor(max(abs(l.b) for l in lines)) + 1
-        lines = tuple(ColoredLine(l.a, l.b - l.a * lam, l.c, l.color) for l in lines)
-    return lam, tuple(dual_line_to_point(l) for l in lines)
+    if any(b == 0 for _, b, _ in triples):
+        lam = max(abs(b) // a if a else 1 for a, b, _ in triples) + 1
+    duals = []
+    for a, b, c in triples:
+        if lam is not None:
+            b -= a * lam
+        duals.append((-a, c, b) if b > 0 else (a, -c, -b))
+    return lam, duals
 
 
 def halving_segment(lines: Sequence[ColoredLine]) -> Segment:
@@ -671,23 +741,30 @@ def halving_segment(lines: Sequence[ColoredLine]) -> Segment:
     lines are handled by an internal integer shear.  Dual of
     sweep_balanced_wedge.
     """
-    ls = tuple(lines)
-    n = _require_6n([l.color for l in ls], "line")
-    require_simple(ls)
+    return _segment_of_rows(*_rows_of_lines(tuple(lines)))
 
-    lam, dual_pts = _sheared_duals(ls)
+
+def _segment_of_rows(triples: Sequence[Triple], colors: Sequence[Color]) -> Segment:
+    """`halving_segment` on rows: each line's `int_line` triple and its
+    color, in input order; checks the colors and simplicity first."""
+    n = _require_6n(colors, "line")
+    check_joins(triples, _AT_INFINITY, _not_simple)
+
+    lam, duals = _sheared_duals(triples)
     # a simple arrangement has no parallel lines (distinct dual x) and no
     # three concurrent lines (no three collinear dual points), so the duals
-    # already meet the sweep's preconditions
-    seg = wedge_dual_segment(_sweep(dual_pts, n))
+    # already meet the sweep's preconditions; the segment's ends are the
+    # dual points of the wedge's boundary lines, sheared back by
+    # (x, y) -> (x - lam*y, y)
+    _, u, v = _sweep(duals, colors, n)
+    ends = [(-a, c, b) for a, b, c in (u, v)]
     if lam is not None:
-        seg = Segment(*((x - lam * y, y) for x, y in (seg.p, seg.q)))
+        ends = [(x - lam * y, y, w) for x, y, w in ends]
 
-    u, v = int_point(*seg.p), int_point(*seg.q)
     try:
-        counts = _int_side_counts(u, v, [int_line(l) for l in ls], [l.color for l in ls], False)
+        counts = _int_side_counts(*ends, triples, colors, False)
     except OnBoundary as e:
         raise InternalError("segment endpoint on an input line") from e
     if any(counts[c] != n for c in RGB):
         raise InternalError("halving segment did not verify", {"counts": str(counts)})
-    return seg
+    return Segment(*((Fraction(x, w), Fraction(y, w)) for x, y, w in ends))

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import unittest.mock
 from fractions import Fraction as F
 
 import pytest
@@ -614,6 +615,52 @@ class TestRequireSimpleMatchesExact:
         assert core._residue_hit(int_points([points[0], points[-1]]), None)
         assert len(point_joins(points)) == 31 * 30 // 2
         no_three_collinear(points)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(prepass_arrangements(), prepass_point_sets()), st.integers(1, 300))
+    def test_blocks_agree_with_the_exact_loop(self, items, block):
+        # blocks of `block` pairs (a whole row at least) cut the pass into
+        # many runs: a hit wherever join_map finds a clash, and the verdict
+        # of the pass in one block on every input
+        if isinstance(items[0], ColoredLine):
+            triples, z = [int_line(l) for l in items], cells._AT_INFINITY
+        else:
+            triples, z = int_points(items), None
+        one_block = core._residue_hit(triples, z)
+        with unittest.mock.patch.object(core, "_RESIDUE_BLOCK", block):
+            blocked = core._residue_hit(triples, z)
+        try:
+            core.join_map(triples, z, lambda *clash: LookupError(clash))
+        except LookupError:
+            assert blocked
+        assert blocked == one_block
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 40])
+    @pytest.mark.parametrize("block", [1, 5, 38, 39, 1000])
+    def test_row_blocks_cover_every_row_once(self, monkeypatch, m, block):
+        # row i holds the m - 1 - i pairs (i, j), j > i
+        monkeypatch.setattr(core, "_RESIDUE_BLOCK", block)
+        runs = list(core._row_blocks(m))
+        assert [r0 for r0, _ in runs] == [0] + [r1 for _, r1 in runs[:-1]]
+        assert runs[-1][1] == m - 1
+        sizes = [sum(m - 1 - r for r in range(r0, r1)) for r0, r1 in runs]
+        assert sum(sizes) == m * (m - 1) // 2
+        # at most `block` pairs, unless a single row holds more
+        assert all(k <= block or r1 - r0 == 1 for k, (r0, r1) in zip(sizes, runs))
+        # and as many rows as fit: the next row would overflow the block
+        assert all(k + m - 1 - r1 > block for k, (_, r1) in zip(sizes, runs[:-1]))
+
+    def test_many_blocks_without_a_hit(self, monkeypatch):
+        monkeypatch.setattr(core, "_RESIDUE_BLOCK", 64)
+        lines = generate(GenSpec(GenKind.SimpleLines3C, 60, 1))
+        assert not core._residue_hit([int_line(l) for l in lines], cells._AT_INFINITY)
+        points = generate(GenSpec(GenKind.Points3CConvex, 10, 1))
+        assert not core._residue_hit(int_points(points), None)
+        # a repeat across two blocks: the first row's join and the last's
+        p, q = points[0], points[1]
+        moved = list(points)
+        moved[-1] = pt(2 * q.x - p.x, 2 * q.y - p.y, "R")  # on the line through p and q
+        assert core._residue_hit(int_points(moved), None)
 
     def test_no_hit_on_generated_arrangements(self):
         for n in (core._PREPASS_MIN_LINES, 50, 200):

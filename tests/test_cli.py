@@ -230,20 +230,6 @@ class TestVerify:
         sol.write_text(json.dumps(env))
         assert run_cli("verify", "--in", str(sol)).returncode == 0
 
-    def test_unbalanced_segment_file_verifies(self, tmp_path):
-        # 6 lines colored R, R, G, R, G, B: the answer crosses lines 1, 2
-        # and 5, one per color, while the lines it misses are R, R, G
-        sol = self.solution(tmp_path, "solve", "segment", "--n", "1", "--seed", "3")
-        env = json.loads(sol.read_text())
-        for l, c in zip(env["instance"]["lines"], "RRGRGB"):
-            l["color"] = c
-        sol.write_text(json.dumps(env))
-        r = run_cli("verify", "--in", str(sol))
-        assert r.returncode == 0, r.stderr
-        v = json.loads(r.stdout)
-        assert v["member"] is True and v["counts"] == [1, 1, 1]
-        assert [1, 2, 5] in v["oracle_answers"]
-
     def test_neutral_point_in_solution_exit_2(self, tmp_path):
         sol = self.solution(
             tmp_path, "solve", "arcs", "--n", "2", "--k", "1", "--seed", "3"
@@ -312,7 +298,14 @@ class TestVerify:
         ("segment", 4, "B->R", "no line of color B"),  # 24 lines, past the oracle cap
         ("wedge", 4, "B->R", "no point of color B"),
         ("cell", 7, "K", "line 0 has color K, want R, G or B"),
-    ], ids=["segment", "segment-empty", "segment-past-cap", "wedge-past-cap", "cell-neutral"])
+        # not 6n items, or not 2n per color: what solve refuses, with its message
+        ("wedge", 2, "drop", "need 6n points, got 11"),
+        ("segment", 2, "drop", "need 6n lines, got 11"),
+        ("wedge", 2, "one G->R", "color R has 5 points, want 4"),
+        # the answer crosses one line per color, but the instance is R, R, G, R, G, B
+        ("segment", 1, "RRGRGB", "color R has 3 lines, want 2"),
+    ], ids=["segment", "segment-empty", "segment-past-cap", "wedge-past-cap", "cell-neutral",
+            "wedge-dropped", "segment-dropped", "wedge-recolored", "segment-unbalanced"])
     def test_instance_colors_checked_exit_2(self, tmp_path, capsys, kind, n, edit, message):
         sol = tmp_path / "sol.json"
         assert cli.run(["solve", kind, "--n", str(n), "--seed", "3", "--out", str(sol)]) == 0
@@ -322,6 +315,13 @@ class TestVerify:
             items.clear()
         elif edit == "K":
             items[0]["color"] = "K"
+        elif edit == "drop":
+            items.pop()
+        elif edit == "one G->R":
+            next(item for item in items if item["color"] == "G")["color"] = "R"
+        elif edit == "RRGRGB":
+            for item, c in zip(items, edit):
+                item["color"] = c
         else:
             for item in items:
                 item["color"] = "R" if item["color"] == "B" else item["color"]
@@ -444,43 +444,85 @@ def _mapped_lines(lines):
 
 
 class TestIntegerRoutes:
-    """`solve cell|lline --in` run their solver bodies on the integer rows of
-    the payload; the answers equal the public dataclass entries'."""
+    """`solve cell|wedge|segment|lline --in` run their solver bodies on the
+    integer rows of the payload; the answers equal the public dataclass
+    entries'."""
 
-    @pytest.mark.parametrize("case", ["lines", "mapped-lines", "lattice"])
+    @pytest.mark.parametrize("case", [
+        "lines", "mapped-lines", "lattice", "points", "mapped-points", "segment", "segment-vertical",
+    ])
     def test_same_answer_as_the_dataclass_entry(self, tmp_path, monkeypatch, case):
         if case == "lattice":
             kind, payload = "lline", ser.enc_instance(
                 "LatticeRedHull", 32, 1, generate(GenSpec(GenKind.LatticeRedHull, 32, 1)))
-        else:
+        elif case in ("lines", "mapped-lines"):
             lines = generate(GenSpec(GenKind.SimpleLines3C, 100, 1))
             body = ([ser.enc_line(l) for l in lines] if case == "lines" else _mapped_lines(lines))
             kind, payload = "cell", {"lines": body}
+        elif case == "segment-vertical":
+            kind, payload = "segment", {"lines": VERTICAL_SIX}
+        else:
+            points = generate(GenSpec(GenKind.Points3CConvex, 24, 1))
+            if case == "segment":
+                kind, payload = "segment", {"lines": [
+                    ser.enc_line(core.dual_point_to_line(p)) for p in points]}
+            else:
+                body = [ser.enc_point(p) for p in points] if case == "points" else _mapped_points(points)
+                kind, payload = "wedge", {"points": body}
         inst, out = tmp_path / "in.json", tmp_path / "out.json"
         inst.write_text(json.dumps(payload))
 
         calls = Counter()
-        if kind == "cell":
-            # every module that holds core.int_line by name
-            real = core.int_line
-            for mod in (core, cells, wedges, ser, cli):
-                if getattr(mod, "int_line", None) is real:
-                    monkeypatch.setattr(mod, "int_line", _counted(calls, "int_line", real))
-        else:
+        if kind == "lline":
             init = llines.LatticePointSet.__post_init__
             monkeypatch.setattr(llines.LatticePointSet, "__post_init__",
                                 _counted(calls, "LatticePointSet", init))
+        else:
+            # every module that holds one of these by name
+            for name in ("int_line", "int_point", "int_points", "dec_points_payload",
+                         "dec_lines_payload"):
+                real = getattr(core, name, None) or getattr(ser, name)
+                for mod in (core, cells, wedges, ser, cli):
+                    if getattr(mod, name, None) is real:
+                        monkeypatch.setattr(mod, name, _counted(calls, name, real))
+            # a wedge's answer carries the dual points of its two neutral
+            # boundary lines; no input line or point is dualized
+            real_dual = core.dual_line_to_point
+
+            def dual(l):
+                calls["dual_line_to_point", l.color.value] += 1
+                return real_dual(l)
+
+            for mod in (core, wedges, cli):
+                if getattr(mod, "dual_line_to_point", None) is real_dual:
+                    monkeypatch.setattr(mod, "dual_line_to_point", dual)
         assert cli.run(["solve", kind, "--in", str(inst), "--out", str(out)]) == 0
-        assert calls == Counter()
+        wedge_duals = Counter({("dual_line_to_point", "K"): 2}) if kind == "wedge" else Counter()
+        assert calls == wedge_duals
         monkeypatch.undo()
 
         got = json.loads(out.read_text())["answer"]
         if kind == "cell":
             want = {"face": ser.enc_face(find_complete_face(ser.dec_lines_payload(payload)))}
+        elif kind == "wedge":
+            w = wedges.sweep_balanced_wedge(ser.dec_points_payload(payload))
+            want = {"wedge": ser.enc_wedge(w),
+                    "dual_segment": ser.enc_segment(wedges.wedge_dual_segment(w))}
+        elif kind == "segment":
+            want = {"segment": ser.enc_segment(
+                wedges.halving_segment(ser.dec_lines_payload(payload)))}
         else:
             l, k = find_balanced_lline(ser.dec_lattice_payload(payload))
             want = {"lline": ser.enc_lline(l), "k": k}
         assert got == want
+
+
+def _mapped_points(points):
+    """The points under the affine map (x, y) -> (x * 7/3 + 5/11, y * 13/17 - 2/9),
+    coordinates written as "p/q": x order and general position stay."""
+    s, t, u, v = F(7, 3), F(5, 11), F(13, 17), F(-2, 9)
+    return [{"x": str(p.x * s + t), "y": str(p.y * u + v), "color": p.color.value}
+            for p in points]
 
 
 def _counted(calls, name, f):

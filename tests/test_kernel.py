@@ -8,6 +8,7 @@ lines and vertical lines.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -228,7 +229,7 @@ class TestPairEventsMatchFractions:
         # unrelated scales and equal keys
         if points:
             x0 = min(p.x for p in points) - 1
-            assert _pair_events(points, x0) == ref_pair_values(points, x0)
+            assert _pair_events(int_points(points), x0) == ref_pair_values(points, x0)
 
 
 def general_points(m, seed, spread):
@@ -258,9 +259,9 @@ def rational_map(points, seed):
 
 
 def drive_queue(points):
-    """Cross every pair line.  Returns the ((i, j), key) of each crossing and
-    how often each pair became adjacent before its crossing, counted from
-    the order alone."""
+    """Cross every pair line.  Returns the ((i, j), integer key, exact (y, s))
+    of each crossing and how often each pair became adjacent before its
+    crossing, counted from the order alone."""
     x0 = min(p.x for p in points) - 1
     start = sorted(range(len(points)), key=lambda i: points[i].x)
     queue = wedges._EventQueue(int_points(points), x0, start[:])
@@ -275,11 +276,14 @@ def drive_queue(points):
     while (r := queue.cross()) is not None:
         pair = frozenset(queue.order[r:r + 2])
         crossed.add(pair)
-        events.append((tuple(sorted(pair)), queue.last))
+        events.append((tuple(sorted(pair)), queue.last[:2], queue.line(queue.last)))
         now = adjacent()
         entered.update(now - adj - crossed)
         adj = now
     assert queue.order == start[::-1]
+    # each key is the exact (y, s) scaled by 2**k and floored
+    for _, key, (y, sl) in events:
+        assert key == (math.floor(-y * 2**queue.k), math.floor(sl * 2**queue.k))
     return events, entered
 
 
@@ -287,9 +291,10 @@ def check_queue_order(points):
     events, entered = drive_queue(points)
     x0 = min(p.x for p in points) - 1
     ref = ref_pair_events(points, x0)
-    assert [pair for pair, _ in events] == [(i, j) for _, _, i, j in ref]
-    assert [(-k[1], k[3]) for _, k in events] == [(y, s) for y, s, _, _ in ref]
-    keys = [k for _, k in events]
+    assert [pair for pair, _, _ in events] == [(i, j) for _, _, i, j in ref]
+    # every crossed line's exact intercept and slope, through the queue's accessor
+    assert [line for _, _, line in events] == [(y, s) for y, s, _, _ in ref]
+    keys = [k for _, k, _ in events]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     return entered
 

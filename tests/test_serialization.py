@@ -13,6 +13,7 @@ from tricut.core import (
     circle_point,
     full_circle,
     int_line,
+    int_points,
     line,
     pt,
 )
@@ -29,6 +30,7 @@ from tricut.serialization import (
     dec_line_rows,
     dec_lines_payload,
     dec_lline,
+    dec_point_rows,
     dec_points_payload,
     dec_rat,
     dec_segment,
@@ -287,6 +289,23 @@ class TestRowDecoders:
         assert all(type(v) is int for t in triples for v in t)
 
     @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(*[RATIONALS.flatmap(forms_of)] * 2, st.sampled_from("RGBK")),
+        min_size=1, max_size=6,
+    ))
+    def test_point_rows_are_int_points(self, rows):
+        payload = {"points": [{"x": x, "y": y, "color": col} for x, y, col in rows]}
+        want = _outcome(dec_points_payload, payload)
+        got = _outcome(dec_point_rows, payload)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+            return
+        triples, colors = got
+        assert triples == int_points(want)
+        assert colors == [p.color for p in want]
+        assert all(type(v) is int for t in triples for v in t)
+
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_lattice_rows_are_int_coordinates(self, data):
         n = data.draw(st.integers(1, 5))
@@ -333,3 +352,32 @@ class TestRowDecoders:
         want = _outcome(dataclasses, {key: items})
         assert isinstance(want, tuple) and issubclass(want[0], PreconditionViolated)
         assert _outcome(rows, {key: items}) == want
+
+    POINTS = [{"x": "1", "y": "2", "color": "R"}, {"x": "-1/2", "y": "7/3", "color": "G"},
+              {"x": "0", "y": "-5", "color": "B"}]
+
+    @pytest.mark.parametrize("change", [
+        {"x": True}, {"y": 5.0}, {"x": "1/0"}, {"y": "1/-2"}, {"x": ["1"]},
+        {"y": "1e99999"},  # more digits than int() reads
+        {"x": "abc"}, {"color": "X"}, {"color": 5},
+        {"x": None}, {"y": None}, {"color": None},  # None: the key is missing
+    ])
+    @pytest.mark.parametrize("item", [0, 2])
+    def test_malformed_point_payloads_fail_alike(self, item, change):
+        items = [dict(e) for e in self.POINTS]
+        for field, value in change.items():
+            if value is None:
+                del items[item][field]
+            else:
+                items[item][field] = value
+        want = _outcome(dec_points_payload, {"points": items})
+        assert isinstance(want, tuple) and issubclass(want[0], PreconditionViolated)
+        assert _outcome(dec_point_rows, {"points": items}) == want
+
+    @pytest.mark.parametrize("payload", [
+        {"lines": []}, {"points": 5}, {"points": [5]}, {"points": [{"y": "1", "color": "R"}]}, [],
+    ])
+    def test_malformed_point_instances_fail_alike(self, payload):
+        want = _outcome(dec_points_payload, payload)
+        assert isinstance(want, tuple) and issubclass(want[0], PreconditionViolated)
+        assert _outcome(dec_point_rows, payload) == want

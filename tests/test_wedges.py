@@ -27,6 +27,7 @@ from tricut.core import (
 )
 from tricut.generators import GenKind, GenSpec, generate
 from tricut.oracles import ORACLE_MAX_POINTS, count_segment_crossings
+from sheared_duals_reference import reference_sheared_duals
 from wedge_oracle_table import table_oracle_wedges
 from tricut.errors import (
     DegenerateApex,
@@ -443,7 +444,15 @@ class TestIntSegmentCounts:
         lines = [dual_point_to_line(p) for p in pts]
         l = lines[0]
         on_line = Segment((F(0), -l.c / l.b), (F(1), F(10**6)))
-        monkeypatch.setattr(wedges, "wedge_dual_segment", lambda w: on_line)
+
+        def boundary(end):
+            # the wedge boundary line (A, B, C), B > 0, whose dual point is `end`
+            x, y, w = int_point(*end)
+            return (-x, w, y)
+
+        # no line is vertical, so the segment's ends are the dual points of
+        # the sweep's boundary lines as they are
+        monkeypatch.setattr(wedges, "_sweep", lambda *args: (None, *map(boundary, (on_line.p, on_line.q))))
         with pytest.raises(InternalError, match="segment endpoint on an input line"):
             halving_segment(lines)
 
@@ -752,6 +761,34 @@ class TestBruteOracleSegments:
         lines = [dual_point_to_line(p) for p in rand_balanced_points(4, 10)]
         with pytest.raises(PreconditionViolated):
             brute_oracle_segments(lines, (4, 4, 4))
+
+
+# small integers, and big denominators with unrelated scales
+_COEF = st.integers(-3, 3).map(F) | st.builds(F, st.integers(-10**7, 10**7), st.integers(10**5, 10**6))
+
+
+class TestShearedDualsMatchFractions:
+    """The integer shear and duals of `halving_segment` against the Fraction
+    pipeline they replace (`reference_sheared_duals`)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(_COEF, _COEF, _COEF, st.sampled_from(RGB)), min_size=1, max_size=8),
+        st.lists(st.tuples(st.sampled_from(["vertical", "horizontal"]), _COEF), max_size=3),
+    )
+    def test_int_points_of_the_fraction_duals(self, rows, extra):
+        lines = [line(a, b, c, col) for a, b, c, col in rows if a or b]
+        lines += [line(1, 0, c, R) if kind == "vertical" else line(0, 1, c, G) for kind, c in extra]
+        assume(lines)
+        lam, duals = wedges._sheared_duals([int_line(l) for l in lines])
+        want_lam, want = reference_sheared_duals(lines)
+        assert lam == want_lam
+        assert duals == int_points(want)
+
+    def test_vertical_six(self):
+        lam, duals = wedges._sheared_duals([int_line(l) for l in VERTICAL_SIX])
+        assert lam == 6  # max |b| = 5 (line 4), plus 1
+        assert (lam, duals) == (6, int_points(reference_sheared_duals(VERTICAL_SIX)[1]))
 
 
 class TestBruteOracleMatchesTable:
