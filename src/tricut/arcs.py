@@ -16,20 +16,21 @@ length O(log n); `plan_ops` builds one greedily by expanding the target
 interval backward, `moment_halve` performs one halving step exactly, and
 `find_k_arcset` runs the whole pipeline.
 
-`find_k_arcset` sorts the points by parameter once, on an exact integer
-key: floor(t * 2**64) first, the parameter itself only where two keys tie,
-so no float enters a comparison.  Every halving step runs on ranks of that
-order in the input frame, with nothing rotated.  The current set is at most
-two (lo, hi) pairs of ends, each a parameter with the number of points
-below it.  A step reads the circle from an origin in the first gap outside
-the set (`_origin`): the origin, the points and arc ends met going round,
-and the origin again (`_Order`), so the set's arcs are rank intervals that
-never wrap.  A cut between adjacent entries a and b is their cyclic
-midpoint (a + ((b - a) mod 1) / 2) mod 1, which is where rotating the origin
-to 0, cutting and rotating back would put it.  The sides are half-rank
-intervals; only the at most 4 ends a step keeps become parameters.  A
-complement keeps the ends and swaps which gaps are inside, and the ArcSet
-is built once, from the last step's ends.
+`find_k_arcset` runs on each parameter's (num, den) pair
+(`_arcset_of_rows`), sorted once on an exact integer key: floor(t * 2**64)
+first, and cross-multiplication only where two keys tie.  Every halving step
+runs on ranks of that order in the input frame, with nothing rotated.  The
+current set is at most two (lo, hi) pairs of ends, each a parameter with the
+number of points below it.  A step reads the circle from an origin in the
+first gap outside the set (`_origin`): the origin, the points and arc ends
+met going round, and the origin again (`_Order`), so the set's arcs are rank
+intervals that never wrap.  A cut between adjacent entries a and b is their
+cyclic midpoint (a + ((b - a) mod 1) / 2) mod 1, which is where rotating the
+origin to 0, cutting and rotating back would put it.  The sides are
+half-rank intervals; only the at most 4 ends a step keeps become parameters.
+A complement keeps the ends and swaps which gaps are inside, and the ArcSet
+is built once, from the last step's ends: its at most 4 Fractions are the
+only ones the pipeline builds.
 
 Per color, the number of active points below candidate cut i never
 decreases in i, so the count vectors, written in base k+1, form one sorted
@@ -47,6 +48,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -74,6 +77,9 @@ OP_COMPLEMENT = "g"
 
 _PAIR_BLOCK = 1 << 14  # cut pairs per array pass of the r = 3 and on-point searches
 _MARK = np.full(1, -1, dtype=np.int64)  # the origin and each arc end in `_Order.code`
+
+Pair = tuple[int, int]  # a parameter (num, den) in lowest terms, den > 0
+_by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])  # Pairs by value
 
 
 # -- op plans ------------------------------------------------------------------
@@ -176,22 +182,22 @@ class _Order:
     """One halving step's entries: the origin, the points and arc ends met
     going round the circle from it, and the origin again.
 
-    `ts` are the sorted parameters (keys `keys`, colors' indices in RGB
-    `codes`); `shift` of them lie below `origin`.  `arcs` is the set as
+    `ts` are the sorted parameter `Pair`s (keys `keys`, colors' indices in
+    RGB `codes`); `shift` of them lie below `origin`.  `arcs` is the set as
     (lo, hi) pairs of (value, gap) ends, gap the number of parameters below
     the value, or None for the full circle.  code[r] is the color index of
     the point at rank r if the set holds it, else -1; `ends` maps ranks to
     ends, and `inside` lists the set's arcs as rank pairs.
     """
 
-    def __init__(self, ts: list[Rat], keys: list[int], codes, origin: Rat, arcs):
+    def __init__(self, ts: list[Pair], keys: list[int], codes, origin: Pair, arcs):
         n = len(ts)
         self.ts, self.origin = ts, origin
         self.shift = shift = _end_gap(ts, keys, origin)
-        ends = sorted(  # going round from the origin: first the ends above it
-            (g < shift or (g == shift and v < origin), g, v)
-            for arc in arcs or () for v, g in arc
-        )
+        # going round from the origin: first the ends above it
+        ends = [(g < shift or (g == shift and _by_value(v) < _by_value(origin)), g, v)
+                for arc in arcs or () for v, g in arc]
+        ends.sort(key=lambda e: (e[0], e[1], _by_value(e[2])))
         before = [g - shift + n * past for past, g, _ in ends]  # points before each end
         self.ends = {1 + p + j: (v, g) for j, (p, (_, g, v)) in enumerate(zip(before, ends))}
         rolled = np.concatenate([codes[shift:], codes[:shift]])
@@ -213,14 +219,14 @@ class _Order:
         """The index in `ts` of the first point at rank r or above."""
         return (self.shift + r - 1 - sum(1 for e in self.ends if e < r)) % len(self.ts)
 
-    def value(self, r: int) -> Rat:
+    def value(self, r: int) -> Pair:
         if r in self.ends:
             return self.ends[r][0]
         if r == 0 or r == self.size - 1:
             return self.origin
         return self.ts[self._point(r)]
 
-    def at(self, h: int) -> Rat:
+    def at(self, h: int) -> Pair:
         """The parameter at half-rank h, read round the circle: entry h/2
         for even h, else the `_midpoint` of entries (h - 1)/2 and
         (h + 1)/2."""
@@ -237,7 +243,7 @@ class _Order:
         if h % 2 == 0:
             return self.ends[h // 2]
         v, g = self.at(h), self._point(h // 2 + 1)
-        return v, (g if g or v < self.ts[0] else len(self.ts))
+        return v, (g if g or _by_value(v) < _by_value(self.ts[0]) else len(self.ts))
 
 
 class _Halves(NamedTuple):
@@ -276,17 +282,17 @@ def moment_halve(a: ArcSet, points: Sequence[CirclePoint], k: int) -> HalveResul
     if any(p.t == 0 for p in points):
         raise PreconditionViolated("point parameter 0 is not allowed here")
 
-    ts, keys, codes = _sorted_order(points)
+    ts, keys, codes = _sorted_order(*_circle_rows(points))
     arcs = None if a.is_full_circle else [
-        tuple((t, _end_gap(ts, keys, t)) for t in arc) for arc in a.arcs
+        tuple((_pair(t), _end_gap(ts, keys, _pair(t))) for t in arc) for arc in a.arcs
     ]
-    order = _Order(ts, keys, codes, Fraction(0), arcs)
+    order = _Order(ts, keys, codes, (0, 1), arcs)
     res = _halve(order, k)
 
     def side(arcs) -> ArcSet:
         return _arcset([(order.at(lo), order.at(hi)) for lo, hi in arcs])
 
-    cuts = tuple(order.at(2 * c + 1 - k % 2) for c in res.cuts)
+    cuts = tuple(Fraction(*order.at(2 * c + 1 - k % 2)) for c in res.cuts)
     return HalveResult(side(res.plus), side(res.minus), CutProfile(cuts, 1, k % 2 == 1))
 
 
@@ -333,14 +339,15 @@ def _halve(order: _Order, k: int) -> _Halves:
     return _Halves(tuple(cuts), plus, minus)
 
 
-def _arcset(pairs) -> ArcSet:
-    """The ArcSet of arcs from lo round to hi, for (lo, hi) parameter pairs."""
-    return arcset([(lo, lo + (hi - lo) % 1) for lo, hi in pairs]) if pairs else ArcSet(())
+def _arcset(ends) -> ArcSet:
+    """The ArcSet of arcs from lo round to hi, for (lo, hi) `Pair`s."""
+    arcs = [(Fraction(*lo), Fraction(*hi)) for lo, hi in ends]
+    return arcset([(lo, lo + (hi - lo) % 1) for lo, hi in arcs]) if arcs else ArcSet(())
 
 
-def _point_counts(a: ArcSet, ts: list[Rat], keys: list[int], codes) -> list[int]:
+def _point_counts(a: ArcSet, ts: list[Pair], keys: list[int], codes) -> list[int]:
     """Points of each color inside `a`, in RGB order, from the sorted
-    parameters `ts` (keys `keys`, colors `codes`): prefix counts between
+    parameter pairs `ts` (keys `keys`, colors `codes`): prefix counts between
     the arc ends' gaps (`_end_gap`, which raises BoundaryPoint on a point,
     as `arcset_color_counts` does)."""
     pre = np.zeros((len(RGB), len(codes) + 1), dtype=np.int64)
@@ -350,11 +357,11 @@ def _point_counts(a: ArcSet, ts: list[Rat], keys: list[int], codes) -> list[int]
         return pre[:, -1].tolist()
     got = np.zeros(len(RGB), dtype=np.int64)
     for lo, hi in a.arcs:
-        below = pre[:, _end_gap(ts, keys, lo)]
+        below = pre[:, _end_gap(ts, keys, _pair(lo))]
         if hi >= 1:  # through 0: [lo, 1) and [0, hi - 1); an end at 1 is one at 0
-            got += pre[:, -1] - below + pre[:, _end_gap(ts, keys, hi - 1)]
+            got += pre[:, -1] - below + pre[:, _end_gap(ts, keys, _pair(hi - 1))]
         else:
-            got += pre[:, _end_gap(ts, keys, hi)] - below
+            got += pre[:, _end_gap(ts, keys, _pair(hi))] - below
     return got.tolist()
 
 
@@ -516,36 +523,48 @@ def _search_on_point(ranks, k: int) -> tuple[int, int, int] | None:
 # -- the driver ----------------------------------------------------------------
 
 
-def _floor_key(t: Rat) -> int:
+def _pair(t: Rat) -> Pair:
+    return t.numerator, t.denominator
+
+
+def _circle_rows(points: Sequence[CirclePoint]) -> tuple[list[Pair], list[Color]]:
+    """Each point's parameter `Pair`, and its color: `_arcset_of_rows`' rows."""
+    return [_pair(p.t) for p in points], [p.color for p in points]
+
+
+def _floor_key(t: Pair) -> int:
     """floor(t * 2**64): an exact integer, non-decreasing in t, so it orders
     parameters up to the ties it leaves to an exact comparison."""
-    return (t.numerator << 64) // t.denominator
+    return (t[0] << 64) // t[1]
 
 
-def _sorted_order(points: Sequence[CirclePoint]):
-    """The parameters in ascending order, their `_floor_key`s and their
-    colors' indices in RGB.  The sort compares the integer keys first and
-    the parameters only where the keys tie."""
-    order = sorted((_floor_key(p.t), p.t, i) for i, p in enumerate(points))
-    codes = np.array([RGB.index(points[i].color) for _, _, i in order], dtype=np.int64)
-    return [t for _, t, _ in order], [key for key, _, _ in order], codes
+def _sorted_order(pairs: list[Pair], colors: Sequence[Color]):
+    """The parameter pairs in ascending order (by `_floor_key`, then by value
+    where two keys tie), their keys, and their colors' indices in RGB."""
+    keys = [(num << 64) // den for num, den in pairs]
+    order = sorted(range(len(pairs)), key=keys.__getitem__)
+    sorted_keys = [keys[i] for i in order]
+    if any(a == b for a, b in zip(sorted_keys, sorted_keys[1:])):
+        order.sort(key=lambda i: (keys[i], _by_value(pairs[i])))  # stable, as the first
+    codes = np.array([RGB.index(colors[i]) for i in order], dtype=np.int64)
+    return [pairs[i] for i in order], sorted_keys, codes
 
 
-def _end_gap(ts: list[Rat], keys: list[int], x: Rat) -> int:
-    """The number of sorted parameters `ts` below x, bisected on their
-    integer keys `keys`; only ties are settled on the rationals.  An x equal
-    to a parameter raises BoundaryPoint, as `ArcSet.contains` does for a
-    point on an arc end."""
+def _end_gap(ts: list[Pair], keys: list[int], x: Pair) -> int:
+    """The number of sorted parameter pairs `ts` below x, bisected on their
+    integer keys `keys`; only ties are settled by cross-multiplication.  An
+    x equal to a parameter raises BoundaryPoint, as `ArcSet.contains` does
+    for a point on an arc end."""
     kx = _floor_key(x)
     i = bisect_left(keys, kx)
-    while i < len(ts) and keys[i] == kx and ts[i] < x:
+    while i < len(ts) and keys[i] == kx and _by_value(ts[i]) < _by_value(x):
         i += 1
-    if i < len(ts) and ts[i] == x:
-        raise BoundaryPoint(f"parameter {x} is an arc endpoint")
+    if i < len(ts) and ts[i] == x:  # pairs in lowest terms: equal values, equal pairs
+        raise BoundaryPoint(f"parameter {Fraction(*x)} is an arc endpoint")
     return i
 
 
-def _origin(ts: list[Rat], arcs) -> Rat:
+def _origin(ts: list[Pair], arcs) -> Pair:
     """Middle of the first gap outside the set `arcs` (as `_Order` takes
     it) between adjacent entries of the parameters `ts` and the arc ends.
     Gap 0 follows the least entry; it is inside if that entry opens an arc
@@ -553,29 +572,31 @@ def _origin(ts: list[Rat], arcs) -> Rat:
     the least closing end is next.  On the full circle 0 counts as an
     entry, and the gap after it is taken."""
     if arcs is None:
-        return (ts[1] if ts[0] == 0 else ts[0]) / 2
-    ends = sorted((v, g, opens) for arc in arcs for (v, g), opens in zip(arc, (True, False)))
+        return _midpoint((0, 1), ts[1] if ts[0] == (0, 1) else ts[0])
+    ends = [(v, g, opens) for arc in arcs for (v, g), opens in zip(arc, (True, False))]
+    ends.sort(key=lambda e: _by_value(e[0]))  # the ends of disjoint arcs differ
     v, g, opens = ends[0]
     if g > 0:
         v, g, opens = ts[0], 1, ends[-1][2]
     if opens:
         v, g, _ = next(e for e in ends if not e[2])
-    later = [w for w, h, _ in ends if w > v and h == g]
+    later = [w for w, h, _ in ends if _by_value(w) > _by_value(v) and h == g]
     if later:
         return _midpoint(v, later[0])
-    return _midpoint(v, ts[g] if g < len(ts) else min(ts[0], ends[0][0]))
+    return _midpoint(v, ts[g] if g < len(ts) else min(ts[0], ends[0][0], key=_by_value))
 
 
-def _midpoint(a: Rat, b: Rat) -> Rat:
+def _midpoint(a: Pair, b: Pair) -> Pair:
     """The middle of the arc from a up to b (both in [0, 1)), on integers:
-    (a + ((b - a) % 1) / 2) % 1."""
-    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    (a + ((b - a) % 1) / 2) % 1, in lowest terms."""
+    (p, q), (r, s) = a, b
     num, den = p * s + r * q, 2 * q * s
     if r * q <= p * s:  # b is reached past 1
         num += q * s
         if num >= den:
             num -= den
-    return Fraction(num, den)
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
@@ -585,13 +606,17 @@ def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
     k = 0 and k = n short-circuit to the empty set and the full circle; the
     rest runs the op plan on ranks of one sorted order, each halving step
     read from a safe gap (`_origin`), and builds the ArcSet once at the end.
+    The body is `_arcset_of_rows`, on the points' `_circle_rows`.
     """
-    n = len(points) // 3
-    require_rgb([p.color for p in points], "point", n)
-    ts, keys, codes = _sorted_order(points)
-    # equal parameters have equal keys; the int scan spares a Fraction one
-    if any(a == b for a, b in zip(keys, keys[1:])) and any(s == t for s, t in zip(ts, ts[1:])):
-        require_distinct_parameters(points)  # raises on the first repeat
+    return _arcset_of_rows(*_circle_rows(points), k)
+
+
+def _arcset_of_rows(pairs: list[Pair], colors: Sequence[Color], k: int) -> ArcSet:
+    n = len(pairs) // 3
+    require_rgb(colors, "point", n)
+    ts, keys, codes = _sorted_order(pairs, colors)
+    if any(s == t for s, t in zip(ts, ts[1:])):  # raises on the first repeat
+        require_distinct_parameters([CirclePoint(Fraction(*t), c) for t, c in zip(pairs, colors)])
     if not 0 <= k <= n:
         raise PreconditionViolated(f"need 0 <= k <= n, got k={k}")
     if k == 0:

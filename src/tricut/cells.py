@@ -406,7 +406,7 @@ def _complete_face(colors: Sequence[Color], coeffs: Sequence[tuple[int, int, int
 
 
 def _cevian_111_segment(
-    lines: Sequence[ColoredLine],
+    coeffs: Sequence[tuple[Rat, Rat, Rat]],
     face: Face,
     corner_v: int,
     edge_k: int,
@@ -438,11 +438,11 @@ def _cevian_111_segment(
         face.boundary_lines[edge_k],
     }
     lo_gap = hi_gap = Fraction(1)
-    for li, l in enumerate(lines):
-        den = l.a * u[0] + l.b * u[1]
+    for li, (la, lb, lc) in enumerate(coeffs):
+        den = la * u[0] + lb * u[1]
         if den == 0:
             continue  # parallel to the segment direction, never crossed
-        t = -l.eval_at(base) / den
+        t = -(la * base[0] + lb * base[1] + lc) / den
         if li in targets:
             if t != 0 and t != 1:
                 raise InternalError("target line param off its contact", {"line": li})
@@ -469,7 +469,7 @@ def _cevian_111_segment(
 
 
 def extract_111_segment(
-    lines: Sequence[ColoredLine], face: Face, x_avoid: Rat | None = None
+    lines: Sequence[ColoredLine | Triple], face: Face, x_avoid: Rat | None = None
 ) -> Segment:
     """Segment crossing exactly one line of each color, from a complete cell.
 
@@ -481,8 +481,9 @@ def extract_111_segment(
     x = x_avoid with at most one vertex on it.  The corner is then the first
     bichromatic one off that line, and the segment stays strictly on the
     cell's side.  A complete cell has at least three bichromatic corners, so
-    such a corner exists.
+    such a corner exists.  Lines may also be (a, b, c) at any scale, as `int_line` rows are.
     """
+    coeffs = [(l.a, l.b, l.c) if isinstance(l, ColoredLine) else l for l in lines]
     if not is_complete(face):
         raise PreconditionViolated("cell is not complete")
     m = len(face.vertices)
@@ -501,7 +502,7 @@ def extract_111_segment(
     edge_k = next(k for k in range(m) if face.boundary_colors[k] is third)
 
     for t_edge in (Fraction(1, 2), Fraction(1, 3)):
-        seg = _cevian_111_segment(lines, face, corner, edge_k, t_edge, x_avoid)
+        seg = _cevian_111_segment(coeffs, face, corner, edge_k, t_edge, x_avoid)
         if seg is not None:
             return seg
     raise InternalError("segment direction is forced vertical")

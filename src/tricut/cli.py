@@ -11,11 +11,11 @@ Solve commands read an instance file, or generate one themselves from --n
 and --seed.  Every solver output is a JSON envelope carrying the instance
 and naming its kind in `command`, so verify and render work from the file
 alone; render draws a file without a solve command as a bare instance.
-Each command decodes its instance once, through the kind table `_KINDS`;
-solve hands a generated instance to its solver undecoded.  Cell, wedge,
-segment and lline instances decode to integer rows, which their solver
-bodies take as they are; the dataclass items the oracles and figures need
-are built from those rows only when a command needs them.  Exit codes:
+Each command decodes its instance payload once, through the kind table
+`_KINDS`; solve decodes the payload it generates the same way.  Every
+kind's payload decodes to integer rows, which its solver body takes as they
+are; the dataclass items the oracles and figures need are built from those
+rows only when verify or a figure needs them (`_objects`).  Exit codes:
 0 success, 2 a precondition failed (bad input, bad flags), 3 an internal
 guarantee broke (the contradiction trace is dumped to stderr).
 """
@@ -30,12 +30,12 @@ import sys
 import time
 
 from . import serialization as ser
-from .arcs import find_k_arcset
-from .cells import _face_of_rows, _rows_of_lines, build_arrangement, cycle_parity
-from .core import Color, arcset_color_counts, dual_point_to_line, int_points, require_rgb
+from .arcs import _arcset_of_rows
+from .cells import _face_of_rows, build_arrangement, cycle_parity
+from .core import Color, arcset_color_counts, dual_point_to_line, require_rgb
 from .errors import GenerationFailed, InternalError, PreconditionViolated, TricutError
 from .generators import GenKind, GenSpec, generate
-from .llines import _lline_of_rows, _rows_of_points, brute_oracle_llines, lline_counts
+from .llines import _lline_of_rows, brute_oracle_llines, lline_counts
 from .oracles import (
     ORACLE_MAX_POINTS,
     VerificationReport,
@@ -49,10 +49,10 @@ from .wedges import (
     _points_of_rows,
     _require_6n,
     _segment_of_rows,
+    _wedge111_of_rows,
     _wedge_of_rows,
     brute_oracle_segments,
     brute_oracle_wedges,
-    find_111_wedge,
     wedge_color_counts,
     wedge_dual_segment,
     wedge_point_indices,
@@ -61,14 +61,14 @@ from .wedges import (
 # per solve kind: the generator and default n of the instance a solve command
 # makes itself, and the name of its payload decoder in `serialization` (looked
 # up at call time, so a wrapper bound there sees the call); segment takes the
-# duals of convex-position points: simple, 2n lines per color.  Cell, wedge,
-# segment and lline decode to the integer rows their solver bodies take
+# duals of convex-position points: simple, 2n lines per color.  Every kind
+# decodes to the integer rows its solver body takes
 _KINDS = {
     "cell": (GenKind.SimpleLines3C, 7, "dec_line_rows"),
-    "wedge111": (GenKind.Points3C, 9, "dec_points_payload"),
+    "wedge111": (GenKind.Points3C, 9, "dec_point_rows"),
     "wedge": (GenKind.Points3CConvex, 2, "dec_point_rows"),
     "segment": (GenKind.Points3CConvex, 2, "dec_line_rows"),
-    "arcs": (GenKind.CirclePoints3C, 5, "dec_circle_payload"),
+    "arcs": (GenKind.CirclePoints3C, 5, "dec_circle_rows"),
     "lline": (GenKind.LatticeRedHull, 4, "dec_lattice_rows"),
 }
 SOLVE_KINDS = tuple(_KINDS)
@@ -118,26 +118,15 @@ def _decode(kind: str, payload: dict):
     return getattr(ser, _KINDS[kind][2])(payload)
 
 
-def _rows(kind: str, objects):
-    """What the solver body of `kind` takes, from dataclass items."""
-    if kind in ("cell", "segment"):
-        return _rows_of_lines(objects)
-    if kind == "wedge":
-        return int_points(objects), [p.color for p in objects]
-    if kind == "lline":
-        return _rows_of_points(objects.points)
-    return objects
-
-
 def _objects(kind: str, items):
-    """The dataclass items of decoded ones (the inverse of `_rows`)."""
+    """The dataclass items of decoded ones, for the oracles and figures."""
     if kind in ("cell", "segment"):
         return ser._lines_of_rows(*items)
-    if kind == "wedge":
-        return _points_of_rows(*items)
+    if kind == "arcs":
+        return ser._circle_of_rows(*items)
     if kind == "lline":
         return ser._lattice_of_rows(*items)
-    return items
+    return _points_of_rows(*items)
 
 
 def _answer(answer: dict, key: str, dec):
@@ -151,14 +140,14 @@ def _solve(kind: str, items, k: int | None) -> dict:
     if kind == "cell":
         return {"face": ser.enc_face(_face_of_rows(*items))}
     if kind in ("wedge111", "wedge"):
-        w = find_111_wedge(items) if kind == "wedge111" else _wedge_of_rows(*items)
+        w = (_wedge111_of_rows if kind == "wedge111" else _wedge_of_rows)(*items)
         return {"wedge": ser.enc_wedge(w), "dual_segment": ser.enc_segment(wedge_dual_segment(w))}
     if kind == "segment":
         return {"segment": ser.enc_segment(_segment_of_rows(*items))}
     if kind == "arcs":
         if k is None:
             raise PreconditionViolated("solve arcs requires --k")
-        return {"arcs": ser.enc_arcset(find_k_arcset(items, k))}
+        return {"arcs": ser.enc_arcset(_arcset_of_rows(*items, k))}
     l, kk = _lline_of_rows(*items)
     return {"lline": ser.enc_lline(l), "k": kk}
 
@@ -172,7 +161,7 @@ def _report(kind: str, payload: dict, items, answer: dict, k: int | None) -> Ver
     `payload` (what verify re-runs)."""
     t0 = time.perf_counter()
     what = "line" if kind in ("cell", "segment") else "point"
-    if kind != "lline":  # a LatticePointSet has checked its colors
+    if kind in ("cell", "wedge111", "arcs"):  # lline, wedge, segment: checked below
         require_rgb([x.color for x in items], what)
 
     if kind == "cell":
@@ -284,8 +273,6 @@ def _cmd_solve(args) -> int:
     kind = args.what
     if args.infile is not None:
         payload = ser.unwrap_instance(_load_json(args.infile))
-        items = _decode(kind, payload)
-        objects = None  # built from the items once --verify or svg needs them
     else:
         gen, n, _ = _KINDS[kind]
         n = n if args.n is None else args.n
@@ -293,7 +280,7 @@ def _cmd_solve(args) -> int:
         if kind == "segment":
             objects = tuple(dual_point_to_line(p) for p in objects)
         payload = ser.enc_instance(gen.value, n, args.seed, objects)["instance"]
-        items = _rows(kind, objects)
+    items = _decode(kind, payload)  # a generated instance too: one route
     k = args.k
     answer = _solve(kind, items, k)
     if kind == "lline":
@@ -305,8 +292,7 @@ def _cmd_solve(args) -> int:
         "answer": answer,
         "verification": None,
     }
-    if objects is None and (args.verify or args.format == "svg"):
-        objects = _objects(kind, items)
+    objects = _objects(kind, items) if args.verify or args.format == "svg" else None
     if args.verify:
         env["verification"] = _report_as_dict(_report(kind, payload, objects, answer, k))
         if not env["verification"]["member"]:

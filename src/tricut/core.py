@@ -338,8 +338,8 @@ def _first_repeat(keyed: Iterable[tuple]) -> tuple | None:
     return None
 
 
-def _distinct_points(points: Sequence[ColoredPoint]) -> list[Triple]:
-    ints = int_points(points)
+def _distinct_rows(ints: list[Triple]) -> list[Triple]:
+    """`int_point` triples, after checking that no two coincide."""
     rep = _first_repeat((p, i) for i, p in enumerate(ints))
     if rep:
         raise PreconditionViolated(f"points {rep[0]} and {rep[1]} coincide")
@@ -354,7 +354,7 @@ def _collinear(pair, earlier, join) -> PreconditionViolated:
 def point_joins(points: Sequence[ColoredPoint]) -> dict[Triple, tuple[int, int]]:
     """`join_map` of the points: {line (A, B, C): (i, j)}, first nonzero of
     (A, B) positive; raises as `check_general_position(NO_THREE_COLLINEAR)`."""
-    return join_map(_distinct_points(points), None, _collinear)
+    return join_map(_distinct_rows(int_points(points)), None, _collinear)
 
 
 def check_general_position(points: Sequence[ColoredPoint], mode: GeneralPosition) -> None:
@@ -365,7 +365,7 @@ def check_general_position(points: Sequence[ColoredPoint], mode: GeneralPosition
     spanned by two point pairs (`check_joins`) names three collinear points.
     """
     if mode is GeneralPosition.NO_THREE_COLLINEAR:
-        check_joins(_distinct_points(points), None, _collinear)
+        check_joins(_distinct_rows(int_points(points)), None, _collinear)
         return
     if mode not in (GeneralPosition.DISTINCT_XY, GeneralPosition.DISTINCT_X):
         raise ValueError(mode)

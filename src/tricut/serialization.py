@@ -3,19 +3,18 @@
 Rationals travel as strings ("5" or "5/2"), so persisted data never loses
 precision; lattice coordinates are plain JSON integers.  Every rational is
 read once, by one pair parser (`_parse_rat`: an exact (num, den) in lowest
-terms).  The four instances whose solvers run on integers (cell, wedge,
-segment, lline) decode straight to integer rows: `dec_line_rows` gives each
-line as its primitive triple (A, B, C), as `core.int_line` would,
-`dec_point_rows` each point as its primitive homogeneous triple (X, Y, W),
-as `core.int_point` would, and `dec_lattice_rows` the lattice coordinates
-as ints; each checks what the dataclass decoder checks, with the same
-errors.  `dec_lines_payload` and `dec_lattice_payload` build their
-dataclasses from those rows; the other decoders build theirs through the
-normal constructors, so a hand-edited file fails the same way a bad
-argument would.  Data of the wrong shape (a missing key, a string where a
-list belongs, an unknown color) raises PreconditionViolated through the
-`decoding` guard: one per public decoder, so a payload decoder enters it
-once, not once per element.
+terms).  Each payload shape has one decoder, which gives the integer rows
+the solvers take: `dec_line_rows` each line's primitive triple (A, B, C), as
+`core.int_line` would; `dec_point_rows` each point's primitive homogeneous
+triple (X, Y, W), as `core.int_point` would; `dec_circle_rows` each circle
+parameter's (num, den); `dec_lattice_rows` the lattice coordinates as ints.
+Each checks what the dataclass constructors check, with the same errors,
+so a hand-edited file fails the same way a bad argument would; the
+`_*_of_rows` builders make the dataclasses for the oracles and figures.
+Data of the wrong shape (a missing key, a string where a list belongs, an
+unknown color) raises PreconditionViolated through the `decoding` guard:
+one per public decoder, so a payload decoder enters it once, not once per
+element.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .core import (
     Triple,
     arcset,
     as_rat,
-    circle_point,
 )
 from .errors import PreconditionViolated
 from .llines import LatticePointSet, LLine, RayDir, _check_lattice_rows
@@ -138,10 +136,6 @@ def enc_point(p: ColoredPoint) -> dict:
     return {"x": enc_rat(p.x), "y": enc_rat(p.y), "color": p.color.value}
 
 
-def _point(d: dict) -> ColoredPoint:
-    return ColoredPoint(dec_rat(d["x"]), dec_rat(d["y"]), _color(d["color"]))
-
-
 def _point_row(d: dict) -> tuple[Triple, Color]:
     """A point's primitive homogeneous triple (X, Y, W), W > 0 the lcm of
     the two denominators (`core.int_point` of the point), and its color."""
@@ -207,8 +201,12 @@ def enc_circle_point(p: CirclePoint) -> dict:
     return {"t": enc_rat(p.t), "color": p.color.value}
 
 
-def _circle_point(d: dict) -> CirclePoint:
-    return circle_point(dec_rat(d["t"]), d["color"])
+def _circle_row(d: dict) -> tuple[tuple[int, int], Color]:
+    """A circle point's (num, den) parameter and color, checked as `circle_point` does."""
+    (num, den), color = _rat_pair(d["t"]), d["color"]
+    if not 0 <= num < den:
+        raise PreconditionViolated(f"circle parameter {Fraction(num, den)} outside [0, 1)")
+    return (num, den), _color(color)
 
 
 def enc_arcset(a: ArcSet) -> list:
@@ -301,31 +299,32 @@ def _items(d: dict, key: str, field: str | None) -> list:
     return body[key]
 
 
-def _rows(d: dict, key: str, field: str | None, row) -> tuple[list[Triple], list[Color]]:
-    """(triples, colors) of the items under `key`, each read by `row`."""
-    triples, colors = [], []
-    for e in _items(d, key, field):
-        t, c = row(e)
-        triples.append(t)
-        colors.append(c)
-    return triples, colors
+def _rows(d: dict, key: str, field: str | None, row) -> tuple[list[tuple], list[Color]]:
+    """(rows, colors) of the items under `key`, each read by `row`."""
+    read = [row(e) for e in _items(d, key, field)]
+    return [t for t, _ in read], [c for _, c in read]
 
 
 @decoding()
 def dec_line_rows(d: dict) -> tuple[list[Triple], list[Color]]:
     """The lines of a payload as (triples, colors): each line's primitive
     integer triple (A, B, C), first nonzero of (A, B) positive, equal to
-    `core.int_line` of the line `dec_lines_payload` gives, with the same
-    errors."""
+    `core.int_line` of its ColoredLine."""
     return _rows(d, "lines", None, _line_row)
 
 
 @decoding()
 def dec_point_rows(d: dict) -> tuple[list[Triple], list[Color]]:
     """The points of a payload as (triples, colors): each point's primitive
-    homogeneous triple (X, Y, W), W > 0, equal to `core.int_point` of the
-    point `dec_points_payload` gives, with the same errors."""
+    homogeneous triple (X, Y, W), W > 0, equal to `core.int_point` of its
+    ColoredPoint."""
     return _rows(d, "points", "x", _point_row)
+
+
+@decoding()
+def dec_circle_rows(d: dict) -> tuple[list[tuple[int, int]], list[Color]]:
+    """The circle points of a payload as (pairs, colors): each t as (num, den), in [0, 1)."""
+    return _rows(d, "points", "t", _circle_row)
 
 
 def _coordinate(v) -> int | Fraction:
@@ -360,28 +359,13 @@ def _lines_of_rows(triples, colors) -> tuple[ColoredLine, ...]:
     return tuple(map(_line_of_row, triples, colors))
 
 
+def _circle_of_rows(pairs, colors) -> tuple[CirclePoint, ...]:
+    """The CirclePoints of `dec_circle_rows`' rows."""
+    return tuple(CirclePoint(Fraction(*t), c) for t, c in zip(pairs, colors))
+
+
 def _lattice_of_rows(xs, ys, colors) -> LatticePointSet:
     """The LatticePointSet of `dec_lattice_rows`' rows (checked again)."""
     return LatticePointSet(tuple(
         ColoredPoint(Fraction(x), Fraction(y), c) for x, y, c in zip(xs, ys, colors)
     ))
-
-
-@decoding()
-def dec_lines_payload(d: dict) -> tuple[ColoredLine, ...]:
-    return _lines_of_rows(*_rows(d, "lines", None, _line_row))
-
-
-@decoding()
-def dec_points_payload(d: dict) -> tuple[ColoredPoint, ...]:
-    return tuple(map(_point, _items(d, "points", "x")))
-
-
-@decoding()
-def dec_circle_payload(d: dict) -> tuple[CirclePoint, ...]:
-    return tuple(map(_circle_point, _items(d, "points", "t")))
-
-
-@decoding()
-def dec_lattice_payload(d: dict) -> LatticePointSet:
-    return _lattice_of_rows(*_lattice_fields(d))

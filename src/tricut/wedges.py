@@ -27,10 +27,11 @@ halving segment are counted once more, by one integer side count, before
 they are returned.
 
 `find_111_wedge` dualizes the points and pulls a segment out of one complete
-cell.  Points sharing an x coordinate would dualize to parallel lines, so
-they are sheared once, by a shear chosen in closed form, and the segment is
-kept off the dual image of the original vertical direction.  Vertical input
-lines of `halving_segment` are likewise removed by one integer shear.
+cell, on integer rows too (`_wedge111_of_rows`).  Points sharing an x
+coordinate would dualize to parallel lines, so they are sheared once, by an
+integer shear chosen in closed form, and the segment is kept off the dual
+image of the original vertical direction.  Vertical input lines of
+`halving_segment` are likewise removed by one integer shear.
 """
 
 from __future__ import annotations
@@ -49,17 +50,15 @@ from .core import (
     Color,
     ColoredLine,
     ColoredPoint,
-    GeneralPosition,
     Rat,
     RGB,
     Segment,
     Triple,
     _collinear,
-    check_general_position,
+    _distinct_rows,
     check_joins,
     deficit_steps,
     dual_line_to_point,
-    dual_point_to_line,
     int_line,
     int_points,
     intersect,
@@ -653,20 +652,21 @@ def brute_oracle_segments(
 # -- duals: 111 wedges and halving segments ------------------------------------
 
 
-def _shear(pts: tuple[ColoredPoint, ...]) -> int | None:
-    """q for the shear (x, y) -> (x + y/q, y) that gives the points distinct
-    x, or None when they already have it.
+def _shear(triples: Sequence[Triple]) -> int | None:
+    """q for the shear (x, y) -> (x + y/q, y) that gives the point triples
+    (X, Y, W) distinct x, or None when they already have it.
 
     q = floor((y_max - y_min) / gap) + 1, with gap the least difference of
     distinct x, exceeds every |dy/dx| of a pair with distinct x, so sheared x
-    stay distinct and no two points' dual lines are parallel.
+    stay distinct and no two points' dual lines are parallel; all on integers.
     """
-    xs = sorted({p.x for p in pts})
-    if len(xs) == len(pts):
+    scale = math.lcm(*(w for _, _, w in triples))
+    xs = sorted({x * (scale // w) for x, _, w in triples})
+    if len(xs) == len(triples):
         return None
-    ys = [p.y for p in pts]
+    ys = [y * (scale // w) for _, y, w in triples]
     gap = min(b - a for a, b in zip(xs, xs[1:]))
-    return math.floor((max(ys) - min(ys)) / gap) + 1
+    return (max(ys) - min(ys)) // gap + 1
 
 
 def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
@@ -686,28 +686,32 @@ def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
     and has a finite dual segment.
     """
     pts = tuple(points)
-    require_rgb([p.color for p in pts])
-    check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
+    return _wedge111_of_rows(int_points(pts), [p.color for p in pts])
 
-    q = _shear(pts)
-    work = pts if q is None else tuple(ColoredPoint(p.x + p.y / q, p.y, p.color) for p in pts)
-    # distinct x and no three collinear points make the duals simple, and
-    # they carry the points' colors
-    duals = [dual_point_to_line(p) for p in work]
-    face = _complete_face([l.color for l in duals], [int_line(l) for l in duals])
-    seg = extract_111_segment(duals, face, x_avoid=q)
+
+def _wedge111_of_rows(triples: Sequence[Triple], colors: Sequence[Color]) -> DoubleWedge:
+    """`find_111_wedge` on each point's `int_point` triple and color; the shear
+    takes (X, Y, W) to (qX + Y, qY, qW).  Fractions start at the cell's corners."""
+    require_rgb(colors)
+    check_joins(_distinct_rows(triples), None, _collinear)
+
+    q = _shear(triples)
+    sheared = triples if q is None else [(q * x + y, q * y, q * w) for x, y, w in triples]
+    # each point's dual line y' = (X/W) x' - Y/W, (X, -W, -Y) as `int_line` has it;
+    # distinct x and no three collinear points make the duals simple
+    duals = [(x // g, -w // g, -y // g) for x, y, w in sheared
+             for g in [math.gcd(x, y, w) if x > 0 else -math.gcd(x, y, w)]]
+    seg = extract_111_segment(duals, _complete_face(colors, duals), q)
 
     # primal boundary line of dual point e: y = e_x * x - e_y, functional
     # f(p) = p.y - e_x * p.x + e_y; a point's dual line crosses the segment
     # exactly when f_1, f_2 disagree in sign.  Under the shear it reads back
     # as (-e_x, 1 - e_x / q, e_y), whose y-coefficient is positive as e_x < q.
-    f1, f2 = (
-        (-e[0], Fraction(1) if q is None else 1 - e[0] / q, e[1]) for e in (seg.p, seg.q)
-    )
+    f1, f2 = ((-e[0], Fraction(1) if q is None else 1 - e[0] / q, e[1]) for e in (seg.p, seg.q))
     apex = intersect(ColoredLine(*f1, Color.K), ColoredLine(*f2, Color.K))
     w = wedge_from_functionals(apex, f1, f2, contains_disagree=True)
     u, v, agree = int_line(w.line1), int_line(w.line2), w.sector == SECTOR_AGREE
-    counts = _int_side_counts(u, v, int_points(pts), [p.color for p in pts], agree)
+    counts = _int_side_counts(u, v, triples, colors, agree)
     if any(counts[c] != 1 for c in RGB):
         raise InternalError("111 wedge did not verify", {"counts": str(counts)})
     return w

@@ -18,6 +18,7 @@ from tricut.arcs import (
     CutProfile,
     OpPlan,
     _Order,
+    _circle_rows,
     _origin,
     _point_counts,
     _search_gap_cuts,
@@ -651,7 +652,7 @@ class TestFindKArcsetMatchesReference:
         assert (ts[0] == 0) == at_zero
         for k in (1, 2, 3, 5):
             a, (order, _) = first_step(monkeypatch, points, k)
-            assert order.origin == (ts[1] if at_zero else ts[0]) / 2
+            assert F(*order.origin) == (ts[1] if at_zero else ts[0]) / 2
             assert order.inside == [(0, order.size - 1)]
             assert a == reference_find_k_arcset(points, k, check_moment_halve), k
 
@@ -734,12 +735,17 @@ def gap_instances(draw):
     return a, sorted(F(t, d) for t in nums)
 
 
+def pair(t):
+    """A parameter as the (num, den) pair the arc pipeline works on."""
+    return t.numerator, t.denominator
+
+
 def rank_arcs(a, ts):
     """`a` as `_Order` and `_origin` take it: None for the full circle, else
-    (lo, hi) pairs of (value mod 1, parameters below it)."""
+    (lo, hi) pairs of (value mod 1 as a pair, parameters below it)."""
     if a.is_full_circle:
         return None
-    return [tuple((t % 1, bisect_left(ts, t % 1)) for t in arc) for arc in a.arcs]
+    return [tuple((pair(t % 1), bisect_left(ts, t % 1)) for t in arc) for arc in a.arcs]
 
 
 class TestOrigin:
@@ -758,7 +764,8 @@ class TestOrigin:
         ends = {t % 1 for arc in a.arcs for t in arc}
         assume(not a.is_empty and len(ts) >= 2 and (a.is_full_circle or not ends & set(ts)))
         points = [CirclePoint(t, RGB[i % 3]) for i, t in enumerate(ts)]
-        assert -_origin(ts, rank_arcs(a, ts)) % 1 == reference_safe_zero_delta(a, points)
+        origin = _origin([pair(t) for t in ts], rank_arcs(a, ts))
+        assert -F(*origin) % 1 == reference_safe_zero_delta(a, points)
 
 
 @st.composite
@@ -798,14 +805,15 @@ class TestOrder:
     @given(step_orders())
     def test_entries_codes_and_cuts(self, case):
         points, origin, a = case
-        ts, keys, codes = _sorted_order(points)
-        order = _Order(ts, keys, codes, origin, rank_arcs(a, ts))
+        ts, keys, codes = _sorted_order(*_circle_rows(points))
+        ts = [F(*t) for t in ts]
+        order = _Order([pair(t) for t in ts], keys, codes, pair(origin), rank_arcs(a, ts))
         ends = set() if a.is_full_circle else {t % 1 for arc in a.arcs for t in arc}
         entries = sorted(set(ts) | ends)
         listed = [origin] + [t for t in entries if t > origin] + [t for t in entries if t < origin]
         listed.append(origin)
         assert order.size == len(listed)
-        assert [order.value(r) for r in range(order.size)] == listed
+        assert [F(*order.value(r)) for r in range(order.size)] == listed
         color = {p.t: RGB.index(p.color) for p in points}
         want = [color[t] if t in color and a.contains(t) else -1 for t in listed]
         want[0] = want[-1] = -1
@@ -813,8 +821,8 @@ class TestOrder:
         for h in range(1, 2 * order.size - 2, 2):
             lo, hi = listed[h // 2], listed[h // 2 + 1]
             mid = (lo + (hi - lo) % 1 / 2) % 1
-            assert order.at(h) == mid
-            assert order.end(h) == (mid, bisect_left(ts, mid))
+            assert order.at(h) == pair(mid)
+            assert order.end(h) == (pair(mid), bisect_left(ts, mid))
 
 
 class TestPointCounts:
@@ -831,7 +839,7 @@ class TestPointCounts:
     def test_matches_arcset_color_counts(self, case):
         a, ts = case
         points = [CirclePoint(t, RGB[i % 3]) for i, t in enumerate(reversed(ts))]
-        order = _sorted_order(points)
+        order = _sorted_order(*_circle_rows(points))
         try:
             want = arcset_color_counts(a, points)
         except BoundaryPoint:

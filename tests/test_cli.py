@@ -6,6 +6,7 @@ solve/verify round trips, and SVG rendering of instances and solutions;
 """
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -14,10 +15,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from tricut import cells, cli, core, llines, serialization as ser, wedges
+from tricut import arcs, cells, cli, core, llines, serialization as ser, wedges
 from tricut.cells import find_complete_face
 from tricut.generators import GenKind, GenSpec, generate
 from tricut.llines import find_balanced_lline
+
+from payload_reference import (
+    dec_circle_payload,
+    dec_lattice_payload,
+    dec_lines_payload,
+    dec_points_payload,
+)
 
 
 def run_cli(*args):
@@ -294,7 +302,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("kind,n,edit,message", [
         ("segment", 1, "B->R", "no line of color B"),
-        ("segment", 1, "empty", "no line of color R,G,B"),
+        ("segment", 1, "empty", "need 6n lines, got 0"),  # as solve segment --in says
         ("segment", 4, "B->R", "no line of color B"),  # 24 lines, past the oracle cap
         ("wedge", 4, "B->R", "no point of color B"),
         ("cell", 7, "K", "line 0 has color K, want R, G or B"),
@@ -443,16 +451,35 @@ def _mapped_lines(lines):
     ]
 
 
+# three points, two sharing x, that once made the 111 solver raise InternalError
+SHARED_X_THREE = [{"color": "R", "x": "-1", "y": "-2"}, {"color": "B", "x": "-1", "y": "71771"},
+                  {"color": "G", "x": "2", "y": "8317"}]
+
+
 class TestIntegerRoutes:
-    """`solve cell|wedge|segment|lline --in` run their solver bodies on the
-    integer rows of the payload; the answers equal the public dataclass
-    entries'."""
+    """`solve <kind> --in` runs every kind's solver body on the integer rows
+    of the payload; the answers equal the public dataclass entries' on the
+    payload the reference decoders read."""
 
     @pytest.mark.parametrize("case", [
         "lines", "mapped-lines", "lattice", "points", "mapped-points", "segment", "segment-vertical",
+        "arcs-1", "arcs-21", "arcs-39", "arcs-rational", "wedge111", "wedge111-shared-x",
     ])
     def test_same_answer_as_the_dataclass_entry(self, tmp_path, monkeypatch, case):
-        if case == "lattice":
+        k = None
+        if case.startswith("arcs"):
+            points = generate(GenSpec(GenKind.CirclePoints3C, 40, 1))
+            if case == "arcs-rational":
+                points, k = _relabelled(points), 21
+            else:
+                k = int(case.split("-")[1])
+            kind, payload = "arcs", {"points": [ser.enc_circle_point(p) for p in points]}
+        elif case == "wedge111":
+            points = generate(GenSpec(GenKind.Points3C, 30, 1))
+            kind, payload = "wedge111", {"points": [ser.enc_point(p) for p in points]}
+        elif case == "wedge111-shared-x":
+            kind, payload = "wedge111", {"points": SHARED_X_THREE}
+        elif case == "lattice":
             kind, payload = "lline", ser.enc_instance(
                 "LatticeRedHull", 32, 1, generate(GenSpec(GenKind.LatticeRedHull, 32, 1)))
         elif case in ("lines", "mapped-lines"):
@@ -472,6 +499,7 @@ class TestIntegerRoutes:
         inst, out = tmp_path / "in.json", tmp_path / "out.json"
         inst.write_text(json.dumps(payload))
 
+        assert not [name for name in dir(ser) if name.startswith("dec_") and name.endswith("_payload")]
         calls = Counter()
         if kind == "lline":
             init = llines.LatticePointSet.__post_init__
@@ -479,10 +507,10 @@ class TestIntegerRoutes:
                                 _counted(calls, "LatticePointSet", init))
         else:
             # every module that holds one of these by name
-            for name in ("int_line", "int_point", "int_points", "dec_points_payload",
-                         "dec_lines_payload"):
-                real = getattr(core, name, None) or getattr(ser, name)
-                for mod in (core, cells, wedges, ser, cli):
+            for name in ("int_line", "int_point", "int_points", "circle_point",
+                         "dual_point_to_line"):
+                real = getattr(core, name)
+                for mod in (core, cells, wedges, arcs, ser, cli):
                     if getattr(mod, name, None) is real:
                         monkeypatch.setattr(mod, name, _counted(calls, name, real))
             # a wedge's answer carries the dual points of its two neutral
@@ -496,25 +524,47 @@ class TestIntegerRoutes:
             for mod in (core, wedges, cli):
                 if getattr(mod, "dual_line_to_point", None) is real_dual:
                     monkeypatch.setattr(mod, "dual_line_to_point", dual)
-        assert cli.run(["solve", kind, "--in", str(inst), "--out", str(out)]) == 0
-        wedge_duals = Counter({("dual_line_to_point", "K"): 2}) if kind == "wedge" else Counter()
-        assert calls == wedge_duals
+        argv = ["solve", kind, "--in", str(inst), "--out", str(out)]
+        assert cli.run(argv + ([] if k is None else ["--k", str(k)])) == 0
+        want_calls = Counter()
+        if kind in ("wedge", "wedge111"):
+            want_calls["dual_line_to_point", "K"] = 2
+        if kind == "wedge111":  # the self-check reads the answer's two boundary lines
+            want_calls["int_line"] = 2
+        assert calls == want_calls
         monkeypatch.undo()
 
         got = json.loads(out.read_text())["answer"]
         if kind == "cell":
-            want = {"face": ser.enc_face(find_complete_face(ser.dec_lines_payload(payload)))}
-        elif kind == "wedge":
-            w = wedges.sweep_balanced_wedge(ser.dec_points_payload(payload))
+            want = {"face": ser.enc_face(find_complete_face(dec_lines_payload(payload)))}
+        elif kind in ("wedge", "wedge111"):
+            points = dec_points_payload(payload)
+            w = (wedges.sweep_balanced_wedge(points) if kind == "wedge"
+                 else wedges.find_111_wedge(points))
             want = {"wedge": ser.enc_wedge(w),
                     "dual_segment": ser.enc_segment(wedges.wedge_dual_segment(w))}
         elif kind == "segment":
             want = {"segment": ser.enc_segment(
-                wedges.halving_segment(ser.dec_lines_payload(payload)))}
+                wedges.halving_segment(dec_lines_payload(payload)))}
+        elif kind == "arcs":
+            want = {"arcs": ser.enc_arcset(arcs.find_k_arcset(dec_circle_payload(payload), k))}
         else:
-            l, k = find_balanced_lline(ser.dec_lattice_payload(payload))
+            l, k = find_balanced_lline(dec_lattice_payload(payload))
             want = {"lline": ser.enc_lline(l), "k": k}
         assert got == want
+
+
+def _relabelled(points):
+    """The circle points with the same order of parameters, moved onto
+    distinct denominators between 1e5 and 1e6, as the rational-scale
+    benchmark maps them."""
+    rng = random.Random(7)
+    fresh = sorted({F(rng.randrange(1, d), d) for d in rng.sample(range(10**5, 10**6), len(points))})
+    order = sorted(range(len(points)), key=lambda i: points[i].t)
+    out = [None] * len(points)
+    for t, i in zip(fresh, order):
+        out[i] = core.circle_point(t, points[i].color)
+    return out
 
 
 def _mapped_points(points):

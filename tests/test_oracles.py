@@ -35,7 +35,7 @@ from tricut.oracles import (
     enumerate_2arc_sets,
     scan_all_complete_faces,
 )
-from tricut.serialization import dec_circle_payload
+from tricut.serialization import _circle_of_rows, dec_circle_rows
 
 R, G, B = Color.R, Color.G, Color.B
 
@@ -348,7 +348,7 @@ class TestEnumerate2ArcSets:
         env = json.loads(r.stdout)
         v = env["verification"]
         assert v["member"] is True
-        pts = dec_circle_payload(env["instance"])
+        pts = _circle_of_rows(*dec_circle_rows(env["instance"]))
         keys = {ref_arcset_points_key(o, pts) for o in ref_enumerate_2arc_sets(pts, 5)}
         assert v["oracle_answers"] == sorted(list(kk) for kk in keys)
         assert len(v["oracle_answers"]) == 266

@@ -22,16 +22,16 @@ from tricut.errors import PreconditionViolated
 from tricut.generators import GenKind, GenSpec, generate
 from tricut.llines import LatticePointSet, RayDir, lline
 from tricut.serialization import (
+    _circle_of_rows,
+    _lattice_of_rows,
+    _lines_of_rows,
     dec_arcset,
-    dec_circle_payload,
+    dec_circle_rows,
     dec_face,
-    dec_lattice_payload,
     dec_lattice_rows,
     dec_line_rows,
-    dec_lines_payload,
     dec_lline,
     dec_point_rows,
-    dec_points_payload,
     dec_rat,
     dec_segment,
     dec_wedge,
@@ -50,7 +50,14 @@ from tricut.serialization import (
     enc_xy,
     unwrap_instance,
 )
-from tricut.wedges import DoubleWedge, find_111_wedge
+from tricut.wedges import DoubleWedge, _points_of_rows, find_111_wedge
+
+from payload_reference import (
+    dec_circle_payload,
+    dec_lattice_payload,
+    dec_lines_payload,
+    dec_points_payload,
+)
 
 R, G, B = Color.R, Color.G, Color.B
 
@@ -118,11 +125,11 @@ class TestRat:
 class TestGeometry:
     def test_point_round_trip(self):
         p = pt(Fraction(1, 3), -2, "G")
-        assert dec_points_payload({"points": [enc_point(p)]}) == (p,)
+        assert _points_of_rows(*dec_point_rows({"points": [enc_point(p)]})) == (p,)
 
     def test_line_round_trip(self):
         l = line(2, Fraction(-3, 5), 1, "B")
-        assert dec_lines_payload({"lines": [enc_line(l)]}) == (l,)
+        assert _lines_of_rows(*dec_line_rows({"lines": [enc_line(l)]})) == (l,)
 
     def test_xy_round_trip(self):
         assert dec_xy(enc_xy((Fraction(5, 2), -3))) == (Fraction(5, 2), -3)
@@ -135,7 +142,8 @@ class TestGeometry:
         p = circle_point(Fraction(3, 7), "R")
         d = enc_circle_point(p)
         assert d == {"t": "3/7", "color": "R"}
-        assert dec_circle_payload({"points": [d]}) == (p,)
+        assert dec_circle_rows({"points": [d]}) == ([(3, 7)], [R])
+        assert _circle_of_rows(*dec_circle_rows({"points": [d]})) == (p,)
 
     def test_arcset_round_trip(self):
         a = arcset([(Fraction(1, 8), Fraction(1, 4)), (Fraction(7, 8), Fraction(9, 8))])
@@ -160,7 +168,7 @@ class TestGeometry:
         )
         enc = enc_lattice_set(s)
         assert all(isinstance(d["x"], int) for d in enc)
-        assert dec_lattice_payload({"points": enc}) == s
+        assert _lattice_of_rows(*dec_lattice_rows({"points": enc})) == s
 
     def test_wedge_round_trip(self):
         points = generate(GenSpec(GenKind.Points3C, 9, 1))
@@ -187,28 +195,28 @@ class TestPayloads:
     def test_lines_payload(self):
         ls = generate(GenSpec(GenKind.SimpleLines3C, 5, 3))
         env = enc_instance("SimpleLines3C", 5, 3, ls)
-        assert dec_lines_payload(env) == ls
+        assert _lines_of_rows(*dec_line_rows(env)) == ls
         with pytest.raises(PreconditionViolated):
-            dec_lines_payload({"points": []})
+            dec_line_rows({"points": []})
 
     def test_points_payload(self):
         ps = generate(GenSpec(GenKind.Points3C, 7, 3))
         env = enc_instance("Points3C", 7, 3, ps)
-        assert dec_points_payload(env) == ps
+        assert _points_of_rows(*dec_point_rows(env)) == ps
         with pytest.raises(PreconditionViolated):
-            dec_points_payload({"lines": []})
+            dec_point_rows({"lines": []})
 
     def test_circle_payload(self):
         ps = generate(GenSpec(GenKind.CirclePoints3C, 4, 3))
         env = enc_instance("CirclePoints3C", 4, 3, ps)
-        assert dec_circle_payload(env) == ps
+        assert _circle_of_rows(*dec_circle_rows(env)) == ps
         with pytest.raises(PreconditionViolated):
-            dec_circle_payload({"points": [{"x": "1", "y": "2", "color": "R"}]})
+            dec_circle_rows({"points": [{"x": "1", "y": "2", "color": "R"}]})
 
     def test_lattice_payload(self):
         s = generate(GenSpec(GenKind.LatticeRedHull, 4, 3))
         env = enc_instance("LatticeRedHull", 4, 3, s)
-        assert dec_lattice_payload(env) == s
+        assert _lattice_of_rows(*dec_lattice_rows(env)) == s
 
     @pytest.mark.parametrize(
         "decode,body",
@@ -221,9 +229,13 @@ class TestPayloads:
         ],
     )
     def test_malformed_element(self, decode, body):
-        # elements are decoded inside the payload decoder's one guard
+        # elements are decoded inside the payload decoder's one guard; the
+        # row decoder of the payload's shape fails alike
         with pytest.raises(PreconditionViolated, match="malformed input|not a rational"):
             decode(body)
+        rows = {dec_lines_payload: dec_line_rows, dec_points_payload: dec_point_rows,
+                dec_circle_payload: dec_circle_rows, dec_lattice_payload: dec_lattice_rows}
+        assert _outcome(rows[decode], body) == _outcome(decode, body)
 
     def test_gen_envelope_fields(self):
         s = generate(GenSpec(GenKind.LatticeRedHull, 4, 3))
@@ -233,6 +245,7 @@ class TestPayloads:
 
 
 # -- integer rows against the dataclass decoders -------------------------------------
+# (the dataclass decoders are the references in tests/payload_reference.py)
 
 
 @st.composite
@@ -381,3 +394,44 @@ class TestRowDecoders:
         want = _outcome(dec_points_payload, payload)
         assert isinstance(want, tuple) and issubclass(want[0], PreconditionViolated)
         assert _outcome(dec_point_rows, payload) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["0", "1/2", "007/014", "0.25", "2.5e-1", "0e5000"])
+            | st.builds(Fraction, st.integers(0, 10**6), st.integers(10**5, 10**6)
+                        ).filter(lambda t: t < 1).flatmap(forms_of)
+            | RATIONALS.flatmap(forms_of),
+            st.sampled_from("RGBK"),
+        ),
+        min_size=1, max_size=6,
+    ))
+    def test_circle_rows_are_parameter_pairs(self, rows):
+        payload = {"points": [{"t": t, "color": col} for t, col in rows]}
+        want = _outcome(dec_circle_payload, payload)
+        got = _outcome(dec_circle_rows, payload)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+            return
+        pairs, colors = got
+        assert pairs == [(p.t.numerator, p.t.denominator) for p in want]
+        assert colors == [p.color for p in want]
+        assert all(type(v) is int for t in pairs for v in t)
+
+    CIRCLE = [{"t": "0", "color": "R"}, {"t": "1/3", "color": "G"}, {"t": "2/3", "color": "B"}]
+
+    @pytest.mark.parametrize("change", [
+        {"t": "1"}, {"t": "-1/2"}, {"t": "1/0"}, {"t": ["1/2"]},
+        {"color": None}, {"color": "Q"}, {"t": None},  # None: the key is missing
+    ])
+    @pytest.mark.parametrize("item", [0, 2])
+    def test_malformed_circle_payloads_fail_alike(self, item, change):
+        items = [dict(e) for e in self.CIRCLE]
+        for field, value in change.items():
+            if value is None:
+                del items[item][field]
+            else:
+                items[item][field] = value
+        want = _outcome(dec_circle_payload, {"points": items})
+        assert isinstance(want, tuple) and issubclass(want[0], PreconditionViolated)
+        assert _outcome(dec_circle_rows, {"points": items}) == want
