@@ -161,7 +161,7 @@ def _report(kind: str, payload: dict, items, answer: dict, k: int | None) -> Ver
     `payload` (what verify re-runs)."""
     t0 = time.perf_counter()
     what = "line" if kind in ("cell", "segment") else "point"
-    if kind in ("cell", "wedge111", "arcs"):  # lline, wedge, segment: checked below
+    if kind in ("cell", "wedge111", "arcs"):  # lline: LatticePointSet; wedge, segment: _require_6n
         require_rgb([x.color for x in items], what)
 
     if kind == "cell":
