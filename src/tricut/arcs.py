@@ -606,12 +606,12 @@ def find_k_arcset(points: Sequence[CirclePoint], k: int) -> ArcSet:
     k = 0 and k = n short-circuit to the empty set and the full circle; the
     rest runs the op plan on ranks of one sorted order, each halving step
     read from a safe gap (`_origin`), and builds the ArcSet once at the end.
-    The body is `_arcset_of_rows`, on the points' `_circle_rows`.
     """
     return _arcset_of_rows(*_circle_rows(points), k)
 
 
 def _arcset_of_rows(pairs: list[Pair], colors: Sequence[Color], k: int) -> ArcSet:
+    """`find_k_arcset` on rows: each point's parameter `Pair` and color, in input order."""
     n = len(pairs) // 3
     require_rgb(colors, "point", n)
     ts, keys, codes = _sorted_order(pairs, colors)
