@@ -320,10 +320,12 @@ def _halve(order: _Order, k: int) -> _Halves:
             if piece not in slivers:  # side +: an even number of cuts above
                 sides[-1 if sum(h > piece[0] for h in at) % 2 else 1].append(piece)
 
+    # pre[j]: the points of each color at ranks below j
+    pre = np.zeros((order.size + 1, len(RGB)), dtype=np.int64)
+    np.cumsum(order.code[:, None] == np.arange(len(RGB)), axis=0, out=pre[1:])
     for side in sides.values():  # the points at ranks r with plo < 2r < phi
-        ends = np.array([(plo // 2, (phi - 1) // 2) for plo, phi in side], dtype=np.int64)
-        held = [np.searchsorted(ranks[c], ends.reshape(-1, 2), "right") for c in RGB]
-        got = [int(np.diff(h).sum()) for h in held]
+        got = (pre[[(phi - 1) // 2 + 1 for _, phi in side]].sum(axis=0)
+               - pre[[plo // 2 + 1 for plo, _ in side]].sum(axis=0)).tolist()
         if any(g != k // 2 for g in got):
             raise InternalError(
                 "halve sides are unbalanced", {"got": str(dict(zip(RGB, got)))}

@@ -405,69 +405,6 @@ def _complete_face(colors: Sequence[Color], coeffs: Sequence[tuple[int, int, int
     )
 
 
-def _cevian_111_segment(
-    coeffs: Sequence[tuple[Rat, Rat, Rat]],
-    face: Face,
-    corner_v: int,
-    edge_k: int,
-    t_edge: Rat,
-    x_avoid: Rat | None,
-) -> Segment | None:
-    """One candidate for `extract_111_segment`.
-
-    Runs from a point at fraction `t_edge` along edge `edge_k`, through the
-    face vertex `corner_v` (where the two other target colors meet), extended
-    a little past both contacts.  Returns None when the direction degenerates
-    to vertical.  With `x_avoid` set, both contacts lie on one side of it and
-    both endpoints keep their x-coordinates strictly on that side.
-    """
-    m = len(face.vertices)
-    v = face.vertices[corner_v]
-    a, b = face.vertices[edge_k], face.vertices[(edge_k + 1) % m]
-    base = (a[0] + t_edge * (b[0] - a[0]), a[1] + t_edge * (b[1] - a[1]))
-    if base[0] == v[0]:
-        return None
-    if x_avoid is not None and (base[0] == x_avoid or (base[0] > x_avoid) != (v[0] > x_avoid)):
-        raise PreconditionViolated("cell is not on one side of x = x_avoid")
-
-    # param 0 at the edge point, 1 at the corner; find every other crossing
-    u = (v[0] - base[0], v[1] - base[1])
-    targets = {
-        face.boundary_lines[(corner_v - 1) % m],
-        face.boundary_lines[corner_v],
-        face.boundary_lines[edge_k],
-    }
-    lo_gap = hi_gap = Fraction(1)
-    for li, (la, lb, lc) in enumerate(coeffs):
-        den = la * u[0] + lb * u[1]
-        if den == 0:
-            continue  # parallel to the segment direction, never crossed
-        t = -(la * base[0] + lb * base[1] + lc) / den
-        if li in targets:
-            if t != 0 and t != 1:
-                raise InternalError("target line param off its contact", {"line": li})
-            continue
-        if 0 <= t <= 1:
-            raise InternalError("foreign line crosses the core segment", {"line": li})
-        if t < 0:
-            lo_gap = min(lo_gap, -t)
-        else:
-            hi_gap = min(hi_gap, t - 1)
-    t0, t1 = -lo_gap / 2, 1 + hi_gap / 2
-    if x_avoid is not None:
-        # shrink so the x-coordinate never reaches x_avoid; the crossing
-        # parameter sits outside [0, 1] because both contacts share a side
-        t_cross = (x_avoid - base[0]) / u[0]
-        if t_cross < 0:
-            t0 = max(t0, t_cross) / 2
-        elif t_cross > 1:
-            t1 = (1 + min(t1, t_cross)) / 2
-    return Segment(
-        (base[0] + t0 * u[0], base[1] + t0 * u[1]),
-        (base[0] + t1 * u[0], base[1] + t1 * u[1]),
-    )
-
-
 def extract_111_segment(
     lines: Sequence[ColoredLine | Triple], face: Face, x_avoid: Rat | None = None
 ) -> Segment:
@@ -482,8 +419,12 @@ def extract_111_segment(
     bichromatic one off that line, and the segment stays strictly on the
     cell's side.  A complete cell has at least three bichromatic corners, so
     such a corner exists.  Lines may also be (a, b, c) at any scale, as `int_line` rows are.
+
+    Runs on integers: the corner and the edge point are triples (X, Y, W),
+    W > 0, and each line's crossing is one ratio; Fractions are built only
+    for the two gaps beyond the contacts and the two endpoints.
     """
-    coeffs = [(l.a, l.b, l.c) if isinstance(l, ColoredLine) else l for l in lines]
+    coeffs = [int_line(l) if isinstance(l, ColoredLine) else l for l in lines]
     if not is_complete(face):
         raise PreconditionViolated("cell is not complete")
     m = len(face.vertices)
@@ -501,11 +442,56 @@ def extract_111_segment(
     third = next(c for c in RGB if c not in (c1, c2))
     edge_k = next(k for k in range(m) if face.boundary_colors[k] is third)
 
-    for t_edge in (Fraction(1, 2), Fraction(1, 3)):
-        seg = _cevian_111_segment(coeffs, face, corner, edge_k, t_edge, x_avoid)
-        if seg is not None:
-            return seg
-    raise InternalError("segment direction is forced vertical")
+    vx, vy, vw = int_point(*face.vertices[corner])
+    (xa, ya, wa), (xb, yb, wb) = (int_point(*face.vertices[k % m]) for k in (edge_k, edge_k + 1))
+    # the edge point ((k - 1) a + b) / k sits at 1/2 of the edge, or at 1/3
+    # when the corner is straight above or below the 1/2 point; the corner
+    # is off the edge's line, so the 1/3 point is not
+    k = 3 if (xa * wb + xb * wa) * vw == 2 * wa * wb * vx else 2
+    bx, by, bw = (k - 1) * xa * wb + xb * wa, (k - 1) * ya * wb + yb * wa, k * wa * wb
+    if x_avoid is not None:
+        p, r = x_avoid.numerator, x_avoid.denominator
+        side = bx * r - p * bw
+        if side == 0 or (side > 0) != (vx * r > p * vw):
+            raise PreconditionViolated("cell is not on one side of x = x_avoid")
+
+    # param t is 0 at the edge point and 1 at the corner: line (A, B, C)
+    # takes the values fb and fv there, both times bw * vw, and crosses at
+    # t = fb / (fb - fv).  The gaps from [0, 1] to the nearest crossing on
+    # either side are kept as (num, den).
+    targets = {face.boundary_lines[i] for i in ((corner - 1) % m, corner, edge_k)}
+    lo = hi = (1, 1)
+    for li, (la, lb, lc) in enumerate(coeffs):
+        fb = (la * bx + lb * by + lc * bw) * vw
+        fv = (la * vx + lb * vy + lc * vw) * bw
+        if fb == fv:
+            continue  # parallel to the segment direction, never crossed
+        if li in targets:
+            if fb and fv:
+                raise InternalError("target line param off its contact", {"line": li})
+            continue
+        num, den = (fb, fb - fv) if fb > fv else (-fb, fv - fb)
+        if 0 <= num <= den:
+            raise InternalError("foreign line crosses the core segment", {"line": li})
+        if num < 0:
+            if -num * lo[1] < lo[0] * den:
+                lo = (-num, den)
+        elif (num - den) * hi[1] < hi[0] * den:
+            hi = (num - den, den)
+    t0, t1 = -Fraction(*lo) / 2, 1 + Fraction(*hi) / 2
+    if x_avoid is not None:
+        # shrink so the x-coordinate never reaches x_avoid; the crossing
+        # parameter sits outside [0, 1] because both contacts share a side
+        t_cross = Fraction((p * bw - r * bx) * vw, r * (vx * bw - bx * vw))
+        if t_cross < 0:
+            t0 = max(t0, t_cross) / 2
+        elif t_cross > 1:
+            t1 = (1 + min(t1, t_cross)) / 2
+    # the ends (1 - t) * edge point + t * corner, as (e * B + f * V) / w
+    ends = [((t.denominator - t.numerator) * vw, t.numerator * bw, t.denominator * bw * vw)
+            for t in (t0, t1)]
+    return Segment(*((Fraction(e * bx + f * vx, w), Fraction(e * by + f * vy, w))
+                     for e, f, w in ends))
 
 
 def gen_shielded_counterexample() -> tuple[ColoredLine, ...]:

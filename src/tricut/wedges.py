@@ -24,10 +24,12 @@ rows (`_wedge_of_rows`, `_segment_of_rows`: homogeneous triples and
 colors); Fractions are built only for the apex, the slopes around the
 balanced window and the answer.  The balanced wedge, the 111 wedge and the
 halving segment are counted once more, by one integer side count, before
-they are returned.
+they are returned; both wedges end in `_checked_wedge`, which counts first.
 
 `find_111_wedge` dualizes the points and pulls a segment out of one complete
-cell, on integer rows too (`_wedge111_of_rows`).  Points sharing an x
+cell, on integer rows too (`_wedge111_of_rows`): the segment's ends give the
+boundary functionals as integer triples, and only the answer is built as
+Fractions.  Points sharing an x
 coordinate would dualize to parallel lines, so they are sheared once, by an
 integer shear chosen in closed form, and the segment is kept off the dual
 image of the original vertical direction.  Vertical input lines of
@@ -46,6 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .cells import _AT_INFINITY, _complete_face, _not_simple, _rows_of_lines, extract_111_segment
+from .cells import _crossing, _point
 from .core import (
     Color,
     ColoredLine,
@@ -60,6 +63,7 @@ from .core import (
     deficit_steps,
     dual_line_to_point,
     int_line,
+    int_point,
     int_points,
     intersect,
     point_joins,
@@ -390,14 +394,20 @@ def _wedge_of_rows(
     if len(set(xs)) != len(xs):
         require_distinct([Fraction(x, w) for x, _, w in triples], "x")
     check_joins(triples, None, _collinear)
-    apex, u, v = _sweep(triples, colors, n, validate)
-    w = wedge_from_functionals(
-        apex, tuple(map(Fraction, u)), tuple(map(Fraction, v)), contains_disagree=True
-    )
+    return _checked_wedge(*_sweep(triples, colors, n, validate), triples, colors, n)
+
+
+def _checked_wedge(
+    u: Triple, v: Triple, triples: Sequence[Triple], colors: Sequence[Color], n: int
+) -> DoubleWedge:
+    """The double wedge of the integer boundary functionals u and v whose
+    disagree sectors hold the points, after one integer side count has found
+    n points of each color there; its apex is where u and v cross."""
     counts = _int_side_counts(u, v, triples, colors, False)
     if any(counts[c] != n for c in RGB):
-        raise InternalError("balanced window did not verify", {"counts": str(counts)})
-    return w
+        raise InternalError("wedge did not verify", {"counts": str(counts), "n": n})
+    f1, f2 = (tuple(map(Fraction, f)) for f in (u, v))
+    return wedge_from_functionals(_point(_crossing(u, v)), f1, f2, contains_disagree=True)
 
 
 def _through(apex: tuple[Rat, Rat], m: Rat) -> Triple:
@@ -410,11 +420,11 @@ def _through(apex: tuple[Rat, Rat], m: Rat) -> Triple:
 
 def _sweep(
     triples: Sequence[Triple], colors: Sequence[Color], n: int, validate: bool = False
-) -> tuple[tuple[Rat, Rat], Triple, Triple]:
+) -> tuple[Triple, Triple]:
     """Body of sweep_balanced_wedge on point triples (X, Y, W), W > 0, already
-    known to satisfy its preconditions: (apex, u, v), the integer functionals
-    of the two boundary lines (`_through`), whose disagree sectors hold the
-    balanced window."""
+    known to satisfy its preconditions: (u, v), the integer functionals of
+    the two boundary lines through the apex (`_through`), whose disagree
+    sectors hold the balanced window."""
     m = 6 * n
     h = 3 * n
 
@@ -497,7 +507,7 @@ def _sweep(
 
     m_lo = slope(0) - 1 if k0 == 0 else (slope(k0 - 1) + slope(k0)) / 2
     m_hi = slope(m - 1) + 1 if k0 + h == m else (slope(k0 + h - 1) + slope(k0 + h)) / 2
-    return apex, _through(apex, m_lo), _through(apex, m_hi)
+    return _through(apex, m_lo), _through(apex, m_hi)
 
 
 def _int_side_counts(
@@ -691,7 +701,7 @@ def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
 
 def _wedge111_of_rows(triples: Sequence[Triple], colors: Sequence[Color]) -> DoubleWedge:
     """`find_111_wedge` on each point's `int_point` triple and color; the shear
-    takes (X, Y, W) to (qX + Y, qY, qW).  Fractions start at the cell's corners."""
+    takes (X, Y, W) to (qX + Y, qY, qW).  Only the answer is built as Fractions."""
     require_rgb(colors)
     check_joins(_distinct_rows(triples), None, _collinear)
 
@@ -703,18 +713,13 @@ def _wedge111_of_rows(triples: Sequence[Triple], colors: Sequence[Color]) -> Dou
              for g in [math.gcd(x, y, w) if x > 0 else -math.gcd(x, y, w)]]
     seg = extract_111_segment(duals, _complete_face(colors, duals), q)
 
-    # primal boundary line of dual point e: y = e_x * x - e_y, functional
-    # f(p) = p.y - e_x * p.x + e_y; a point's dual line crosses the segment
-    # exactly when f_1, f_2 disagree in sign.  Under the shear it reads back
-    # as (-e_x, 1 - e_x / q, e_y), whose y-coefficient is positive as e_x < q.
-    f1, f2 = ((-e[0], Fraction(1) if q is None else 1 - e[0] / q, e[1]) for e in (seg.p, seg.q))
-    apex = intersect(ColoredLine(*f1, Color.K), ColoredLine(*f2, Color.K))
-    w = wedge_from_functionals(apex, f1, f2, contains_disagree=True)
-    u, v, agree = int_line(w.line1), int_line(w.line2), w.sector == SECTOR_AGREE
-    counts = _int_side_counts(u, v, triples, colors, agree)
-    if any(counts[c] != 1 for c in RGB):
-        raise InternalError("111 wedge did not verify", {"counts": str(counts)})
-    return w
+    # primal boundary line of dual point e = (X/W, Y/W): y = e_x * x - e_y,
+    # functional (-X, W, Y); a point's dual line crosses the segment exactly
+    # when the two functionals disagree in sign.  Under the shear it reads
+    # back as (-qX, qW - X, qY), whose y-coefficient is positive as e_x < q.
+    ends = (int_point(*e) for e in (seg.p, seg.q))
+    u, v = (((-x, w, y) if q is None else (-q * x, q * w - x, q * y)) for x, y, w in ends)
+    return _checked_wedge(u, v, triples, colors, 1)
 
 
 def _sheared_duals(triples: Sequence[Triple]) -> tuple[int | None, list[Triple]]:
@@ -760,7 +765,7 @@ def _segment_of_rows(triples: Sequence[Triple], colors: Sequence[Color]) -> Segm
     # already meet the sweep's preconditions; the segment's ends are the
     # dual points of the wedge's boundary lines, sheared back by
     # (x, y) -> (x - lam*y, y)
-    _, u, v = _sweep(duals, colors, n)
+    u, v = _sweep(duals, colors, n)
     ends = [(-a, c, b) for a, b, c in (u, v)]
     if lam is not None:
         ends = [(x - lam * y, y, w) for x, y, w in ends]

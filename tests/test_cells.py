@@ -1,13 +1,14 @@
 import functools
 import itertools
 import random
+import re
 import unittest.mock
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricut import cells, core
+from tricut import cells, core, wedges
 from tricut.cells import (
     Arrangement,
     ColoredTriangulation,
@@ -51,6 +52,8 @@ from tricut.errors import (
 from tricut.generators import GenKind, GenSpec, generate
 
 from complete_face_reference import reference_complete_face
+import segment_111_reference
+from segment_111_reference import reference_extract_111_segment
 
 
 def rand_simple_lines(n, seed, colors=None):
@@ -709,6 +712,102 @@ class TestExtract111Segment:
         other = next(f for f in arr.faces if f.bounded and not is_complete(f))
         with pytest.raises(PreconditionViolated):
             extract_111_segment(lines, other)
+
+
+def _rational_map(points, seed):
+    """x' = (a/b) x + c, y' = (e/f) y + (g/h) x with denominators in
+    10**5..10**6: an affine map that keeps shared x and no three collinear."""
+    rng = random.Random(seed)
+    a, c, e, g = (F(rng.randint(1, 10**7), rng.randint(10**5, 10**6)) for _ in range(4))
+    return [pt(a * p.x + c, e * p.y + g * p.x, p.color) for p in points]
+
+
+class TestExtract111SegmentReference:
+    """`extract_111_segment` on integer triples gives the Segment, or raises
+    the exception, of the Fraction pipeline it replaced
+    (`segment_111_reference`)."""
+
+    @staticmethod
+    def same(lines, face, x_avoid=None):
+        try:
+            want = reference_extract_111_segment(lines, face, x_avoid)
+        except (PreconditionViolated, InternalError) as e:
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                extract_111_segment(lines, face, x_avoid)
+            return
+        assert extract_111_segment(lines, face, x_avoid) == want
+
+    @pytest.mark.parametrize("n", [3, 9, 30, 100])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_simple_lines_as_lines_and_triples(self, n, seed):
+        lines = generate(GenSpec(GenKind.SimpleLines3C, n, seed))
+        face = find_complete_face(lines)
+        self.same(lines, face)
+        self.same([int_line(l) for l in lines], face)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_bounded_cell_and_x_avoid(self, seed):
+        # incomplete cells and cells across x = x_avoid raise; every vertex x
+        # and a value beside it is tried as x_avoid
+        lines = generate(GenSpec(GenKind.SimpleLines3C, 6, seed))
+        faces = [f for f in build_arrangement(lines).faces if f.bounded]
+        assert any(is_complete(f) for f in faces) and not all(is_complete(f) for f in faces)
+        for face in faces:
+            self.same(lines, face)
+            for x, _ in face.vertices:
+                self.same(lines, face, x)
+                self.same(lines, face, x + F(1, 7))
+
+    def test_rational_map_of_lines(self):
+        # the image of each line under x' = sx x + ox, y' = sy y + oy
+        rng = random.Random(5)
+        sx, sy, ox, oy = (F(rng.randint(1, 10**7), rng.randint(10**5, 10**6)) for _ in range(4))
+        lines = [line(l.a / sx, l.b / sy, l.c - l.a * ox / sx - l.b * oy / sy, l.color)
+                 for l in generate(GenSpec(GenKind.SimpleLines3C, 30, 1))]
+        face = find_complete_face(lines)
+        self.same(lines, face)
+        self.same([int_line(l) for l in lines], face)
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("n,seed", [(3, None), (6, 2), (20, 3), (30, 1), (60, 3)])
+    def test_sheared_duals_of_shared_x_points(self, monkeypatch, n, seed, mapped):
+        # the dual lines, cell and x_avoid=q that find_111_wedge hands over
+        if seed is None:
+            points = [pt(-1, -2, "R"), pt(-1, 71771, "B"), pt(2, 8317, "G")]
+        else:
+            points = generate(GenSpec(GenKind.Points3C, n, seed))
+        if mapped:
+            points = _rational_map(points, n)
+        assert len({p.x for p in points}) < len(points)
+        calls = []
+        real = wedges.extract_111_segment
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(wedges, "extract_111_segment", spy)
+        wedges.find_111_wedge(points)
+        ((duals, face, q),) = calls
+        assert q is not None
+        self.same(duals, face, q)
+
+    @pytest.mark.parametrize("n,seed", [(3, 20), (4, 62), (6, 132), (9, 77)])
+    def test_edge_point_at_one_third(self, monkeypatch, n, seed):
+        # the corner is straight above or below the middle of the edge
+        lines = rand_simple_lines(n, seed)
+        face = find_complete_face(lines)
+        tried = []
+        real = segment_111_reference.reference_cevian
+
+        def spy(coeffs, face, corner_v, edge_k, t_edge, x_avoid):
+            tried.append(t_edge)
+            return real(coeffs, face, corner_v, edge_k, t_edge, x_avoid)
+
+        monkeypatch.setattr(segment_111_reference, "reference_cevian", spy)
+        self.same(lines, face)
+        assert tried == [F(1, 2), F(1, 3)]
+        self.same([int_line(l) for l in lines], face)
 
 
 class TestShieldedCounterexample:

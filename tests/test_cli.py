@@ -529,8 +529,10 @@ class TestIntegerRoutes:
         want_calls = Counter()
         if kind in ("wedge", "wedge111"):
             want_calls["dual_line_to_point", "K"] = 2
-        if kind == "wedge111":  # the self-check reads the answer's two boundary lines
-            want_calls["int_line"] = 2
+        if kind == "wedge111":
+            # the 111 segment reads its cell's corner and the two ends of an
+            # edge as triples, and the self-check reads the segment's two ends
+            want_calls["int_point"] = 3 + 2
         assert calls == want_calls
         monkeypatch.undo()
 

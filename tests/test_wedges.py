@@ -452,7 +452,7 @@ class TestIntSegmentCounts:
 
         # no line is vertical, so the segment's ends are the dual points of
         # the sweep's boundary lines as they are
-        monkeypatch.setattr(wedges, "_sweep", lambda *args: (None, *map(boundary, (on_line.p, on_line.q))))
+        monkeypatch.setattr(wedges, "_sweep", lambda *args: tuple(map(boundary, (on_line.p, on_line.q))))
         with pytest.raises(InternalError, match="segment endpoint on an input line"):
             halving_segment(lines)
 
