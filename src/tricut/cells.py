@@ -487,7 +487,7 @@ def extract_111_segment(
             t0 = max(t0, t_cross) / 2
         elif t_cross > 1:
             t1 = (1 + min(t1, t_cross)) / 2
-    # the ends (1 - t) * edge point + t * corner, as (e * B + f * V) / w
+    # the ends (1 - t) * edge point + t * corner: (e * (bx, by) + f * (vx, vy)) / w
     ends = [((t.denominator - t.numerator) * vw, t.numerator * bw, t.denominator * bw * vw)
             for t in (t0, t1)]
     return Segment(*((Fraction(e * bx + f * vx, w), Fraction(e * by + f * vy, w))
