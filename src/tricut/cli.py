@@ -98,11 +98,29 @@ def _load_envelope(path: str) -> dict:
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"  # the same bytes to a file
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        raise PreconditionViolated(f"cannot write {out}: {e}") from e
+
+
+def _envelope_text(env: dict) -> str:
+    """A solve or gen envelope as JSON: keys sorted, one per line, each value
+    as json.dumps(indent=2) writes it, but the instance echo compact on its
+    line (with `indent` set the json module takes its pure-Python encoder)."""
+
+    def value(key):
+        if key == "instance":
+            return json.dumps(env[key], sort_keys=True)
+        # a JSON string holds no raw newline: this shifts whole lines
+        return json.dumps(env[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {value(k)}" for k in sorted(env)) + "\n}"
 
 
 def _instance_id(payload: dict) -> str:
@@ -265,7 +283,7 @@ def _cmd_gen(args) -> int:
     spec = GenSpec(args.kind, args.n, args.seed)
     obj = generate(spec)
     env = ser.enc_instance(spec.kind.value, args.n, args.seed, obj)
-    _emit(json.dumps(env, indent=2, sort_keys=True), args.out)
+    _emit(_envelope_text(env), args.out)
     return 0
 
 
@@ -300,7 +318,7 @@ def _cmd_solve(args) -> int:
     if args.format == "svg":
         _emit(_draw(kind, objects, answer), args.out)
     else:
-        _emit(json.dumps(env, indent=2, sort_keys=True), args.out)
+        _emit(_envelope_text(env), args.out)
     return 0
 
 

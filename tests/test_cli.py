@@ -598,6 +598,28 @@ def test_non_utf8_file_exit_2(tmp_path, args):
     assert r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "arcs", "--n", "4", "--k", "1", "--seed", "2"],
+    ["solve", "arcs", "--n", "4", "--k", "1", "--seed", "2", "--format", "svg"],
+    ["gen", "SimpleLines3C", "--n", "5", "--seed", "8"],
+], ids=["solve-json", "solve-svg", "gen"])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.run(argv) == 0
+    printed = capsys.readouterr().out
+    assert cli.run([*argv, "--out", str(out)]) == 0
+    assert printed.endswith("\n") and out.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("argv", [["solve", "cell"], ["gen", "SimpleLines3C"]], ids=["solve", "gen"])
+@pytest.mark.parametrize("where", ["no/such/dir/x.json", "."], ids=["missing-dir", "a-directory"])
+def test_unwritable_out_exit_2(tmp_path, capsys, argv, where):
+    path = tmp_path / where
+    assert cli.run([*argv, "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_cached_parser_after_a_failing_call(tmp_path, capsys):
     # run() builds its parser once per process; calls that fail in argparse
     # or in the solver leave nothing behind for the next call to read
