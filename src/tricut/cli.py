@@ -87,6 +87,8 @@ def _load_json(path: str) -> dict:
         raise PreconditionViolated(f"{path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise PreconditionViolated(f"{path} is not valid JSON: {e}") from e
+    except ValueError as e:  # an integer past Python's digit limit for str -> int
+        raise PreconditionViolated(f"{path} holds a number too long to read: {e}") from e
 
 
 def _load_envelope(path: str) -> dict:

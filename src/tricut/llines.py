@@ -21,11 +21,21 @@ into rows (`serialization.dec_lattice_rows`), checked by the one row-level
 check that `LatticePointSet` runs too.
 
 The points are sorted once by x and once by y (the rank frame).  A quarter
-turn only reverses or swaps those two orders, so each ordering is two slices
-of the one frame, an index array, and its polygon is the cumulative sum of
-an integer step array taken in that order: the step table of
-`core.deficit_steps`, which the wedge sweep reads too.  The L-line's corner
-is read off the same sorted coordinates.
+turn only reverses or swaps those two orders, and the walk visits the
+orderings of one turn by the rank r of their anchor in the rotated y order:
+ordering r is the top m - r points of that order, then the points of y rank
+< r in x order.  A polygon vertex is a prefix sum of the step table of
+`core.deficit_steps` (which the wedge sweep reads too), each step (dx, dy)
+packed into one int64 key dx (4m + 1) + dy, so a vertex is at the origin
+exactly when its key sum is 0.  The first m - r prefix sums of ordering r
+are those down the y order, the same for every r of the turn; the rest add
+a prefix sum in x order over the points below r.  So the walk never builds
+an ordering: it tests a block of consecutive r in one numpy pass, one row
+of prefix keys per ordering, in blocks of 8, 16, 32 and so on rows, with
+rows x m capped by `_BLOCK_CELLS`.  The first row that holds an origin
+vertex or fails the ends check stops the walk, and validate mode checks the
+windings of the rows before it.  The L-line's corner is read off the same
+sorted coordinates.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -56,7 +67,6 @@ from .errors import (
 from .oracles import ORACLE_MAX_POINTS
 
 HALF = Fraction(1, 2)
-_RGB_INDEX = {c: i for i, c in enumerate(RGB)}
 
 
 class RayDir(enum.Enum):
@@ -318,34 +328,83 @@ def _color_steps(colors: Sequence[Color], hull_color: Color) -> np.ndarray:
     return deficit_steps(colors, x_color, y_color)
 
 
-def _balanced_prefixes(q: np.ndarray, ends_on_hull: bool) -> np.ndarray:
-    """Lengths k in 1..m-1 with q_k at the origin, once the curve is checked
-    to run from (-1,-1) to (1,1) and to end on a hull-colored point.
+def _step_keys(steps: np.ndarray) -> np.ndarray:
+    """Each step (dx, dy) as the int64 dx * (4m + 1) + dy, m = len(steps).
 
-    q holds the prefix sums of an ordering's `_color_steps`: q_k at the
-    origin marks a balanced prefix of k points, and the closed curve is
-    q_1..q_{m-1} followed by their negatives.  An ordering of a set with a
-    monochromatic hull starts and ends on hull-colored points, which forces
-    the two checked ends."""
-    if q[0].tolist() != [-1, -1] or q[-2].tolist() != [1, 1] or not ends_on_hull:
-        raise PreconditionViolated(
-            "ordering must start and end with hull-colored points "
-            "(is the orthogonal hull monochromatic?)"
-        )
-    return np.flatnonzero(~q[:-1].any(axis=1)) + 1
+    A sum of distinct steps has both coordinates in -m..2m, so the map is
+    one-to-one on such sums and the key of a sum is the sum of the keys: a
+    prefix is at the origin exactly when its key sum is 0."""
+    return steps[:, 0] * (4 * len(steps) + 1) + steps[:, 1]
 
 
-# -- the zero-vertex sweep -----------------------------------------------------
+def _key_points(q: np.ndarray, m: int) -> np.ndarray:
+    """The (x, y) sums behind prefix keys of m steps, as a trailing axis."""
+    # y is in -2m..2m, so q + 2m = x (4m + 1) + (y + 2m) with 0 <= y + 2m <= 4m
+    x, y = np.divmod(q + 2 * m, 4 * m + 1)
+    return np.stack((x, y - 2 * m), axis=-1)
 
 
-def _ordering_sequence(frame: _RankFrame) -> list[tuple[int, int]]:
-    """Anchor index/rotation schedule: down the y order at half a turn, up
-    the x order at three quarters, then the y-minimal anchor unrotated."""
-    (by_x, _), (by_y, _) = frame.rotated(0)
-    seq = [(int(i), 2) for i in by_y[::-1]]
-    seq += [(int(i), 3) for i in by_x]
-    seq.append((int(by_y[0]), 0))
-    return seq
+_ENDS_MESSAGE = (
+    "ordering must start and end with hull-colored points "
+    "(is the orthogonal hull monochromatic?)"
+)
+
+
+def _ends_ok(q: np.ndarray, hull_key: int) -> np.ndarray:
+    """Per row of prefix keys q_1..q_m: does the curve run from (-1,-1) to
+    (1,1) and end on a hull-colored point?
+
+    q_k at the origin marks a balanced prefix of k points, and the closed
+    curve is q_1..q_{m-1} followed by their negatives.  An ordering of a set
+    with a monochromatic hull starts and ends on hull-colored points, which
+    forces the checked ends."""
+    return (q[:, 0] == hull_key) & (q[:, -2] == -hull_key) & (q[:, -1] - q[:, -2] == hull_key)
+
+
+# -- the zero-vertex walk ------------------------------------------------------
+
+# rows x points of one block of the walk, so its arrays stay bounded at any
+# size; the blocks of a turn start at _FIRST_BLOCK rows and double
+_BLOCK_CELLS = 1 << 16
+_FIRST_BLOCK = 8
+
+
+def _schedule(m: int) -> tuple[tuple[int, int], ...]:
+    """(turns, count) runs of the walk: the orderings of y ranks 0..count-1
+    after `turns` clockwise quarter turns.  That is down the y order at half
+    a turn, up the x order at three quarters, then the y-minimal anchor
+    unrotated."""
+    return ((2, m), (3, m), (0, 1))
+
+
+def _rank_blocks(count: int, m: int):
+    """Consecutive blocks of the ranks 0..count-1, as index arrays."""
+    cap = max(1, _BLOCK_CELLS // m)
+    start, size = 0, _FIRST_BLOCK
+    while start < count:
+        stop = min(count, start + min(size, cap))
+        yield np.arange(start, stop)
+        start, size = stop, 2 * size
+
+
+def _block_keys(top: np.ndarray, x_keys: np.ndarray, x_y_rank: np.ndarray,
+                r: np.ndarray) -> np.ndarray:
+    """Prefix keys q_1..q_m of the orderings of y ranks r in one turn, a row
+    each.
+
+    Ordering r lists the top m - r points of the y order, then the points of
+    y rank < r in x order.  So q_k = top[k] for k <= m - r, and after that
+    q_k = top[m - r] plus a prefix sum, in x order, over the points below r.
+    `top` holds the prefix key sums down the y order (top[0] = 0), `x_keys`
+    and `x_y_rank` the keys and y ranks in x order."""
+    m = len(x_keys)
+    r = r[:, None]
+    below = x_y_rank < r
+    rest = np.where(below, x_keys, 0).cumsum(axis=1) + top[m - r]
+    q = np.repeat(top[None, 1:], len(r), axis=0)
+    # row i has r_i points below and r_i columns past its head, both in order
+    q[np.arange(m - 1, -1, -1) < r] = rest[below]
+    return q
 
 
 def find_balanced_lline(s: LatticePointSet, validate: bool = False) -> tuple[LLine, int]:
@@ -369,25 +428,36 @@ def _lline_of_rows(
     if n < 2:
         raise PreconditionViolated("n >= 2 is required for a nontrivial L-line")
     frame = _RankFrame(xs, ys)
+    m = frame.m
     hull_color = _hull_color(frame, colors)
-    steps = _color_steps(colors, hull_color)
-    on_hull_color = [c is hull_color for c in colors]
+    keys = _step_keys(_color_steps(colors, hull_color))
+    hull_key = -4 * m - 2  # the key of (-1, -1)
     windings: list[int] = []
 
-    for anchor, turns in _ordering_sequence(frame):
-        order = frame.ordering(anchor, turns)
-        q = steps[order].cumsum(axis=0)
-        zeros = _balanced_prefixes(q, on_hull_color[order[-1]])
-        if zeros.size:
-            return _realize_prefix(xs, ys, colors, frame, anchor, turns, order, int(zeros[0]))
-        if validate:
-            w = winding_number(np.concatenate((q[:-1], -q[:-1])))
-            if windings and w != windings[-1]:
-                raise InternalError(
-                    "winding changed between consecutive origin-free curves",
-                    {"prev": windings[-1], "now": w},
-                )
-            windings.append(w)
+    for turns, count in _schedule(m):
+        (x_order, _), (y_order, y_rank) = frame.rotated(turns)
+        top = np.concatenate(([0], keys[y_order[::-1]].cumsum()))
+        x_keys, x_y_rank = keys[x_order], y_rank[x_order]
+        for r in _rank_blocks(count, m):
+            q = _block_keys(top, x_keys, x_y_rank, r)
+            ends = _ends_ok(q, hull_key)
+            zero = q[:, :-1] == 0
+            stop = ~ends | zero.any(axis=1)
+            i = int(stop.argmax()) if stop.any() else len(r)
+            if validate:
+                for curve in _key_points(q[:i, :-1], m):
+                    w = winding_number(np.concatenate((curve, -curve)))
+                    if windings and w != windings[-1]:
+                        raise InternalError(
+                            "winding changed between consecutive origin-free curves",
+                            {"prev": windings[-1], "now": w},
+                        )
+                    windings.append(w)
+            if i < len(r):
+                if not ends[i]:
+                    raise PreconditionViolated(_ENDS_MESSAGE)
+                k0 = int(zero[i].argmax()) + 1
+                return _realize_prefix(xs, ys, colors, frame, turns, int(r[i]), k0)
 
     # no zero vertex anywhere: impossible, because the final ordering is the
     # reverse of the first, so its curve is the first curve traversed
@@ -401,9 +471,10 @@ def _lline_of_rows(
 
 def _realize_prefix(
     xs: Sequence[int], ys: Sequence[int], colors: Sequence[Color],
-    frame: _RankFrame, anchor: int, turns: int, order: np.ndarray, k0: int,
+    frame: _RankFrame, turns: int, r: int, k0: int,
 ) -> tuple[LLine, int]:
-    """L-line whose one side is exactly the first k0 points of the ordering.
+    """L-line whose one side is exactly the first k0 points of the ordering
+    of y rank r after `turns` quarter turns.
 
     The corner is placed by gaps in the rotated frame (gap g lies above g
     rotated coordinates), mapped back to gaps of the x and y orders and
@@ -411,17 +482,18 @@ def _realize_prefix(
     minimum - 1/2 below every point.
     """
     m = frame.m
-    (_, x_rank), (_, y_rank) = frame.rotated(turns)
-    a_size = m - int(y_rank[anchor])
+    (x_order, x_rank), (y_order, y_rank) = frame.rotated(turns)
+    a_size = m - r
 
     if k0 <= a_size:
         # prefix = the k0 highest points in the rotated frame
-        gaps = (int(x_rank[anchor]) + 1, m - k0)
+        gaps = (int(x_rank[y_order[r]]) + 1, m - k0)
         rays_rot = (RayDir.LEFT, RayDir.RIGHT)
     else:
         # prefix = everything at-or-above the anchor, plus the leftmost
         # k0 - a_size of the rest: the complement of an open quadrant
-        gaps = (int(x_rank[order[k0 - 1]]) + 1, m - a_size)
+        last = np.flatnonzero(y_rank[x_order] < r)[k0 - a_size - 1]
+        gaps = (int(last) + 1, r)
         rays_rot = (RayDir.DOWN, RayDir.RIGHT)
 
     corner: list[Rat] = [HALF, HALF]
@@ -430,10 +502,10 @@ def _realize_prefix(
         vals = frame.coords[axis]
         corner[axis] = vals[g - 1] + HALF if g else vals[0] - HALF
     rays = []
-    for r in rays_rot:
+    for ray in rays_rot:
         for _ in range(turns):
-            r = _CCW_RAY[r]
-        rays.append(r)
+            ray = _CCW_RAY[ray]
+        rays.append(ray)
     l = LLine(tuple(corner), tuple(rays))
 
     c1, c2 = _doubled_counts(l, xs, ys, colors)
@@ -451,21 +523,33 @@ def _realize_prefix(
     return l, c1[0]
 
 
+def _int_array(vals: Sequence[int]) -> np.ndarray:
+    """Integers as int64, or as Python ints in an object array when one of
+    them does not fit."""
+    try:
+        return np.array(vals, dtype=np.int64)
+    except OverflowError:
+        return np.array(vals, dtype=object)
+
+
 def _doubled_counts(
     l: LLine, xs: Sequence[int], ys: Sequence[int], colors: Sequence[Color]
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """`lline_counts` for the search's self-check, on doubled integer
-    coordinates: lattice points double to even integers and the corner to
-    odd ones, so no point lies on l and no Fraction is needed.  Kept apart
-    from LLine.in_region1 and from the oracle's counting."""
-    cx, cy = (int(2 * c) for c in l.corner)
+    """`lline_counts` for the search's self-check, in the doubled frame:
+    lattice points double to even integers and the corner to odd ones, so
+    no point lies on l and no Fraction is needed.  As 2c is odd, 2v > 2c
+    exactly when v > (2c - 1) // 2, one integer comparison per point and
+    axis.  Kept apart from the walk's keys, from LLine.in_region1 and from
+    the oracle's counting."""
     dx, dy = _REGION1_DIR[frozenset(l.rays)]
-    c1, c2 = [0, 0, 0], [0, 0, 0]
-    for x, y, c in zip(xs, ys, colors):
-        # 2x - cx is odd, never 0: a zero factor leaves that axis free
-        inside = dx * (2 * x - cx) >= 0 and dy * (2 * y - cy) >= 0
-        (c1 if inside else c2)[_RGB_INDEX[c]] += 1
-    return tuple(c1), tuple(c2)
+    inside = np.ones(len(colors), dtype=bool)
+    for d, vals, c in ((dx, xs, l.corner[0]), (dy, ys, l.corner[1])):
+        if d:  # a zero d leaves that axis free
+            inside &= (_int_array(vals) > (int(2 * c) - 1) // 2) == (d > 0)
+    picked = list(compress(colors, inside.tolist()))
+    c1 = tuple(picked.count(c) for c in RGB)
+    c2 = tuple(colors.count(c) - k for c, k in zip(RGB, c1))
+    return c1, c2
 
 
 # -- exhaustive oracle ---------------------------------------------------------
@@ -477,9 +561,12 @@ def brute_oracle_llines(s: LatticePointSet) -> list[tuple[LLine, int]]:
     Corners run over (occupied coordinate + 1/2) plus (minimum - 1/2) per
     axis; that grid realizes every combinatorially distinct L-line.  Returns
     (L-line, k) pairs with region-1 counts (k,k,k), 1 <= k <= n-1, in
-    deterministic corner-then-ray order.  Counting happens on doubled
-    integer coordinates (corners become odd integers), so the comparisons
-    stay exact; the membership code is disjoint from LLine.in_region1.
+    deterministic corner-then-ray order.  Counting compares ranks from the
+    oracle's own sort: corner a of an axis lies between the a-th and the
+    (a+1)-th smallest coordinate, so a point is past it exactly when its
+    rank is a or more.  That stays exact at any coordinate size, and the
+    membership code is disjoint from LLine.in_region1 and from the
+    solver's rank frame.
     """
     points = s.points
     cap = ORACLE_MAX_POINTS["lline"]
@@ -491,12 +578,11 @@ def brute_oracle_llines(s: LatticePointSet) -> list[tuple[LLine, int]]:
     cand_x = [xs[0] - HALF] + [x + HALF for x in xs]
     cand_y = [ys[0] - HALF] + [y + HALF for y in ys]
 
-    px2 = np.array([2 * int(p.x) for p in points], dtype=np.int64)
-    py2 = np.array([2 * int(p.y) for p in points], dtype=np.int64)
-    cx2 = np.array([2 * xs[0] - 1] + [2 * x + 1 for x in xs], dtype=np.int64)
-    cy2 = np.array([2 * ys[0] - 1] + [2 * y + 1 for y in ys], dtype=np.int64)
-    right = px2[None, :] > cx2[:, None]
-    above = py2[None, :] > cy2[:, None]
+    rank_x = {x: i for i, x in enumerate(xs)}
+    rank_y = {y: i for i, y in enumerate(ys)}
+    corners = np.arange(len(points) + 1)[:, None]
+    right = np.array([rank_x[int(p.x)] for p in points])[None, :] >= corners
+    above = np.array([rank_y[int(p.y)] for p in points])[None, :] >= corners
     onehot = np.zeros((len(points), 3), dtype=np.int32)
     cix = {Color.R: 0, Color.G: 1, Color.B: 2}
     for i, p in enumerate(points):

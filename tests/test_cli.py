@@ -598,6 +598,37 @@ def test_non_utf8_file_exit_2(tmp_path, args):
     assert r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "lline", "--in"],
+    ["verify", "--in"],
+    ["render", "--in"],
+], ids=["solve", "verify", "render"])
+def test_overlong_json_integer_exit_2(tmp_path, args):
+    # json.load raises a plain ValueError past Python's 4300-digit limit
+    bad = tmp_path / "long.json"
+    bad.write_text('{"instance": {"points": [{"x": ' + "9" * 5000 + ', "y": 1, "color": "R"}]}}')
+    r = run_cli(*args, str(bad))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith(f"error: {bad} holds a number too long to read")
+    assert r.stderr.count("\n") == 1
+
+
+def test_lline_past_int64_verifies(tmp_path):
+    # every point mapped to (x 10**20 + 1, y 10**20 + 7): the doubled
+    # coordinates no longer fit an int64, the oracle's ranks do
+    env = json.loads(run_cli("gen", "LatticeRedHull", "--n", "5", "--seed", "3").stdout)
+    for p in env["instance"]["points"]:
+        p["x"], p["y"] = p["x"] * 10**20 + 1, p["y"] * 10**20 + 7
+    inst, sol = tmp_path / "big.json", tmp_path / "big-solved.json"
+    inst.write_text(json.dumps(env))
+    r = run_cli("solve", "lline", "--in", str(inst), "--verify", "--out", str(sol))
+    assert r.returncode == 0, r.stderr
+    v = json.loads(sol.read_text())["verification"]
+    assert v["member"] is True and v["oracle_answers"]
+    r = run_cli("verify", "--in", str(sol))
+    assert r.returncode == 0, r.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "arcs", "--n", "4", "--k", "1", "--seed", "2"],
     ["solve", "arcs", "--n", "4", "--k", "1", "--seed", "2", "--format", "svg"],

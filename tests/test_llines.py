@@ -12,6 +12,7 @@ import numpy as np
 from tricut.core import Color, pt
 from tricut.generators import GenKind, GenSpec, generate
 from tricut.errors import (
+    InternalError,
     MissingColor,
     PreconditionViolated,
 )
@@ -22,7 +23,6 @@ from tricut.llines import (
     RAY_PAIRS,
     RayDir,
     _RankFrame,
-    _ordering_sequence,
     brute_oracle_llines,
     find_balanced_lline,
     lline,
@@ -35,14 +35,20 @@ STEPS_RED_HULL = {(-1, -1), (2, -1), (-1, 2)}
 
 
 def lattice_curve(sigma, hull_color=None):
-    """q_1..q_{3n-1} of a sided ordering, as the search reads them: prefix
-    sums of the color steps, with the ends checked by `_balanced_prefixes`."""
+    """q_1..q_{3n-1} of a sided ordering, as the walk reads them: prefix
+    sums of the color steps, decoded from their keys, with the ends checked
+    by `_ends_ok`."""
     pts = sigma.order
+    m = len(pts)
     colors = [p.color for p in pts]
     if hull_color is None:
         hull_color = llines._hull_color(llines._lattice_frame(pts), colors)
-    q = llines._color_steps(colors, hull_color).cumsum(axis=0)
-    llines._balanced_prefixes(q, pts[-1].color is hull_color)
+    steps = llines._color_steps(colors, hull_color)
+    keys = llines._step_keys(steps).cumsum()[None, :]
+    if not llines._ends_ok(keys, -4 * m - 2)[0]:
+        raise PreconditionViolated(llines._ENDS_MESSAGE)
+    q = llines._key_points(keys, m)[0]
+    assert (q == steps.cumsum(axis=0)).all()
     return q[:-1]
 
 
@@ -71,8 +77,15 @@ def _block_move(old: tuple, new: tuple):
 
 
 def _anchor_sequence(s: LatticePointSet):
+    # the walk's schedule, one (anchor, turns) per ordering: the anchor of
+    # rank r in the rotated y order
     xs, ys, _ = llines._rows_of_points(s.points)
-    return [(s.points[i], turns) for i, turns in _ordering_sequence(_RankFrame(xs, ys))]
+    frame = _RankFrame(xs, ys)
+    return [
+        (s.points[int(frame.rotated(turns)[1][0][r])], turns)
+        for turns, count in llines._schedule(frame.m)
+        for r in range(count)
+    ]
 
 
 def _ortho_hull_reference(points):
@@ -334,7 +347,8 @@ class TestDoubledCounts:
         triple, ring12, diagonal12,
         lambda: rand_red_hull(6, random.Random(3)),
         lambda: _relabel(ring12(), range(-10**12, 10**12, 10**11 + 7), range(-5, 30, 2)),
-    ], ids=["triple", "ring12", "diagonal12", "red-hull", "relabeled"])
+        lambda: _relabel(ring12(), range(-2**70, 2**70, 2**66 + 3), range(2**62, 2**63, 2**58)),
+    ], ids=["triple", "ring12", "diagonal12", "red-hull", "relabeled", "past-int64"])
     def test_matches_lline_counts(self, make):
         s = make()
         xs = sorted(p.x for p in s.points)
@@ -571,11 +585,12 @@ class TestFindBalancedLLine:
                 assert find_balanced_lline(inst, validate=validate) == want
 
     def test_one_rank_frame_per_search(self, monkeypatch):
-        # the loop builds each ordering from the frame: nothing per ordering
-        # goes back to the point objects
+        # the walk reads every ordering off the one frame, a block of them
+        # per numpy pass: it never builds an ordering's index array, and
+        # nothing per ordering goes back to the point objects
         s = generate(GenSpec(GenKind.LatticeRedHull, 32, 1))
         calls = Counter()
-        spied = ("_RankFrame", "_balanced_prefixes", "sided_ordering", "require_rgb")
+        spied = ("_RankFrame", "_block_keys", "sided_ordering", "require_rgb")
         for name in spied:
             real = getattr(llines, name)
 
@@ -584,10 +599,15 @@ class TestFindBalancedLLine:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(llines, name, spy)
+        ordering = _RankFrame.ordering
+        monkeypatch.setattr(_RankFrame, "ordering", lambda *a: calls.update(["ordering"]) or ordering(*a))
         l, k = find_balanced_lline(s, validate=True)
         assert lline_counts(l, s) == ((k,) * 3, (32 - k,) * 3)
-        assert calls["_balanced_prefixes"] > 1
+        # the hit is ordering 38 of 193 (rank 38 at half a turn): blocks of
+        # ranks 0-7, 8-23 and 24-55
+        assert calls["_block_keys"] == 3
         assert calls["_RankFrame"] == 1
+        assert calls["ordering"] == 0
         for name in ("sided_ordering", "require_rgb"):
             assert calls[name] <= 1, name
 
@@ -620,9 +640,249 @@ class TestBruteOracle:
         with pytest.raises(PreconditionViolated):
             brute_oracle_llines(rand_red_hull(9, rng))
 
+    def test_coordinates_past_int64(self):
+        # the oracle compares ranks, so a monotone map far past int64 keeps
+        # every hit: the same k, rays and corner grid indices
+        s = generate(GenSpec(GenKind.LatticeRedHull, 5, 3))
+        big = LatticePointSet(tuple(
+            pt(p.x * 10**20 + 1, p.y * 10**20 + 7, p.color) for p in s.points
+        ))
+
+        def grid_hits(t):
+            xs = sorted(p.x for p in t.points)
+            ys = sorted(p.y for p in t.points)
+            cand_x = [xs[0] - F(1, 2)] + [x + F(1, 2) for x in xs]
+            cand_y = [ys[0] - F(1, 2)] + [y + F(1, 2) for y in ys]
+            return [(cand_x.index(l.corner[0]), cand_y.index(l.corner[1]), l.rays, k)
+                    for l, k in brute_oracle_llines(t)]
+
+        want = grid_hits(s)
+        assert want and grid_hits(big) == want
+        assert find_balanced_lline(big) in brute_oracle_llines(big)
+
     def test_every_oracle_hit_is_balanced(self):
         s = ring12()
         for l, k in brute_oracle_llines(s):
             c1, c2 = lline_counts(l, s)
             assert c1 == (k, k, k)
             assert c2 == (4 - k,) * 3
+
+
+# -- the blocked walk ------------------------------------------------------------
+
+# 500 seeded instances, n = 4..13, with the reference search's answer
+_SEEDED = [(n, seed) for n in range(4, 14) for seed in range(50)]
+
+
+@pytest.fixture(scope="module")
+def seeded_cases():
+    cases = []
+    for n, seed in _SEEDED:
+        s = generate(GenSpec(GenKind.LatticeRedHull, n, seed))
+        cases.append((s, _find_balanced_lline_reference(s, validate=True)))
+    return cases
+
+
+def _spy_hits(monkeypatch):
+    """Record the (turns, rank) of each hit the walk realizes."""
+    hits = []
+    real = llines._realize_prefix
+
+    def spy(xs, ys, colors, frame, turns, r, k0):
+        hits.append((turns, r))
+        return real(xs, ys, colors, frame, turns, r, k0)
+
+    monkeypatch.setattr(llines, "_realize_prefix", spy)
+    return hits
+
+
+def _reference_hit_of(s, anchor, turns):
+    """The reference realization of one ordering's first balanced prefix."""
+    points = s.points
+    (hull_color,) = {p.color for p in _ortho_hull_reference(points)}
+    order = _sided_ordering_reference(anchor, turns, points)
+    for k in range(1, len(order)):
+        seen = Counter(p.color for p in order[:k])
+        if len({seen[c] for c in (Color.R, Color.G, Color.B)}) == 1:
+            return _realize_reference(s, anchor, turns, order, k)
+    return None
+
+
+def _first_stop(s, hull_color):
+    """What stops a walk of one ordering at a time: "ends" for an ordering
+    that starts or ends off the hull color, "hit" for a balanced prefix."""
+    for anchor, turns in _anchor_sequence(s):
+        order = sided_ordering(anchor, turns, s).order
+        if order[0].color is not hull_color or order[-1].color is not hull_color:
+            return "ends"
+        seen = Counter()
+        for p in order[:-1]:
+            seen[p.color] += 1
+            if seen[Color.R] == seen[Color.G] == seen[Color.B]:
+                return "hit"
+    return None
+
+
+class TestBlockedWalk:
+    """The walk tests a block of orderings per numpy pass; it must give the
+    one-ordering-at-a-time reference answer wherever the hit falls."""
+
+    def test_matches_reference_in_both_modes(self, seeded_cases, monkeypatch):
+        hits = _spy_hits(monkeypatch)
+        for s, want in seeded_cases:
+            for validate in (False, True):
+                assert find_balanced_lline(s, validate=validate) == want
+        # the default blocks hold ranks 0-7, 8-23, 24-55: these seeds hit
+        # the first ordering, both sides of the first two block edges, and
+        # the three-quarter turn
+        assert {(2, 0), (2, 7), (2, 8), (2, 23), (2, 24)} <= set(hits)
+        assert any(turns == 3 for turns, _ in hits)
+
+    @pytest.mark.parametrize("edge", ["last-row-of-first-block", "first-row-of-second-block"])
+    def test_hit_on_a_block_edge(self, seeded_cases, monkeypatch, edge):
+        # put a block edge right at each hit of the first 150 seeds; in
+        # validate mode every ordering before the hit gets its winding
+        hits = _spy_hits(monkeypatch)
+        windings = Counter()
+        real_winding = llines.winding_number
+        monkeypatch.setattr(llines, "winding_number",
+                            lambda v: windings.update([1]) or real_winding(v))
+        for s, want in seeded_cases[:150]:
+            hits.clear()
+            find_balanced_lline(s)
+            (turns, r), = hits
+            if r == 0:
+                continue
+            m = len(s.points)
+            monkeypatch.setattr(llines, "_FIRST_BLOCK",
+                                r + 1 if edge == "last-row-of-first-block" else r)
+            for validate in (False, True):
+                windings.clear()
+                assert find_balanced_lline(s, validate=validate) == want
+                assert hits[-1] == (turns, r)
+                before = r if turns == 2 else m + r
+                assert sum(windings.values()) == (before if validate else 0)
+            monkeypatch.setattr(llines, "_FIRST_BLOCK", 8)
+
+    @pytest.mark.parametrize("first, cells", [(1, 1), (2, 1 << 16), (3, 40), (8, 100)])
+    def test_block_sizes_keep_the_answer(self, seeded_cases, monkeypatch, first, cells):
+        monkeypatch.setattr(llines, "_FIRST_BLOCK", first)
+        monkeypatch.setattr(llines, "_BLOCK_CELLS", cells)
+        for s, want in seeded_cases[::5]:
+            for validate in (False, True):
+                assert find_balanced_lline(s, validate=validate) == want
+
+    @pytest.mark.parametrize("count, m", [(96, 96), (3072, 3072), (5, 96), (1, 18), (40, 20000)])
+    def test_rank_blocks(self, count, m):
+        blocks = list(llines._rank_blocks(count, m))
+        assert np.concatenate(blocks).tolist() == list(range(count))
+        cap = max(1, llines._BLOCK_CELLS // m)
+        for i, b in enumerate(blocks[:-1]):
+            assert len(b) == min(8 << i, cap)
+        assert all(len(b) * m <= max(m, llines._BLOCK_CELLS) for b in blocks)
+
+    def test_three_quarter_turn(self, seeded_cases, monkeypatch):
+        hits = _spy_hits(monkeypatch)
+        late = []
+        for s, want in seeded_cases:
+            hits.clear()
+            if find_balanced_lline(s) == want and hits[0][0] == 3:
+                late.append(hits[0][1])
+        assert len(late) >= 10 and 0 in late and max(late) >= 8
+
+    def test_final_unrotated_ordering(self, seeded_cases, monkeypatch):
+        # the final ordering is the first one reversed, so in a full walk it
+        # never holds the first hit; walking it alone must still realize
+        # the reference's L-line for its first balanced prefix
+        monkeypatch.setattr(llines, "_schedule", lambda m: ((0, 1),))
+        monkeypatch.setattr(InternalError, "count", InternalError.count)
+        checked = 0
+        for s, _ in seeded_cases[:100]:
+            bottom = min(s.points, key=lambda p: p.y)
+            want = _reference_hit_of(s, bottom, 0)
+            for validate in (False, True):
+                if want is None:
+                    with pytest.raises(InternalError, match="no balanced prefix"):
+                        find_balanced_lline(s, validate=validate)
+                else:
+                    assert find_balanced_lline(s, validate=validate) == want
+            checked += want is not None
+        assert checked >= 50
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_ends_check_with_a_wrong_hull_color(self, monkeypatch, validate):
+        # steps built for a color that is not the hull's: the first
+        # ordering already starts off the hull color
+        monkeypatch.setattr(llines, "_hull_color", lambda frame, colors: Color.G)
+        for n, seed in ((4, 1), (12, 3), (32, 1)):
+            s = generate(GenSpec(GenKind.LatticeRedHull, n, seed))
+            with pytest.raises(PreconditionViolated,
+                               match=r"^ordering must start and end with hull-colored points "
+                                     r"\(is the orthogonal hull monochromatic\?\)$"):
+                find_balanced_lline(s, validate=validate)
+
+    def test_ends_checked_on_every_ordering_before_the_hit(self, monkeypatch):
+        # recolor the leftmost point G and an inner G point R: the orderings
+        # that end on the leftmost point fail the ends check.  The walk must
+        # raise exactly when one of them comes before the first hit, as a
+        # walk of one ordering at a time does
+        monkeypatch.setattr(llines, "_hull_color", lambda frame, colors: Color.R)
+        outcomes = Counter()
+        for n in range(4, 14):
+            for seed in range(10):
+                s = generate(GenSpec(GenKind.LatticeRedHull, n, seed))
+                left = min(s.points, key=lambda p: p.x)
+                hull = _ortho_hull_reference(s.points)
+                inner = next(p for p in s.points if p.color is Color.G and p not in hull)
+                swap = {left: Color.G, inner: Color.R}
+                t = LatticePointSet(tuple(pt(p.x, p.y, swap.get(p, p.color)) for p in s.points))
+                want = _first_stop(t, Color.R)
+                if want == "ends":
+                    with pytest.raises(PreconditionViolated, match="start and end with hull-colored"):
+                        find_balanced_lline(t)
+                else:
+                    l, k = find_balanced_lline(t)
+                    assert lline_counts(l, t)[0] == (k,) * 3
+                outcomes[want] += 1
+        assert outcomes["ends"] >= 10 and outcomes["hit"] >= 10
+
+    def test_winding_change_raises(self, monkeypatch):
+        s = generate(GenSpec(GenKind.LatticeRedHull, 32, 1))
+        ticks = iter(range(1, 10**6, 2))
+        monkeypatch.setattr(llines, "winding_number", lambda v: next(ticks))
+        monkeypatch.setattr(InternalError, "count", InternalError.count)
+        find_balanced_lline(s)  # without validate no winding is taken
+        with pytest.raises(InternalError, match="winding changed") as err:
+            find_balanced_lline(s, validate=True)
+        assert err.value.trace == {"prev": 1, "now": 3}
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_walk_without_a_hit_raises(self, monkeypatch, validate):
+        # seed 1 at n = 32 first hits rank 38 at half a turn: stop before it
+        s = generate(GenSpec(GenKind.LatticeRedHull, 32, 1))
+        monkeypatch.setattr(llines, "_schedule", lambda m: ((2, 38),))
+        monkeypatch.setattr(InternalError, "count", InternalError.count)
+        with pytest.raises(InternalError, match="no balanced prefix") as err:
+            find_balanced_lline(s, validate=validate)
+        want = {"n": 32}
+        if validate:
+            want["winding_first"] = want["winding_last"] = err.value.trace["winding_first"]
+            assert want["winding_first"] in (-1, 1)
+        assert err.value.trace == want
+
+    def test_step_keys_decode(self):
+        rng = random.Random(9)
+        for m in (3, 18, 96, 3072):
+            colors = [rng.choice((Color.R, Color.G, Color.B)) for _ in range(m)]
+            colors[: m // 3] = [Color.G] * (m // 3)  # long runs reach -m and 2m
+            steps = llines._color_steps(colors, Color.R)
+            q = llines._step_keys(steps).cumsum()
+            xy = steps.cumsum(axis=0)
+            assert (llines._key_points(q, m) == xy).all()
+            assert ((q == 0) == ~xy.any(axis=1)).all()
+
+    def test_n1024(self):
+        s = generate(GenSpec(GenKind.LatticeRedHull, 1024, 1))
+        l, k = find_balanced_lline(s)
+        assert 1 <= k <= 1023
+        assert lline_counts(l, s) == ((k,) * 3, (1024 - k,) * 3)
