@@ -4,7 +4,7 @@ An L-line is an axis-aligned path with at most one corner (two rays, or a
 straight axis-parallel line).  Given 3n lattice points, n per color, with
 distinct x's, distinct y's, and a monochromatic orthogonal hull, some
 L-line avoiding all points has exactly k of each color on one side, for a
-nontrivial k.  The finder walks a cyclic family of sided orderings whose
+nontrivial k.  The finder searches a cyclic family of sided orderings whose
 balance-curve winding cannot stay fixed, so a balanced prefix must appear.
 The hull precondition is essential: a diagonal point set has none, and the
 exhaustive search over the corner grid confirms nothing balances it.

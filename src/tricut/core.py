@@ -572,9 +572,10 @@ def deficit_steps(colors: Sequence[Color], x_color: Color, y_color: Color) -> np
 _WINDING_BOUND = 2**31
 
 
-def winding_number(vertices) -> int:
+def winding_number(vertices) -> int | np.ndarray:
     """Winding number around the origin of the closed curve through
-    `vertices`: an int64 (m, 2) array or a sequence of integer pairs.
+    `vertices`: an int64 (m, 2) array or a sequence of integer pairs.  A
+    stack of curves (..., m, 2) gives an array of one winding per curve.
 
     Counts signed crossings of the positive x axis; zero-length edges
     (repeated vertices) cross nothing.  Raises OriginOnCurve if a vertex is
@@ -582,24 +583,25 @@ def winding_number(vertices) -> int:
     for fewer than 2 vertices, non-integer vertices or a coordinate of
     absolute value 2**31 or more.
     """
-    if len(vertices) < 2:
-        raise PreconditionViolated("lattice curve needs at least 2 vertices")
     v = vertices if isinstance(vertices, np.ndarray) else np.array(vertices, dtype=object)
-    if v.ndim != 2 or v.shape[1] != 2 or not (
+    if (len(v) if v.ndim < 3 else v.shape[-2]) < 2:
+        raise PreconditionViolated("lattice curve needs at least 2 vertices")
+    if v.ndim < 2 or v.shape[-1] != 2 or not (
         v.dtype.kind in "iu" or all(isinstance(c, (int, np.integer)) for c in v.flat)
     ):
         raise PreconditionViolated("lattice curve needs integer (x, y) vertices")
-    if max(abs(int(v.max())), abs(int(v.min()))) >= _WINDING_BOUND:
+    if v.size and max(abs(int(v.max())), abs(int(v.min()))) >= _WINDING_BOUND:
         raise PreconditionViolated(f"lattice curve coordinates must stay below {_WINDING_BOUND}")
     a = np.asarray(v, dtype=np.int64)
-    b = np.concatenate((a[1:], a[:1]))
-    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    b = np.concatenate((a[..., 1:, :], a[..., :1, :]), axis=-2)
+    ax, ay, bx, by = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
     cross = ax * by - ay * bx
     at_origin = (ax | ay) == 0
     bad = at_origin | ((cross == 0) & (ax * bx + ay * by < 0))
     if bad.any():
-        i = int(bad.argmax())
-        raise OriginOnCurve("vertex at origin" if at_origin[i] else "origin interior to an edge")
+        at = at_origin.flat[bad.argmax()]  # the first bad edge in C order
+        raise OriginOnCurve("vertex at origin" if at else "origin interior to an edge")
     up = (ay <= 0) & (by > 0) & (cross > 0)
     down = (by <= 0) & (ay > 0) & (cross < 0)
-    return np.count_nonzero(up) - np.count_nonzero(down)
+    w = np.count_nonzero(up, axis=-1) - np.count_nonzero(down, axis=-1)
+    return int(w) if a.ndim == 2 else w

@@ -6,13 +6,13 @@ general position (distinct x, distinct y), n of each color, whose orthogonal
 convex hull is monochromatic, some L-line is nontrivially balanced: both
 regions hold equally many points of every color, neither side empty.
 
-The search walks a fixed sequence of 6n + 1 "sided orderings" of the point
-set.  Each ordering maps to a closed lattice polygon built from its prefix
-color deficits; a vertex of that polygon at the origin certifies a balanced
-prefix, and the prefix of a sided ordering is exactly the point set on one
-side of an L-line.  Consecutive orderings differ by moving a single point;
-the two terminal polygons are reverses of each other, which forces an origin
-vertex somewhere along the sequence.
+The search runs over a fixed sequence of 6n + 1 "sided orderings" of the
+point set.  Each ordering maps to a closed lattice polygon built from its
+prefix color deficits; a vertex of that polygon at the origin certifies a
+balanced prefix, and the prefix of a sided ordering is exactly the point set
+on one side of an L-line.  An origin-free polygon is centrally symmetric and
+winds an odd number of times; consecutive orderings differ by moving a single
+point, and the two terminal polygons, reverses of each other, wind oppositely.
 
 The search body runs on integer rows: the points' x and y coordinates as
 ints and their colors, in input order.  `find_balanced_lline` builds the
@@ -21,21 +21,22 @@ into rows (`serialization.dec_lattice_rows`), checked by the one row-level
 check that `LatticePointSet` runs too.
 
 The points are sorted once by x and once by y (the rank frame).  A quarter
-turn only reverses or swaps those two orders, and the walk visits the
-orderings of one turn by the rank r of their anchor in the rotated y order:
-ordering r is the top m - r points of that order, then the points of y rank
-< r in x order.  A polygon vertex is a prefix sum of the step table of
+turn only reverses or swaps those two orders, and an ordering of one turn
+is named by the rank r of its anchor in the rotated y order: ordering r is
+the top m - r points of that order, then the points of y rank < r in x
+order.  A polygon vertex is a prefix sum of the step table of
 `core.deficit_steps` (which the wedge sweep reads too), each step (dx, dy)
 packed into one int64 key dx (4m + 1) + dy, so a vertex is at the origin
 exactly when its key sum is 0.  The first m - r prefix sums of ordering r
 are those down the y order, the same for every r of the turn; the rest add
-a prefix sum in x order over the points below r.  So the walk never builds
-an ordering: it tests a block of consecutive r in one numpy pass, one row
-of prefix keys per ordering, in blocks of 8, 16, 32 and so on rows, with
-rows x m capped by `_BLOCK_CELLS`.  The first row that holds an origin
-vertex or fails the ends check stops the walk, and validate mode checks the
-windings of the rows before it.  The L-line's corner is read off the same
-sorted coordinates.
+a prefix sum in x order over the points below r.  So the search never
+builds an ordering: one numpy pass computes the prefix keys of `_PROBES`
+orderings spread evenly over a bracket of the sequence, both its ends
+included.  The first row with an origin vertex or failing the ends check
+stops the search; otherwise one winding call over the rows narrows the
+bracket to the first two neighbors that wind differently.  A bracket of at
+most `_PROBES` orderings is tested whole.  The L-line's corner is read off
+the same sorted coordinates.
 """
 
 from __future__ import annotations
@@ -361,47 +362,38 @@ def _ends_ok(q: np.ndarray, hull_key: int) -> np.ndarray:
     return (q[:, 0] == hull_key) & (q[:, -2] == -hull_key) & (q[:, -1] - q[:, -2] == hull_key)
 
 
-# -- the zero-vertex walk ------------------------------------------------------
+# -- the bracket search --------------------------------------------------------
 
-# rows x points of one block of the walk, so its arrays stay bounded at any
-# size; the blocks of a turn start at _FIRST_BLOCK rows and double
-_BLOCK_CELLS = 1 << 16
-_FIRST_BLOCK = 8
+# orderings tested per pass of the search: both ends of the bracket and
+# evenly spaced ones between them.  At least 3, so that a pass narrows it
+_PROBES = 16
 
 
 def _schedule(m: int) -> tuple[tuple[int, int], ...]:
-    """(turns, count) runs of the walk: the orderings of y ranks 0..count-1
-    after `turns` clockwise quarter turns.  That is down the y order at half
-    a turn, up the x order at three quarters, then the y-minimal anchor
-    unrotated."""
+    """(turns, count) runs of the schedule: the orderings of y ranks
+    0..count-1 after `turns` clockwise quarter turns.  That is down the y
+    order at half a turn, up the x order at three quarters, then the
+    y-minimal anchor unrotated."""
     return ((2, m), (3, m), (0, 1))
 
 
-def _rank_blocks(count: int, m: int):
-    """Consecutive blocks of the ranks 0..count-1, as index arrays."""
-    cap = max(1, _BLOCK_CELLS // m)
-    start, size = 0, _FIRST_BLOCK
-    while start < count:
-        stop = min(count, start + min(size, cap))
-        yield np.arange(start, stop)
-        start, size = stop, 2 * size
-
-
 def _block_keys(top: np.ndarray, x_keys: np.ndarray, x_y_rank: np.ndarray,
-                r: np.ndarray) -> np.ndarray:
-    """Prefix keys q_1..q_m of the orderings of y ranks r in one turn, a row
-    each.
+                turns: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Prefix keys q_1..q_m of the orderings of y ranks r after `turns`
+    quarter turns, a row each.
 
     Ordering r lists the top m - r points of the y order, then the points of
     y rank < r in x order.  So q_k = top[k] for k <= m - r, and after that
     q_k = top[m - r] plus a prefix sum, in x order, over the points below r.
-    `top` holds the prefix key sums down the y order (top[0] = 0), `x_keys`
-    and `x_y_rank` the keys and y ranks in x order."""
-    m = len(x_keys)
+    Row t of `top` holds the prefix key sums down the y order after t turns
+    (top[t, 0] = 0), of `x_keys` and `x_y_rank` the keys and y ranks in x
+    order."""
+    m = x_keys.shape[1]
+    head = top[turns, m - r][:, None]
     r = r[:, None]
-    below = x_y_rank < r
-    rest = np.where(below, x_keys, 0).cumsum(axis=1) + top[m - r]
-    q = np.repeat(top[None, 1:], len(r), axis=0)
+    below = x_y_rank[turns] < r
+    rest = np.where(below, x_keys[turns], 0).cumsum(axis=1) + head
+    q = top[turns, 1:]
     # row i has r_i points below and r_i columns past its head, both in order
     q[np.arange(m - 1, -1, -1) < r] = rest[below]
     return q
@@ -411,10 +403,10 @@ def find_balanced_lline(s: LatticePointSet, validate: bool = False) -> tuple[LLi
     """L-line with k of each color in region 1, 1 <= k <= n-1.
 
     Preconditions: n >= 2 and a monochromatic orthogonal hull.  With
-    validate=True consecutive origin-free curves are checked to keep equal
-    winding (the swept cells between them cannot contain the origin: an
-    origin-containing cell would need a vertex coordinate that is both
-    divisible by 3 and in {1, 2}).
+    validate=True every pass takes windings, also one with a hit, and
+    consecutive origin-free curves are checked to keep equal winding (the
+    swept cells between them cannot contain the origin: an origin-containing
+    cell would need a vertex coordinate divisible by 3 and in {1, 2}).
     """
     return _lline_of_rows(*_rows_of_points(s.points), validate=validate)
 
@@ -432,41 +424,45 @@ def _lline_of_rows(
     hull_color = _hull_color(frame, colors)
     keys = _step_keys(_color_steps(colors, hull_color))
     hull_key = -4 * m - 2  # the key of (-1, -1)
-    windings: list[int] = []
+    rotated = [frame.rotated(t) for t in range(4)]
+    top = np.stack([np.concatenate(([0], keys[y[::-1]].cumsum())) for _, (y, _) in rotated])
+    x_keys = np.stack([keys[x] for (x, _), _ in rotated])
+    x_y_rank = np.stack([y_rank[x] for (x, _), (_, y_rank) in rotated])
+    runs = _schedule(m)
+    turns = np.repeat([t for t, _ in runs], [count for _, count in runs])
+    ranks = np.concatenate([np.arange(count) for _, count in runs])
 
-    for turns, count in _schedule(m):
-        (x_order, _), (y_order, y_rank) = frame.rotated(turns)
-        top = np.concatenate(([0], keys[y_order[::-1]].cumsum()))
-        x_keys, x_y_rank = keys[x_order], y_rank[x_order]
-        for r in _rank_blocks(count, m):
-            q = _block_keys(top, x_keys, x_y_rank, r)
-            ends = _ends_ok(q, hull_key)
-            zero = q[:, :-1] == 0
-            stop = ~ends | zero.any(axis=1)
-            i = int(stop.argmax()) if stop.any() else len(r)
-            if validate:
-                for curve in _key_points(q[:i, :-1], m):
-                    w = winding_number(np.concatenate((curve, -curve)))
-                    if windings and w != windings[-1]:
-                        raise InternalError(
-                            "winding changed between consecutive origin-free curves",
-                            {"prev": windings[-1], "now": w},
-                        )
-                    windings.append(w)
-            if i < len(r):
-                if not ends[i]:
-                    raise PreconditionViolated(_ENDS_MESSAGE)
-                k0 = int(zero[i].argmax()) + 1
-                return _realize_prefix(xs, ys, colors, frame, turns, int(r[i]), k0)
-
-    # no zero vertex anywhere: impossible, because the final ordering is the
-    # reverse of the first, so its curve is the first curve traversed
-    # backward and their (odd) windings have opposite signs
-    trace: dict = {"n": n}
-    if windings:
-        trace["winding_first"] = windings[0]
-        trace["winding_last"] = windings[-1]
-    raise InternalError("no balanced prefix in the full ordering sequence", trace)
+    lo, hi = 0, len(turns) - 1
+    while True:
+        span = hi - lo
+        whole = span < _PROBES
+        p = lo + (np.arange(span + 1) if whole else span * np.arange(_PROBES) // (_PROBES - 1))
+        q = _block_keys(top, x_keys, x_y_rank, turns[p], ranks[p])
+        ends = _ends_ok(q, hull_key)
+        zero = q[:, :-1] == 0
+        stop = ~ends | zero.any(axis=1)
+        i = int(stop.argmax()) if stop.any() else len(p)
+        if validate or i == len(p):
+            curves = _key_points(q[~stop, :-1], m)
+            w = winding_number(np.concatenate((curves, -curves), axis=1))
+            if (w % 2 == 0).any():
+                raise InternalError("origin-free curve with even winding")
+            changed = np.flatnonzero(np.diff(w[:i]))  # among the rows before the stop
+            if whole and changed.size:
+                j = int(changed[0])
+                raise InternalError("winding changed between consecutive origin-free curves",
+                                    {"prev": int(w[j]), "now": int(w[j + 1])})
+            # the final ordering is the first reversed, its curve the first
+            # curve traversed backward: it winds oppositely, which brackets a hit
+            if span == len(turns) - 1 and not stop[[0, -1]].any() and w[-1] != -w[0]:
+                raise InternalError("no balanced prefix in the full ordering sequence", {
+                    "n": n, "winding_first": int(w[0]), "winding_last": int(w[-1])})
+        if i < len(p):
+            if not ends[i]:
+                raise PreconditionViolated(_ENDS_MESSAGE)
+            t, r = int(turns[p[i]]), int(ranks[p[i]])
+            return _realize_prefix(xs, ys, colors, frame, t, r, int(zero[i].argmax()) + 1)
+        lo, hi = int(p[changed[0]]), int(p[changed[0] + 1])
 
 
 def _realize_prefix(

@@ -367,3 +367,34 @@ class TestWinding:
         want = self._outcome(reference_winding_number, verts)
         assert self._outcome(winding_number, verts) == want
         assert self._outcome(winding_number, np.array(verts, dtype=np.int64)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda k: st.lists(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=k, max_size=k),
+        min_size=1, max_size=5,
+    )))
+    def test_batch_matches_loop_reference(self, curves):
+        # a stack of curves gives one winding per curve, or the error of the
+        # first curve that has one
+        want = [self._outcome(reference_winding_number, c) for c in curves]
+        got = self._outcome(winding_number, np.array(curves, dtype=np.int64))
+        errors = [w for w in want if isinstance(w, tuple)]
+        if errors:
+            assert got == errors[0]
+        else:
+            assert isinstance(got, np.ndarray) and got.tolist() == want
+
+    def test_batch_shapes(self):
+        sq = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+        assert type(winding_number(sq)) is int
+        assert winding_number(np.array([[sq, sq[::-1]]] * 3)).tolist() == [[1, -1]] * 3
+        assert winding_number(np.zeros((0, 4, 2), dtype=np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("batch", [
+        np.ones((3, 1, 2), dtype=np.int64),
+        [[(1, 1)], [(2, 2)]],
+        np.ones((2, 0, 2), dtype=np.int64),
+    ])
+    def test_batch_refuses_a_one_vertex_curve(self, batch):
+        with pytest.raises(PreconditionViolated, match="at least 2 vertices"):
+            winding_number(batch)
