@@ -844,6 +844,31 @@ class TestBlockedWalk:
             narrowed += 1
         assert narrowed >= 30
 
+    @pytest.mark.parametrize("extra, scale", [(1, 1), (2, 1 << 16), (3, 40), (8, 100)])
+    def test_block_sizes_keep_the_answer(self, seeded_cases, monkeypatch, extra, scale):
+        # passes of 2 + extra rows narrow most brackets, and both modes give
+        # one answer.  The search reads ranks alone: coordinates scaled by
+        # `scale` give the same hit, the corner moved with the coordinate it
+        # sits half a unit from
+        monkeypatch.setattr(llines, "_PROBES", 2 + extra)
+        hits = _spy_hits(monkeypatch)
+        half = F(1, 2)
+        for s, _ in seeded_cases[::5]:
+            scaled = LatticePointSet(tuple(pt(scale * p.x, scale * p.y, p.color) for p in s.points))
+            hits.clear()
+            l, k = find_balanced_lline(s)
+            _assert_balanced(s, (l, k))
+            corner = tuple(
+                scale * (c - half) + half if c - half in vals else scale * (c + half) - half
+                for c, vals in zip(l.corner, ({p.x for p in s.points}, {p.y for p in s.points}))
+            )
+            want = (LLine(corner, l.rays), k)
+            _assert_balanced(scaled, want)
+            for validate in (False, True):
+                assert find_balanced_lline(s, validate=validate) == (l, k)
+                assert find_balanced_lline(scaled, validate=validate) == want
+            assert len(hits) == 5 and len(set(hits)) == 1
+
     def test_whole_bracket_gives_the_walks_answer(self, seeded_cases, monkeypatch):
         # a bracket of at most _PROBES positions is tested whole, so its first
         # stop is the first stop of a walk over it
