@@ -3,8 +3,10 @@
 A bounded cell of a simple arrangement of 3-colored lines is "complete" when
 walking its boundary meets an odd number of red/green, red/blue, and
 green/blue color changes.  `find_complete_face` constructs one such cell
-incrementally; `build_arrangement` builds the whole subdivision so oracles
-can scan every cell independently.
+incrementally; `build_arrangement` checks simplicity and sets the box at
+once, and builds the whole subdivision the first time its faces or vertices
+are read, so oracles can scan every cell independently while a figure, which
+reads only the lines and the box, never pays for it.
 
 Everything runs on the lines' integer coefficients (`core.int_line`).  A
 crossing is the cross product (X, Y, W) of two coefficient triples, the
@@ -16,9 +18,8 @@ the returned Face.  The incremental search reads nothing else of a line
 than its triple and its color, so its body (`_face_of_rows`) runs on those
 rows: `find_complete_face` builds them from the lines, and the CLI decodes
 a payload straight into them (`serialization.dec_line_rows`).
-`build_arrangement` keys its nodes by primitive triples
-and orders each line's points on integer keys, so each vertex becomes a
-Fraction point only once.
+The subdivision keys its nodes by primitive triples and orders each line's
+points on integer keys, so each vertex becomes a Fraction point only once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -72,10 +73,27 @@ class Face:
 
 @dataclass(frozen=True)
 class Arrangement:
+    """A simple arrangement and a box strictly containing its vertices.
+
+    `vertices` and `faces` are built by `_subdivide` on the first read of
+    either and kept; `_crossings` is what `validate_simple` returned.
+    """
+
     lines: tuple[ColoredLine, ...]
-    vertices: tuple[tuple[Rat, Rat], ...]
-    faces: tuple[Face, ...]
     box: tuple[Rat, Rat, Rat, Rat]  # xmin, ymin, xmax, ymax
+    _crossings: dict[Triple, tuple[int, int]] = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def _subdivision(self) -> tuple[tuple[tuple[Rat, Rat], ...], tuple[Face, ...]]:
+        return _subdivide(self)
+
+    @property
+    def vertices(self) -> tuple[tuple[Rat, Rat], ...]:
+        return self._subdivision[0]
+
+    @property
+    def faces(self) -> tuple[Face, ...]:
+        return self._subdivision[1]
 
 
 _AT_INFINITY = (0, 0, 1)  # a crossing (X, Y, W) on it has W = 0: parallel lines
@@ -163,27 +181,15 @@ def _sorted_along(pts: list[tuple[int, int, int]], d: tuple[int, int]) -> list[t
 def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
     """Subdivision of the plane induced by a simple arrangement.
 
-    Unbounded cells are clipped to a box that strictly contains every vertex
-    (margin 1), so every cell is a finite polygon; cells touching the box are
-    flagged unbounded.  Face count must equal 1 + n + n*(n-1)/2.
-
-    Where each line meets the box comes from `core.clip_line`.  Vertices,
-    box corners and box hits are keyed by their primitive homogeneous
-    triples, each line's points are ordered by integer keys along the line,
-    and each vertex becomes a Fraction point once.  Every edge runs along an
-    input line or a box side, so the half-edges around a vertex are ordered
-    by integer directions alone: (B, -A) from `core.int_line` divided by
-    gcd(A, B) along a line, (1, 0) or (0, 1) along the box, negated on the
-    twin.  All directions are ranked once, so each vertex sorts ints.
+    Checks simplicity (`validate_simple`, raising its `NotSimple`) and sets
+    the box, which strictly contains every vertex (margin 1), at once.  The
+    vertices and faces are built on the first read of either
+    (`_subdivide`): unbounded cells are clipped to the box, so every cell is
+    a finite polygon, and cells touching the box are flagged unbounded.
+    Face count must equal 1 + n + n*(n-1)/2.
     """
     lines = tuple(lines)
-    n = len(lines)
-    # crossings stay primitive triples, filed under both lines
     crossings = validate_simple(lines)
-    on_line: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for key, (i, j) in crossings.items():
-        on_line[i].append(key)
-        on_line[j].append(key)
     if crossings:
         xmin, xmax = _extent([(x, w) for x, _, w in crossings])
         ymin, ymax = _extent([(y, w) for _, y, w in crossings])
@@ -196,7 +202,31 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
             else:
                 y0 = -l.c / l.b
         xmin, xmax, ymin, ymax = x0, x0, y0, y0
-    xmin, ymin, xmax, ymax = box = (xmin - 1, ymin - 1, xmax + 1, ymax + 1)
+    return Arrangement(lines, (xmin - 1, ymin - 1, xmax + 1, ymax + 1), crossings)
+
+
+def _subdivide(arr: Arrangement) -> tuple[tuple[tuple[Rat, Rat], ...], tuple[Face, ...]]:
+    """The vertices and faces of `arr`: its crossings and the box's corners
+    and hits as nodes, the pieces of the lines and the box sides between
+    them as edges, and one face per walk around them.
+
+    Where each line meets the box comes from `core.clip_line`.  Vertices,
+    box corners and box hits are keyed by their primitive homogeneous
+    triples, each line's points are ordered by integer keys along the line,
+    and each vertex becomes a Fraction point once.  Every edge runs along an
+    input line or a box side, so the half-edges around a vertex are ordered
+    by integer directions alone: (B, -A) from `core.int_line` divided by
+    gcd(A, B) along a line, (1, 0) or (0, 1) along the box, negated on the
+    twin.  All directions are ranked once, so each vertex sorts ints.
+    """
+    lines, box = arr.lines, arr.box
+    n = len(lines)
+    # crossings stay primitive triples, filed under both lines
+    on_line: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for key, (i, j) in arr._crossings.items():
+        on_line[i].append(key)
+        on_line[j].append(key)
+    xmin, ymin, xmax, ymax = box
     corners = [(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)]
 
     # nodes are keyed by primitive triples, corners first, then in the order
@@ -209,11 +239,11 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
     edges: list[tuple[int, int, int, tuple[int, int]]] = []
     hits: list[tuple[Rat, Rat]] = []
     for i, l in enumerate(lines):
-        ends = clip_line(l, box)
+        a, b, _ = coeffs = int_line(l)
+        ends = clip_line(coeffs, box)
         if ends is None:
             raise InternalError("line does not cross the box twice", {"line": i})
         hits += ends
-        a, b, _ = int_line(l)
         g = gcd(a, b)
         d = (b // g, -a // g)
         ids = [node_id.setdefault(t, len(node_id))
@@ -288,7 +318,7 @@ def build_arrangement(lines: Sequence[ColoredLine]) -> Arrangement:
     expected = 1 + n + n * (n - 1) // 2
     if len(faces) != expected:
         raise InternalError("face count mismatch", {"got": len(faces), "expected": expected})
-    return Arrangement(lines, tuple(coords), tuple(faces), box)
+    return tuple(coords), tuple(faces)
 
 
 # the parity bit (RG 4, RB 2, GB 1) a bichromatic edge flips, by its colors

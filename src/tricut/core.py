@@ -152,24 +152,52 @@ def intersect(l1: ColoredLine, l2: ColoredLine) -> tuple[Rat, Rat] | None:
     return (x, y)
 
 
-def clip_line(l: ColoredLine, box) -> tuple[tuple[Rat, Rat], tuple[Rat, Rat]] | None:
-    """Exact intersection of a line with a box; None if it misses."""
-    xmin, ymin, xmax, ymax = box
-    pts = []
-    if l.b != 0:
-        for x in (xmin, xmax):
-            y = Fraction(-l.a * x - l.c, l.b)
-            if ymin <= y <= ymax:
-                pts.append((x, y))
-    if l.a != 0:
-        for y in (ymin, ymax):
-            x = Fraction(-l.b * y - l.c, l.a)
-            if xmin <= x <= xmax:
-                pts.append((x, y))
-    pts = sorted(set(pts))
-    if len(pts) < 2:
+def clip_line(l: ColoredLine | Triple, box) -> tuple[tuple[Rat, Rat], tuple[Rat, Rat]] | None:
+    """Exact intersection of a line with a box (xmin, ymin, xmax, ymax): its
+    two ends in (x, y) order, or None if it misses the box or only touches
+    a corner.  The line may also be given as its `int_line` triple.
+
+    Runs on integers: the line's (A, B, C) and each box side as (num, den).
+    A hit's free coordinate is a ratio compared with the box by cross
+    multiplication, and the hits are ordered by x alone (by y on a vertical
+    line), so Fractions are built only for the two ends returned.
+    """
+    a, b, c = int_line(l) if isinstance(l, ColoredLine) else l
+    x0, y0, x1, y1 = [(v.numerator, v.denominator) for v in box]
+    if b == 0:
+        # x = -c/a: the bottom and top sides cut it, at their own y
+        x = _ratio(-c, a)
+        hits = [y0, y1] if _within(x, x0, x1) else []
+    else:
+        # the left and right sides cut it at y = -(a*x + c)/b, the bottom and
+        # top (unless it is horizontal) at x = -(b*y + c)/a
+        hits = [(p, q) for p, q in (x0, x1) if _within(_ratio(-(a * p + c * q), b * q), y0, y1)]
+        if a:
+            hits += [x for x in (_ratio(-(b * p + c * q), a * q) for p, q in (y0, y1))
+                     if _within(x, x0, x1)]
+    if not hits:
         return None
-    return pts[0], pts[-1]
+    lo = hi = hits[0]
+    for h in hits[1:]:
+        if h[0] * lo[1] < lo[0] * h[1]:
+            lo = h
+        elif h[0] * hi[1] > hi[0] * h[1]:
+            hi = h
+    if lo[0] * hi[1] == hi[0] * lo[1]:
+        return None
+    if b == 0:
+        return tuple((Fraction(*x), Fraction(*y)) for y in (lo, hi))
+    return tuple((Fraction(p, q), Fraction(-(a * p + c * q), b * q)) for p, q in (lo, hi))
+
+
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """num/den (den != 0) as a pair with a positive denominator."""
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def _within(r: tuple[int, int], lo: tuple[int, int], hi: tuple[int, int]) -> bool:
+    """lo <= r <= hi, all three (num, den) with positive denominators."""
+    return lo[0] * r[1] <= r[0] * lo[1] and r[0] * hi[1] <= hi[0] * r[1]
 
 
 # -- the integer kernel ----------------------------------------------------------

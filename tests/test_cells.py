@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 import re
@@ -8,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricut import cells, core, wedges
+from tricut import cells, cli, core, svg, wedges
 from tricut.cells import (
     Arrangement,
     ColoredTriangulation,
@@ -50,6 +51,7 @@ from tricut.errors import (
     UnboundedFace,
 )
 from tricut.generators import GenKind, GenSpec, generate
+from tricut.oracles import scan_all_complete_faces
 
 from complete_face_reference import reference_complete_face
 import segment_111_reference
@@ -362,6 +364,112 @@ class TestBuildArrangementMatchesReference:
         arr = build_arrangement(lines)
         assert len(arr.faces) == 1 + 8 + 8 * 7 // 2
         assert is_complete(find_complete_face(lines))
+
+
+# -- faces on first read ----------------------------------------------------------
+
+
+def _spy_subdivide(monkeypatch):
+    """The arrangements `cells._subdivide` builds faces for, one entry a call."""
+    built = []
+    real = cells._subdivide
+
+    def spy(arr):
+        built.append(arr)
+        return real(arr)
+
+    monkeypatch.setattr(cells, "_subdivide", spy)
+    return built
+
+
+# sha1 of `tricut solve KIND --n N --seed 1 --format svg`, as it was when
+# `build_arrangement` still built every face before it returned
+SVG_DIGESTS = [
+    ("cell", 12, "52e02747f78ebd03930825eaf7c1bc92a8655da5"),
+    ("segment", 4, "f7041fe97a24775cd851a851026c3ae581b96926"),
+]
+
+
+class TestFacesOnFirstRead:
+    """`build_arrangement` checks simplicity and sets the box at once; the
+    vertices and faces are built on the first read of either, once.  A
+    figure reads only the lines and the box, so it never builds a face."""
+
+    def test_figure_builds_no_face(self, monkeypatch):
+        built = _spy_subdivide(monkeypatch)
+        lines = rand_simple_lines(9, 5)
+        svg.render_arrangement(build_arrangement(lines), find_complete_face(lines))
+        assert built == []
+
+    def test_first_read_builds_once(self, monkeypatch):
+        built = _spy_subdivide(monkeypatch)
+        lines = rand_simple_lines(9, 5)
+        arr = build_arrangement(lines)
+        complete = scan_all_complete_faces(arr)
+        assert len(built) == 1 and complete
+        assert scan_all_complete_faces(arr) == complete
+        assert arr.vertices is arr.vertices and arr.faces is arr.faces
+        assert len(built) == 1
+        # the vertices read first build the faces too
+        again = build_arrangement(lines)
+        assert again.vertices == arr.vertices and again.faces == arr.faces
+        assert len(built) == 2 and built[1] is again
+
+    def test_crossings_do_not_compare(self):
+        lines = rand_simple_lines(5, 2)
+        arr = build_arrangement(lines)
+        arr.faces
+        assert arr == build_arrangement(lines)
+        assert hash(arr) == hash(build_arrangement(lines))
+        assert "_crossings" not in repr(arr)
+
+    def test_not_simple_raises_at_build(self, monkeypatch):
+        built = _spy_subdivide(monkeypatch)
+        ls = [line_slope_intercept(0, 0), line_slope_intercept(1, 0), line_slope_intercept(-1, 0)]
+        with pytest.raises(NotSimple) as e:
+            build_arrangement(ls)
+        assert e.value.witness == (0, 1, 2)
+        with pytest.raises(NotSimple) as e:
+            build_arrangement([line_slope_intercept(2, 0), line_slope_intercept(2, 5)])
+        assert e.value.witness == (0, 1)
+        assert built == []
+
+    def test_face_walk_error_on_first_read(self, monkeypatch):
+        # directions ranked cw instead of ccw: every walk keeps its face on
+        # the right, so the seven cells all read as outer walks.  The message
+        # and trace are the ones the build raised when it built every face
+        real = cells._dir_cmp
+        monkeypatch.setattr(cells, "_dir_cmp", lambda d1, d2: -real(d1, d2))
+        monkeypatch.setattr(InternalError, "count", InternalError.count)
+        arr = build_arrangement(TRIANGLE)
+        assert arr.box == (-1, -1, 5, 5)
+        for read in ("faces", "vertices"):
+            with pytest.raises(InternalError, match="^expected exactly one outer walk$") as e:
+                getattr(arr, read)
+            assert e.value.trace == {"count": 7}
+
+    @pytest.mark.parametrize("kind,n,digest", SVG_DIGESTS)
+    def test_solve_svg_builds_no_face(self, kind, n, digest, monkeypatch, capsys):
+        built = _spy_subdivide(monkeypatch)
+        assert cli.run(["solve", kind, "--n", str(n), "--seed", "1", "--format", "svg"]) == 0
+        assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == digest
+        assert built == []
+
+    @pytest.mark.parametrize("kind", ["cell", "segment"])
+    def test_render_builds_no_face(self, kind, tmp_path, monkeypatch):
+        sol = tmp_path / "sol.json"
+        assert cli.run(["solve", kind, "--seed", "1", "--out", str(sol)]) == 0
+        built = _spy_subdivide(monkeypatch)
+        assert cli.run(["render", "--in", str(sol), "--out", str(tmp_path / "sol.svg")]) == 0
+        assert built == []
+
+    def test_verify_builds_once(self, tmp_path, monkeypatch, capsys):
+        sol = tmp_path / "sol.json"
+        built = _spy_subdivide(monkeypatch)
+        assert cli.run(["solve", "cell", "--seed", "1", "--verify", "--out", str(sol)]) == 0
+        assert len(built) == 1
+        assert cli.run(["verify", "--in", str(sol)]) == 0
+        assert len(built) == 2 and built[1] is not built[0]
 
 
 def ref_cycle_parity(colors):

@@ -14,10 +14,12 @@ from tricut.core import (
     arcset_color_counts,
     check_general_position,
     circle_point,
+    clip_line,
     dual_line_to_point,
     dual_point_to_line,
     empty_arcset,
     full_circle,
+    int_line,
     intersect,
     line,
     line_slope_intercept,
@@ -79,6 +81,88 @@ class TestLines:
     def test_vertical_slope_raises(self):
         with pytest.raises(VerticalLine):
             _ = line(1, 0, -4).slope
+
+
+def ref_clip_line(l, box):
+    """`clip_line` on Fractions, as it was before it ran on integers: kept as
+    the reference the integer one must reproduce."""
+    xmin, ymin, xmax, ymax = box
+    pts = []
+    if l.b != 0:
+        for x in (xmin, xmax):
+            y = F(-l.a * x - l.c, l.b)
+            if ymin <= y <= ymax:
+                pts.append((x, y))
+    if l.a != 0:
+        for y in (ymin, ymax):
+            x = F(-l.b * y - l.c, l.a)
+            if xmin <= x <= xmax:
+                pts.append((x, y))
+    pts = sorted(set(pts))
+    if len(pts) < 2:
+        return None
+    return pts[0], pts[-1]
+
+
+class TestClipLine:
+    BOX = (F(-1), F(-2), F(3), F(4))
+
+    def check(self, l, box):
+        want = ref_clip_line(l, box)
+        assert clip_line(l, box) == want
+        assert clip_line(int_line(l), box) == want
+        return want
+
+    def test_vertical_and_horizontal(self):
+        assert self.check(line(1, 0, F(-1, 2)), self.BOX) == ((F(1, 2), -2), (F(1, 2), 4))
+        assert self.check(line(0, 1, F(-7, 3)), self.BOX) == ((-1, F(7, 3)), (3, F(7, 3)))
+        # along a side: the whole side
+        assert self.check(line(1, 0, 1), self.BOX) == ((-1, -2), (-1, 4))
+        assert self.check(line(0, 1, -4), self.BOX) == ((-1, 4), (3, 4))
+
+    def test_corner_hits(self):
+        # through two corners, then through one and across
+        assert self.check(line(3, -2, -1), self.BOX) == ((-1, -2), (3, 4))
+        assert self.check(line(2, -1, 0), self.BOX) == ((-1, -2), (2, 4))
+        # touching a corner only
+        assert self.check(line(1, 1, -7), self.BOX) is None
+        assert self.check(line(1, 1, 3), self.BOX) is None
+
+    def test_misses(self):
+        assert self.check(line(1, 0, 10**9), self.BOX) is None
+        assert self.check(line(0, 1, F(9, 2)), self.BOX) is None
+        assert self.check(line(1, 1, 100), self.BOX) is None
+
+    def test_random_lines_and_boxes(self):
+        rng = random.Random(1)
+
+        def rat():
+            return F(rng.randint(-30, 30), rng.randint(1, 7))
+
+        seen = {"miss": 0, "corner": 0, "vertical": 0, "horizontal": 0}
+        for _ in range(3000):
+            xmin, xmax = sorted((rat(), rat()))
+            ymin, ymax = sorted((rat(), rat()))
+            box = (xmin, ymin, xmax, ymax)
+            kind = rng.randrange(4)
+            if kind == 0:  # through a corner, at a random slope
+                cx, cy = rng.choice([(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)])
+                m = rat()
+                l = line(m, -1, cy - m * cx)
+            elif kind == 1:
+                l = line(1, 0, -rng.choice([xmin, xmax, rat()]))
+            elif kind == 2:
+                l = line(0, 1, -rng.choice([ymin, ymax, rat()]))
+            else:
+                a, b = rat(), rat()
+                l = line(a or 1, b, rat())
+            want = self.check(l, box)
+            corners = {(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)}
+            seen["miss"] += want is None
+            seen["corner"] += want is not None and bool(corners & set(want))
+            seen["vertical"] += want is not None and l.b == 0
+            seen["horizontal"] += want is not None and l.a == 0
+        assert min(seen.values()) >= 200, seen
 
 
 class TestOrient:

@@ -690,17 +690,13 @@ class TestBruteOracle:
 
 # -- the bracket search ------------------------------------------------------
 
-# 500 seeded instances, n = 4..13, with the answer of the reference walk
+# 500 seeded instances, n = 4..13
 _SEEDED = [(n, seed) for n in range(4, 14) for seed in range(50)]
 
 
 @pytest.fixture(scope="module")
 def seeded_cases():
-    cases = []
-    for n, seed in _SEEDED:
-        s = generate(GenSpec(GenKind.LatticeRedHull, n, seed))
-        cases.append((s, _find_balanced_lline_reference(s, validate=True)))
-    return cases
+    return [generate(GenSpec(GenKind.LatticeRedHull, n, seed)) for n, seed in _SEEDED]
 
 
 def _spy_hits(monkeypatch):
@@ -788,7 +784,7 @@ class TestBlockedWalk:
 
     def test_matches_reference_in_both_modes(self, seeded_cases):
         # validate mode only adds checks: both modes give one answer
-        for s, _ in seeded_cases:
+        for s in seeded_cases:
             got = find_balanced_lline(s)
             _assert_balanced(s, got)
             assert find_balanced_lline(s, validate=True) == got
@@ -799,7 +795,7 @@ class TestBlockedWalk:
         hits = _spy_hits(monkeypatch)
         passes = _count_passes(monkeypatch)
         inner = 0
-        for s, _ in seeded_cases[::2]:
+        for s in seeded_cases[::2]:
             hits.clear()
             passes.clear()
             got = find_balanced_lline(s)
@@ -825,7 +821,7 @@ class TestBlockedWalk:
         hits = _spy_hits(monkeypatch)
         passes = _count_passes(monkeypatch)
         narrowed = 0
-        for s, _ in seeded_cases[::5]:
+        for s in seeded_cases[::5]:
             hits.clear()
             passes.clear()
             got = find_balanced_lline(s, validate=validate)
@@ -853,7 +849,7 @@ class TestBlockedWalk:
         monkeypatch.setattr(llines, "_PROBES", 2 + extra)
         hits = _spy_hits(monkeypatch)
         half = F(1, 2)
-        for s, _ in seeded_cases[::5]:
+        for s in seeded_cases[::5]:
             scaled = LatticePointSet(tuple(pt(scale * p.x, scale * p.y, p.color) for p in s.points))
             hits.clear()
             l, k = find_balanced_lline(s)
@@ -874,7 +870,8 @@ class TestBlockedWalk:
         # stop is the first stop of a walk over it
         monkeypatch.setattr(llines, "_PROBES", 10**6)
         passes = _count_passes(monkeypatch)
-        for s, want in seeded_cases[::5]:
+        for s in seeded_cases[::5]:
+            want = _find_balanced_lline_reference(s, validate=True)
             for validate in (False, True):
                 passes.clear()
                 assert find_balanced_lline(s, validate=validate) == want
@@ -887,7 +884,7 @@ class TestBlockedWalk:
         monkeypatch.setattr(llines, "_schedule", lambda m: ((0, 1),))
         monkeypatch.setattr(InternalError, "count", InternalError.count)
         checked = 0
-        for s, _ in seeded_cases[:100]:
+        for s in seeded_cases[:100]:
             bottom = min(s.points, key=lambda p: p.y)
             want = _reference_hit_of(s, bottom, 0)
             for validate in (False, True):

@@ -1,5 +1,6 @@
 """SVG rendering: well-formed output, 6-digit presentation rounding."""
 
+import dataclasses
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -65,9 +66,7 @@ class TestArrangement:
             (line(0, 1, 0, "R"), line(1, 0, 0, "G"), line(1, 1, 1, "B"))
         )
         far = line(1, 0, 10**9, "R")  # x = -1e9, far outside the box
-        doc = render_arrangement(
-            type(arr)(arr.lines + (far,), arr.vertices, arr.faces, arr.box)
-        )
+        doc = render_arrangement(dataclasses.replace(arr, lines=arr.lines + (far,)))
         root = well_formed(doc)
         assert len(root.findall(".//{http://www.w3.org/2000/svg}line")) == 3
 
