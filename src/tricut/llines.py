@@ -378,22 +378,22 @@ def _schedule(m: int) -> tuple[tuple[int, int], ...]:
 
 
 def _block_keys(top: np.ndarray, x_keys: np.ndarray, x_y_rank: np.ndarray,
-                turns: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Prefix keys q_1..q_m of the orderings of y ranks r after `turns`
-    quarter turns, a row each.
+                run: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Prefix keys q_1..q_m of the orderings of y ranks r in the schedule's
+    runs `run`, a row each.
 
     Ordering r lists the top m - r points of the y order, then the points of
     y rank < r in x order.  So q_k = top[k] for k <= m - r, and after that
     q_k = top[m - r] plus a prefix sum, in x order, over the points below r.
-    Row t of `top` holds the prefix key sums down the y order after t turns
-    (top[t, 0] = 0), of `x_keys` and `x_y_rank` the keys and y ranks in x
-    order."""
+    Row i of `top` holds the prefix key sums down the y order in the quarter
+    turn of run i (top[i, 0] = 0), of `x_keys` and `x_y_rank` the keys and
+    y ranks in x order."""
     m = x_keys.shape[1]
-    head = top[turns, m - r][:, None]
+    head = top[run, m - r][:, None]
     r = r[:, None]
-    below = x_y_rank[turns] < r
-    rest = np.where(below, x_keys[turns], 0).cumsum(axis=1) + head
-    q = top[turns, 1:]
+    below = x_y_rank[run] < r
+    rest = np.where(below, x_keys[run], 0).cumsum(axis=1) + head
+    q = top[run, 1:]
     # row i has r_i points below and r_i columns past its head, both in order
     q[np.arange(m - 1, -1, -1) < r] = rest[below]
     return q
@@ -424,20 +424,20 @@ def _lline_of_rows(
     hull_color = _hull_color(frame, colors)
     keys = _step_keys(_color_steps(colors, hull_color))
     hull_key = -4 * m - 2  # the key of (-1, -1)
-    rotated = [frame.rotated(t) for t in range(4)]
+    runs = _schedule(m)
+    rotated = [frame.rotated(t) for t, _ in runs]
     top = np.stack([np.concatenate(([0], keys[y[::-1]].cumsum())) for _, (y, _) in rotated])
     x_keys = np.stack([keys[x] for (x, _), _ in rotated])
     x_y_rank = np.stack([y_rank[x] for (x, _), (_, y_rank) in rotated])
-    runs = _schedule(m)
-    turns = np.repeat([t for t, _ in runs], [count for _, count in runs])
+    run = np.repeat(np.arange(len(runs)), [count for _, count in runs])
     ranks = np.concatenate([np.arange(count) for _, count in runs])
 
-    lo, hi = 0, len(turns) - 1
+    lo, hi = 0, len(run) - 1
     while True:
         span = hi - lo
         whole = span < _PROBES
         p = lo + (np.arange(span + 1) if whole else span * np.arange(_PROBES) // (_PROBES - 1))
-        q = _block_keys(top, x_keys, x_y_rank, turns[p], ranks[p])
+        q = _block_keys(top, x_keys, x_y_rank, run[p], ranks[p])
         ends = _ends_ok(q, hull_key)
         zero = q[:, :-1] == 0
         stop = ~ends | zero.any(axis=1)
@@ -454,13 +454,13 @@ def _lline_of_rows(
                                     {"prev": int(w[j]), "now": int(w[j + 1])})
             # the final ordering is the first reversed, its curve the first
             # curve traversed backward: it winds oppositely, which brackets a hit
-            if span == len(turns) - 1 and not stop[[0, -1]].any() and w[-1] != -w[0]:
+            if span == len(run) - 1 and not stop[[0, -1]].any() and w[-1] != -w[0]:
                 raise InternalError("no balanced prefix in the full ordering sequence", {
                     "n": n, "winding_first": int(w[0]), "winding_last": int(w[-1])})
         if i < len(p):
             if not ends[i]:
                 raise PreconditionViolated(_ENDS_MESSAGE)
-            t, r = int(turns[p[i]]), int(ranks[p[i]])
+            t, r = runs[run[p[i]]][0], int(ranks[p[i]])
             return _realize_prefix(xs, ys, colors, frame, t, r, int(zero[i].argmax()) + 1)
         lo, hi = int(p[changed[0]]), int(p[changed[0] + 1])
 
@@ -557,17 +557,24 @@ def brute_oracle_llines(s: LatticePointSet) -> list[tuple[LLine, int]]:
     Corners run over (occupied coordinate + 1/2) plus (minimum - 1/2) per
     axis; that grid realizes every combinatorially distinct L-line.  Returns
     (L-line, k) pairs with region-1 counts (k,k,k), 1 <= k <= n-1, in
-    deterministic corner-then-ray order.  Counting compares ranks from the
-    oracle's own sort: corner a of an axis lies between the a-th and the
-    (a+1)-th smallest coordinate, so a point is past it exactly when its
-    rank is a or more.  That stays exact at any coordinate size, and the
-    membership code is disjoint from LLine.in_region1 and from the
-    solver's rank frame.
+    deterministic corner-then-ray order.
+
+    Counting reads ranks from the oracle's own sort of each axis: corner a
+    lies between the a-th and the (a+1)-th smallest coordinate, so a point
+    is left of it exactly when its x rank is below a.  That stays exact at
+    any coordinate size.  One table holds every corner's counts:
+    below[c, a, b] is the number of points of color c with x rank < a and
+    y rank < b, two cumulative sums over a grid that holds one 1 per point.
+    A ray pair's region 1 is a signed sum of four views of it: below itself,
+    its last column (x rank < a), its last row (y rank < b) and the color
+    totals.  The membership code is disjoint from LLine.in_region1 and from
+    the solver's rank frame.
     """
     points = s.points
+    m = len(points)
     cap = ORACLE_MAX_POINTS["lline"]
-    if len(points) > cap:
-        raise PreconditionViolated(f"oracle is limited to {cap} points")
+    if m > cap:
+        raise PreconditionViolated(f"oracle is limited to 1..{cap} points, got {m}")
     n = s.n
     xs = sorted(int(p.x) for p in points)
     ys = sorted(int(p.y) for p in points)
@@ -576,39 +583,29 @@ def brute_oracle_llines(s: LatticePointSet) -> list[tuple[LLine, int]]:
 
     rank_x = {x: i for i, x in enumerate(xs)}
     rank_y = {y: i for i, y in enumerate(ys)}
-    corners = np.arange(len(points) + 1)[:, None]
-    right = np.array([rank_x[int(p.x)] for p in points])[None, :] >= corners
-    above = np.array([rank_y[int(p.y)] for p in points])[None, :] >= corners
-    onehot = np.zeros((len(points), 3), dtype=np.int32)
-    cix = {Color.R: 0, Color.G: 1, Color.B: 2}
-    for i, p in enumerate(points):
-        onehot[i, cix[p.color]] = 1
+    grid = np.zeros((3, m + 1, m + 1), dtype=np.int64)
+    grid[[RGB.index(p.color) for p in points],
+         [rank_x[int(p.x)] + 1 for p in points],
+         [rank_y[int(p.y)] + 1 for p in points]] = 1
+    below = grid.cumsum(axis=1).cumsum(axis=2)
+    views = ((below, below[:, :, m:]), (below[:, m:, :], below[:, m:, m:]))
+    # region 1 along one axis of sign d, as the coefficients of
+    # (rank below the corner, every rank)
+    along = {-1: (1, 0), 0: (0, 1), 1: (-1, 1)}
 
     hits = []
     for pidx, rays in enumerate(RAY_PAIRS):
         dx, dy = _REGION1_DIR[frozenset(rays)]
-        if dx > 0:
-            mx = right
-        elif dx < 0:
-            mx = ~right
-        else:
-            mx = np.ones_like(right)
-        if dy > 0:
-            my = above
-        elif dy < 0:
-            my = ~above
-        else:
-            my = np.ones_like(above)
-        mask = mx[:, None, :] & my[None, :, :]
-        cnt = np.einsum("abm,mc->abc", mask.astype(np.int32), onehot)
+        cnt = sum(cx * cy * views[i][j]
+                  for i, cx in enumerate(along[dx]) for j, cy in enumerate(along[dy]))
         ok = (
-            (cnt[:, :, 0] == cnt[:, :, 1])
-            & (cnt[:, :, 1] == cnt[:, :, 2])
-            & (cnt[:, :, 0] >= 1)
-            & (cnt[:, :, 0] <= n - 1)
+            (cnt[0] == cnt[1])
+            & (cnt[1] == cnt[2])
+            & (cnt[0] >= 1)
+            & (cnt[0] <= n - 1)
         )
         for a, b in np.argwhere(ok):
-            hits.append((int(a), int(b), pidx, int(cnt[a, b, 0])))
+            hits.append((int(a), int(b), pidx, int(cnt[0, a, b])))
     hits.sort(key=lambda h: (h[0], h[1], h[2]))
     return [
         (LLine((cand_x[a], cand_y[b]), RAY_PAIRS[pidx]), k) for a, b, pidx, k in hits

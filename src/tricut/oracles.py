@@ -33,8 +33,10 @@ from .errors import BoundaryPoint, EndpointOnLine, PreconditionViolated
 
 # largest point count each exhaustive oracle accepts: `wedge` for
 # `wedges.brute_oracle_wedges` (also the dual points of a segment), `lline`
-# for `llines.brute_oracle_llines`, `arcs` for `enumerate_2arc_sets`
-ORACLE_MAX_POINTS = {"wedge": 18, "lline": 24, "arcs": 30}
+# for `llines.brute_oracle_llines`, `arcs` for `enumerate_2arc_sets`.  The
+# L-line oracle's one table of prefix counts holds 3 (m + 1)^2 ints, about
+# 8.7 MB at 600 points
+ORACLE_MAX_POINTS = {"wedge": 18, "lline": 600, "arcs": 30}
 
 
 # -- faces ----------------------------------------------------------------------

@@ -629,6 +629,20 @@ def test_lline_past_int64_verifies(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
+@pytest.mark.parametrize("n", [16, 24, 32, 200])
+def test_lline_verify_up_to_the_oracle_cap(tmp_path, n):
+    # the scale rungs and the last size the L-line oracle takes, 600 points
+    sol = tmp_path / "sol.json"
+    assert cli.run(["solve", "lline", "--n", str(n), "--seed", "1", "--verify", "--out", str(sol)]) == 0
+    v = json.loads(sol.read_text())["verification"]
+    assert v["member"] is True and v["oracle_answers"]
+
+
+def test_lline_verify_past_the_oracle_cap_exit_2(capsys):
+    assert cli.run(["solve", "lline", "--n", "201", "--seed", "1", "--verify"]) == 2
+    assert capsys.readouterr().err == "error: oracle is limited to 1..600 points, got 603\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "arcs", "--n", "4", "--k", "1", "--seed", "2"],
     ["solve", "arcs", "--n", "4", "--k", "1", "--seed", "2", "--format", "svg"],

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from collections import Counter
@@ -248,6 +249,19 @@ def diagonal12() -> LatticePointSet:
 
 def triple() -> LatticePointSet:
     return LatticePointSet((pt(0, 0, "R"), pt(2, 1, "G"), pt(1, 2, "B")))
+
+
+def _mixed_hull_coloring(n: int, rng: random.Random) -> LatticePointSet:
+    """Random distinct coordinates, n points of each color, redrawn until
+    the orthogonal hull has more than one color."""
+    while True:
+        colors = ["R"] * n + ["G"] * n + ["B"] * n
+        rng.shuffle(colors)
+        xs = rng.sample(range(-50, 50), 3 * n)
+        ys = rng.sample(range(-50, 50), 3 * n)
+        s = LatticePointSet(tuple(pt(x, y, c) for x, y, c in zip(xs, ys, colors)))
+        if len({p.color for p in ortho_hull(s)}) > 1:
+            return s
 
 
 def rand_red_hull(n: int, rng: random.Random) -> LatticePointSet:
@@ -631,13 +645,14 @@ class TestFindBalancedLLine:
         for name in ("sided_ordering", "require_rgb"):
             assert calls[name] <= 1, name
 
-    def test_n128_beyond_oracle_cap(self):
-        # 384 points, past the oracle's 24-point cap: the counts confirm it
+    def test_n128_within_oracle_cap(self):
+        # 384 points: the counts and the oracle confirm it
         s = generate(GenSpec(GenKind.LatticeRedHull, 128, 1))
         t0 = time.process_time()
         l, k = find_balanced_lline(s, validate=True)
         assert time.process_time() - t0 < 5.0
         assert lline_counts(l, s) == ((k,) * 3, (128 - k,) * 3)
+        assert (l, k) in brute_oracle_llines(s)
 
     def test_corner_is_on_oracle_grid(self):
         s = ring12()
@@ -657,8 +672,47 @@ class TestBruteOracle:
 
     def test_size_cap(self):
         rng = random.Random(7)
-        with pytest.raises(PreconditionViolated):
-            brute_oracle_llines(rand_red_hull(9, rng))
+        assert brute_oracle_llines(rand_red_hull(200, rng))
+        with pytest.raises(PreconditionViolated,
+                           match=r"^oracle is limited to 1\.\.600 points, got 603$"):
+            brute_oracle_llines(rand_red_hull(201, rng))
+
+    @pytest.mark.parametrize("s", [
+        *(pytest.param(generate(GenSpec(GenKind.LatticeRedHull, n, seed)), id=f"red-hull-n{n}-s{seed}")
+          for n in (4, 5, 6) for seed in (1, 2)),
+        *(pytest.param(_mixed_hull_coloring(n, random.Random(n)), id=f"mixed-hull-n{n}")
+          for n in (1, 2, 3, 4, 5)),
+        pytest.param(triple(), id="triple"),
+        pytest.param(diagonal12(), id="diagonal12"),
+    ])
+    def test_matches_grid_enumeration(self, s):
+        # every canonical corner with every ray pair, counted point by point
+        # through LLine.in_region1, in (corner x, corner y, ray pair) order
+        xs = sorted(p.x for p in s.points)
+        ys = sorted(p.y for p in s.points)
+        want = []
+        for cx in [xs[0] - F(1, 2)] + [x + F(1, 2) for x in xs]:
+            for cy in [ys[0] - F(1, 2)] + [y + F(1, 2) for y in ys]:
+                for rays in RAY_PAIRS:
+                    l = LLine((cx, cy), rays)
+                    c1, _ = lline_counts(l, s)
+                    if len(set(c1)) == 1 and 1 <= c1[0] <= s.n - 1:
+                        want.append((l, c1[0]))
+        assert brute_oracle_llines(s) == want
+
+    @pytest.mark.parametrize("n, hits, digest", [
+        (8, 146, "ef1433da08afe56c08bd013230b83a9b259f67382773a68582addd51d0d9c479"),
+        (32, 237, "b0247f18fb13fd3c651706a883ed15f709c8908af368d2007ee8885a0b1f266f"),
+        (100, 67, "f7be6c0620cb37f74e25baf4034d73176dc46cf2f60b030b32c54c89199ccc57"),
+    ], ids=["n8", "n32", "n100"])
+    def test_pinned_lists(self, n, hits, digest):
+        # SHA-256 of the list the per-ray-pair mask oracle gave, one line
+        # "cx cy ray ray k" per answer, taken with its 24-point cap lifted
+        got = brute_oracle_llines(generate(GenSpec(GenKind.LatticeRedHull, n, 1)))
+        text = "".join(f"{l.corner[0]} {l.corner[1]} {l.rays[0].value} {l.rays[1].value} {k}\n"
+                       for l, k in got)
+        assert len(got) == hits
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_coordinates_past_int64(self):
         # the oracle compares ranks, so a monotone map far past int64 keeps
