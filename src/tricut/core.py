@@ -352,8 +352,6 @@ def dual_line_to_point(l: ColoredLine) -> ColoredPoint:
 
 class GeneralPosition(enum.Enum):
     NO_THREE_COLLINEAR = "no-three-collinear"
-    DISTINCT_XY = "distinct-xy"
-    DISTINCT_X = "distinct-x"
 
 
 def _first_repeat(keyed: Iterable[tuple]) -> tuple | None:
@@ -388,17 +386,13 @@ def point_joins(points: Sequence[ColoredPoint]) -> dict[Triple, tuple[int, int]]
 def check_general_position(points: Sequence[ColoredPoint], mode: GeneralPosition) -> None:
     """Raise PreconditionViolated naming the offending indices.
 
-    NO_THREE_COLLINEAR also rejects coincident points.  This is the one
-    place that looks for repeated coordinates or collinear triples; a line
-    spanned by two point pairs (`check_joins`) names three collinear points.
+    The one mode, NO_THREE_COLLINEAR, also rejects coincident points: a
+    line spanned by two point pairs (`check_joins`) names three collinear
+    points.  Repeated x or y values are `require_distinct`'s to find.
     """
-    if mode is GeneralPosition.NO_THREE_COLLINEAR:
-        check_joins(_distinct_rows(int_points(points)), None, _collinear)
-        return
-    if mode not in (GeneralPosition.DISTINCT_XY, GeneralPosition.DISTINCT_X):
+    if mode is not GeneralPosition.NO_THREE_COLLINEAR:
         raise ValueError(mode)
-    for axis in "xy" if mode is GeneralPosition.DISTINCT_XY else "x":
-        require_distinct([getattr(p, axis) for p in points], axis)
+    check_joins(_distinct_rows(int_points(points)), None, _collinear)
 
 
 def require_distinct(values: Sequence, axis: str) -> None:

@@ -1,9 +1,11 @@
 """Seeded instance generators for every input class the solvers accept.
 
 generate(GenSpec(kind, n, seed)) is pure: the same triple always rebuilds
-the identical instance, and every instance is run through its class
-validator before it is returned.  Bounded retries guard the rejection
-sampling; exhausting them raises GenerationFailed.
+the identical instance.  SimpleLines3C, Points3C and ThreeDiskTriangle
+sample: one loop draws up to 200 seeded candidates and returns the first
+that `require_simple` or `check_general_position` passes, else raises
+GenerationFailed.  Every other kind is valid by construction; the lattice
+kinds are still run through the `LatticePointSet` validator.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .core import (
     line_slope_intercept,
     pt,
 )
-from .errors import GenerationFailed, NotSimple, PreconditionViolated
-from .llines import LatticePointSet, ortho_hull
+from .errors import GenerationFailed, PreconditionViolated
+from .llines import LatticePointSet
 
 
 class GenKind(enum.Enum):
@@ -52,33 +54,45 @@ class GenSpec:
 
 
 _RETRIES = 200
-_RETRIES_RED_HULL = 1000
+
+
+def _sample(base: int, build, check, what: str):
+    """build(rng) on rng seeds base, base + 1, ...: the first result that
+    `check` lets through, or GenerationFailed after _RETRIES attempts."""
+    for attempt in range(_RETRIES):
+        got = build(random.Random(base + attempt))
+        try:
+            check(got)
+        except PreconditionViolated:
+            continue
+        return got
+    raise GenerationFailed(f"no {what} after {_RETRIES} tries")
+
+
+def _no_three_collinear(points) -> None:
+    check_general_position(points, GeneralPosition.NO_THREE_COLLINEAR)
 
 
 def _gen_simple_lines(n: int, seed: int) -> tuple[ColoredLine, ...]:
     if n < 3:
         raise PreconditionViolated("need at least 3 lines, one per color")
     colors = [RGB[i % 3] for i in range(n)]
-    for attempt in range(_RETRIES):
-        rng = random.Random(seed * 1_000_003 + attempt)
+
+    def build(rng):
         slopes = rng.sample(range(-8 * n, 8 * n + 1), n)
-        ls = tuple(
+        return tuple(
             line_slope_intercept(s, Fraction(rng.randint(-10 * n, 10 * n)), c)
             for s, c in zip(slopes, colors)
         )
-        try:
-            require_simple(ls)
-            return ls
-        except NotSimple:
-            continue
-    raise GenerationFailed(f"no simple arrangement after {_RETRIES} tries")
+
+    return _sample(seed * 1_000_003, build, require_simple, "simple arrangement")
 
 
 def _gen_points(n: int, seed: int) -> tuple[ColoredPoint, ...]:
     if n < 3:
         raise PreconditionViolated("need at least 3 points, one per color")
-    for attempt in range(_RETRIES):
-        rng = random.Random(seed * 2_000_003 + attempt)
+
+    def build(rng):
         coords = set()
         while len(coords) < n:
             coords.add((rng.randint(-8 * n, 8 * n), rng.randint(-8 * n, 8 * n)))
@@ -87,13 +101,10 @@ def _gen_points(n: int, seed: int) -> tuple[ColoredPoint, ...]:
         colors = [Color.R, Color.G, Color.B] + [
             rng.choice(RGB) for _ in range(n - 3)
         ]
-        points = tuple(pt(x, y, c) for (x, y), c in zip(coords, colors))
-        try:
-            check_general_position(points, GeneralPosition.NO_THREE_COLLINEAR)
-        except PreconditionViolated:
-            continue
-        return points
-    raise GenerationFailed(f"no general-position point set after {_RETRIES} tries")
+        return tuple(pt(x, y, c) for (x, y), c in zip(coords, colors))
+
+    return _sample(seed * 2_000_003, build, _no_three_collinear,
+                   "general-position point set")
 
 
 def _gen_points_convex(n: int, seed: int) -> tuple[ColoredPoint, ...]:
@@ -123,9 +134,12 @@ def _gen_circle_points(n: int, seed: int) -> tuple[CirclePoint, ...]:
 def _gen_lattice_red_hull(n: int, seed: int) -> LatticePointSet:
     """n reds on a 4-arm staircase ring, n greens and n blues inside.
 
-    The four anchors dominate the central box in the four quadrant orders,
-    so the inner points stay off the orthogonal hull; the arm points are
-    quadrant antichains, so every red stays on it.  A monochromatic hull
+    Red j is anchor + (j // 4) * step on arm j % 4.  Two red x values differ
+    in parity or by more than an arm is long, and so do two red y values;
+    the inner points take only unused coordinates.  The four anchors
+    dominate the inner box [-m + 2, m - 2]^2 in the four quadrant orders,
+    so no inner point is on the orthogonal hull; each arm is an antichain
+    of its quadrant order, so every red is on it.  A monochromatic hull
     forces at least 4 points of the hull color, hence n >= 4.
     """
     if n < 4:
@@ -134,53 +148,37 @@ def _gen_lattice_red_hull(n: int, seed: int) -> LatticePointSet:
             "point in each of the four quadrants of any other point, so n >= 4"
         )
     m = 3 * n + 2
-    anchors = [(m, m), (-m, m - 1), (m - 1, -m), (-m + 1, -m + 1)]
-    arms = []
-    for j in range(n - 4):
-        t = j // 4 + 1
-        arm = j % 4
-        if arm == 0:
-            arms.append((m - 2 * t, m + 2 * t))
-        elif arm == 1:
-            arms.append((-m - 2 * t, m - 1 - 2 * t))
-        elif arm == 2:
-            arms.append((m - 1 + 2 * t, -m + 2 * t))
-        else:
-            arms.append((-m + 1 + 2 * t, -m + 1 - 2 * t))
-    reds = anchors + arms
+    arms = (((m, m), (-2, 2)), ((-m, m - 1), (-2, -2)),
+            ((m - 1, -m), (2, 2)), ((1 - m, 1 - m), (2, -2)))
+    reds = []
+    for j in range(n):
+        (ax, ay), (dx, dy) = arms[j % 4]
+        t = j // 4
+        reds.append((ax + t * dx, ay + t * dy))
 
+    # at most n / 2 reds and 2n - 1 inner points hold a box value of the
+    # 6n + 1 per axis, so a draw is refused with probability below
+    # 1 - (7/12)^2 < 0.67, and 200 refusals in a row below 1e-34
     lo, hi = -m + 2, m - 2
-    for attempt in range(_RETRIES_RED_HULL):
-        rng = random.Random(seed * 5_000_011 + attempt)
-        used_x = {x for x, _ in reds}
-        used_y = {y for _, y in reds}
-        inner = []
-        ok = True
-        for _ in range(2 * n):
-            for _try in range(200):
-                x, y = rng.randint(lo, hi), rng.randint(lo, hi)
-                if x not in used_x and y not in used_y:
-                    break
-            else:
-                ok = False
+    rng = random.Random(seed * 5_000_011)
+    used_x = {x for x, _ in reds}
+    used_y = {y for _, y in reds}
+    inner = []
+    for _ in range(2 * n):
+        for _try in range(200):
+            x, y = rng.randint(lo, hi), rng.randint(lo, hi)
+            if x not in used_x and y not in used_y:
                 break
-            used_x.add(x)
-            used_y.add(y)
-            inner.append((x, y))
-        if not ok:
-            continue
-        colors = [Color.G] * n + [Color.B] * n
-        rng.shuffle(colors)
-        points = [pt(x, y, Color.R) for x, y in reds]
-        points += [pt(x, y, c) for (x, y), c in zip(inner, colors)]
-        try:
-            s = LatticePointSet(tuple(points))
-        except PreconditionViolated:
-            continue
-        hull = ortho_hull(s)
-        if {p.color for p in hull} == {Color.R}:
-            return s
-    raise GenerationFailed(f"no red-hull instance after {_RETRIES_RED_HULL} tries")
+        else:
+            raise GenerationFailed("no free inner coordinate after 200 draws")
+        used_x.add(x)
+        used_y.add(y)
+        inner.append((x, y))
+    colors = [Color.G] * n + [Color.B] * n
+    rng.shuffle(colors)
+    points = [pt(x, y, Color.R) for x, y in reds]
+    points += [pt(x, y, c) for (x, y), c in zip(inner, colors)]
+    return LatticePointSet(tuple(points))
 
 
 def _gen_lattice_diagonal(n: int, seed: int) -> LatticePointSet:
@@ -203,8 +201,8 @@ def _gen_three_disks(n: int, seed: int) -> tuple[ColoredPoint, ...]:
         raise PreconditionViolated("n must be positive")
     corners = {Color.R: (0, 0), Color.G: (4, 0), Color.B: (2, 3)}
     d = 64 * n
-    for attempt in range(_RETRIES):
-        rng = random.Random(seed * 6_000_101 + attempt)
+
+    def build(rng):
         points = []
         for c in RGB:
             cx, cy = corners[c]
@@ -213,13 +211,22 @@ def _gen_three_disks(n: int, seed: int) -> tuple[ColoredPoint, ...]:
                 offs.add((rng.randint(-2 * n, 2 * n), rng.randint(-2 * n, 2 * n)))
             for dx, dy in sorted(offs):
                 points.append(pt(cx + Fraction(dx, d), cy + Fraction(dy, d), c))
-        points = tuple(points)
-        try:
-            check_general_position(points, GeneralPosition.NO_THREE_COLLINEAR)
-        except PreconditionViolated:
-            continue
-        return points
-    raise GenerationFailed(f"no three-disk instance after {_RETRIES} tries")
+        return tuple(points)
+
+    return _sample(seed * 6_000_101, build, _no_three_collinear,
+                   "three-disk instance")
+
+
+_GENERATORS = {
+    GenKind.SimpleLines3C: _gen_simple_lines,
+    GenKind.SimpleLines4CShielded: lambda n, seed: gen_shielded_counterexample(),
+    GenKind.Points3C: _gen_points,
+    GenKind.Points3CConvex: _gen_points_convex,
+    GenKind.CirclePoints3C: _gen_circle_points,
+    GenKind.LatticeRedHull: _gen_lattice_red_hull,
+    GenKind.LatticeDiagonalCounterexample: _gen_lattice_diagonal,
+    GenKind.ThreeDiskTriangle: _gen_three_disks,
+}
 
 
 def generate(spec: GenSpec):
@@ -230,21 +237,4 @@ def generate(spec: GenSpec):
     lattice kinds.  SimpleLines4CShielded ignores n and seed: it is the
     fixed 9-line fixture.
     """
-    k = spec.kind
-    if k is GenKind.SimpleLines3C:
-        return _gen_simple_lines(spec.n, spec.seed)
-    if k is GenKind.SimpleLines4CShielded:
-        return gen_shielded_counterexample()
-    if k is GenKind.Points3C:
-        return _gen_points(spec.n, spec.seed)
-    if k is GenKind.Points3CConvex:
-        return _gen_points_convex(spec.n, spec.seed)
-    if k is GenKind.CirclePoints3C:
-        return _gen_circle_points(spec.n, spec.seed)
-    if k is GenKind.LatticeRedHull:
-        return _gen_lattice_red_hull(spec.n, spec.seed)
-    if k is GenKind.LatticeDiagonalCounterexample:
-        return _gen_lattice_diagonal(spec.n, spec.seed)
-    if k is GenKind.ThreeDiskTriangle:
-        return _gen_three_disks(spec.n, spec.seed)
-    raise PreconditionViolated(f"unknown kind {spec.kind}")
+    return _GENERATORS[spec.kind](spec.n, spec.seed)

@@ -207,19 +207,9 @@ class TestGeneralPosition:
         with pytest.raises(PreconditionViolated):
             check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
 
-    def test_distinct_xy_detected(self):
-        pts = [pt(0, 0, "R"), pt(0, 3, "G")]
-        with pytest.raises(PreconditionViolated):
-            check_general_position(pts, GeneralPosition.DISTINCT_XY)
-        pts = [pt(0, 1, "R"), pt(2, 3, "G"), pt(4, 1, "B")]
-        with pytest.raises(PreconditionViolated):
-            check_general_position(pts, GeneralPosition.DISTINCT_XY)
-
     def test_good_inputs_pass(self):
         pts = [pt(0, 0, "R"), pt(1, 3, "G"), pt(2, 1, "B")]
         check_general_position(pts, GeneralPosition.NO_THREE_COLLINEAR)
-        check_general_position(pts, GeneralPosition.DISTINCT_XY)
-        check_general_position(pts, GeneralPosition.DISTINCT_X)
 
     def test_coincident_points_detected(self):
         pts = [pt(0, 0, "R"), pt(0, 0, "B"), pt(1, 3, "G")]
@@ -247,12 +237,6 @@ class TestGeneralPosition:
         else:
             i, j, k = named
             assert len({i, j, k}) == 3 and orient(pts[i], pts[j], pts[k]) == 0
-
-    def test_distinct_x_ignores_shared_y(self):
-        pts = [pt(0, 1, "R"), pt(2, 3, "G"), pt(4, 1, "B")]
-        check_general_position(pts, GeneralPosition.DISTINCT_X)
-        with pytest.raises(PreconditionViolated, match="share x"):
-            check_general_position(pts + [pt(2, 5, "R")], GeneralPosition.DISTINCT_X)
 
 
 class TestColorChecks:

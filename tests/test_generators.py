@@ -1,13 +1,16 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from tricut.cells import validate_simple
 from tricut.core import Color, RGB, orient, sign
-from tricut.errors import GenerationFailed, PreconditionViolated
+from tricut.errors import GenerationFailed, PreconditionViolated, TricutError
 from tricut.generators import GenKind, GenSpec, generate
 from tricut.llines import LatticePointSet, ortho_hull
+from tricut.serialization import enc_instance
 
 R, G, B = Color.R, Color.G, Color.B
 
@@ -33,6 +36,23 @@ class TestReproducibility:
         a = generate(GenSpec(kind, n, 42))
         b = generate(GenSpec(kind, n, 42))
         assert a == b
+
+    def test_instances_pinned(self):
+        # every kind's envelopes and refusals on a small grid, hashed: a
+        # generator change that moves any instance moves this digest
+        h = hashlib.sha256()
+        for kind in GenKind:
+            for n in (*range(1, 10), 12, 16, 24, 32):
+                for seed in (1, 2, 17):
+                    try:
+                        obj = generate(GenSpec(kind, n, seed))
+                        s = json.dumps(enc_instance(kind.value, n, seed, obj), sort_keys=True)
+                    except TricutError as e:
+                        s = f"{kind.value} {n} {seed} {type(e).__name__}: {e}"
+                    h.update(s.encode())
+        assert h.hexdigest() == (
+            "0e0b86d87168b3db616a3e6ce983bcaa035d543e7a9e52f9f18cba1956bc2653"
+        )
 
     def test_different_seed_differs(self):
         a = generate(GenSpec(GenKind.Points3C, 9, 1))
@@ -110,6 +130,18 @@ class TestLatticeRedHull:
         assert {p.color for p in hull} == {R}
         # the ring design keeps every red on the hull
         assert len(hull) == n
+
+    def test_construction(self):
+        # the generator does not check its hull: the construction alone must
+        # give distinct red x and y, an all-red hull, and every red on it
+        cases = [(n, seed) for n in range(4, 65) for seed in range(1, 11)]
+        for n, seed in cases + [(683, 1), (2048, 1)]:
+            s = generate(GenSpec(GenKind.LatticeRedHull, n, seed))
+            reds = [(p.x, p.y) for p in s.points if p.color is R]
+            assert len({x for x, _ in reds}) == len({y for _, y in reds}) == n, (n, seed)
+            hull = ortho_hull(s)
+            assert {p.color for p in hull} == {R}, (n, seed)
+            assert sorted((p.x, p.y) for p in hull) == sorted(reds), (n, seed)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_small_n_is_impossible(self, n):
