@@ -1,29 +1,27 @@
 """Seeded instance generators for every input class the solvers accept.
 
 generate(GenSpec(kind, n, seed)) is pure: the same triple always rebuilds
-the identical instance.  SimpleLines3C, Points3C and ThreeDiskTriangle
-sample: one loop draws up to 200 seeded candidates and returns the first
-that `require_simple` or `check_general_position` passes, else raises
-GenerationFailed.  Every other kind is valid by construction; the lattice
-kinds are still run through the `LatticePointSet` validator.
+the identical instance.  Every kind is valid by construction: each builder
+carries its argument in its docstring or comments and does not check its
+output, while the solvers still run their own checks.  GenerationFailed
+comes only from LatticeRedHull.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import gen_shielded_counterexample, require_simple
+from .cells import gen_shielded_counterexample
 from .core import (
     Color,
     ColoredLine,
     ColoredPoint,
     CirclePoint,
-    GeneralPosition,
     RGB,
-    check_general_position,
     circle_point,
     line_slope_intercept,
     pt,
@@ -53,58 +51,50 @@ class GenSpec:
         object.__setattr__(self, "kind", GenKind(self.kind))
 
 
-_RETRIES = 200
+def _least_prime_at_least(m: int) -> int:
+    while any(m % d == 0 for d in range(2, math.isqrt(m) + 1)):
+        m += 1
+    return m
 
 
-def _sample(base: int, build, check, what: str):
-    """build(rng) on rng seeds base, base + 1, ...: the first result that
-    `check` lets through, or GenerationFailed after _RETRIES attempts."""
-    for attempt in range(_RETRIES):
-        got = build(random.Random(base + attempt))
-        try:
-            check(got)
-        except PreconditionViolated:
-            continue
-        return got
-    raise GenerationFailed(f"no {what} after {_RETRIES} tries")
+def _erdos_points(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """n integer points, no three collinear, with distinct x.
 
-
-def _no_three_collinear(points) -> None:
-    check_general_position(points, GeneralPosition.NO_THREE_COLLINEAR)
+    p is the least prime >= 16n + 1 and h = p // 2: n distinct i drawn from
+    range(p) give (i - h, (i^2 mod p) - h).  The shift by h keeps
+    collinearity, collinear integer points stay collinear mod p, and over
+    GF(p) a line meets the parabola y = x^2 in at most two points; so no
+    three are collinear.  The i differ, so do the x.  Both coordinates lie
+    in [-h, h], about +-8n."""
+    p = _least_prime_at_least(16 * n + 1)
+    h = p // 2
+    return [(i - h, i * i % p - h) for i in rng.sample(range(p), n)]
 
 
 def _gen_simple_lines(n: int, seed: int) -> tuple[ColoredLine, ...]:
+    """The dual lines y = a x - b of the points (a, b) of `_erdos_points`.
+
+    The slopes differ, so no two lines are parallel.  Lines through one
+    point (x0, y0) have b = x0 a - y0, so their points are collinear; no
+    three points are, so no three lines meet: the arrangement is simple."""
     if n < 3:
         raise PreconditionViolated("need at least 3 lines, one per color")
-    colors = [RGB[i % 3] for i in range(n)]
-
-    def build(rng):
-        slopes = rng.sample(range(-8 * n, 8 * n + 1), n)
-        return tuple(
-            line_slope_intercept(s, Fraction(rng.randint(-10 * n, 10 * n)), c)
-            for s, c in zip(slopes, colors)
-        )
-
-    return _sample(seed * 1_000_003, build, require_simple, "simple arrangement")
+    points = _erdos_points(n, random.Random(seed * 1_000_003))
+    return tuple(line_slope_intercept(a, -b, RGB[i % 3]) for i, (a, b) in enumerate(points))
 
 
 def _gen_points(n: int, seed: int) -> tuple[ColoredPoint, ...]:
+    """`_erdos_points` reflected in y = x, colored R, G, B, then at random.
+
+    The reflection keeps no three collinear.  The x are then i^2 mod p - h,
+    which i and p - i share, so some instances have equal x and reach the
+    shear route of `find_111_wedge`."""
     if n < 3:
         raise PreconditionViolated("need at least 3 points, one per color")
-
-    def build(rng):
-        coords = set()
-        while len(coords) < n:
-            coords.add((rng.randint(-8 * n, 8 * n), rng.randint(-8 * n, 8 * n)))
-        coords = sorted(coords)
-        rng.shuffle(coords)
-        colors = [Color.R, Color.G, Color.B] + [
-            rng.choice(RGB) for _ in range(n - 3)
-        ]
-        return tuple(pt(x, y, c) for (x, y), c in zip(coords, colors))
-
-    return _sample(seed * 2_000_003, build, _no_three_collinear,
-                   "general-position point set")
+    rng = random.Random(seed * 2_000_003)
+    coords = _erdos_points(n, rng)
+    colors = [Color.R, Color.G, Color.B] + [rng.choice(RGB) for _ in range(n - 3)]
+    return tuple(pt(y, x, c) for (x, y), c in zip(coords, colors))
 
 
 def _gen_points_convex(n: int, seed: int) -> tuple[ColoredPoint, ...]:
@@ -193,28 +183,29 @@ def _gen_lattice_diagonal(n: int, seed: int) -> LatticePointSet:
 
 
 def _gen_three_disks(n: int, seed: int) -> tuple[ColoredPoint, ...]:
-    """n points per color in tiny clusters at triangle corners.
+    """n points per color on the circle through the corners (0, 0), (4, 0),
+    (2, 3), each near its color's corner.
 
-    No line can meet all three clusters, so no halfplane holds exactly k of
-    each color for 0 < k < n."""
+    The circle has center (2, 5/6) and radius r = 13/6; parameter t gives
+    (2 + r (1 - t^2) / (1 + t^2), 5/6 + 2 r t / (1 + t^2)), the corners at
+    t = -5, -1/5, 1.  Color c takes t = t_c + j / (128 n) for n distinct j
+    in [-2n, 2n]: the t differ, so the points do, and no three points of a
+    circle are collinear.  The speed 2r / (1 + t^2) is at most 13/3, so a
+    point is within 13/192 < 0.07 of its corner.  A line meeting all three
+    such disks would hold the triangle in a strip 0.14 wide, but its least
+    height is 3; so no halfplane holds k of each color for 0 < k < n."""
     if n < 1:
         raise PreconditionViolated("n must be positive")
-    corners = {Color.R: (0, 0), Color.G: (4, 0), Color.B: (2, 3)}
-    d = 64 * n
-
-    def build(rng):
-        points = []
-        for c in RGB:
-            cx, cy = corners[c]
-            offs = set()
-            while len(offs) < n:
-                offs.add((rng.randint(-2 * n, 2 * n), rng.randint(-2 * n, 2 * n)))
-            for dx, dy in sorted(offs):
-                points.append(pt(cx + Fraction(dx, d), cy + Fraction(dy, d), c))
-        return tuple(points)
-
-    return _sample(seed * 6_000_101, build, _no_three_collinear,
-                   "three-disk instance")
+    r = Fraction(13, 6)
+    corners = {Color.R: Fraction(-5), Color.G: Fraction(-1, 5), Color.B: Fraction(1)}
+    rng = random.Random(seed * 6_000_101)
+    points = []
+    for c in RGB:
+        for j in sorted(rng.sample(range(-2 * n, 2 * n + 1), n)):
+            t = corners[c] + Fraction(j, 128 * n)
+            q = 1 + t * t
+            points.append(pt(2 + r * (1 - t * t) / q, Fraction(5, 6) + 2 * r * t / q, c))
+    return tuple(points)
 
 
 _GENERATORS = {

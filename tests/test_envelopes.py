@@ -26,6 +26,13 @@ the schedule per pass (`llines._PROBES`) and takes the first of those with
 a balanced prefix, rank 9; the walk's hit lies between two tested rows.  The
 new answer is in `brute_oracle_llines`, like the old one.  Every other
 L-line digest stayed as it was.
+
+Every cell and wedge111 envelope moved since, with its instance.
+`SimpleLines3C` and `Points3C` used to draw candidates until one passed a
+general-position check, and gave up at 1,200 lines and at 800 points;
+both are now built from Erdős's no-three-in-line points (i, i^2 mod p),
+with no check and no retry, at every n (`generators._erdos_points`).  The
+twelve new envelopes each pass `tricut verify`; no other digest moved.
 """
 
 import contextlib
@@ -41,30 +48,30 @@ from tricut.generators import GenKind
 # (kind, n, seed, k, sha1 of the re-indented object, sha1 of stdout): six
 # kinds at seeds 1-3, the default n and twice it, arcs at k in {1, n//2+1, n-1}
 GOLDEN = [
-    ('cell', 7, 1, None, 'b6c0cc55779499bfcd0ab8e70677ffa8a1f6e368',
-     '8a1392c42d0cdbc7063ecf7737ec10930435d1aa'),
-    ('cell', 14, 1, None, '929094340ff82a344dda046e5df867e3702cfeba',
-     'b8426a5fdf3bdba545c40a62ca18ddd8d9203f0e'),
-    ('cell', 7, 2, None, '8bd1f7434678d3ef796af81ac04884bf48a7c76f',
-     '354237fff12d953d00ab7950c3684fe17d4fed43'),
-    ('cell', 14, 2, None, '80a523114a506a884eb9fce3493a6ee25605234c',
-     '9fe87185cb9870ee6d9d00cb17afbb50ad1f7d9e'),
-    ('cell', 7, 3, None, 'b70f976a9748831bc6845e8730e4f82b68847e02',
-     '753dade082cf212dc63f8cb7c755762eae9f8cdd'),
-    ('cell', 14, 3, None, '2bbe68cf98f393ef4440d173b453432bd9e8008a',
-     '7a8aa26d06f2043fb3733fcc236d37d14401a088'),
-    ('wedge111', 9, 1, None, 'b2010e5af082590bcfa7f26c70012587ac51a444',
-     '7b96c79244dd97cf18b06e838e4da559a52ab9d2'),
-    ('wedge111', 18, 1, None, '45e196d818df24f71e8e99215b221185a62acd3e',
-     'e6f1434c72b62450a201e16d1ae5655070ec66f1'),
-    ('wedge111', 9, 2, None, '7d39e3d2f7c7a019aa96e16d8b3ddf7b74a34f19',
-     'da4493bc63aad61bdde0708985a4379170824e03'),
-    ('wedge111', 18, 2, None, '1d3785c3c24b332f782753d26544bd42dce188c4',
-     '4e4bd47e3041f33e6bd17031bce4123d5a2707fe'),
-    ('wedge111', 9, 3, None, '252908f787f8a0b997a4422b21ab568840b7f3b5',
-     '32707ae5eb006f074a84ef05607664731e5a14c2'),
-    ('wedge111', 18, 3, None, 'd76a3bf863910a5411cb0a62685d5c2b34c01187',
-     '06ce6816009b77984e59109e8c3e651db185a8f5'),
+    ('cell', 7, 1, None, '401139cf9ff1979e83a9db2d7bc6e27ba28cea83',
+     '7c548b4bba0a2fcc3991eea1f89fa0216a26b3d4'),
+    ('cell', 14, 1, None, '155f4d016c2d496ae42c978e23a412608d798a7a',
+     '8599fbdc9adf6d6af133f47101ddef838b08e033'),
+    ('cell', 7, 2, None, '287a0ee940d45e60e7f01d10d398df222f5251d3',
+     'eebb08d134bb3d62bb3bf4bb5c2ca9880c784d32'),
+    ('cell', 14, 2, None, 'af17ba0f350f427ce78b279b99369d6efada6098',
+     'f6d2e2a52a31646868e716c08657fd65e451f911'),
+    ('cell', 7, 3, None, 'fcfbaf88a8713f4ee8fdbeb08db9c6e8c98cf3d0',
+     'e91e2131f29d1656b569d52b2814d29fd376e94a'),
+    ('cell', 14, 3, None, 'e48492b75e541e6fc36051d966cff271a0a69bb2',
+     '291407446feb061c3ee2f560e26e511a05e5b379'),
+    ('wedge111', 9, 1, None, 'a58226fc027ee86069b3c6935516032e4b6f83da',
+     '34118eafdefe6a4172721989b1c0fe92c9104c81'),
+    ('wedge111', 18, 1, None, 'eb574bd7c39499b16649321323c107f69f49dccf',
+     '1a01c6398402fec17a12dab8637508ae6a023db1'),
+    ('wedge111', 9, 2, None, '5d951f099e7b8c7e507b71bc70ee7ab815565216',
+     '29b868aa290badb81731dcc19319d301f9d504c5'),
+    ('wedge111', 18, 2, None, 'ce5749aeb5fa930be069c906280eeaf405a8b60b',
+     '14870d9c9684279339dcc80fc9010c280914c4a6'),
+    ('wedge111', 9, 3, None, '64edd2cd005fd3af1fac92fd416295019d528219',
+     'f166574cfbf8aae4c14061f296a955750f226087'),
+    ('wedge111', 18, 3, None, '93c078ed67d3e6123b9fbc9ff00b4daba4022226',
+     '4db7729db9b76d8730f4dadb5f8c0e8192ec9e9c'),
     ('wedge', 2, 1, None, 'd926ee5097ca621923b08753666f7781e2a44707',
      'daf8aed1e0d4c8f80d6032d9f302a3c81b0d97b2'),
     ('wedge', 4, 1, None, '24815e46c22530261b2ca81b4f1034d1539380b7',

@@ -2,17 +2,23 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction as F
 
 import pytest
 
-from tricut.cells import validate_simple
-from tricut.core import Color, RGB, orient, sign
+from tricut.cells import require_simple, validate_simple
+from tricut.core import Color, GeneralPosition, RGB, check_general_position, orient, sign
 from tricut.errors import GenerationFailed, PreconditionViolated, TricutError
 from tricut.generators import GenKind, GenSpec, generate
 from tricut.llines import LatticePointSet, ortho_hull
 from tricut.serialization import enc_instance
 
 R, G, B = Color.R, Color.G, Color.B
+
+
+# every small size at ten seeds, and three large sizes at one
+CONSTRUCTION_CASES = [(n, seed) for n in range(3, 65) for seed in range(1, 11)]
+CONSTRUCTION_CASES += [(200, 1), (400, 1), (1200, 1)]
 
 
 def colors_of(items):
@@ -51,7 +57,7 @@ class TestReproducibility:
                         s = f"{kind.value} {n} {seed} {type(e).__name__}: {e}"
                     h.update(s.encode())
         assert h.hexdigest() == (
-            "0e0b86d87168b3db616a3e6ce983bcaa035d543e7a9e52f9f18cba1956bc2653"
+            "7b41ac3f74732dcbe9cdf7180f4f12a9accf572428fef45ba3111111689b3b58"
         )
 
     def test_different_seed_differs(self):
@@ -77,6 +83,13 @@ class TestSimpleLines:
         with pytest.raises(PreconditionViolated):
             generate(GenSpec(GenKind.SimpleLines3C, 2, 0))
 
+    def test_construction(self):
+        # the generator does not check its output: the construction alone
+        # must give simple arrangements; require_simple's residue pass is
+        # exact when it finds nothing, so the large sizes are proofs too
+        for n, seed in CONSTRUCTION_CASES:
+            require_simple(generate(GenSpec(GenKind.SimpleLines3C, n, seed)))
+
     def test_shielded_fixture(self):
         ls = generate(GenSpec(GenKind.SimpleLines4CShielded, 0, 0))
         assert len(ls) == 9
@@ -95,6 +108,13 @@ class TestPoints:
                 for j in range(i + 1, m):
                     for k in range(j + 1, m):
                         assert orient(pts[i], pts[j], pts[k]) != 0
+
+    def test_points3c_construction(self):
+        # the generator does not check its output: no three collinear by
+        # construction alone
+        for n, seed in CONSTRUCTION_CASES:
+            check_general_position(generate(GenSpec(GenKind.Points3C, n, seed)),
+                                   GeneralPosition.NO_THREE_COLLINEAR)
 
     def test_points3c_minimum(self):
         pts = generate(GenSpec(GenKind.Points3C, 3, 5))
@@ -180,13 +200,30 @@ class TestThreeDiskTriangle:
                     ))
         return out
 
+    def no_balanced_halfplane(self, pts, n):
+        realizable = self.halfplane_counts(pts)
+        return all((k, k, k) not in realizable for k in range(1, n))
+
     def test_no_balanced_halfplane(self):
         n = 3
         pts = generate(GenSpec(GenKind.ThreeDiskTriangle, n, 1))
         assert len(pts) == 9
-        realizable = self.halfplane_counts(pts)
-        for k in range(1, n):
-            assert (k, k, k) not in realizable
+        assert self.no_balanced_halfplane(pts, n)
+
+    def test_construction(self):
+        # the generator does not check its output: the construction alone
+        # must give no three collinear, tight clusters, no balanced halfplane
+        corners = {R: (0, 0), G: (4, 0), B: (2, 3)}
+        for n in range(1, 7):
+            for seed in range(1, 6):
+                pts = generate(GenSpec(GenKind.ThreeDiskTriangle, n, seed))
+                assert [p.color for p in pts] == [R] * n + [G] * n + [B] * n
+                assert all(orient(a, b, c) != 0
+                           for a, b, c in itertools.combinations(pts, 3)), (n, seed)
+                for p in pts:
+                    cx, cy = corners[p.color]
+                    assert (p.x - cx) ** 2 + (p.y - cy) ** 2 < F(1, 100), (n, seed)
+                assert self.no_balanced_halfplane(pts, n), (n, seed)
 
     def test_clusters_are_tight(self):
         pts = generate(GenSpec(GenKind.ThreeDiskTriangle, 2, 4))
