@@ -13,11 +13,14 @@ crossing is the cross product (X, Y, W) of two coefficient triples, the
 point (X/W, Y/W); simplicity is checked on these triples by the incidence
 kernel of `core`, with the line at infinity as its z.  The incremental
 insertion tracks its cell's corners as such triples and tests sides by the
-sign of A*X + B*Y + C*W, with W > 0; the corners become Fractions once, in
-the returned Face.  The incremental search reads nothing else of a line
-than its triple and its color, so its body (`_face_of_rows`) runs on those
-rows: `find_complete_face` builds them from the lines, and the CLI decodes
-a payload straight into them (`serialization.dec_line_rows`).
+sign of A*X + B*Y + C*W, with W > 0; `_complete_face` returns them with the
+line of each edge, and `_face_of_rows` makes them Fractions once, in its
+Face.  The search reads nothing else of a line than its triple and its
+color, so `_face_of_rows` runs on those rows: `find_complete_face` builds
+them from the lines, and the CLI decodes a payload straight into them
+(`serialization.dec_line_rows`).  The 111 segment's body (`_segment_111`)
+takes the corners and returns its ends as triples, so
+`wedges.find_111_wedge` builds no Face or Segment.
 The subdivision keys its nodes by primitive triples and orders each line's
 points on integer keys, so each vertex becomes a Fraction point only once.
 """
@@ -363,16 +366,21 @@ def _face_of_rows(coeffs: Sequence[Triple], colors: Sequence[Color]) -> Face:
     color, in input order; checks the colors and simplicity first."""
     require_rgb(colors, "line")
     check_joins(coeffs, _AT_INFINITY, _not_simple)
-    return _complete_face(colors, coeffs)
+    corners, supports = _complete_face(colors, coeffs)
+    return Face(bounded=True, vertices=tuple(map(_point, corners)),
+                boundary_lines=tuple(supports),
+                boundary_colors=tuple(colors[sp] for sp in supports))
 
 
-def _complete_face(colors: Sequence[Color], coeffs: Sequence[tuple[int, int, int]]) -> Face:
+def _complete_face(
+    colors: Sequence[Color], coeffs: Sequence[Triple]
+) -> tuple[list[Triple], list[int]]:
     """`find_complete_face` on lines known to be simple, with every color,
-    given as their colors and `int_line` coefficients `coeffs`.
+    given as their colors and `int_line` coefficients `coeffs`: the cell's
+    ccw corners and the line of each edge corners[i] -> corners[i+1].
 
-    The cell's corners are crossing triples (X, Y, W), W > 0, of the
-    coefficients; line (A, B, C) puts a corner on the side
-    sign(A*X + B*Y + C*W).
+    The corners are crossing triples (X, Y, W), W > 0, of the coefficients;
+    line (A, B, C) puts a corner on the side sign(A*X + B*Y + C*W).
     """
     first = {}
     for i, c in enumerate(colors):
@@ -427,69 +435,65 @@ def _complete_face(colors: Sequence[Color], coeffs: Sequence[tuple[int, int, int
         verts = [v for v, _ in keep]
         supports = [sp for _, sp in keep]
 
-    return Face(
-        bounded=True,
-        vertices=tuple(map(_point, verts)),
-        boundary_lines=tuple(supports),
-        boundary_colors=tuple(colors[sp] for sp in supports),
-    )
+    return verts, supports
 
 
-def extract_111_segment(
-    lines: Sequence[ColoredLine | Triple], face: Face, x_avoid: Rat | None = None
-) -> Segment:
+def extract_111_segment(lines: Sequence[ColoredLine], face: Face) -> Segment:
     """Segment crossing exactly one line of each color, from a complete cell.
 
     Runs from just outside an edge of one color, through that edge, to just
     past a corner where the other two colors meet.  Never vertical, and no
     endpoint lies on any input line.
-
-    With `x_avoid` set, the cell must lie on one side of the line
-    x = x_avoid with at most one vertex on it.  The corner is then the first
-    bichromatic one off that line, and the segment stays strictly on the
-    cell's side.  A complete cell has at least three bichromatic corners, so
-    such a corner exists.  Lines may also be (a, b, c) at any scale, as `int_line` rows are.
-
-    Runs on integers: the corner and the edge point are triples (X, Y, W),
-    W > 0, and each line's crossing is one ratio; Fractions are built only
-    for the two gaps beyond the contacts and the two endpoints.
     """
-    coeffs = [int_line(l) if isinstance(l, ColoredLine) else l for l in lines]
     if not is_complete(face):
         raise PreconditionViolated("cell is not complete")
-    m = len(face.vertices)
+    coeffs, colors = _rows_of_lines(tuple(lines))
+    corners = [int_point(*v) for v in face.vertices]
+    return Segment(*map(_point, _segment_111(coeffs, colors, corners, face.boundary_lines)))
 
-    corner = None
-    for i in range(m):
-        j = (i + 1) % m
-        if face.boundary_colors[i] != face.boundary_colors[j] and face.vertices[j][0] != x_avoid:
-            corner = j  # vertex between edges j-1 and j
-            break
+
+def _segment_111(
+    coeffs: Sequence[Triple], colors: Sequence[Color], corners: Sequence[Triple],
+    supports: Sequence[int], x_avoid: Rat | None = None,
+) -> tuple[Triple, Triple]:
+    """`extract_111_segment` on the lines' rows and a complete cell as
+    `_complete_face` gives it; returns the ends as triples (X, Y, W), W > 0.
+
+    With `x_avoid` set (a rational or an int), the cell must lie on one side
+    of the line x = x_avoid with at most one vertex on it.  The corner is
+    then the first bichromatic one off that line, and the segment stays
+    strictly on the cell's side; a complete cell has at least three
+    bichromatic corners, so such a corner exists.  Each line's crossing is
+    one ratio; Fractions are built only for the two gaps beyond the contacts.
+    """
+    m = len(corners)
+    edge_colors = [colors[sp] for sp in supports]
+    # x_avoid = p/r; without it, x = 1/0 is the line at infinity, off every corner
+    p, r = (1, 0) if x_avoid is None else (x_avoid.numerator, x_avoid.denominator)
+    # vertex j sits between edges j-1 and j
+    corner = next((j for j in (*range(1, m), 0) if edge_colors[j - 1] != edge_colors[j]
+                   and corners[j][0] * r != p * corners[j][2]), None)
     if corner is None:
         raise InternalError("complete cell without a usable bichromatic corner")
-    c1 = face.boundary_colors[(corner - 1) % m]
-    c2 = face.boundary_colors[corner]
-    third = next(c for c in RGB if c not in (c1, c2))
-    edge_k = next(k for k in range(m) if face.boundary_colors[k] is third)
+    third = next(c for c in RGB if c not in (edge_colors[corner - 1], edge_colors[corner]))
+    edge_k = edge_colors.index(third)
 
-    vx, vy, vw = int_point(*face.vertices[corner])
-    (xa, ya, wa), (xb, yb, wb) = (int_point(*face.vertices[k % m]) for k in (edge_k, edge_k + 1))
+    vx, vy, vw = corners[corner]
+    (xa, ya, wa), (xb, yb, wb) = corners[edge_k], corners[(edge_k + 1) % m]
     # the edge point ((k - 1) a + b) / k sits at 1/2 of the edge, or at 1/3
     # when the corner is straight above or below the 1/2 point; the corner
     # is off the edge's line, so the 1/3 point is not
     k = 3 if (xa * wb + xb * wa) * vw == 2 * wa * wb * vx else 2
     bx, by, bw = (k - 1) * xa * wb + xb * wa, (k - 1) * ya * wb + yb * wa, k * wa * wb
-    if x_avoid is not None:
-        p, r = x_avoid.numerator, x_avoid.denominator
-        side = bx * r - p * bw
-        if side == 0 or (side > 0) != (vx * r > p * vw):
-            raise PreconditionViolated("cell is not on one side of x = x_avoid")
+    side = bx * r - p * bw  # < 0 without x_avoid: every point is left of infinity
+    if side == 0 or (side > 0) != (vx * r > p * vw):
+        raise PreconditionViolated("cell is not on one side of x = x_avoid")
 
     # param t is 0 at the edge point and 1 at the corner: line (A, B, C)
     # takes the values fb and fv there, both times bw * vw, and crosses at
     # t = fb / (fb - fv).  The gaps from [0, 1] to the nearest crossing on
     # either side are kept as (num, den).
-    targets = {face.boundary_lines[i] for i in ((corner - 1) % m, corner, edge_k)}
+    targets = {supports[corner - 1], supports[corner], supports[edge_k]}
     lo = hi = (1, 1)
     for li, (la, lb, lc) in enumerate(coeffs):
         fb = (la * bx + lb * by + lc * bw) * vw
@@ -520,8 +524,7 @@ def extract_111_segment(
     # the ends (1 - t) * edge point + t * corner: (e * (bx, by) + f * (vx, vy)) / w
     ends = [((t.denominator - t.numerator) * vw, t.numerator * bw, t.denominator * bw * vw)
             for t in (t0, t1)]
-    return Segment(*((Fraction(e * bx + f * vx, w), Fraction(e * by + f * vy, w))
-                     for e, f, w in ends))
+    return tuple((e * bx + f * vx, e * by + f * vy, w) for e, f, w in ends)
 
 
 def gen_shielded_counterexample() -> tuple[ColoredLine, ...]:

@@ -67,10 +67,10 @@ def sign(x: Rat | int) -> int:
 
 
 def as_rat(x) -> Rat:
-    """Coerce ints, strings like '3/4', and Fractions. Floats are rejected."""
+    """Coerce ints and strings like '3/4'; a Fraction passes as it is. Floats are rejected."""
     if isinstance(x, float):
         raise PreconditionViolated("float coordinates are not accepted, pass exact rationals")
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)

@@ -24,16 +24,16 @@ rows (`_wedge_of_rows`, `_segment_of_rows`: homogeneous triples and
 colors); Fractions are built only for the apex, the slopes around the
 balanced window and the answer.  The balanced wedge, the 111 wedge and the
 halving segment are counted once more, by one integer side count, before
-they are returned; both wedges end in `_checked_wedge`, which counts first.
+they are returned (`_self_check`).
 
 `find_111_wedge` dualizes the points and pulls a segment out of one complete
-cell, on integer rows too (`_wedge111_of_rows`): the segment's ends give the
-boundary functionals as integer triples, and only the answer is built as
-Fractions.  Points sharing an x
-coordinate would dualize to parallel lines, so they are sheared once, by an
-integer shear chosen in closed form, and the segment is kept off the dual
-image of the original vertical direction.  Vertical input lines of
-`halving_segment` are likewise removed by one integer shear.
+cell, on integer rows too (`_wedge111_of_rows`): the cell's corners and the
+segment's ends stay triples, the ends give the boundary functionals, and
+only the answer is built as Fractions.  Points sharing an x coordinate would
+dualize to parallel lines, so they are sheared once, by an integer shear
+chosen in closed form, and the segment is kept off the dual image of the
+original vertical direction.  Vertical input lines of `halving_segment` are
+likewise removed by one integer shear.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cells import _AT_INFINITY, _complete_face, _not_simple, _rows_of_lines, extract_111_segment
+from .cells import _AT_INFINITY, _complete_face, _not_simple, _rows_of_lines, _segment_111
 from .cells import _crossing, _point
 from .core import (
     Color,
@@ -63,7 +63,6 @@ from .core import (
     deficit_steps,
     dual_line_to_point,
     int_line,
-    int_point,
     int_points,
     intersect,
     point_joins,
@@ -401,11 +400,9 @@ def _checked_wedge(
     u: Triple, v: Triple, triples: Sequence[Triple], colors: Sequence[Color], n: int
 ) -> DoubleWedge:
     """The double wedge of the integer boundary functionals u and v whose
-    disagree sectors hold the points, after one integer side count has found
-    n points of each color there; its apex is where u and v cross."""
-    counts = _int_side_counts(u, v, triples, colors, False)
-    if any(counts[c] != n for c in RGB):
-        raise InternalError("wedge did not verify", {"counts": str(counts), "n": n})
+    disagree sectors hold the points, after `_self_check` has found n points
+    of each color there; its apex is where u and v cross."""
+    _self_check(u, v, triples, colors, n, "wedge", "an input point on a wedge boundary line")
     f1, f2 = (tuple(map(Fraction, f)) for f in (u, v))
     return wedge_from_functionals(_point(_crossing(u, v)), f1, f2, contains_disagree=True)
 
@@ -468,10 +465,8 @@ def _sweep(
                 drift = next(k for k in range(m) if rebuilt[k] != q[k])
                 raise InternalError("incremental counts drifted", {"k": drift})
             check_curve_invariants(curve)
-        if r1 == [0, 0]:
+        if r1 == [0, 0]:  # r2 = -r1 after every event, so r2 is zero with r1
             zero_at = w1
-        elif r2 == [0, 0]:
-            zero_at = w2
 
     if zero_at is None:
         trace = {"stages": stage, "final": q}
@@ -511,19 +506,13 @@ def _sweep(
 
 
 def _int_side_counts(
-    u: Triple,
-    v: Triple,
-    triples: Sequence[Triple],
-    colors: Sequence[Color],
-    agree: bool,
+    u: Triple, v: Triple, triples: Sequence[Triple], colors: Sequence[Color]
 ) -> dict[Color, int]:
-    """Per color, the items t where u.t and v.t have equal signs if `agree`,
-    opposite signs if not; a zero raises OnBoundary.  The solvers' self-check:
-    for a wedge u, v are integer functionals of its boundary lines and t the
-    points' `int_point` triples (W > 0, so u.t has the side's sign); for a
-    segment u, v are its ends' homogeneous triples (W > 0) and t the lines'
-    `int_line`.
-    """
+    """Per color, the items t where u.t and v.t have opposite signs; a zero
+    raises OnBoundary.  For a wedge u, v are its boundary lines' integer
+    functionals and t the points' `int_point` triples (W > 0, so u.t has the
+    side's sign); for a segment u, v are its ends (W > 0) and t the lines'
+    `int_line`."""
     a1, b1, c1 = u
     a2, b2, c2 = v
     counts = {c: 0 for c in RGB}
@@ -532,9 +521,22 @@ def _int_side_counts(
         s2 = a2 * x + b2 * y + c2 * z
         if s1 == 0 or s2 == 0:
             raise OnBoundary("an item lies on a boundary")
-        if ((s1 > 0) == (s2 > 0)) == agree:
+        if (s1 > 0) != (s2 > 0):
             counts[color] += 1
     return counts
+
+
+def _self_check(u: Triple, v: Triple, triples: Sequence[Triple], colors: Sequence[Color],
+                n: int, what: str, on_boundary: str) -> None:
+    """`_int_side_counts` must find n items of each color; only a library
+    fault can fail it, so an item on a boundary raises InternalError with
+    `on_boundary`, and a miscount one with "<what> did not verify"."""
+    try:
+        counts = _int_side_counts(u, v, triples, colors)
+    except OnBoundary as e:
+        raise InternalError(on_boundary) from e
+    if any(counts[c] != n for c in RGB):
+        raise InternalError(f"{what} did not verify", {"counts": str(counts), "n": n})
 
 
 def _apex_off_tie(
@@ -691,9 +693,9 @@ def find_111_wedge(points: Sequence[ColoredPoint]) -> DoubleWedge:
     the sheared dual every crossing has x <= q, the dual x of the original
     vertical direction, with equality only for pairs that shared x.  A
     bounded cell thus has at most one vertex on x = q (two would make a
-    vertical edge), and `extract_111_segment` with `x_avoid=q` keeps the
-    segment strictly left of it, so the wedge avoids the vertical direction
-    and has a finite dual segment.
+    vertical edge), and the segment, built with `x_avoid=q`, stays strictly
+    left of it, so the wedge avoids the vertical direction and has a finite
+    dual segment.
     """
     pts = tuple(points)
     return _wedge111_of_rows(int_points(pts), [p.color for p in pts])
@@ -711,13 +713,12 @@ def _wedge111_of_rows(triples: Sequence[Triple], colors: Sequence[Color]) -> Dou
     # distinct x and no three collinear points make the duals simple
     duals = [(x // g, -w // g, -y // g) for x, y, w in sheared
              for g in [math.gcd(x, y, w) if x > 0 else -math.gcd(x, y, w)]]
-    seg = extract_111_segment(duals, _complete_face(colors, duals), q)
+    ends = _segment_111(duals, colors, *_complete_face(colors, duals), q)
 
     # primal boundary line of dual point e = (X/W, Y/W): y = e_x * x - e_y,
     # functional (-X, W, Y); a point's dual line crosses the segment exactly
     # when the two functionals disagree in sign.  Under the shear it reads
     # back as (-qX, qW - X, qY), whose y-coefficient is positive as e_x < q.
-    ends = (int_point(*e) for e in (seg.p, seg.q))
     u, v = (((-x, w, y) if q is None else (-q * x, q * w - x, q * y)) for x, y, w in ends)
     return _checked_wedge(u, v, triples, colors, 1)
 
@@ -770,10 +771,5 @@ def _segment_of_rows(triples: Sequence[Triple], colors: Sequence[Color]) -> Segm
     if lam is not None:
         ends = [(x - lam * y, y, w) for x, y, w in ends]
 
-    try:
-        counts = _int_side_counts(*ends, triples, colors, False)
-    except OnBoundary as e:
-        raise InternalError("segment endpoint on an input line") from e
-    if any(counts[c] != n for c in RGB):
-        raise InternalError("halving segment did not verify", {"counts": str(counts)})
+    _self_check(*ends, triples, colors, n, "halving segment", "segment endpoint on an input line")
     return Segment(*((Fraction(x, w), Fraction(y, w)) for x, y, w in ends))

@@ -188,6 +188,25 @@ class TestMomentHalve:
             for lo, hi in side.arcs:
                 assert a.contains((lo + hi) / 2)
 
+    def test_arc_ends_within_a_key_of_points(self):
+        # 1/3 and 1/3 + 2**-80 share the floor key of t * 2**64, as do 2/3
+        # and 2/3 - 2**-80; each arc end's gap is settled by the exact
+        # comparison, past the point just below it
+        eps = F(1, 2**80)
+        a = arcset([(F(1, 3) + eps, F(2, 3) - eps)])
+        inside = [circle_point(F(k, 12), c) for k, c in zip(range(5, 8), "RGB")]
+        inside += [circle_point(F(1, 3) + 2 * eps, "R"), circle_point(F(2, 3) - 2 * eps, "G"),
+                   circle_point(F(1, 2) + eps, "B")]
+        outside = [circle_point(F(1, 3), "G"), circle_point(F(2, 3), "B"), circle_point(F(9, 10), "R")]
+        keys = tricut.arcs._floor_key
+        assert keys(pair(F(1, 3))) == keys(pair(a.arcs[0][0])) == keys(pair(F(1, 3) + 2 * eps))
+        assert keys(pair(F(2, 3))) == keys(pair(a.arcs[0][1]))
+        for points in (inside + outside, outside + inside[::-1]):
+            res = moment_halve(a, points, 2)
+            for side in (res.m1, res.m2):
+                assert set(side_counts(side, points).values()) == {1}
+            assert res == reference_halve(a, points, 2)
+
     def test_rejects_three_arcs(self):
         a = arcset([(F(1, 10), F(2, 10)), (F(4, 10), F(5, 10)), (F(7, 10), F(8, 10))])
         with pytest.raises(PreconditionViolated):

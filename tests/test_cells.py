@@ -31,8 +31,10 @@ from tricut.core import (
     ColoredLine,
     GeneralPosition,
     RGB,
+    Segment,
     check_general_position,
     int_line,
+    int_point,
     int_points,
     intersect,
     line,
@@ -383,10 +385,11 @@ def _spy_subdivide(monkeypatch):
 
 
 # sha1 of `tricut solve KIND --n N --seed 1 --format svg`, as it was when
-# `build_arrangement` still built every face before it returned
+# `build_arrangement` still built every face before it returned; the ids name
+# the instance, not the digest, so a changed figure keeps the test's name
 SVG_DIGESTS = [
-    ("cell", 12, "abc9436cbc3bf3a116dda890f57ca05591df2102"),
-    ("segment", 4, "f7041fe97a24775cd851a851026c3ae581b96926"),
+    pytest.param("cell", 12, "abc9436cbc3bf3a116dda890f57ca05591df2102", id="cell-12"),
+    pytest.param("segment", 4, "f7041fe97a24775cd851a851026c3ae581b96926", id="segment-4"),
 ]
 
 
@@ -831,40 +834,57 @@ def _rational_map(points, seed):
 
 
 class TestExtract111SegmentReference:
-    """`extract_111_segment` on integer triples gives the Segment, or raises
-    the exception, of the Fraction pipeline it replaced
-    (`segment_111_reference`)."""
+    """`_segment_111` on rows gives the Segment, or raises the exception, of
+    the Fraction pipeline it replaced (`segment_111_reference`); so does
+    `extract_111_segment` on ColoredLines."""
 
     @staticmethod
-    def same(lines, face, x_avoid=None):
+    def same(lines, colors, face, x_avoid=None):
+        """Lines as ColoredLines or (a, b, c) triples at any scale, as the
+        reference takes them; an incomplete cell is refused by the public
+        function, which checks completeness for the row body."""
+        rows = [int_line(l) if isinstance(l, ColoredLine) else l for l in lines]
+        corners = [int_point(*v) for v in face.vertices]
+
+        def row_body():
+            if not is_complete(face):
+                return extract_111_segment(lines, face)
+            ends = cells._segment_111(rows, colors, corners, face.boundary_lines, x_avoid)
+            return Segment(*map(cells._point, ends))
+
         try:
             want = reference_extract_111_segment(lines, face, x_avoid)
         except (PreconditionViolated, InternalError) as e:
             with pytest.raises(type(e), match=re.escape(str(e))):
-                extract_111_segment(lines, face, x_avoid)
-            return
-        assert extract_111_segment(lines, face, x_avoid) == want
+                row_body()
+            return None
+        assert row_body() == want
+        if x_avoid is None and isinstance(lines[0], ColoredLine):
+            assert extract_111_segment(lines, face) == want
+        return want
 
     @pytest.mark.parametrize("n", [3, 9, 30, 100])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_simple_lines_as_lines_and_triples(self, n, seed):
         lines = generate(GenSpec(GenKind.SimpleLines3C, n, seed))
+        colors = [l.color for l in lines]
         face = find_complete_face(lines)
-        self.same(lines, face)
-        self.same([int_line(l) for l in lines], face)
+        self.same(lines, colors, face)
+        self.same([int_line(l) for l in lines], colors, face)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_every_bounded_cell_and_x_avoid(self, seed):
         # incomplete cells and cells across x = x_avoid raise; every vertex x
         # and a value beside it is tried as x_avoid
         lines = generate(GenSpec(GenKind.SimpleLines3C, 6, seed))
+        colors = [l.color for l in lines]
         faces = [f for f in build_arrangement(lines).faces if f.bounded]
         assert any(is_complete(f) for f in faces) and not all(is_complete(f) for f in faces)
         for face in faces:
-            self.same(lines, face)
+            self.same(lines, colors, face)
             for x, _ in face.vertices:
-                self.same(lines, face, x)
-                self.same(lines, face, x + F(1, 7))
+                self.same(lines, colors, face, x)
+                self.same(lines, colors, face, x + F(1, 7))
 
     def test_rational_map_of_lines(self):
         # the image of each line under x' = sx x + ox, y' = sy y + oy
@@ -872,14 +892,16 @@ class TestExtract111SegmentReference:
         sx, sy, ox, oy = (F(rng.randint(1, 10**7), rng.randint(10**5, 10**6)) for _ in range(4))
         lines = [line(l.a / sx, l.b / sy, l.c - l.a * ox / sx - l.b * oy / sy, l.color)
                  for l in generate(GenSpec(GenKind.SimpleLines3C, 30, 1))]
+        colors = [l.color for l in lines]
         face = find_complete_face(lines)
-        self.same(lines, face)
-        self.same([int_line(l) for l in lines], face)
+        self.same(lines, colors, face)
+        self.same([int_line(l) for l in lines], colors, face)
 
     @pytest.mark.parametrize("mapped", [False, True])
     @pytest.mark.parametrize("n,seed", [(3, None), (6, 13), (20, 4), (30, 1), (60, 3)])
     def test_sheared_duals_of_shared_x_points(self, monkeypatch, n, seed, mapped):
-        # the dual lines, cell and x_avoid=q that find_111_wedge hands over
+        # the dual lines, cell corners and x_avoid=q that find_111_wedge
+        # hands over, and the ends it gets back
         if seed is None:
             points = [pt(-1, -2, "R"), pt(-1, 71771, "B"), pt(2, 8317, "G")]
         else:
@@ -888,22 +910,25 @@ class TestExtract111SegmentReference:
             points = _rational_map(points, n)
         assert len({p.x for p in points}) < len(points)
         calls = []
-        real = wedges.extract_111_segment
+        real = wedges._segment_111
 
         def spy(*args):
-            calls.append(args)
-            return real(*args)
+            calls.append((args, real(*args)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(wedges, "extract_111_segment", spy)
+        monkeypatch.setattr(wedges, "_segment_111", spy)
         wedges.find_111_wedge(points)
-        ((duals, face, q),) = calls
+        (((duals, colors, corners, supports, q), ends),) = calls
         assert q is not None
-        self.same(duals, face, q)
+        face = Face(True, tuple(map(cells._point, corners)), tuple(supports),
+                    tuple(colors[k] for k in supports))
+        assert Segment(*map(cells._point, ends)) == self.same(duals, colors, face, q)
 
     @pytest.mark.parametrize("n,seed", [(3, 20), (4, 62), (6, 132), (9, 77)])
     def test_edge_point_at_one_third(self, monkeypatch, n, seed):
         # the corner is straight above or below the middle of the edge
         lines = rand_simple_lines(n, seed)
+        colors = [l.color for l in lines]
         face = find_complete_face(lines)
         tried = []
         real = segment_111_reference.reference_cevian
@@ -913,9 +938,9 @@ class TestExtract111SegmentReference:
             return real(coeffs, face, corner_v, edge_k, t_edge, x_avoid)
 
         monkeypatch.setattr(segment_111_reference, "reference_cevian", spy)
-        self.same(lines, face)
+        self.same(lines, colors, face)
         assert tried == [F(1, 2), F(1, 3)]
-        self.same([int_line(l) for l in lines], face)
+        self.same([int_line(l) for l in lines], colors, face)
 
 
 class TestShieldedCounterexample:

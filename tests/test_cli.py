@@ -524,15 +524,18 @@ class TestIntegerRoutes:
             for mod in (core, wedges, cli):
                 if getattr(mod, "dual_line_to_point", None) is real_dual:
                     monkeypatch.setattr(mod, "dual_line_to_point", dual)
+            # the Fraction cells and segments of the cell module
+            for name in ("Face", "Segment"):
+                monkeypatch.setattr(cells, name, _counted(calls, name, getattr(cells, name)))
         argv = ["solve", kind, "--in", str(inst), "--out", str(out)]
         assert cli.run(argv + ([] if k is None else ["--k", str(k)])) == 0
         want_calls = Counter()
         if kind in ("wedge", "wedge111"):
             want_calls["dual_line_to_point", "K"] = 2
-        if kind == "wedge111":
-            # the 111 segment reads its cell's corner and the two ends of an
-            # edge as triples, and the self-check reads the segment's two ends
-            want_calls["int_point"] = 3 + 2
+        if kind == "cell":
+            want_calls["Face"] = 1
+        # the 111 wedge hands its cell and its segment over as integer
+        # triples: no int_point, Face or Segment between the two
         assert calls == want_calls
         monkeypatch.undo()
 

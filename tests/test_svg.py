@@ -116,6 +116,20 @@ class TestLLine:
         assert drawn == 2
         all_numbers_six_digits(doc)
 
+    def test_bent_lline_has_one_corner_dot_where_its_rays_start(self):
+        s = generate(GenSpec(GenKind.LatticeRedHull, 4, 8))
+        l = lline(Fraction(1, 2), Fraction(1, 2), (RayDir.UP, RayDir.RIGHT))
+        assert not l.is_straight
+        doc = render_lline(s, l)
+        assert doc.count('r="3.000000" fill="#111111"') == 1
+        root = well_formed(doc)
+        ns = "{http://www.w3.org/2000/svg}"
+        (dot,) = [c for c in root.iter(f"{ns}circle") if c.get("fill") == "#111111"]
+        rays = root.findall(f".//{ns}line")
+        assert len(rays) == 2
+        assert {(r.get("x1"), r.get("y1")) for r in rays} == {(dot.get("cx"), dot.get("cy"))}
+        all_numbers_six_digits(doc)
+
     def test_straight_case_no_corner_dot(self):
         s = generate(GenSpec(GenKind.LatticeRedHull, 4, 8))
         l = lline(Fraction(1, 2), Fraction(1, 2), (RayDir.LEFT, RayDir.RIGHT))

@@ -353,11 +353,13 @@ class TestSweep:
 
 def int_wedge_counts(w, pts):
     """The wedge solvers' self-check: `_int_side_counts` on the boundary
-    lines' and the points' integer triples."""
-    return wedges._int_side_counts(
-        int_line(w.line1), int_line(w.line2), int_points(pts), [p.color for p in pts],
-        w.sector == SECTOR_AGREE,
-    )
+    lines' and the points' integer triples.  It counts the disagree sectors;
+    an agree-sector wedge holds the rest of each color."""
+    colors = [p.color for p in pts]
+    counts = wedges._int_side_counts(int_line(w.line1), int_line(w.line2), int_points(pts), colors)
+    if w.sector == SECTOR_AGREE:
+        counts = {c: colors.count(c) - counts[c] for c in counts}
+    return counts
 
 
 def int_segment_counts(seg, lines):
@@ -365,7 +367,7 @@ def int_segment_counts(seg, lines):
     integer triples and the lines' integer coefficients."""
     return wedges._int_side_counts(
         int_point(*seg.p), int_point(*seg.q), [int_line(l) for l in lines],
-        [l.color for l in lines], False,
+        [l.color for l in lines],
     )
 
 
@@ -402,6 +404,19 @@ class TestIntWedgeCounts:
         )
         with pytest.raises(OnBoundary):
             int_wedge_counts(w, pts)
+
+    @pytest.mark.usefixtures("expected_internal_errors")
+    def test_point_on_a_boundary_is_internal(self, monkeypatch):
+        # the sweep's answer is checked before it is returned: a boundary
+        # line through an input point is a library fault, not bad input
+        pts = rand_balanced_points(1, 3)
+        p, q = pts[0], pts[1]
+        through = (int_line(line(q.y - p.y, p.x - q.x, q.x * p.y - p.x * q.y, Color.K)),
+                   int_line(line(1, 1, -p.x - p.y, Color.K)))
+        monkeypatch.setattr(wedges, "_sweep", lambda *args: through)
+        with pytest.raises(InternalError, match="an input point on a wedge boundary line") as e:
+            sweep_balanced_wedge(pts)
+        assert isinstance(e.value.__cause__, OnBoundary)
 
 
 class TestIntSegmentCounts:
