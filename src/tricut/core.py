@@ -66,10 +66,13 @@ def sign(x: Rat | int) -> int:
     return (x > 0) - (x < 0)
 
 
+_NOT_RATIONAL = "float coordinates are not accepted, pass exact rationals"
+
+
 def as_rat(x) -> Rat:
     """Coerce ints and strings like '3/4'; a Fraction passes as it is. Floats are rejected."""
     if isinstance(x, float):
-        raise PreconditionViolated("float coordinates are not accepted, pass exact rationals")
+        raise PreconditionViolated(_NOT_RATIONAL)
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -432,6 +435,10 @@ def require_rgb(colors: Sequence[Color], what: str = "point", per_color: int | N
 # wraps through 0.  Arcs are half open: parameter t belongs to (lo, hi) read
 # modulo 1, endpoints belong to no arc and color counting reports them as
 # boundary hits.  The full circle is canonically ((0, 1),).
+#
+# An end is an int or a Fraction, and the constructor checks the arcs on
+# their (numerator, denominator) pairs: each comparison is one
+# cross-multiplication by positive denominators, so no Fraction is built.
 
 
 _FULL_CIRCLE_ARCS = ((Fraction(0), Fraction(1)),)
@@ -442,17 +449,22 @@ class ArcSet:
     arcs: tuple[tuple[Rat, Rat], ...]
 
     def __post_init__(self):
-        prev_end = None
+        prev = None  # the previous arc's hi as (num, den)
         for lo, hi in self.arcs:
-            if not (0 <= lo < 1 and lo < hi <= lo + 1):
+            if not (isinstance(lo, (int, Fraction)) and isinstance(hi, (int, Fraction))):
+                raise PreconditionViolated(_NOT_RATIONAL)
+            ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            # 0 <= lo < 1 and lo < hi <= lo + 1
+            if not (0 <= ln < ld and ln * hd < hn * ld <= (ln + ld) * hd):
                 raise PreconditionViolated(f"arc ({lo}, {hi}) out of canonical range")
-            if prev_end is not None and lo <= prev_end:
+            if prev is None:
+                first = ln, ld
+            elif ln * prev[1] <= prev[0] * ld:
                 raise PreconditionViolated("arcs must be sorted and disjoint")
-            prev_end = hi
+            prev = hn, hd
         if len(self.arcs) > 1:
-            first_lo, _ = self.arcs[0]
-            _, last_hi = self.arcs[-1]
-            if last_hi > 1 and last_hi - 1 >= first_lo:
+            # the last hi > 1 and hi - 1 >= the first lo
+            if prev[0] > prev[1] and (prev[0] - prev[1]) * first[1] >= first[0] * prev[1]:
                 raise PreconditionViolated("wrapping arc overlaps the first arc")
 
     @property

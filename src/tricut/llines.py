@@ -160,8 +160,9 @@ class LLine:
             )
         if len(self.rays) != 2 or self.rays[0] is self.rays[1]:
             raise PreconditionViolated("two distinct ray directions are required")
+        r0, r1 = self.rays
         object.__setattr__(
-            self, "rays", tuple(sorted(self.rays, key=_RAY_ORDER.get))
+            self, "rays", (r1, r0) if _RAY_ORDER.get(r1) < _RAY_ORDER.get(r0) else (r0, r1)
         )
 
     @property

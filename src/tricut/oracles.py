@@ -5,8 +5,11 @@ every possible answer shape, recomputing counts through its own membership
 code so a solver bug cannot hide behind a shared predicate: for arcs,
 `arcset_points_key` has its own integer membership test rather than
 `ArcSet.contains`, which the solver's self-check `arcset_color_counts`
-uses.  Everything here is desk-scale by design and guarded by size
-preconditions.
+uses.  It sorts a point set's parameters mod 1 once into a table of
+(numerator, denominator) pairs, remembered for the one last point set, and
+places each arc end in it by bisection with cross-multiplication, so
+keying every answer of one instance sorts its points once.  Everything
+here is desk-scale by design and guarded by size preconditions.
 """
 
 from __future__ import annotations
@@ -90,35 +93,81 @@ def count_segment_crossings(
 # -- arc sets -------------------------------------------------------------------
 
 
+# the last point set `arcset_points_key` read and its `_point_table`, as one
+# (points tuple, table) pair that is replaced whole
+_remembered: tuple = ((), ([], [], []))
+
+
+def _point_table(points: Sequence[CirclePoint]) -> tuple[list[int], list[int], list[int]]:
+    """(nums, dens, order): the parameters mod 1 sorted by value, as
+    numerator and denominator lists, and the point index of each entry.
+
+    The table of the last point set is remembered.  A call hits it when its
+    tuple of points equals the remembered one: the table depends only on the
+    values, and tuple equality checks identity before `CirclePoint`
+    equality, so the usual call with the same points is O(m) pointer checks.
+    """
+    global _remembered
+    pts = tuple(points)
+    seen, table = _remembered
+    if pts == seen:
+        return table
+    ts = [p.t if 0 <= p.t < 1 else p.t % 1 for p in pts]
+    order = sorted(range(len(ts)), key=ts.__getitem__)
+    table = [ts[i].numerator for i in order], [ts[i].denominator for i in order], order
+    _remembered = pts, table
+    return table
+
+
+def _span(nums: list[int], dens: list[int], n: int, d: int) -> tuple[int, int]:
+    """The sorted entries equal to n / d (d > 0) are nums[i:j]: i is found by
+    bisection, j by walking over the equal entries."""
+    i, j = 0, len(nums)
+    while i < j:
+        mid = (i + j) // 2
+        if nums[mid] * d < n * dens[mid]:
+            i = mid + 1
+        else:
+            j = mid
+    j = i
+    while j < len(nums) and nums[j] * d == n * dens[j]:
+        j += 1
+    return i, j
+
+
 def arcset_points_key(a: ArcSet, points: Sequence[CirclePoint]) -> tuple[int, ...]:
     """Indices of the points inside the set; the combinatorial class key.
 
     Membership is decided here on integers, not through `ArcSet.contains`:
-    each arc's endpoints are read once as (numerator, denominator) pairs and
-    each parameter, taken mod 1, is compared to them by cross-multiplication.
-    A parameter on an endpoint raises `BoundaryPoint`.
+    each arc end is placed in the point set's sorted table (`_point_table`)
+    by a bisection that compares by cross-multiplication, and the points
+    strictly between an arc's ends are one run of the table, two for an arc
+    through 0.  A parameter on an end raises `BoundaryPoint`, for the lowest
+    such point index.
     """
     if a.is_full_circle:
         return tuple(range(len(points)))
-    # per arc: lo, the end hi read mod 1, and whether hi >= 1; such an arc
-    # holds t when t > lo or t < end, any other arc when lo < t < end
-    arcs = []
+    nums, dens, order = _point_table(points)
+    inside: list[int] = []
+    on_end: list[int] = []
     for lo, hi in a.arcs:
-        end = hi - 1 if hi >= 1 else hi
-        arcs.append((lo.numerator, lo.denominator, end.numerator, end.denominator, hi >= 1))
-    out = []
-    for i, p in enumerate(points):
-        num, den = p.t.numerator, p.t.denominator
-        num %= den
-        for lo_n, lo_d, end_n, end_d, wraps in arcs:
-            vs_lo = num * lo_d - lo_n * den
-            vs_end = num * end_d - end_n * den
-            if vs_lo == 0 or vs_end == 0:
-                raise BoundaryPoint(f"parameter {Fraction(num, den)} is an arc endpoint")
-            if (vs_lo > 0 or vs_end < 0) if wraps else (vs_lo > 0 and vs_end < 0):
-                out.append(i)
-                break
-    return tuple(out)
+        # an arc with hi >= 1 runs through 0 and ends at hi - 1
+        hn, hd = hi.numerator, hi.denominator
+        wraps = hn >= hd
+        lo_i, lo_j = _span(nums, dens, lo.numerator, lo.denominator)
+        end_i, end_j = _span(nums, dens, hn - hd if wraps else hn, hd)
+        on_end += range(lo_i, lo_j)
+        on_end += range(end_i, end_j)
+        if wraps:
+            inside += order[lo_j:]
+            inside += order[:end_i]
+        else:
+            inside += order[lo_j:end_i]
+    if on_end:
+        k = min(on_end, key=order.__getitem__)
+        raise BoundaryPoint(f"parameter {Fraction(nums[k], dens[k])} is an arc endpoint")
+    inside.sort()
+    return tuple(inside)
 
 
 def enumerate_2arc_sets(points: Sequence[CirclePoint], k: int) -> list[ArcSet]:
@@ -165,6 +214,7 @@ def enumerate_2arc_sets(points: Sequence[CirclePoint], k: int) -> list[ArcSet]:
     low0 = ts[0] + ts[-1] >= 1
     mid = [(ts[-1] + ts[0] + 1) / 2 - (1 if low0 else 0)]
     mid += [(ts[g - 1] + ts[g]) / 2 for g in range(1, m)]
+    mid1 = [v + 1 for v in mid]
     rank = list(range(m)) if low0 else [m - 1] + list(range(m - 1))
 
     def arc(a, b):
@@ -172,7 +222,7 @@ def enumerate_2arc_sets(points: Sequence[CirclePoint], k: int) -> list[ArcSet]:
         # an end not above the start wraps past 1 and ranks after every midpoint
         if rank[b] > rank[a]:
             return (rank[a], rank[b]), (mid[a], mid[b])
-        return (rank[a], rank[b] + m), (mid[a], mid[b] + 1)
+        return (rank[a], rank[b] + m), (mid[a], mid1[b])
 
     def two(x, y):
         if x[0] > y[0]:

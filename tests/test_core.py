@@ -30,6 +30,7 @@ from tricut.core import (
     winding_number,
 )
 from arcs_reference import arcset_complement, arcset_rotate
+from arcset_reference import check_arcs
 from winding_reference import reference_winding_number
 from tricut.errors import (
     BoundaryPoint,
@@ -263,6 +264,42 @@ class TestColorChecks:
             require_distinct_parameters(pts + [circle_point(F(2, 8), "B")])
 
 
+@st.composite
+def arc_ends(draw, low=0, high=1):
+    """An end in [low, high]: an int, or a Fraction with a small, a
+    10^5..10^6 or a 300-digit denominator, 0 and 1 among them."""
+    den = draw(st.one_of(st.integers(1, 12), st.integers(10**5, 10**6),
+                         st.integers(10**299, 10**300)))
+    v = F(draw(st.integers(low * den, high * den)), den)
+    return int(v) if v.denominator == 1 and draw(st.booleans()) else v
+
+
+@st.composite
+def arc_lists(draw):
+    """0 to 3 arcs on sorted ends in [0, 1].  The last arc may run through
+    0 to an end in [1, 2], past the first arc or not; then one end may be
+    redrawn in [-1, 2] and two arcs may swap (out of range, unsorted or
+    overlapping arcs)."""
+    ends = sorted(draw(st.lists(arc_ends(), max_size=6)))
+    arcs = [[lo, hi] for lo, hi in zip(ends[::2], ends[1::2])]
+    if arcs and draw(st.booleans()):
+        arcs[-1][1] = draw(arc_ends(1, 2))
+    if arcs and draw(st.booleans()):
+        draw(st.sampled_from(arcs))[draw(st.integers(0, 1))] = draw(arc_ends(-1, 2))
+    if len(arcs) > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(len(arcs))))[:2]
+        arcs[i], arcs[j] = arcs[j], arcs[i]
+    return tuple(tuple(arc) for arc in arcs)
+
+
+def construction_outcome(check, arcs):
+    try:
+        check(arcs)
+    except PreconditionViolated as e:
+        return str(e)
+    return "accepted"
+
+
 class TestArcSet:
     def test_canonical_forms(self):
         a = arcset([(F(1, 2), F(3, 2))])
@@ -300,10 +337,27 @@ class TestArcSet:
         assert a == full_circle() and a.is_full_circle
 
     def test_direct_construction_validates(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match=r"^arc \(1/2, 1/4\) out of canonical range$"):
             ArcSet(((F(1, 2), F(1, 4)),))
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="^arcs must be sorted and disjoint$"):
             ArcSet(((F(0), F(1, 2)), (F(1, 4), F(3, 4))))
+        with pytest.raises(PreconditionViolated, match="^wrapping arc overlaps the first arc$"):
+            ArcSet(((F(1, 4), F(1, 2)), (F(3, 4), F(5, 4))))
+        # ends are ints or Fractions; a float or a string end is refused
+        # with the float message of `as_rat`
+        assert ArcSet(((0, 1),)) == full_circle()
+        for arcs in (((0.25, 0.5),), ((F(1, 4), 0.5),), ((F(0), F(1, 4)), (F(1, 2), "3/4"))):
+            with pytest.raises(PreconditionViolated, match="^float coordinates are not accepted"):
+                ArcSet(arcs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arc_lists())
+    @example(((F(1, 4), F(1, 2)), (F(3, 4), F(5, 4))))  # a wrap onto the first arc
+    @example(((F(1, 4), F(1, 2)), (F(3, 4), F(5, 4) - F(1, 10**300))))  # a hair short of it
+    @example(((0, 1),))
+    @example(((F(0), F(1, 2)), (F(1, 2), 1)))  # touching arcs
+    def test_integer_check_matches_the_fraction_reference(self, arcs):
+        assert construction_outcome(ArcSet, arcs) == construction_outcome(check_arcs, arcs)
 
     def test_contains_and_boundary(self):
         a = arcset([(F(3, 4), F(5, 4))])

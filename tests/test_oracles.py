@@ -16,6 +16,7 @@ from tricut.cells import (
     is_complete,
 )
 from tricut.core import (
+    ArcSet,
     CirclePoint,
     Color,
     RGB,
@@ -138,8 +139,8 @@ def ref_enumerate_2arc_sets(points, k):
 def key_or_boundary(key, a, points):
     try:
         return key(a, points)
-    except BoundaryPoint:
-        return "boundary"
+    except BoundaryPoint as e:
+        return "boundary", str(e)
 
 
 @st.composite
@@ -321,11 +322,19 @@ class TestEnumerate2ArcSets:
         probes = [full_circle(), empty_arcset()] + [data.draw(probe_sets(pts)) for _ in range(3)]
         # parameters outside [0, 1) are read mod 1
         shift = data.draw(st.sampled_from([-1, 1, 2]))
-        shifted = [CirclePoint(p.t + shift, p.color) for p in pts]
-        for a in got + probes:
-            for ps in (pts, shifted):
-                assert key_or_boundary(arcset_points_key, a, ps) == key_or_boundary(
-                    ref_arcset_points_key, a, ps)
+        shifted = tuple(CirclePoint(p.t + shift, p.color) for p in pts)
+        # a list of equal-valued but distinct points
+        copies = [CirclePoint(F(p.t.numerator, p.t.denominator), p.color) for p in pts]
+        sets = got + probes
+        want = {}
+        for name, ps in (("pts", pts), ("shifted", shifted), ("copies", copies)):
+            # one point set keyed many times in a row
+            want[name] = [key_or_boundary(ref_arcset_points_key, a, ps) for a in sets]
+            assert [key_or_boundary(arcset_points_key, a, ps) for a in sets] == want[name]
+        # the point sets in turn, so that each call misses the remembered table
+        for i, a in enumerate(sets):
+            for name, ps in (("shifted", shifted), ("pts", pts), ("copies", copies)):
+                assert key_or_boundary(arcset_points_key, a, ps) == want[name][i]
 
     def test_key_boundary_hits(self):
         pts = [circle_point(F(0), R), circle_point(F(1, 3), G), circle_point(F(2, 3), B)]
@@ -337,6 +346,52 @@ class TestEnumerate2ArcSets:
             arcset_points_key(arcset([(F(5, 6), F(7, 6)), (F(1, 6), F(2, 3))]), pts)
         assert arcset_points_key(arcset([(F(1, 2), F(3, 2))]), pts) == (0, 1, 2)
         assert arcset_points_key(full_circle(), pts) == (0, 1, 2)
+        # a point on each kind of arc end: the lo and hi of an arc below 1,
+        # the lo and the end hi - 1 of an arc through 0, and hi = 1, whose
+        # end is 0; the lowest hit index names the parameter
+        pts = [circle_point(t, c) for t, c in zip(
+            (F(3, 4), F(1, 8), F(1, 2), F(1, 4), F(0), F(5, 8)), (R, G, B, R, G, B))]
+        for a, t in (
+            (ArcSet(((F(1, 2), F(5, 8)),)), F(1, 2)),
+            (ArcSet(((F(3, 8), F(1, 2)),)), F(1, 2)),
+            (ArcSet(((F(5, 8), F(3, 4)),)), F(3, 4)),
+            (ArcSet(((F(3, 4), F(9, 8)),)), F(3, 4)),
+            (ArcSet(((F(7, 8), F(9, 8)),)), F(1, 8)),
+            (ArcSet(((F(1, 4), F(3, 8)), (F(7, 8), F(9, 8)))), F(1, 8)),
+            (ArcSet(((F(13, 16), F(1)),)), F(0)),
+            (ArcSet(((F(1, 4), F(5, 4)),)), F(1, 4)),
+        ):
+            for key in (arcset_points_key, ref_arcset_points_key):
+                with pytest.raises(BoundaryPoint, match=f"^parameter {t} is an arc endpoint$"):
+                    key(a, pts)
+        assert arcset_points_key(ArcSet(((F(13, 16), F(17, 16)),)), pts) == (4,)
+
+    def test_key_on_repeated_and_unreduced_parameters(self):
+        # the oracle refuses repeated parameters, the key reads them as they
+        # are; points built directly may have t outside [0, 1)
+        pts = [CirclePoint(t, c) for t, c in zip(
+            (F(1, 3), F(4, 3), F(-2, 3), F(1, 3), 2, F(5, 6), F(-1, 6)), (R, G, B, R, G, B, R))]
+        for a in (
+            full_circle(), empty_arcset(),
+            arcset([(F(1, 4), F(1, 2))]),
+            arcset([(F(3, 4), F(5, 4))]),
+            arcset([(F(1, 2), F(7, 8)), (F(-1, 8), F(1, 8))]),
+            arcset([(F(1, 3), F(2, 3))]),
+            arcset([(F(0), F(1, 4)), (F(2, 3), F(3, 4))]),
+            arcset([(F(5, 6), F(4, 3))]),
+        ):
+            want = key_or_boundary(ref_arcset_points_key, a, pts)
+            assert key_or_boundary(arcset_points_key, a, pts) == want
+            assert key_or_boundary(arcset_points_key, a, tuple(pts)) == want
+        assert arcset_points_key(arcset([(F(1, 4), F(1, 2))]), pts) == (0, 1, 2, 3)
+        assert arcset_points_key(arcset([(F(3, 4), F(5, 4))]), pts) == (4, 5, 6)
+        with pytest.raises(BoundaryPoint, match="^parameter 1/3 is an arc endpoint$"):
+            arcset_points_key(arcset([(F(1, 3), F(2, 3))]), pts)
+        with pytest.raises(BoundaryPoint, match="^parameter 5/6 is an arc endpoint$"):
+            arcset_points_key(arcset([(F(5, 6), F(7, 6))]), pts)
+        # the end 1/3 holds point 0, below the lo's first point 5
+        with pytest.raises(BoundaryPoint, match="^parameter 1/3 is an arc endpoint$"):
+            arcset_points_key(arcset([(F(5, 6), F(4, 3))]), pts)
 
     def test_cli_verify_at_cap(self):
         r = subprocess.run(

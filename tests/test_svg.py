@@ -107,10 +107,12 @@ class TestArcset:
 
 
 class TestLLine:
-    def test_corner_case_has_corner_dot(self):
+    def test_straight_solver_answer_draws_two_rays_and_no_corner_dot(self):
         s = generate(GenSpec(GenKind.LatticeRedHull, 4, 8))
         l, _ = find_balanced_lline(s)
+        assert l.is_straight
         doc = render_lline(s, l)
+        assert doc.count('r="3.000000" fill="#111111"') == 0
         root = well_formed(doc)
         drawn = len(root.findall(".//{http://www.w3.org/2000/svg}line"))
         assert drawn == 2
