@@ -112,7 +112,7 @@ def _point_table(points: Sequence[CirclePoint]) -> tuple[list[int], list[int], l
     seen, table = _remembered
     if pts == seen:
         return table
-    ts = [p.t if 0 <= p.t < 1 else p.t % 1 for p in pts]
+    ts = [p.t % 1 for p in pts]
     order = sorted(range(len(ts)), key=ts.__getitem__)
     table = [ts[i].numerator for i in order], [ts[i].denominator for i in order], order
     _remembered = pts, table
