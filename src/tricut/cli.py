@@ -11,11 +11,8 @@ Solve commands read an instance file, or generate one themselves from --n
 and --seed.  Every solver output is a JSON envelope carrying the instance
 and naming its kind in `command`, so verify and render work from the file
 alone; render draws a file without a solve command as a bare instance.
-Each command decodes its instance payload once, through the kind table
-`_KINDS`; solve decodes the payload it generates the same way.  Every
-kind's payload decodes to integer rows, which its solver body takes as they
-are; the dataclass items the oracles and figures need are built from those
-rows only when verify or a figure needs them (`_objects`).  Exit codes:
+Each solve kind is one record (`_Kind`) in `_KINDS`, from the decoder of
+its payload to its figure.  Exit codes:
 0 success, 2 a precondition failed (bad input, bad flags), 3 an internal
 guarantee broke (the contradiction trace is dumped to stderr).
 """
@@ -28,11 +25,13 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from . import serialization as ser
 from .arcs import _arcset_of_rows
 from .cells import _face_of_rows, build_arrangement, cycle_parity
-from .core import Color, arcset_color_counts, dual_point_to_line, require_rgb
+from .core import RGB, Color, arcset_color_counts, dual_point_to_line, require_rgb
 from .errors import GenerationFailed, InternalError, PreconditionViolated, TricutError
 from .generators import GenKind, GenSpec, generate
 from .llines import _lline_of_rows, brute_oracle_llines, lline_counts
@@ -57,21 +56,6 @@ from .wedges import (
     wedge_dual_segment,
     wedge_point_indices,
 )
-
-# per solve kind: the generator and default n of the instance a solve command
-# makes itself, and the name of its payload decoder in `serialization` (looked
-# up at call time, so a wrapper bound there sees the call); segment takes the
-# duals of convex-position points: simple, 2n lines per color.  Every kind
-# decodes to the integer rows its solver body takes
-_KINDS = {
-    "cell": (GenKind.SimpleLines3C, 7, "dec_line_rows"),
-    "wedge111": (GenKind.Points3C, 9, "dec_point_rows"),
-    "wedge": (GenKind.Points3CConvex, 2, "dec_point_rows"),
-    "segment": (GenKind.Points3CConvex, 2, "dec_line_rows"),
-    "arcs": (GenKind.CirclePoints3C, 5, "dec_circle_rows"),
-    "lline": (GenKind.LatticeRedHull, 4, "dec_lattice_rows"),
-}
-SOLVE_KINDS = tuple(_KINDS)
 
 
 # -- plumbing --------------------------------------------------------------------
@@ -125,157 +109,183 @@ def _envelope_text(env: dict) -> str:
     return "{\n" + ",\n".join(f"  {json.dumps(k)}: {value(k)}" for k in sorted(env)) + "\n}"
 
 
-def _instance_id(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha1(blob).hexdigest()[:12]
+# -- the solve kinds -------------------------------------------------------------
 
 
-# -- solving ---------------------------------------------------------------------
-
-
-def _decode(kind: str, payload: dict):
-    """The items of an instance payload, through its solve kind's decoder."""
-    return getattr(ser, _KINDS[kind][2])(payload)
-
-
-def _objects(kind: str, items):
-    """The dataclass items of decoded ones, for the oracles and figures."""
-    if kind in ("cell", "segment"):
-        return ser._lines_of_rows(*items)
-    if kind == "arcs":
-        return ser._circle_of_rows(*items)
-    if kind == "lline":
-        return ser._lattice_of_rows(*items)
-    return _points_of_rows(*items)
-
-
-def _answer(answer: dict, key: str, dec):
-    """dec(answer[key]); a missing key or an answer that is no object is malformed."""
+def _drawn(answer: dict | None, key: str, dec):
+    """What a figure draws over its items: dec(answer[key]), or with no answer
+    nothing; a missing key or an answer that is no object is malformed."""
     with ser.decoding():
-        return dec(answer[key])
+        return None if answer is None else dec(answer[key])
 
 
-def _solve(kind: str, items, k: int | None) -> dict:
-    """Run one solver on decoded items; answers come back as JSON data."""
-    if kind == "cell":
-        return {"face": ser.enc_face(_face_of_rows(*items))}
-    if kind in ("wedge111", "wedge"):
-        w = (_wedge111_of_rows if kind == "wedge111" else _wedge_of_rows)(*items)
-        return {"wedge": ser.enc_wedge(w), "dual_segment": ser.enc_segment(wedge_dual_segment(w))}
-    if kind == "segment":
-        return {"segment": ser.enc_segment(_segment_of_rows(*items))}
-    if kind == "arcs":
-        if k is None:
-            raise PreconditionViolated("solve arcs requires --k")
-        return {"arcs": ser.enc_arcset(_arcset_of_rows(*items, k))}
-    l, kk = _lline_of_rows(*items)
-    return {"lline": ser.enc_lline(l), "k": kk}
+def _without_k(kind: str, solve: Callable[[tuple], dict]):
+    """solve(rows) as a record's solve(rows, k): only arcs reads k."""
+    def solve_rows(rows, k: int | None) -> dict:
+        if k is not None:
+            raise PreconditionViolated(f"solve {kind} takes no --k")
+        return solve(rows)
+    return solve_rows
 
 
-def _counts_tuple(cc: dict) -> tuple[int, int, int]:
-    return (cc[Color.R], cc[Color.G], cc[Color.B])
+def _wedge_answer(w) -> dict:
+    return {"wedge": ser.enc_wedge(w), "dual_segment": ser.enc_segment(wedge_dual_segment(w))}
 
 
-def _report(kind: str, payload: dict, items, answer: dict, k: int | None) -> VerificationReport:
-    """Recompute the oracle check of a JSON answer on the dataclass items of
-    `payload` (what verify re-runs)."""
-    t0 = time.perf_counter()
-    what = "line" if kind in ("cell", "segment") else "point"
-    if kind in ("cell", "wedge111", "arcs"):  # lline: LatticePointSet; wedge, segment: _require_6n
-        require_rgb([x.color for x in items], what)
+def _solve_arcs(rows, k: int | None) -> dict:
+    if k is None:
+        raise PreconditionViolated("solve arcs requires --k")
+    return {"arcs": ser.enc_arcset(_arcset_of_rows(*rows, k))}
 
-    if kind == "cell":
-        with ser.decoding():
-            verts = [ser.dec_xy(v) for v in answer["face"]["vertices"]]
-            colors = [Color(c) for c in answer["face"]["boundary_colors"]]
-        complete = scan_all_complete_faces(build_arrangement(items))
-        oracle = tuple(sorted(ser.enc_xy(v) for v in f.vertices) for f in complete)
-        # a cell's edges (vertex, color, next vertex) do not depend on the
-        # vertex either construction path starts its cycle at
-        def edges(vs, cs):
-            return len(vs), frozenset(zip(vs, cs, vs[1:] + vs[:1]))
 
-        mine = edges(verts, colors)
-        member = len(verts) == len(colors) and any(
-            edges(f.vertices, f.boundary_colors) == mine for f in complete
-        )
-        counts, target = cycle_parity(colors), (1, 1, 1)
+def _solve_lline(rows) -> dict:
+    l, k = _lline_of_rows(*rows)
+    return {"lline": ser.enc_lline(l), "k": k}
 
-    elif kind in ("wedge111", "wedge", "segment"):
-        # a wedge or segment instance the solver refuses, refused with its message
-        n = 1 if kind == "wedge111" else _require_6n([x.color for x in items], what)
-        target = (n, n, n)
-        if kind == "segment":
-            seg = _answer(answer, "segment", ser.dec_segment)
-            # count_segment_crossings refuses an end on a line, so each side is +-1
-            counts = _counts_tuple(count_segment_crossings(seg, items))
-            key = tuple(i for i, l in enumerate(items) if l.side(seg.p) != l.side(seg.q))
-            oracle_of = brute_oracle_segments
-        else:
-            w = _answer(answer, "wedge", ser.dec_wedge)
-            counts = _counts_tuple(wedge_color_counts(w, items))
-            key = wedge_point_indices(w, items)
-            oracle_of = brute_oracle_wedges
-        if len(items) <= ORACLE_MAX_POINTS["wedge"]:
-            oracle_sets = oracle_of(items, target)
-            member = key in oracle_sets
-            oracle = tuple(list(t) for t in oracle_sets)
-        else:
-            oracle, member = (), counts == target
 
-    elif kind == "arcs":
-        if k is None:
-            raise PreconditionViolated("verify arcs requires the k parameter")
-        a = _answer(answer, "arcs", ser.dec_arcset)
-        counts = _counts_tuple(arcset_color_counts(a, items))
-        target = (k, k, k)
-        keys = {arcset_points_key(o, items) for o in enumerate_2arc_sets(items, k)}
-        member = a.component_count() <= 2 and arcset_points_key(a, items) in keys
-        oracle = tuple(sorted(list(kk) for kk in keys))
+def _check_cell(lines, answer: dict, k: int | None):
+    require_rgb([l.color for l in lines], "line")
+    with ser.decoding():
+        verts = [ser.dec_xy(v) for v in answer["face"]["vertices"]]
+        colors = [Color(c) for c in answer["face"]["boundary_colors"]]
+    complete = scan_all_complete_faces(build_arrangement(lines))
+    oracle = tuple(sorted(ser.enc_xy(v) for v in f.vertices) for f in complete)
+    # a cell's edges (vertex, color, next vertex) do not depend on the vertex its cycle starts at
+    def edges(vs, cs):
+        return len(vs), frozenset(zip(vs, cs, vs[1:] + vs[:1]))
 
-    else:
-        with ser.decoding():
-            l = ser.dec_lline(answer["lline"])
-            kk = answer["k"]
-        if type(kk) is not int:
-            raise PreconditionViolated(f"answer.k must be an integer, got {kk!r}")
-        counts = lline_counts(l, items)[0]
-        target = (kk, kk, kk)
-        oracle_pairs = brute_oracle_llines(items)
-        member = (l, kk) in oracle_pairs
-        oracle = tuple({"lline": ser.enc_lline(ol), "k": ok} for ol, ok in oracle_pairs)
-
-    return VerificationReport(
-        instance_id=_instance_id(payload),
-        solver_answer=answer,
-        oracle_answers=oracle,
-        member=member,
-        counts=counts,
-        target=target,
-        elapsed_s=time.perf_counter() - t0,
+    mine = edges(verts, colors)
+    member = len(verts) == len(colors) and any(
+        edges(f.vertices, f.boundary_colors) == mine for f in complete
     )
+    return cycle_parity(colors), (1, 1, 1), oracle, member
 
 
-def _report_as_dict(r: VerificationReport) -> dict:
-    return json.loads(r.to_json_line())
+def _one_each(colors, what: str) -> int:
+    """A 111 wedge's n: 1, on any instance that holds all three colors."""
+    require_rgb(colors, what)
+    return 1
 
 
-def _draw(kind: str, items, answer: dict | None) -> str:
-    """SVG of dataclass items with their kind's JSON answer drawn over them;
-    with no answer, the items alone."""
+def _wedge_cut(points, answer: dict):
+    with ser.decoding():
+        w = ser.dec_wedge(answer["wedge"])
+    return wedge_color_counts(w, points), wedge_point_indices(w, points), brute_oracle_wedges
 
-    def drawn(key: str, dec):
-        return None if answer is None else _answer(answer, key, dec)
 
-    if kind == "cell":
-        return render_arrangement(build_arrangement(items), drawn("face", ser.dec_face))
-    if kind in ("wedge111", "wedge"):
-        return render_wedge(items, drawn("wedge", ser.dec_wedge))
-    if kind == "arcs":
-        return render_arcset(items, drawn("arcs", ser.dec_arcset))
-    if kind == "lline":
-        return render_lline(items, drawn("lline", ser.dec_lline))
-    return render_arrangement(build_arrangement(items))  # a segment as its lines
+def _segment_cut(lines, answer: dict):
+    with ser.decoding():
+        seg = ser.dec_segment(answer["segment"])
+    # count_segment_crossings refuses an end on a line, so each side is +-1
+    counts = count_segment_crossings(seg, lines)
+    key = tuple(i for i, l in enumerate(lines) if l.side(seg.p) != l.side(seg.q))
+    return counts, key, brute_oracle_segments
+
+
+def _check_cut(n_of, what: str, cut, items, answer: dict, k: int | None):
+    """A wedge or segment answer: n_of refuses an instance the solver refuses,
+    with its message; cut gives the answer's color counts, its item set (the
+    oracle's key) and the oracle of those sets."""
+    n = n_of([x.color for x in items], what)
+    target = (n, n, n)
+    cc, key, oracle_of = cut(items, answer)
+    counts = tuple(cc[c] for c in RGB)
+    if len(items) > ORACLE_MAX_POINTS["wedge"]:
+        return counts, target, (), counts == target
+    oracle_sets = oracle_of(items, target)
+    return counts, target, tuple(list(t) for t in oracle_sets), key in oracle_sets
+
+
+def _check_arcs(points, answer: dict, k: int | None):
+    require_rgb([p.color for p in points], "point")
+    if k is None:
+        raise PreconditionViolated("verify arcs requires the k parameter")
+    with ser.decoding():
+        a = ser.dec_arcset(answer["arcs"])
+    cc = arcset_color_counts(a, points)
+    counts = tuple(cc[c] for c in RGB)
+    keys = {arcset_points_key(o, points) for o in enumerate_2arc_sets(points, k)}
+    member = a.component_count() <= 2 and arcset_points_key(a, points) in keys
+    return counts, (k, k, k), tuple(sorted(list(kk) for kk in keys)), member
+
+
+def _check_lline(points, answer: dict, k: int | None):
+    """The answer carries its own k."""
+    with ser.decoding():
+        l = ser.dec_lline(answer["lline"])
+        kk = answer["k"]
+    if type(kk) is not int:
+        raise PreconditionViolated(f"answer.k must be an integer, got {kk!r}")
+    pairs = brute_oracle_llines(points)
+    oracle = tuple({"lline": ser.enc_lline(ol), "k": ok} for ol, ok in pairs)
+    return lline_counts(l, points)[0], (kk, kk, kk), oracle, (l, kk) in pairs
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One solve kind.  `gen` and `n` make the instance a solve command makes
+    itself.  `decode` names its payload decoder in `serialization` (looked up at
+    call time, so a wrapper bound there sees the call): the integer rows of
+    `solve(rows, k) -> answer` and of `objects(*rows) -> items`, which feed
+    `check(items, answer, k) -> (counts, target, oracle answers, member)` and
+    `draw(items, answer or None) -> SVG`.  Every answer is JSON data."""
+
+    gen: GenKind
+    n: int
+    decode: str
+    objects: Callable
+    solve: Callable[[tuple, int | None], dict]
+    check: Callable[[tuple, dict, int | None], tuple]
+    draw: Callable[[tuple, dict | None], str]
+
+
+_KINDS = {
+    "cell": _Kind(
+        GenKind.SimpleLines3C, 7, "dec_line_rows", ser._lines_of_rows,
+        _without_k("cell", lambda rows: {"face": ser.enc_face(_face_of_rows(*rows))}),
+        _check_cell,
+        lambda lines, answer: render_arrangement(
+            build_arrangement(lines), _drawn(answer, "face", ser.dec_face))),
+    "wedge111": _Kind(
+        GenKind.Points3C, 9, "dec_point_rows", _points_of_rows,
+        _without_k("wedge111", lambda rows: _wedge_answer(_wedge111_of_rows(*rows))),
+        functools.partial(_check_cut, _one_each, "point", _wedge_cut),
+        lambda points, answer: render_wedge(points, _drawn(answer, "wedge", ser.dec_wedge))),
+    "wedge": _Kind(
+        GenKind.Points3CConvex, 2, "dec_point_rows", _points_of_rows,
+        _without_k("wedge", lambda rows: _wedge_answer(_wedge_of_rows(*rows))),
+        functools.partial(_check_cut, _require_6n, "point", _wedge_cut),
+        lambda points, answer: render_wedge(points, _drawn(answer, "wedge", ser.dec_wedge))),
+    "segment": _Kind(
+        GenKind.Points3CConvex, 2, "dec_line_rows", ser._lines_of_rows,
+        _without_k("segment", lambda rows: {"segment": ser.enc_segment(_segment_of_rows(*rows))}),
+        functools.partial(_check_cut, _require_6n, "line", _segment_cut),
+        lambda lines, answer: render_arrangement(build_arrangement(lines))),  # its lines alone
+    "arcs": _Kind(
+        GenKind.CirclePoints3C, 5, "dec_circle_rows", ser._circle_of_rows, _solve_arcs, _check_arcs,
+        lambda points, answer: render_arcset(points, _drawn(answer, "arcs", ser.dec_arcset))),
+    "lline": _Kind(
+        GenKind.LatticeRedHull, 4, "dec_lattice_rows", ser._lattice_of_rows,
+        _without_k("lline", _solve_lline), _check_lline,
+        lambda points, answer: render_lline(points, _drawn(answer, "lline", ser.dec_lline))),
+}
+SOLVE_KINDS = tuple(_KINDS)
+
+
+def _rows(kind: str, payload: dict):
+    """The integer rows of an instance payload, through its kind's decoder."""
+    return getattr(ser, _KINDS[kind].decode)(payload)
+
+
+def _verification(kind: str, payload: dict, items, answer: dict, k: int | None) -> dict:
+    """The oracle check of a JSON answer on the dataclass items of `payload`
+    (what verify re-runs), as the object of its report line."""
+    t0 = time.perf_counter()
+    counts, target, oracle, member = _KINDS[kind].check(items, answer, k)
+    instance_id = hashlib.sha1(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()[:12]
+    report = VerificationReport(instance_id, answer, oracle, member, counts, target,
+                                time.perf_counter() - t0)
+    return json.loads(report.to_json_line())
 
 
 # -- commands --------------------------------------------------------------------
@@ -290,35 +300,27 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    kind = args.what
+    kind, rec = args.what, _KINDS[args.what]
     if args.infile is not None:
         payload = ser.unwrap_instance(_load_json(args.infile))
     else:
-        gen, n, _ = _KINDS[kind]
-        n = n if args.n is None else args.n
-        objects = generate(GenSpec(gen, n, args.seed))
-        if kind == "segment":
+        n = rec.n if args.n is None else args.n
+        objects = generate(GenSpec(rec.gen, n, args.seed))
+        if kind == "segment":  # the duals of convex-position points: simple, 2n lines per color
             objects = tuple(dual_point_to_line(p) for p in objects)
-        payload = ser.enc_instance(gen.value, n, args.seed, objects)["instance"]
-    items = _decode(kind, payload)  # a generated instance too: one route
-    k = args.k
-    answer = _solve(kind, items, k)
-    if kind == "lline":
-        k = answer["k"]
-    env = {
-        "command": f"solve {kind}",
-        "params": {"k": k},
-        "instance": payload,
-        "answer": answer,
-        "verification": None,
-    }
-    objects = _objects(kind, items) if args.verify or args.format == "svg" else None
+        payload = ser.enc_instance(rec.gen.value, n, args.seed, objects)["instance"]
+    rows = _rows(kind, payload)  # a generated instance too: one route
+    answer = rec.solve(rows, args.k)
+    k = answer["k"] if kind == "lline" else args.k
+    env = {"command": f"solve {kind}", "params": {"k": k}, "instance": payload,
+           "answer": answer, "verification": None}
+    items = rec.objects(*rows) if args.verify or args.format == "svg" else None
     if args.verify:
-        env["verification"] = _report_as_dict(_report(kind, payload, objects, answer, k))
+        env["verification"] = _verification(kind, payload, items, answer, k)
         if not env["verification"]["member"]:
             raise InternalError("solver answer rejected by its oracle", env["verification"])
     if args.format == "svg":
-        _emit(_draw(kind, objects, answer), args.out)
+        _emit(rec.draw(items, answer), args.out)
     else:
         _emit(_envelope_text(env), args.out)
     return 0
@@ -344,9 +346,8 @@ def _cmd_verify(args) -> int:
     k = params.get("k")
     if k is not None and type(k) is not int:
         raise PreconditionViolated(f"params.k must be an integer, got {k!r}")
-    items = _objects(kind, _decode(kind, env["instance"]))
-    report = _report(kind, env["instance"], items, env["answer"], k)
-    got = _report_as_dict(report)
+    items = _KINDS[kind].objects(*_rows(kind, env["instance"]))
+    got = _verification(kind, env["instance"], items, env["answer"], k)
     if not got["member"]:
         raise InternalError("solution rejected by its oracle", got)
     embedded = env.get("verification")
@@ -354,11 +355,9 @@ def _cmd_verify(args) -> int:
         a = {key: v for key, v in embedded.items() if key != "elapsed_s"}
         b = {key: v for key, v in got.items() if key != "elapsed_s"}
         if a != b:
-            raise InternalError(
-                "re-verification differs from the embedded report",
-                {"embedded": a, "recomputed": b},
-            )
-    _emit(report.to_json_line(), args.out)
+            raise InternalError("re-verification differs from the embedded report",
+                                {"embedded": a, "recomputed": b})
+    _emit(json.dumps(got, sort_keys=True), args.out)
     return 0
 
 
@@ -388,7 +387,8 @@ def _cmd_render(args) -> int:
         payload = dict(ser.unwrap_instance(env))
     if kind is None:
         kind, answer = _bare_kind(payload), None
-    _emit(_draw(kind, _objects(kind, _decode(kind, payload)), answer), args.out)
+    rec = _KINDS[kind]
+    _emit(rec.draw(rec.objects(*_rows(kind, payload)), answer), args.out)
     return 0
 
 
@@ -408,8 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("kind", choices=[k.value for k in GenKind])
     g.add_argument("--n", type=int, default=6)
     g.add_argument("--seed", type=int, default=1)
-    g.add_argument("--out", dest="out", default=None)
-    g.set_defaults(func=_cmd_gen)
 
     s = sub.add_parser("solve", help="run a solver")
     s.add_argument("what", choices=SOLVE_KINDS)
@@ -419,19 +417,16 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, default=None)
     s.add_argument("--verify", action="store_true")
     s.add_argument("--format", choices=("json", "svg"), default="json")
-    s.add_argument("--out", dest="out", default=None)
-    s.set_defaults(func=_cmd_solve)
 
     v = sub.add_parser("verify", help="re-check a solution file against oracles")
     v.add_argument("--in", dest="infile", required=True)
-    v.add_argument("--out", dest="out", default=None)
-    v.set_defaults(func=_cmd_verify)
 
     r = sub.add_parser("render", help="draw an instance or solution as SVG")
     r.add_argument("--in", dest="infile", required=True)
     r.add_argument("--format", choices=("svg",), default="svg")
-    r.add_argument("--out", dest="out", default=None)
-    r.set_defaults(func=_cmd_render)
+    for p, cmd in ((g, _cmd_gen), (s, _cmd_solve), (v, _cmd_verify), (r, _cmd_render)):
+        p.add_argument("--out", dest="out", default=None)
+        p.set_defaults(func=cmd)
     return top
 
 

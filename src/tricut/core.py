@@ -548,6 +548,10 @@ class CirclePoint:
     t: Rat
     color: Color
 
+    def __post_init__(self):  # a float parameter would reach a predicate
+        if not isinstance(self.t, (int, Fraction)):
+            raise PreconditionViolated(_NOT_RATIONAL)
+
 
 def circle_point(t, color: Color | str) -> CirclePoint:
     t = as_rat(t)

@@ -82,6 +82,14 @@ class TestSolve:
     def test_arcs_requires_k(self):
         assert run_cli("solve", "arcs", "--n", "5").returncode == 2
 
+    @pytest.mark.parametrize("kind", [k for k in cli.SOLVE_KINDS if k != "arcs"])
+    def test_other_kinds_refuse_k(self, kind, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        for k in ("1", "99"):
+            assert cli.run(["solve", kind, "--k", k, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: solve {kind} takes no --k\n"
+        assert not out.exists()
+
     def test_cell_from_file(self, tmp_path):
         inst = tmp_path / "lines.json"
         run_cli("gen", "SimpleLines3C", "--n", "7", "--seed", "4", "--out", str(inst))

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tricut.core import (
     ArcSet,
+    CirclePoint,
     Color,
     GeneralPosition,
     arcset,
@@ -262,6 +263,14 @@ class TestColorChecks:
         require_distinct_parameters(pts)
         with pytest.raises(PreconditionViolated, match="duplicate"):
             require_distinct_parameters(pts + [circle_point(F(2, 8), "B")])
+
+    def test_direct_circle_point_takes_only_rational_parameters(self):
+        # a float parameter would be counted through a float predicate by
+        # `arcset_color_counts` and refused untyped by `arcset_points_key`
+        assert CirclePoint(F(1, 2), Color.R).t == F(1, 2) and CirclePoint(0, Color.G).t == 0
+        for t in (0.5, "1/2", None):
+            with pytest.raises(PreconditionViolated, match="^float coordinates are not accepted"):
+                CirclePoint(t, Color.R)
 
 
 @st.composite

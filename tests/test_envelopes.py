@@ -205,3 +205,38 @@ def test_old_layout_verifies_and_renders(tmp_path, kind, capsys):
         assert cli.run(["render", "--in", str(src), "--out", str(pic)]) == 0
     assert pictures[0].read_text().startswith("<svg ")
     assert pictures[0].read_bytes() == pictures[1].read_bytes()
+
+
+# sha1 of two outputs per kind, at its default n and seed 1 (arcs at k = 2):
+# the `tricut verify --in` report of a `solve --verify` file with elapsed_s
+# dropped, and `tricut solve --format svg`.  The ids name the instance, not
+# the digest, so a changed output keeps the test's name
+OUTPUT_DIGESTS = [
+    pytest.param("cell", 7, None, "6fdd60f6f137a4575c22b1f2bc667177c2319e83",
+                 "f1367d1c06d71e456aaec32679f70b519104d8aa", id="cell-7"),
+    pytest.param("wedge111", 9, None, "243ef65503bdee7831818050e31fbdce6ab39381",
+                 "7770a353d6f4313c1559eb9631236c54641c49ed", id="wedge111-9"),
+    pytest.param("wedge", 2, None, "c27314458ee9b620446c8c5996b3d10cde143895",
+                 "c9659d823a47663607990432e2f2486dc91235f3", id="wedge-2"),
+    pytest.param("segment", 2, None, "50c3d0a8d9a090e9775ee4a9344c736b7cc068e3",
+                 "9cb948ed41cb041190c46d24e1f305be3fc0423c", id="segment-2"),
+    pytest.param("arcs", 5, 2, "65d01851bb18dda0aa9c7dbc44035f69fb06ac90",
+                 "ddb1216b2b4abbbe6cc9d94b00cfd74646b3e9bd", id="arcs-5-k2"),
+    pytest.param("lline", 4, None, "0999c6031bd21a126bae5216f9fd288e3822080f",
+                 "d35a1d325c7e64d17362c66a7ccc0d2a911828c5", id="lline-4"),
+]
+
+
+@pytest.mark.parametrize("kind,n,k,report_digest,svg_digest", OUTPUT_DIGESTS)
+def test_verify_report_and_svg_digests(tmp_path, kind, n, k, report_digest, svg_digest):
+    sol = tmp_path / "sol.json"
+    argv = _argv(kind, n, 1, k)
+    assert cli.run(argv + ["--verify", "--out", str(sol)]) == 0
+    report = json.loads(_stdout(["verify", "--in", str(sol)]))
+    del report["elapsed_s"]
+    assert _sha1(json.dumps(report, sort_keys=True)) == report_digest
+    assert _sha1(_stdout(argv + ["--format", "svg"])) == svg_digest
+
+
+def test_output_digests_cover_every_kind():
+    assert [p.values[0] for p in OUTPUT_DIGESTS] == list(cli.SOLVE_KINDS)
